@@ -3,8 +3,9 @@
 The library models an insurer's surplus as a compound Poisson process with
 exponential claims and linear premium income, taxed loss-carry-forward
 style (a share of every new running-maximum increment) once the surplus
-first reaches a delay threshold.  It computes, in closed form up to
-one-dimensional quadrature:
+first reaches a delay threshold.  It computes, in closed form (tail
+integrals as Gauss hypergeometric functions) plus one-dimensional root
+finding:
 
 * the optimal threshold b* when a lump terminal value is exchanged at
   ruin (``tax_terminal``), and

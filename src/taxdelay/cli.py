@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import math
@@ -75,7 +76,9 @@ def _add_scenario_flags(sub: argparse.ArgumentParser) -> None:
                      help="starting surplus level (default 1)")
 
 
+@functools.lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on first use and shared within the process."""
     parser = argparse.ArgumentParser(
         prog="taxdelay",
         description="Optimal tax-implementation-delay thresholds for the "

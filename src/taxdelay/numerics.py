@@ -1,11 +1,11 @@
-"""Quadrature for exponentially decaying tail integrals and bracketed roots.
+"""Adaptive quadrature and bracketed roots.
 
-The improper integrals in this library all have integrands dominated by
-a known exponential envelope, which turns truncation into a rigorous
-bound rather than a heuristic: if |f(z)| <= |f(T)| e^{-decay (z-T)} for
-every z >= T >= a, then the discarded tail beyond T is at most
-|f(T)|/decay.  ``integrate_tail`` extends T until that bound drops below
-the requested tolerance and integrates the finite part adaptively.
+The tail integrals have closed forms (``ScaleSet.tail``); quadrature is
+left for finite ranges and, in ``integrate_tail``, for checking those
+forms independently.  ``integrate_tail`` needs a known exponential
+envelope: if |f(z)| <= |f(T)| e^{-decay (z-T)} for every z >= T >= a,
+the tail beyond T is at most |f(T)|/decay, so T is extended until that
+bound drops below the tolerance and the finite part is adaptive.
 """
 
 from __future__ import annotations
@@ -139,7 +139,8 @@ def find_root_decreasing_sign(h: Callable[[float], float], lo: float, tol: float
     """Root of a function with a single sign change from + to - on [lo, inf).
 
     Requires h(lo) > 0.  The bracket is grown geometrically
-    (hi = max(1, 2*hi)) until h(hi) < 0, then handed to a hybrid
+    (hi = max(1, 2*hi)) until h(hi) <= 0; an exact zero at hi is the
+    root (iterations = 0), otherwise the bracket is handed to a hybrid
     bisection/inverse-quadratic solver.  Deterministic for fixed inputs.
     """
     if not (math.isfinite(lo) and lo >= 0.0):
@@ -160,6 +161,8 @@ def find_root_decreasing_sign(h: Callable[[float], float], lo: float, tol: float
         h_hi = h(hi)
         if not math.isfinite(h_hi):
             raise BracketFailure(f"h({hi:g}) is not finite")
+        if h_hi == 0.0:
+            return RootReport(root=hi, residual=0.0, bracket=(left, hi), iterations=0)
         if h_hi < 0.0:
             break
         left = hi

@@ -19,13 +19,19 @@ terms cancel and only the cross terms survive:
 with d = net drift c - lam/mu.  Evaluating the left-hand sides naively
 loses every significant digit once e^{theta1 x} dominates, so the
 bracket kernels below always use the grouped right-hand sides.
+
+Every tail integral of the two problems is an Euler integral with a
+closed form in the Gauss hypergeometric function; ``ScaleSet.tail``
+evaluates it.
 """
 
 from __future__ import annotations
 
 import math
 
-from .errors import InvalidParameter
+from scipy.special import betaincc, betaln, hyp2f1
+
+from .errors import InvalidParameter, ToleranceNotMet
 from .model import LevyModel, SpectralRoots, spectral_roots
 
 __all__ = ["ScaleSet"]
@@ -192,3 +198,52 @@ class ScaleSet:
         """
         t1, t2 = self.theta1, self.theta2
         return self._inj_const * math.exp((t1 + t2) * x - self.log_z(x))
+
+    # -- tail integrals -----------------------------------------------------
+
+    def tail(self, family: str, e: float, x: float, kernel: bool = False) -> float:
+        """int_x^inf (F(x)/F(y))^e g(y) dy in closed form, for x >= 0.
+
+        F is W (family "w") or Z ("z"); g = 1, or with kernel=True the
+        family's grouped kernel K e^{(theta1+theta2) y}/F(y), i.e.
+        ``ruin_kernel`` or ``injection_kernel``.  Write
+        F(y) = f1 e^{theta1 y}(1 - rho0 e^{-delta y}), delta = theta1 - theta2,
+        rho = rho0 e^{-delta x} and k = 1 with the kernel, else 0.  Euler's
+        integral (DLMF 15.6.1) gives, with g = (e theta1 - k theta2)/delta,
+
+            (K e^{theta2 x}/f1)^k (1-rho)^e 2F1(e+k, g; g+1; rho) / (delta g),
+
+        evaluated after Euler's transformation (DLMF 15.8.1) as
+        (1-rho)^{1-k} 2F1(g+1-e-k, 1; g+1; rho), so no factor under- or
+        overflows at large e.  For Z, rho0 = z2/z1 < 0; below rho = -1/2,
+        where hyp2f1 loses up to 1e-5 for g near e, the integral is taken
+        as the incomplete beta function (1-rho)^e |rho|^{-g} B_T(g, e+k-g),
+        T = rho/(rho-1) (DLMF 8.17.1).  Raises ToleranceNotMet if the
+        result is not a finite double (seen only for e above 1e4).
+        """
+        if x < 0.0 or family not in ("w", "z"):
+            raise InvalidParameter(
+                f"tail needs x >= 0 and family 'w' or 'z', got {x!r}, {family!r}")
+        f1, f2, const = (self._w1, self._w2, self._ruin_const) if family == "w" \
+            else (self._z1, self._z2, self._inj_const)
+        t1, t2 = self.theta1, self.theta2
+        delta = t1 - t2
+        k = 1.0 if kernel else 0.0
+        g = (e * t1 - k * t2) / delta
+        rho = f2 / f1 * math.exp(-delta * x)
+        try:
+            if rho < -0.5:
+                b = e + k - g  # > 0 for Z, the only family with rho < 0
+                log_scale = e * math.log1p(-rho) - g * math.log(-rho) + betaln(g, b)
+                value = math.exp(log_scale + math.log(betaincc(b, g, 1.0 / (1.0 - rho)))) / delta
+            else:
+                value = (1.0 - rho) ** (1.0 - k) \
+                    * float(hyp2f1(g + 1.0 - e - k, 1.0, g + 1.0, rho)) / (delta * g)
+            if kernel:
+                value *= const * math.exp(t2 * x) / f1
+        except (OverflowError, ValueError):
+            value = math.nan
+        if not math.isfinite(value):
+            raise ToleranceNotMet(
+                f"closed-form tail out of floating-point range (e={e:g}, rho={rho:g})")
+        return value

@@ -13,10 +13,10 @@ quantities that are affine in the economic parameter:
   where G is the injection kernel and d the net drift; the crossing point
   in varphi is the existence boundary.
 
-The left-hand coefficients are extracted from two library evaluations
-(linearity in S resp. varphi is exact), the right-hand ones from closed
-forms at zero.  ``table_rows`` packages the three built-in reference
-scenarios; ``sweep_rows`` and ``existence_grid`` generate plot-ready data.
+All coefficients are closed forms at zero (the left-hand ones through
+the tail integrals of ``ScaleSet.tail``).  ``table_rows`` packages the
+three built-in reference scenarios; ``sweep_rows`` and ``existence_grid``
+generate plot-ready data.
 """
 
 from __future__ import annotations
@@ -27,10 +27,10 @@ from typing import List, Optional, Tuple
 
 from .errors import InvalidParameter
 from .model import LevyModel, new_model
-from .numerics import DEFAULT_QUAD, QuadSpec
 from .scale import ScaleSet
-from .tax_injection import InjectionProblem, optimize_injection, upsilon_bar
-from .tax_terminal import TerminalProblem, optimize_terminal, upsilon
+from .tax_injection import (InjectionProblem, injection_tail, optimize_injection,
+                            tax_tail)
+from .tax_terminal import TerminalProblem, optimize_terminal
 
 # ---------------------------------------------------------------------------
 # Built-in reference scenarios
@@ -93,20 +93,19 @@ def table_definition(table_id: int) -> TableDefinition:
 
 
 # ---------------------------------------------------------------------------
-# Affine coefficient extraction
+# Affine coefficients
 # ---------------------------------------------------------------------------
 
 
-def terminal_affine(scale: ScaleSet, ell: float,
-                    spec: QuadSpec = DEFAULT_QUAD) -> Tuple[float, float]:
+def terminal_affine(scale: ScaleSet, ell: float) -> Tuple[float, float]:
     """Coefficients (intercept, slope) of S -> upsilon(0).
 
-    upsilon(0) is exactly affine in the terminal value, so two evaluations
-    pin it down.
+    With e = 1/(1-ell), upsilon(0) = ell e I2(0) + S (e I1(0) - Z(0)), where
+    I1 is the ruin-kernel tail and I2 the plain exit-ratio tail of W.
     """
-    at0 = upsilon(TerminalProblem(scale, ell, s_terminal=0.0, x0=1.0), 0.0, spec)
-    at1 = upsilon(TerminalProblem(scale, ell, s_terminal=1.0, x0=1.0), 0.0, spec)
-    return at0, at1 - at0
+    e = TerminalProblem(scale, ell, s_terminal=0.0, x0=0.0).exponent  # validates ell
+    return (ell * e * scale.tail("w", e, 0.0),
+            e * scale.tail("w", e, 0.0, kernel=True) - scale.z(0.0))
 
 
 def terminal_rhs(scale: ScaleSet) -> Tuple[float, float]:
@@ -115,18 +114,15 @@ def terminal_rhs(scale: ScaleSet) -> Tuple[float, float]:
     return v0, -v0 * scale.q * scale.w(0.0)
 
 
-def injection_affine(scale: ScaleSet, ell: float,
-                     spec: QuadSpec = DEFAULT_QUAD) -> Tuple[float, float]:
+def injection_affine(scale: ScaleSet, ell: float) -> Tuple[float, float]:
     """Coefficients (intercept, slope) of varphi -> upsilon_bar(0).
 
-    upsilon_bar(0) is exactly affine in the injection cost factor, so two
-    evaluations pin it down.
+    upsilon_bar(0) = tax_tail(0) - varphi (injection_tail(0) + Zbar(0) + d/q)
+    with d the net drift.
     """
-    lo, hi = 1.25, 1.75
-    at_lo = upsilon_bar(InjectionProblem(scale, ell, varphi=lo, x0=1.0), 0.0, spec)
-    at_hi = upsilon_bar(InjectionProblem(scale, ell, varphi=hi, x0=1.0), 0.0, spec)
-    slope = (at_hi - at_lo) / (hi - lo)
-    return at_lo - slope * lo, slope
+    # the coefficients do not depend on varphi; any admissible value will do
+    p = InjectionProblem(scale, ell, varphi=2.0, x0=0.0)
+    return tax_tail(p, 0.0), -(injection_tail(p, 0.0) + scale.zbar_shifted(0.0))
 
 
 def injection_rhs(scale: ScaleSet) -> Tuple[float, float]:
@@ -151,18 +147,17 @@ def existence_threshold(intercept: float, slope: float,
     return (rhs_intercept - intercept) / denom
 
 
-def table_rows(table_id: int, model: LevyModel = BASE_MODEL,
-               spec: QuadSpec = DEFAULT_QUAD) -> List[TableRow]:
+def table_rows(table_id: int, model: LevyModel = BASE_MODEL) -> List[TableRow]:
     """Compute all rows of one built-in table on the given model."""
     definition = table_definition(table_id)
     scale = ScaleSet(model, definition.q)
     rows: List[TableRow] = []
     for ell in definition.ells:
         if definition.mode == "terminal":
-            intercept, slope = terminal_affine(scale, ell, spec)
+            intercept, slope = terminal_affine(scale, ell)
             rhs_i, rhs_s = terminal_rhs(scale)
         else:
-            intercept, slope = injection_affine(scale, ell, spec)
+            intercept, slope = injection_affine(scale, ell)
             rhs_i, rhs_s = injection_rhs(scale)
         rows.append(TableRow(
             ell=ell,
@@ -215,15 +210,15 @@ def _with_param(base: SweepPoint, param: str, value: float) -> SweepPoint:
     return replace(base, **{field: value})
 
 
-def _optimize_point(point: SweepPoint, spec: QuadSpec) -> Tuple[float, float, bool]:
+def _optimize_point(point: SweepPoint) -> Tuple[float, float, bool]:
     scale = ScaleSet(new_model(point.c, point.lam, point.mu), point.q)
     if point.mode == "terminal":
         report = optimize_terminal(
-            TerminalProblem(scale, point.ell, point.s_terminal, point.x0), spec=spec)
+            TerminalProblem(scale, point.ell, point.s_terminal, point.x0))
     elif point.mode == "injection":
         report = optimize_injection(
             InjectionProblem(scale, point.ell, point.varphi, point.x0,
-                             allow_low_cost=True), spec=spec)
+                             allow_low_cost=True))
     else:
         raise InvalidParameter(f"unknown mode {point.mode!r}")
     return report.threshold, report.value, report.boundary_case
@@ -239,8 +234,8 @@ def grid_values(lo: float, hi: float, steps: int) -> List[float]:
     return [lo + i * width for i in range(steps - 1)] + [hi]
 
 
-def sweep_rows(base: SweepPoint, param: str, lo: float, hi: float, steps: int,
-               spec: QuadSpec = DEFAULT_QUAD) -> List[SweepRow]:
+def sweep_rows(base: SweepPoint, param: str, lo: float, hi: float,
+               steps: int) -> List[SweepRow]:
     """Optimize once per grid point of one varied parameter."""
     if param not in SWEEPABLE:
         raise InvalidParameter(
@@ -252,7 +247,7 @@ def sweep_rows(base: SweepPoint, param: str, lo: float, hi: float, steps: int,
     rows: List[SweepRow] = []
     for value in grid_values(lo, hi, steps):
         threshold, objective, boundary = _optimize_point(
-            _with_param(base, param, value), spec)
+            _with_param(base, param, value))
         rows.append(SweepRow(param=param, value=value, threshold=threshold,
                              objective=objective, boundary_case=boundary))
     return rows
@@ -270,17 +265,16 @@ class ExistenceCell:
 
 def existence_grid(model: LevyModel, ell: float,
                    s_lo: float, s_hi: float, s_steps: int,
-                   q_lo: float, q_hi: float, q_steps: int,
-                   spec: QuadSpec = DEFAULT_QUAD) -> List[ExistenceCell]:
+                   q_lo: float, q_hi: float, q_steps: int) -> List[ExistenceCell]:
     """2-D (S, q) map of the sign of the terminal candidate at zero.
 
     Exploits linearity: per q the candidate at zero is affine in S, so each
-    row costs two evaluations regardless of the S resolution.
+    row costs two tail evaluations regardless of the S resolution.
     """
     cells: List[ExistenceCell] = []
     for q in grid_values(q_lo, q_hi, q_steps):
         scale = ScaleSet(model, q)
-        intercept, slope = terminal_affine(scale, ell, spec)
+        intercept, slope = terminal_affine(scale, ell)
         rhs_i, rhs_s = terminal_rhs(scale)
         for s in grid_values(s_lo, s_hi, s_steps):
             h0 = (intercept + slope * s) - (rhs_i + rhs_s * s)

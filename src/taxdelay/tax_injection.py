@@ -34,7 +34,6 @@ from .numerics import (
     QuadSpec,
     find_root_decreasing_sign,
     integrate_finite,
-    integrate_tail,
 )
 from .scale import ScaleSet
 from .tax_terminal import OptimumReport
@@ -169,65 +168,42 @@ def r_a(p: InjectionProblem, x: float, a: float,
     )
 
 
-def _z_log_slope(p: InjectionProblem, x: float) -> float:
-    # Z'/Z = qW/Z is increasing in x, so its value at the left endpoint
-    # is a valid uniform envelope rate on the whole tail
-    s = p.scale
-    return s.q * math.exp(s.log_w(x) - s.log_z(x)) if x > 0.0 else s.q * s.w(0.0)
+def tax_tail(p: InjectionProblem, x: float) -> float:
+    """Tail limit of g_a as a -> infinity (tax collected until forever):
 
-
-def tax_tail(p: InjectionProblem, x: float, spec: QuadSpec = DEFAULT_QUAD) -> float:
-    """Tail limit of g_a as a -> infinity (tax collected until forever)."""
+    (ell/(1-ell)) * int_x^inf (Z(x)/Z(w))^{1/(1-ell)} dw, in closed form
+    (``ScaleSet.tail``).
+    """
     if not (math.isfinite(x) and x >= 0.0):
         raise DomainError(f"need finite x >= 0, got {x!r}")
-    if p.ell == 0.0:
-        return 0.0
-    s = p.scale
     e = p.exponent
-    decay = e * _z_log_slope(p, x)
-    return p.ell * e * integrate_tail(lambda w: _zratio_pow(s, e, x, w), x, decay, spec)
+    return p.ell * e * p.scale.tail("z", e, x)
 
 
-def injection_tail(p: InjectionProblem, x: float, spec: QuadSpec = DEFAULT_QUAD) -> float:
-    """Tail limit of r_a as a -> infinity (injections paid forever)."""
+def injection_tail(p: InjectionProblem, x: float) -> float:
+    """Tail limit of r_a as a -> infinity (injections paid forever):
+
+    (1/(1-ell)) * int_x^inf kernel(w) (Z(x)/Z(w))^{1/(1-ell)} dw with the
+    grouped injection kernel, in closed form (``ScaleSet.tail``).
+    """
     if not (math.isfinite(x) and x >= 0.0):
         raise DomainError(f"need finite x >= 0, got {x!r}")
-    s = p.scale
     e = p.exponent
-
-    def f(w: float) -> float:
-        return s.injection_kernel(w) * _zratio_pow(s, e, x, w)
-
-    # log-slope of the integrand is (theta1+theta2) - (e+1) qW/Z, which
-    # increases toward the left; walk right until it is safely negative,
-    # integrate the prefix directly, then use the envelope from there
-    sum_theta = s.theta1 + s.theta2
-    start = x
-    head = 0.0
-    step = 1.0 / s.theta1
-    for _ in range(64):
-        decay = (e + 1.0) * _z_log_slope(p, start) - sum_theta
-        if decay > 0.0:
-            return head + e * integrate_tail(f, start, decay, spec)
-        head += e * integrate_finite(f, start, start + step, spec)
-        start += step
-    raise DomainError("injection tail integrand never entered its decaying regime")
+    return e * p.scale.tail("z", e, x, kernel=True)
 
 
-def psi_bar(p: InjectionProblem, x: float, spec: QuadSpec = DEFAULT_QUAD) -> float:
+def psi_bar(p: InjectionProblem, x: float) -> float:
     """Value of taxing immediately from level x, net of injection costs:
 
     psi_bar(x) = tax_tail(x) - varphi * injection_tail(x).  Affine in
     varphi.
     """
-    if not (math.isfinite(x) and x >= 0.0):
-        raise DomainError(f"need finite x >= 0, got {x!r}")
-    return tax_tail(p, x, spec) - p.varphi * injection_tail(p, x, spec)
+    return tax_tail(p, x) - p.varphi * injection_tail(p, x)
 
 
-def upsilon_bar(p: InjectionProblem, a: float, spec: QuadSpec = DEFAULT_QUAD) -> float:
+def upsilon_bar(p: InjectionProblem, a: float) -> float:
     """upsilonbar(a) = psi_bar(a) - varphi (Zbar(a) + d/q)."""
-    return psi_bar(p, a, spec) - p.varphi * p.scale.zbar_shifted(a)
+    return psi_bar(p, a) - p.varphi * p.scale.zbar_shifted(a)
 
 
 def cap_v_bar(p: InjectionProblem, a: float) -> float:
@@ -237,7 +213,7 @@ def cap_v_bar(p: InjectionProblem, a: float) -> float:
     return p.scale.z_over_z1d(a)
 
 
-def h_bar(p: InjectionProblem, a: float, spec: QuadSpec = DEFAULT_QUAD) -> float:
+def h_bar(p: InjectionProblem, a: float) -> float:
     """Optimality function hbar(a) = upsilonbar(a) - Vbar(a)(1 - varphi Z(a)).
 
     The terms Zbar + d/q, Vbar and varphi Z Vbar each grow like
@@ -246,15 +222,11 @@ def h_bar(p: InjectionProblem, a: float, spec: QuadSpec = DEFAULT_QUAD) -> float
     computed as psi_bar(a) - Vbar(a)(1 - varphi * injection_kernel(a)).
     The limit at infinity is (ell - 1)/theta1 < 0.
     """
-    if not (math.isfinite(a) and a >= 0.0):
-        raise DomainError(f"need finite a >= 0, got {a!r}")
     s = p.scale
-    vbar = s.z_over_z1d(a)
-    return psi_bar(p, a, spec) - vbar * (1.0 - p.varphi * s.injection_kernel(a))
+    return psi_bar(p, a) - s.z_over_z1d(a) * (1.0 - p.varphi * s.injection_kernel(a))
 
 
-def phi_bar_value(p: InjectionProblem, x: float, a: float,
-                  spec: QuadSpec = DEFAULT_QUAD) -> float:
+def phi_bar_value(p: InjectionProblem, x: float, a: float) -> float:
     """Objective phibar(x; a) = (Z(x)/Z(a)) upsilonbar(a) + varphi (Zbar(x) + d/q).
 
     Starting above the threshold lifts a to x (taxation immediate).
@@ -264,11 +236,10 @@ def phi_bar_value(p: InjectionProblem, x: float, a: float,
     a = max(a, x)
     s = p.scale
     ratio = math.exp(s.log_z(x) - s.log_z(a))
-    return ratio * upsilon_bar(p, a, spec) + p.varphi * s.zbar_shifted(x)
+    return ratio * upsilon_bar(p, a) + p.varphi * s.zbar_shifted(x)
 
 
-def phi_bar_partial_a(p: InjectionProblem, x: float, a: float,
-                      spec: QuadSpec = DEFAULT_QUAD) -> float:
+def phi_bar_partial_a(p: InjectionProblem, x: float, a: float) -> float:
     """Analytic derivative of phibar(x; a) in the threshold:
 
     (ell/(1-ell)) * (Z(x) Z'(a) / Z(a)^2) * hbar(a)  for 0 <= x <= a.
@@ -277,7 +248,7 @@ def phi_bar_partial_a(p: InjectionProblem, x: float, a: float,
         raise DomainError(f"need 0 <= x <= a, got x={x!r}, a={a!r}")
     s = p.scale
     weight = math.exp(s.log_z(x) + math.log(s.q * s.w(a)) - 2.0 * s.log_z(a))
-    return p.ell * p.exponent * weight * h_bar(p, a, spec)
+    return p.ell * p.exponent * weight * h_bar(p, a)
 
 
 def _optimal_value(p: InjectionProblem, astar: float) -> float:
@@ -288,19 +259,18 @@ def _optimal_value(p: InjectionProblem, astar: float) -> float:
     return p.varphi * s.zbar_shifted(p.x0) + s.z(p.x0) * bracket
 
 
-def optimize_injection(p: InjectionProblem, tol: float = DEFAULT_ROOT_TOL,
-                       spec: QuadSpec = DEFAULT_QUAD) -> OptimumReport:
+def optimize_injection(p: InjectionProblem, tol: float = DEFAULT_ROOT_TOL) -> OptimumReport:
     """Optimal delay threshold a* and the objective value at x0.
 
     a* is the root of hbar when hbar(0) > 0, else 0.  The value uses
     varphi (Zbar(x) + d/q) + Z(x)(1 - varphi Z(a*))/Z'(a*).
     """
-    h0 = h_bar(p, 0.0, spec)
+    h0 = h_bar(p, 0.0)
     if h0 <= 0.0:
         return OptimumReport(threshold=0.0, value=_optimal_value(p, 0.0),
                              boundary_case=True, root_diag=None)
     diag = find_root_decreasing_sign(
-        lambda a: h_bar(p, a, spec), 0.0, tol,
+        lambda a: h_bar(p, a), 0.0, tol,
         hi_cap=1e6 / p.scale.theta1,
     )
     return OptimumReport(threshold=diag.root, value=_optimal_value(p, diag.root),

@@ -29,7 +29,6 @@ from .numerics import (
     RootReport,
     find_root_decreasing_sign,
     integrate_finite,
-    integrate_tail,
 )
 from .scale import ScaleSet
 
@@ -97,34 +96,23 @@ def two_sided_exit_taxed(p: TerminalProblem, x: float, b: float) -> float:
     return _ratio_pow(p.scale, p.exponent, x, b)
 
 
-def _tail_decay_w(p: TerminalProblem, with_kernel: bool) -> float:
-    # envelope rates: W'/W >= theta1 everywhere, and the grouped ruin
-    # kernel has log-slope <= theta2 < 0, so both integrands decay at
-    # least this fast uniformly on the tail
-    s = p.scale
-    rate = p.exponent * s.theta1
-    if with_kernel:
-        rate -= s.theta2
-    return rate
-
-
 def ruin_time_laplace_taxed(p: TerminalProblem, x: float, b: float,
                             spec: QuadSpec = DEFAULT_QUAD) -> float:
     """E_x[e^{-q ruin}; ruin before reaching b] for the taxed process.
 
-    b may be infinite; the integrand decays exponentially and the tail
-    is truncated under its analytic envelope.
+    b may be infinite; that tail is the closed form ``ScaleSet.tail``,
+    while a finite b is integrated by adaptive quadrature.
     """
     if not (0.0 < x <= b):
         raise DomainError(f"need 0 < x <= b, got x={x!r}, b={b!r}")
     s = p.scale
     e = p.exponent
+    if math.isinf(b):
+        return e * s.tail("w", e, x, kernel=True)
 
     def f(z: float) -> float:
         return _ratio_pow(s, e, x, z) * s.ruin_kernel(z)
 
-    if math.isinf(b):
-        return e * integrate_tail(f, x, _tail_decay_w(p, with_kernel=True), spec)
     return e * integrate_finite(f, x, b, spec)
 
 
@@ -164,34 +152,23 @@ def expected_discounted_deficit(p: TerminalProblem, x: float, a: float,
     return e * integrate_finite(f, x, a, spec)
 
 
-def psi(p: TerminalProblem, b: float, spec: QuadSpec = DEFAULT_QUAD) -> float:
+def psi(p: TerminalProblem, b: float) -> float:
     """Value of taxing immediately from level b:
 
     psi(b) = (S/(1-ell)) I1(b) + (ell/(1-ell)) I2(b), with I1 the
-    ruin-kernel tail integral and I2 the plain exit-ratio tail integral.
-    Affine in S.
+    ruin-kernel tail integral and I2 the plain exit-ratio tail integral,
+    both in closed form (``ScaleSet.tail``).  Affine in S.
     """
     if not (math.isfinite(b) and b >= 0.0):
         raise DomainError(f"need finite b >= 0, got {b!r}")
     s = p.scale
     e = p.exponent
-    out = 0.0
-    if p.s_terminal != 0.0:
-        out += p.s_terminal * e * integrate_tail(
-            lambda z: _ratio_pow(s, e, b, z) * s.ruin_kernel(z),
-            b, _tail_decay_w(p, with_kernel=True), spec,
-        )
-    if p.ell != 0.0:
-        out += p.ell * e * integrate_tail(
-            lambda z: _ratio_pow(s, e, b, z),
-            b, _tail_decay_w(p, with_kernel=False), spec,
-        )
-    return out
+    return e * (p.s_terminal * s.tail("w", e, b, kernel=True) + p.ell * s.tail("w", e, b))
 
 
-def upsilon(p: TerminalProblem, b: float, spec: QuadSpec = DEFAULT_QUAD) -> float:
+def upsilon(p: TerminalProblem, b: float) -> float:
     """upsilon(b) = psi(b) - S Z(b)."""
-    return psi(p, b, spec) - p.s_terminal * p.scale.z(b)
+    return psi(p, b) - p.s_terminal * p.scale.z(b)
 
 
 def cap_v(p: TerminalProblem, b: float) -> float:
@@ -201,7 +178,7 @@ def cap_v(p: TerminalProblem, b: float) -> float:
     return p.scale.w_over_w1(b)
 
 
-def h_terminal(p: TerminalProblem, b: float, spec: QuadSpec = DEFAULT_QUAD) -> float:
+def h_terminal(p: TerminalProblem, b: float) -> float:
     """Optimality function h(b) = upsilon(b) - V(b)(1 - S q W(b)).
 
     Written as psi(b) - V(b)(1 + S*ruin_kernel(b)): the difference
@@ -209,15 +186,11 @@ def h_terminal(p: TerminalProblem, b: float, spec: QuadSpec = DEFAULT_QUAD) -> f
     kernel, so it is evaluated through the grouped form.  The limit at
     infinity is (ell - 1)/theta1 < 0.
     """
-    if not (math.isfinite(b) and b >= 0.0):
-        raise DomainError(f"need finite b >= 0, got {b!r}")
     s = p.scale
-    v = s.w_over_w1(b)
-    return psi(p, b, spec) - v * (1.0 + p.s_terminal * s.ruin_kernel(b))
+    return psi(p, b) - s.w_over_w1(b) * (1.0 + p.s_terminal * s.ruin_kernel(b))
 
 
-def phi_value(p: TerminalProblem, x: float, b: float,
-              spec: QuadSpec = DEFAULT_QUAD) -> float:
+def phi_value(p: TerminalProblem, x: float, b: float) -> float:
     """Objective phi(x; b) = S Z(x) + (W(x)/W(b)) upsilon(b).
 
     The ratio is the plain W ratio: the path is untaxed until it first
@@ -230,11 +203,10 @@ def phi_value(p: TerminalProblem, x: float, b: float,
     b = max(b, x)
     s = p.scale
     ratio = math.exp(s.log_w(x) - s.log_w(b))
-    return p.s_terminal * s.z(x) + ratio * upsilon(p, b, spec)
+    return p.s_terminal * s.z(x) + ratio * upsilon(p, b)
 
 
-def phi_partial_b(p: TerminalProblem, x: float, b: float,
-                  spec: QuadSpec = DEFAULT_QUAD) -> float:
+def phi_partial_b(p: TerminalProblem, x: float, b: float) -> float:
     """Analytic derivative of phi(x; b) in the threshold:
 
     (ell/(1-ell)) * (W(x) W'(b) / W(b)^2) * h(b)  for 0 < x <= b.
@@ -243,7 +215,7 @@ def phi_partial_b(p: TerminalProblem, x: float, b: float,
         raise DomainError(f"need 0 < x <= b, got x={x!r}, b={b!r}")
     s = p.scale
     weight = math.exp(s.log_w(x) + math.log(s.w1(b)) - 2.0 * s.log_w(b))
-    return p.ell * p.exponent * weight * h_terminal(p, b, spec)
+    return p.ell * p.exponent * weight * h_terminal(p, b)
 
 
 def _optimal_value(p: TerminalProblem, bstar: float) -> float:
@@ -254,20 +226,19 @@ def _optimal_value(p: TerminalProblem, bstar: float) -> float:
     return S * s.z(p.x0) + s.w(p.x0) * (v / s.w(bstar) - S * s.q * v)
 
 
-def optimize_terminal(p: TerminalProblem, tol: float = DEFAULT_ROOT_TOL,
-                      spec: QuadSpec = DEFAULT_QUAD) -> OptimumReport:
+def optimize_terminal(p: TerminalProblem, tol: float = DEFAULT_ROOT_TOL) -> OptimumReport:
     """Optimal delay threshold b* and the objective value at x0.
 
     b* is the root of h when h(0) > 0, else 0 (h(0) = 0 also maps to
     the boundary).  The value uses the closed combination
     S Z(x) + W(x)(1 - S q W(b*))/W'(b*), valid in both cases.
     """
-    h0 = h_terminal(p, 0.0, spec)
+    h0 = h_terminal(p, 0.0)
     if h0 <= 0.0:
         return OptimumReport(threshold=0.0, value=_optimal_value(p, 0.0),
                              boundary_case=True, root_diag=None)
     diag = find_root_decreasing_sign(
-        lambda b: h_terminal(p, b, spec), 0.0, tol,
+        lambda b: h_terminal(p, b), 0.0, tol,
         hi_cap=1e6 / p.scale.theta1,
     )
     return OptimumReport(threshold=diag.root, value=_optimal_value(p, diag.root),

@@ -228,18 +228,18 @@ def test_threshold_derivative_matches_finite_difference():
         x = rng.uniform(0.05, 1.0) * b
         p = TerminalProblem(SCALE_05, ell, -5.0, 1.0)
         step = 3e-4 * max(1.0, b)
-        fd = (phi_value(p, x, b + step, TIGHT)
-              - phi_value(p, x, b - step, TIGHT)) / (2.0 * step)
-        assert phi_partial_b(p, x, b, TIGHT) == pytest.approx(fd, rel=1e-5)
+        fd = (phi_value(p, x, b + step)
+              - phi_value(p, x, b - step)) / (2.0 * step)
+        assert phi_partial_b(p, x, b) == pytest.approx(fd, rel=1e-5)
     for _ in range(20):
         ell = float(rng.choice([0.1, 0.2, 0.3, 0.4]))
         a = rng.uniform(0.2, 8.0)
         x = rng.uniform(0.0, 1.0) * a
         p = InjectionProblem(SCALE_05, ell, 1.5, 1.0)
         step = 3e-4 * max(1.0, a)
-        fd = (phi_bar_value(p, x, a + step, TIGHT)
-              - phi_bar_value(p, x, a - step, TIGHT)) / (2.0 * step)
-        assert phi_bar_partial_a(p, x, a, TIGHT) == pytest.approx(fd, rel=1e-5)
+        fd = (phi_bar_value(p, x, a + step)
+              - phi_bar_value(p, x, a - step)) / (2.0 * step)
+        assert phi_bar_partial_a(p, x, a) == pytest.approx(fd, rel=1e-5)
 
 
 # ---------------------------------------------------------------------------

@@ -261,3 +261,33 @@ class TestValidate:
         assert len(rows) >= 8
         assert all(r["passed"] == "true" for r in rows)
         assert all(r["detail"] for r in rows)
+
+
+# ---------------------------------------------------------------------------
+# several calls in one process
+# ---------------------------------------------------------------------------
+
+
+class TestRepeatedCalls:
+    def test_parser_serves_successive_subcommands(self, capsys):
+        """The parser is built once per process; a second call with another
+        subcommand and other flags must not inherit anything from the first."""
+        rc, out, err = run_cli(capsys, "optimize", *TERMINAL_ARGS, "--S", "-5",
+                               "--format", "json")
+        assert rc == EXIT_OK
+        first = json.loads(out)
+        assert first["mode"] == "terminal"
+        assert first["threshold"] == pytest.approx(0.5228512, abs=1e-6)
+
+        rc, out, err = run_cli(capsys, "reproduce", "1")
+        assert rc == EXIT_OK
+        header, rows = parse_csv(out)
+        assert header == ["ell", "intercept", "slope", "rhs_intercept",
+                          "rhs_slope", "threshold"]
+        assert float(rows[0]["intercept"]) == pytest.approx(0.296297, abs=1e-5)
+
+        rc, out, err = run_cli(capsys, "optimize", *INJECTION_ARGS)
+        assert rc == EXIT_OK
+        header, rows = parse_csv(out)
+        assert rows[0]["mode"] == "injection"
+        assert float(rows[0]["threshold"]) == pytest.approx(0.5314597, abs=1e-6)

@@ -120,6 +120,12 @@ class TestFindRoot:
         assert abs(rep.residual) < 1e-9
         assert rep.iterations >= 0
 
+    def test_exact_zero_at_bracket_end_is_the_root(self):
+        """h(hi) == 0 exactly ends the search at hi without a solver call."""
+        rep = find_root_decreasing_sign(lambda x: 2.0 - x, 0.0, 1e-10)
+        assert rep == RootReport(root=2.0, residual=0.0, bracket=(1.0, 2.0),
+                                 iterations=0)
+
     def test_exponential(self):
         rep = find_root_decreasing_sign(lambda x: math.exp(-x) - 0.5, 0.0, 1e-12)
         assert rep.root == pytest.approx(math.log(2.0), abs=1e-10)
