@@ -13,21 +13,28 @@ record), and ruin or injection can happen only at claim instants because
 the drift is upward.  The one approximation is the finite horizon, whose
 discounted-tail bias is bounded in closed form and reported.
 
-Randomness comes from a counter-based Philox stream keyed by the seed.
-Every iteration draws one waiting-time uniform and one claim-size uniform
-per path slot, whether or not the slot is still alive, so the mapping
-(seed, iteration, path index) -> draw is fixed and the result is
-bit-identical for a given configuration no matter how the vector work is
-scheduled.  With antithetic pairing the second half of the slots consumes
-the mirrored uniforms 1-u of the first half and the standard error is
-estimated from pair averages.
+Both engines run on one event loop and supply only their per-event step.
+The loop works on the live paths alone: a path that ends leaves the working
+arrays at once and its payoff goes to its own slot of the output, so an
+iteration costs O(live paths), and the mean and standard error are taken
+over the output in the original path order.
+
+Randomness comes from one counter-based Philox stream keyed by the seed.
+Each iteration draws ``2m`` uniforms in one call for the ``m`` live units,
+in ascending path order: the ``m`` waiting-time uniforms first, then the
+``m`` claim-size uniforms.  A unit is one path, or with antithetic pairing
+the pair (j, j + n/2), which stays live while either member does; its
+members take u and 1 - u from the same draw, and the standard error is
+estimated from pair averages.  The live set at each iteration follows from
+the draws before it, so the result is bit-identical for a given problem,
+threshold and configuration.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from dataclasses import dataclass, fields
+from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -73,7 +80,9 @@ class SimResult:
     ``bias_exceeded`` is set when the bias bound is not below 10% of the
     standard error, signalling that the horizon is too short for the
     requested precision.  ``ruin_fraction`` is populated in terminal mode
-    only (fraction of paths ruined before the horizon).
+    only (fraction of paths ruined before the horizon).  ``iterations``
+    counts the event loop's passes (the longest path's event count) and
+    ``events`` the path-events simulated over all paths.
     """
 
     mean: float
@@ -82,43 +91,8 @@ class SimResult:
     bias_bound: float
     bias_exceeded: bool
     ruin_fraction: Optional[float] = None
-
-
-# ---------------------------------------------------------------------------
-# Draw stream
-# ---------------------------------------------------------------------------
-
-
-class _Draws:
-    """Full-width per-iteration uniforms from one Philox stream."""
-
-    def __init__(self, cfg: SimConfig):
-        self._rng = np.random.Generator(np.random.Philox(key=cfg.seed))
-        self._n = cfg.n_paths
-        self._antithetic = cfg.antithetic
-
-    def exponentials(self, rate: float) -> np.ndarray:
-        u = self._uniforms()
-        return -np.log1p(-u) / rate
-
-    def _uniforms(self) -> np.ndarray:
-        if self._antithetic:
-            half = self._rng.random(self._n // 2)
-            return np.concatenate([half, 1.0 - half])
-        return self._rng.random(self._n)
-
-
-def _reduce(acc: np.ndarray, cfg: SimConfig) -> Tuple[float, float]:
-    """Mean and standard error; pair-averaged when antithetic."""
-    mean = float(np.mean(acc))
-    if cfg.antithetic:
-        half = cfg.n_paths // 2
-        samples = 0.5 * (acc[:half] + acc[half:])
-    else:
-        samples = acc
-    if samples.size < 2:
-        return mean, math.nan
-    return mean, float(np.std(samples, ddof=1) / math.sqrt(samples.size))
+    iterations: int = 0
+    events: int = 0
 
 
 def _require_level(name: str, value: float) -> float:
@@ -138,6 +112,93 @@ class _Capture:
 
 
 # ---------------------------------------------------------------------------
+# Shared event loop
+# ---------------------------------------------------------------------------
+
+
+def _run(cfg: SimConfig, lam: float, mu: float, state: Tuple[np.ndarray, ...],
+         step: Callable, capture: Optional[_Capture]) -> Tuple[np.ndarray, int, int]:
+    """Drive ``step`` over the live paths until every path has ended.
+
+    ``step`` gets the live paths' state arrays with their waiting times and
+    claim sizes.  It returns the discounted tax of the interval, the
+    discounted penalty at the claim as (positions, amounts) for the few
+    paths that incur one, the mask of paths that end with the event, their
+    next state, and a callable that builds the arrays a capture records.
+    Returns each path's total payoff in path order, the loop passes and
+    the path-events simulated.
+    """
+    n = cfg.n_paths
+    rng = np.random.Generator(np.random.Philox(key=cfg.seed))
+    idx = np.arange(n)  # original index of each live path
+    acc = np.zeros(n)
+    out = np.empty(n)
+    units = n // 2 if cfg.antithetic else n
+    if cfg.antithetic:
+        rank = idx % units  # position of each live path's pair among live pairs
+        mirror = idx >= units
+    scale = np.array([[-1.0 / lam], [-1.0 / mu]])
+    iterations = events = 0
+    while idx.size:
+        iterations += 1
+        if iterations > EVENT_CAP:
+            raise EventCapExceeded(f"exceeded {EVENT_CAP} events per path")
+        events += idx.size
+        # One draw per live unit: the waiting-time row, then the claim-size row.
+        u = rng.random(2 * units).reshape(2, units)
+        if cfg.antithetic:
+            u = u[:, rank]
+            u = np.where(mirror, 1.0 - u, u)
+        np.negative(u, out=u)
+        np.log1p(u, out=u)
+        u *= scale  # -log1p(-u) / rate: exponential waiting times and claims
+        tax, (charged, penalty), done, state, frame = step(state, u[0], u[1])
+        acc += tax
+        acc[charged] += penalty
+        if capture is not None:
+            capture.add(alive=np.ones(idx.size, dtype=bool), idx=idx, **frame())
+        if not done.any():
+            continue
+        gone = np.flatnonzero(done)
+        out[idx[gone]] = acc[gone]
+        keep = np.flatnonzero(~done)
+        idx, acc = idx[keep], acc[keep]
+        state = tuple(a[keep] for a in state)
+        if cfg.antithetic:
+            rank, mirror = rank[keep], mirror[keep]
+            live = np.zeros(units, dtype=bool)
+            live[rank] = True
+            renumber = np.cumsum(live)
+            rank, units = renumber[rank] - 1, int(renumber[-1])
+        else:
+            units = idx.size
+    return out, iterations, events
+
+
+def _result(out: np.ndarray, cfg: SimConfig, bias_bound: float, iterations: int,
+            events: int, ruin_fraction: Optional[float] = None) -> SimResult:
+    """Mean and standard error (pair-averaged when antithetic) of ``out``."""
+    mean = float(np.mean(out))
+    if cfg.antithetic:
+        half = cfg.n_paths // 2
+        samples = 0.5 * (out[:half] + out[half:])
+    else:
+        samples = out
+    stderr = float(np.std(samples, ddof=1) / math.sqrt(samples.size)) \
+        if samples.size >= 2 else math.nan
+    return SimResult(
+        mean=mean,
+        stderr=stderr,
+        n_paths=cfg.n_paths,
+        bias_bound=bias_bound,
+        bias_exceeded=bool(bias_bound > 0.0 and not bias_bound < 0.1 * stderr),
+        ruin_fraction=ruin_fraction,
+        iterations=iterations,
+        events=events,
+    )
+
+
+# ---------------------------------------------------------------------------
 # Terminal-value engine
 # ---------------------------------------------------------------------------
 
@@ -154,71 +215,47 @@ def simulate_terminal(p: TerminalProblem, b: float, cfg: SimConfig,
     """
     b = _require_level("threshold b", b)
     model, q = p.scale.model, p.scale.q
-    c, lam, mu = model.c, model.lam, model.mu
-    ell, s_value = p.ell, p.s_terminal
+    c, ell, s_value = model.c, p.ell, p.s_terminal
     horizon = float(cfg.horizon)
     n = cfg.n_paths
-    draws = _Draws(cfg)
-
     base = max(p.x0, b)
-    t = np.zeros(n)
-    level = np.full(n, float(p.x0))
-    record = np.full(n, base)  # running max of the pre-tax path, floored at b
-    acc = np.zeros(n)
-    alive = np.ones(n, dtype=bool)
-    ruined = np.zeros(n, dtype=bool)
+    tax_rate = ell * c / q
+    ruined_paths = 0
 
-    iterations = 0
-    while alive.any():
-        iterations += 1
-        if iterations > EVENT_CAP:
-            raise EventCapExceeded(f"exceeded {EVENT_CAP} events per path")
-        wait = draws.exponentials(lam)
-        claim = draws.exponentials(mu)
-
+    def step(state, wait, claim):
+        nonlocal ruined_paths
+        # record: running max of the pre-tax path, floored at b
+        t, level, record = state
         t_claim = t + wait
         end = np.minimum(t_claim, horizon)
         level_end = level + c * (end - t)
         # Record growth occupies [taxed_from, end]; empty when the barrier
         # is not reached before the interval ends.
         taxed_from = np.minimum(t + (record - level) / c, end)
-        tax = (ell * c / q) * np.exp(-q * taxed_from) \
-            * (-np.expm1(-q * (end - taxed_from)))
+        discount_end = np.exp(-q * end)
+        tax = tax_rate * (np.exp(-q * taxed_from) - discount_end)
         record_end = np.maximum(record, level_end)
-
-        truncated = t_claim >= horizon
-        settles = alive & truncated
-        continues = alive & ~truncated
         level_post = level_end - claim
         net_post = level_post - ell * (record_end - base)
-        ruin_now = continues & (net_post < 0.0)
+        truncated = t_claim >= horizon
+        ruined = (net_post < 0.0) & ~truncated
+        ruin = np.flatnonzero(ruined)
+        ruined_paths += ruin.size
+        penalty = (ruin, s_value * discount_end[ruin])
 
-        acc = np.where(alive, acc + tax, acc)
-        acc = np.where(ruin_now, acc + s_value * np.exp(-q * t_claim), acc)
+        def frame():
+            return dict(t_start=t, t_end=end, level_start=level, level_end=level_end,
+                        record_start=record, record_end=record_end,
+                        taxed_from=taxed_from, tax_paid=tax, claim_size=claim,
+                        net_after_claim=net_post, truncated=truncated, ruined=ruined)
 
-        if capture is not None:
-            capture.add(alive=alive, t0=t, t1=end, level0=level, level1=level_end,
-                        record0=record, record1=record_end, taxed_from=taxed_from,
-                        tax=tax, claim=claim, net_post=net_post,
-                        truncated=settles, ruined=ruin_now)
+        next_state = (t_claim, level_post, record_end)
+        return tax, penalty, truncated | ruined, next_state, frame
 
-        survives = continues & ~ruin_now
-        level = np.where(survives, level_post, level)
-        record = np.where(survives, record_end, record)
-        t = np.where(alive, t_claim, t)
-        ruined |= ruin_now
-        alive = survives
-
-    mean, stderr = _reduce(acc, cfg)
-    bias_bound = math.exp(-q * horizon) * (abs(s_value) + ell * c / q)
-    return SimResult(
-        mean=mean,
-        stderr=stderr,
-        n_paths=n,
-        bias_bound=bias_bound,
-        bias_exceeded=bool(bias_bound > 0.0 and not bias_bound < 0.1 * stderr),
-        ruin_fraction=float(np.mean(ruined)),
-    )
+    state = (np.zeros(n), np.full(n, float(p.x0)), np.full(n, base))
+    out, iterations, events = _run(cfg, model.lam, model.mu, state, step, capture)
+    bias_bound = math.exp(-q * horizon) * (abs(s_value) + tax_rate)
+    return _result(out, cfg, bias_bound, iterations, events, ruined_paths / n)
 
 
 # ---------------------------------------------------------------------------
@@ -245,77 +282,55 @@ def simulate_injection(p: InjectionProblem, a: float, cfg: SimConfig,
     ell, varphi = p.ell, p.varphi
     horizon = float(cfg.horizon)
     n = cfg.n_paths
-    draws = _Draws(cfg)
+    tax_rate = ell * c / q
 
-    start_taxed = p.x0 >= a
-    t = np.zeros(n)
-    level = np.full(n, float(p.x0))
-    taxed = np.full(n, start_taxed)
-    # Barrier: regime record in a taxed phase, upcross target otherwise.
-    barrier = np.full(n, float(max(p.x0, a) if start_taxed else a))
-    acc = np.zeros(n)
-    alive = np.ones(n, dtype=bool)
-
-    iterations = 0
-    while alive.any():
-        iterations += 1
-        if iterations > EVENT_CAP:
-            raise EventCapExceeded(f"exceeded {EVENT_CAP} events per path")
-        wait = draws.exponentials(lam)
-        claim = draws.exponentials(mu)
-
+    def step(state, wait, claim):
+        # barrier: regime record in a taxed phase, upcross target otherwise
+        t, level, taxed, barrier = state
         t_claim = t + wait
         end = np.minimum(t_claim, horizon)
         duration = end - t
         # Time to reach the barrier at full drift; level <= barrier always.
         reach = (barrier - level) / c
-        hits = reach < duration
+        above = np.maximum(duration - reach, 0.0)  # time spent on the record
+        hits = above > 0.0
         hit_time = t + np.minimum(reach, duration)
-        above = np.where(hits, duration - reach, 0.0)
-        level_end = np.where(hits, barrier + (1.0 - ell) * c * above,
-                             level + c * duration)
+        # Drift c up to the barrier, then (1-ell)*c along the record.
+        level_end = level + c * duration - (ell * c) * above
         # Paths at the barrier are taxed records from the hit onward; a
         # phase-0 path that reaches its target becomes taxed there.
         taxed_end = taxed | hits
-        barrier_end = np.where(hits, level_end, barrier)
-        tax = np.where(hits, (ell * c / q) * np.exp(-q * hit_time)
-                       * (-np.expm1(-q * (end - hit_time))), 0.0)
+        barrier_end = np.maximum(barrier, level_end)
+        tax = np.exp(-q * hit_time) * np.expm1(-q * above) * -tax_rate
 
         truncated = t_claim >= horizon
-        continues = alive & ~truncated
         level_post = level_end - claim
-        shortfall = continues & (level_post < 0.0)
-        injected = np.where(shortfall, -level_post, 0.0)
-        # A shortfall ends a taxed phase: remember the record as the next
-        # target; in phase 0 it is just topped up toward the same target.
-        ruin_taxed = shortfall & taxed_end
+        # A claim past the horizon is not paid: truncated paths end here.
+        short = np.flatnonzero(level_post < 0.0)
+        short = short[t_claim[short] < horizon]
+        penalty = (short, varphi * level_post[short] * np.exp(-q * t_claim[short]))
 
-        acc = np.where(alive, acc + tax, acc)
-        acc = np.where(shortfall, acc - varphi * injected * np.exp(-q * t_claim), acc)
+        def frame():
+            shortfall = (level_post < 0.0) & ~truncated
+            return dict(t_start=t, t_end=end, taxed_start=taxed, taxed_end=taxed_end,
+                        level_start=level, level_end=level_end, barrier_start=barrier,
+                        barrier_end=barrier_end, hit_time=hit_time, tax_paid=tax,
+                        claim_size=claim, injected=np.where(shortfall, -level_post, 0.0),
+                        ended_taxed_phase=shortfall & taxed_end, truncated=truncated)
 
-        if capture is not None:
-            capture.add(alive=alive, t0=t, t1=end, taxed0=taxed, taxed1=taxed_end,
-                        level0=level, level1=level_end, barrier0=barrier,
-                        barrier1=barrier_end, hit_time=hit_time, tax=tax,
-                        claim=claim, injected=injected, shortfall=shortfall,
-                        ruin_taxed=ruin_taxed, truncated=alive & truncated)
+        # The injection tops the level up to zero.  It ends a taxed phase,
+        # and the record stays as the next target; in phase 0 the target
+        # is unchanged.
+        next_state = (t_claim, np.maximum(level_post, 0.0),
+                      taxed_end & (level_post >= 0.0), barrier_end)
+        return tax, penalty, truncated, next_state, frame
 
-        level = np.where(continues, np.maximum(level_post, 0.0), level)
-        barrier = np.where(continues, barrier_end, barrier)
-        taxed = np.where(continues, taxed_end & ~ruin_taxed, taxed)
-        t = np.where(alive, t_claim, t)
-        alive = continues
-
-    mean, stderr = _reduce(acc, cfg)
-    bias_bound = math.exp(-q * horizon) * (ell * c / q + varphi * lam / (mu * q))
-    return SimResult(
-        mean=mean,
-        stderr=stderr,
-        n_paths=n,
-        bias_bound=bias_bound,
-        bias_exceeded=bool(bias_bound > 0.0 and not bias_bound < 0.1 * stderr),
-        ruin_fraction=None,
-    )
+    start_taxed = p.x0 >= a
+    state = (np.zeros(n), np.full(n, float(p.x0)), np.full(n, start_taxed),
+             np.full(n, float(max(p.x0, a) if start_taxed else a)))
+    out, iterations, events = _run(cfg, lam, mu, state, step, capture)
+    bias_bound = math.exp(-q * horizon) * (tax_rate + varphi * lam / (mu * q))
+    return _result(out, cfg, bias_bound, iterations, events)
 
 
 # ---------------------------------------------------------------------------
@@ -361,56 +376,34 @@ class InjectionStep:
     truncated: bool
 
 
+def _inspect(engine: Callable, step_type: type, problem, threshold: float,
+             cfg: SimConfig) -> List[list]:
+    """Run ``engine`` with a capture and split its frames into per-path steps.
+
+    Each frame array is named after the ``step_type`` field it fills, so the
+    dataclass's own field list is the table that drives the copy.
+    """
+    capture = _Capture()
+    engine(problem, threshold, cfg, capture=capture)
+    names = [f.name for f in fields(step_type)]
+    paths: List[list] = [[] for _ in range(cfg.n_paths)]
+    for frame in capture.frames:
+        columns = [frame[name].tolist() for name in names]
+        for j, *values in zip(frame["idx"].tolist(), *columns):
+            paths[j].append(step_type(*values))
+    return paths
+
+
 def inspect_terminal_paths(p: TerminalProblem, b: float,
                            cfg: SimConfig) -> List[List[TerminalStep]]:
     """Run the terminal engine and return every path's step log."""
-    capture = _Capture()
-    simulate_terminal(p, b, cfg, capture=capture)
-    paths: List[List[TerminalStep]] = [[] for _ in range(cfg.n_paths)]
-    for frame in capture.frames:
-        for j in np.flatnonzero(frame["alive"]):
-            paths[j].append(TerminalStep(
-                t_start=float(frame["t0"][j]),
-                t_end=float(frame["t1"][j]),
-                level_start=float(frame["level0"][j]),
-                level_end=float(frame["level1"][j]),
-                record_start=float(frame["record0"][j]),
-                record_end=float(frame["record1"][j]),
-                taxed_from=float(frame["taxed_from"][j]),
-                tax_paid=float(frame["tax"][j]),
-                claim_size=float(frame["claim"][j]),
-                net_after_claim=float(frame["net_post"][j]),
-                truncated=bool(frame["truncated"][j]),
-                ruined=bool(frame["ruined"][j]),
-            ))
-    return paths
+    return _inspect(simulate_terminal, TerminalStep, p, b, cfg)
 
 
 def inspect_injection_paths(p: InjectionProblem, a: float,
                             cfg: SimConfig) -> List[List[InjectionStep]]:
     """Run the injection engine and return every path's step log."""
-    capture = _Capture()
-    simulate_injection(p, a, cfg, capture=capture)
-    paths: List[List[InjectionStep]] = [[] for _ in range(cfg.n_paths)]
-    for frame in capture.frames:
-        for j in np.flatnonzero(frame["alive"]):
-            paths[j].append(InjectionStep(
-                t_start=float(frame["t0"][j]),
-                t_end=float(frame["t1"][j]),
-                taxed_start=bool(frame["taxed0"][j]),
-                taxed_end=bool(frame["taxed1"][j]),
-                level_start=float(frame["level0"][j]),
-                level_end=float(frame["level1"][j]),
-                barrier_start=float(frame["barrier0"][j]),
-                barrier_end=float(frame["barrier1"][j]),
-                hit_time=float(frame["hit_time"][j]),
-                tax_paid=float(frame["tax"][j]),
-                claim_size=float(frame["claim"][j]),
-                injected=float(frame["injected"][j]),
-                ended_taxed_phase=bool(frame["ruin_taxed"][j]),
-                truncated=bool(frame["truncated"][j]),
-            ))
-    return paths
+    return _inspect(simulate_injection, InjectionStep, p, a, cfg)
 
 
 __all__ = [

@@ -253,9 +253,9 @@ def phi_bar_partial_a(p: InjectionProblem, x: float, a: float) -> float:
 
 def _optimal_value(p: InjectionProblem, astar: float) -> float:
     # phibar(x0; a*) = varphi (Zbar(x0) + d/q) + Z(x0) (1 - varphi Z(a*)) / Z'(a*)
+    # with 1/Z'(a*) = 1/(q W(a*)) taken in log form: Z(a*) overflows for large a*.
     s = p.scale
-    vbar = s.z_over_z1d(astar)
-    bracket = vbar / s.z(astar) - p.varphi * vbar
+    bracket = math.exp(-s.log_w(astar)) / s.q - p.varphi * s.z_over_z1d(astar)
     return p.varphi * s.zbar_shifted(p.x0) + s.z(p.x0) * bracket
 
 

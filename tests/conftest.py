@@ -9,8 +9,8 @@ from taxdelay.model import LevyModel, new_model
 from taxdelay.scale import ScaleSet
 
 # ---------------------------------------------------------------------------
-# Hypothesis profile: property tests call adaptive quadrature internally, so
-# per-example deadlines are meaningless noise.
+# Hypothesis profile: on small shared hosts the wall time of one example
+# varies several-fold from run to run, so per-example deadlines are noise.
 # ---------------------------------------------------------------------------
 
 settings.register_profile(

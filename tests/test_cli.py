@@ -6,11 +6,14 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
 from typing import Dict, List, Tuple
 
+import numpy as np
 import pytest
 
-from taxdelay.cli import EXIT_INVALID_INPUT, EXIT_OK, main
+from taxdelay.cli import (EXIT_INVALID_INPUT, EXIT_NUMERICAL_FAILURE, EXIT_OK,
+                          main)
 
 TERMINAL_ARGS = ["--mode", "terminal", "--c", "1.2", "--lambda", "1",
                  "--mu", "1", "--q", "0.05", "--ell", "0.1"]
@@ -88,6 +91,68 @@ class TestOptimize:
                                "--c", "-1", "--lambda", "1", "--mu", "1",
                                "--q", "0.05", "--ell", "0.1")
         assert rc == EXIT_INVALID_INPUT
+
+    def test_negative_loading_far_optimum(self, capsys):
+        """c < lam/mu with a* = 1101.49: Z(a*) leaves double range, the
+        reported value must not."""
+        rc, out, err = run_cli(capsys, "optimize", "--mode", "injection",
+                               "--c", "0.452818", "--lambda", "0.59995",
+                               "--mu", "0.147513", "--q", "0.00336",
+                               "--ell", "0.3347", "--varphi", "2.781",
+                               "--format", "json")
+        assert rc == EXIT_OK, err
+        payload = json.loads(out)
+        assert payload["threshold"] == pytest.approx(1101.49, rel=1e-5)
+        assert math.isfinite(payload["value"])
+
+
+# ---------------------------------------------------------------------------
+# optimize over the whole parameter box
+# ---------------------------------------------------------------------------
+
+
+def fuzz_box(n: int, seed: int) -> List[Dict[str, float]]:
+    """Seeded draws from the admissible box, negative safety loading kept."""
+    rng = np.random.default_rng(seed)
+
+    def log_uniform(lo: float, hi: float) -> np.ndarray:
+        return np.exp(rng.uniform(math.log(lo), math.log(hi), n))
+
+    columns = {
+        "c": log_uniform(0.1, 30.0), "lambda": log_uniform(0.1, 30.0),
+        "mu": log_uniform(0.1, 30.0), "q": log_uniform(1e-5, 1.0),
+        "ell": rng.uniform(0.0, 0.98, n), "S": rng.uniform(-10.0, 10.0, n),
+        "varphi": log_uniform(1.05, 3.0),
+    }
+    return [{k: float(v[i]) for k, v in columns.items()} for i in range(n)]
+
+
+class TestFuzzBox:
+    @pytest.mark.parametrize("mode,extra", [("terminal", "S"),
+                                            ("injection", "varphi")])
+    def test_exit_codes_documented(self, capsys, mode, extra):
+        """Every draw gives a finite answer (exit 0) or a documented error
+        (exit 2 or 3); no exception escapes the CLI."""
+        draws = fuzz_box(300, 20261018)
+        assert any(d["c"] < d["lambda"] / d["mu"] for d in draws)
+        failures = []
+        for d in draws:
+            argv = ["optimize", "--mode", mode, "--format", "json"]
+            for name in ("c", "lambda", "mu", "q", "ell", extra):
+                argv += [f"--{name}", repr(d[name])]
+            try:
+                rc, out, err = run_cli(capsys, *argv)
+            except Exception as exc:  # noqa: BLE001 - any escape is a failure
+                failures.append((argv, repr(exc)))
+                continue
+            if rc == EXIT_OK:
+                payload = json.loads(out)
+                if not (math.isfinite(payload["threshold"])
+                        and math.isfinite(payload["value"])):
+                    failures.append((argv, payload))
+            elif rc not in (EXIT_INVALID_INPUT, EXIT_NUMERICAL_FAILURE):
+                failures.append((argv, rc))
+        assert not failures, failures[:5]
 
 
 # ---------------------------------------------------------------------------
@@ -237,6 +302,20 @@ class TestSimulate:
         assert "bias" in err
         _, rows = parse_csv(out)
         assert rows[0]["bias_exceeded"] == "true"
+
+    def test_default_columns_unchanged(self, capsys):
+        """The engine's work counters stay out of the default output."""
+        argv = ["simulate", *TERMINAL_ARGS, "--S", "-5", "--b", "2",
+                "--paths", "200", "--horizon", "50", "--seed", "5"]
+        columns = ["mode", "threshold", "mean", "stderr", "n_paths",
+                   "bias_bound", "bias_exceeded", "ruin_fraction", "analytic",
+                   "z_score"]
+        rc, out, _ = run_cli(capsys, *argv)
+        assert rc == EXIT_OK
+        assert parse_csv(out)[0] == columns
+        rc, out, _ = run_cli(capsys, *argv, "--format", "json")
+        assert rc == EXIT_OK
+        assert list(json.loads(out)) == columns
 
     def test_antithetic_needs_even_paths(self, capsys):
         rc, out, err = run_cli(capsys, "simulate", *TERMINAL_ARGS,

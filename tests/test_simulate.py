@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
 import pytest
 
 import taxdelay.simulate as simulate
@@ -334,3 +335,84 @@ class TestInjectionPathSteps:
                 if st.ended_taxed_phase:
                     assert st.taxed_end
                     assert st.injected > 0.0
+
+
+# ---------------------------------------------------------------------------
+# Live-path event loop: antithetic lockstep, path order and work counters
+# ---------------------------------------------------------------------------
+
+
+def _assert_mirrored(paths, lam: float, mu: float) -> None:
+    """Members j and j + n/2 use u and 1 - u at every event both reach:
+    exp(-rate * draw) recovers 1 - u from an exponential draw."""
+    half = len(paths) // 2
+    compared = uneven = 0
+    for j in range(half):
+        first, second = paths[j], paths[j + half]
+        uneven += len(first) != len(second)
+        for a, b in zip(first, second):
+            assert math.exp(-mu * a.claim_size) + math.exp(-mu * b.claim_size) \
+                == pytest.approx(1.0, abs=1e-12)
+            if not (a.truncated or b.truncated):  # t_end is the claim instant
+                assert math.exp(-lam * (a.t_end - a.t_start)) \
+                    + math.exp(-lam * (b.t_end - b.t_start)) \
+                    == pytest.approx(1.0, abs=1e-12)
+            compared += 1
+    assert compared > len(paths)
+    assert uneven > 0  # some pairs outlive one member, so compaction ran
+
+
+class TestLivePathLoop:
+    def test_antithetic_lockstep_terminal(self, scale05):
+        p = TerminalProblem(scale05, 0.1, -5.0, 1.0)
+        paths = inspect_terminal_paths(
+            p, 2.0, SimConfig(200, 30.0, 99, antithetic=True))
+        _assert_mirrored(paths, 1.0, 1.0)
+
+    def test_antithetic_lockstep_injection(self, scale05):
+        p = InjectionProblem(scale05, 0.2, 1.5, 1.0)
+        paths = inspect_injection_paths(
+            p, 2.0, SimConfig(200, 30.0, 99, antithetic=True))
+        _assert_mirrored(paths, 1.0, 1.0)
+
+    def test_stream_contract(self, scale05):
+        """Iteration k draws 2m uniforms for the m paths still live, in path
+        order: the waiting-time uniforms first, then the claim-size ones."""
+        p = TerminalProblem(scale05, 0.1, -5.0, 1.0)
+        paths = inspect_terminal_paths(p, 2.0, SimConfig(60, 30.0, 123))
+        rng = np.random.Generator(np.random.Philox(key=123))
+        for k in range(max(len(steps) for steps in paths)):
+            live = [steps[k] for steps in paths if len(steps) > k]
+            u = rng.random(2 * len(live))
+            for st, u_wait, u_claim in zip(live, u[:len(live)], u[len(live):]):
+                assert st.claim_size == pytest.approx(-math.log1p(-u_claim), rel=1e-12)
+                if not st.truncated:
+                    assert st.t_end - st.t_start == pytest.approx(
+                        -math.log1p(-u_wait), rel=1e-9, abs=1e-12)
+
+    def test_payoffs_kept_in_path_order(self, scale05):
+        """The pair-averaged standard error needs each payoff back in its
+        own slot; rebuild the payoffs from the step logs and compare."""
+        p = TerminalProblem(scale05, 0.1, -5.0, 1.0)
+        cfg = SimConfig(400, 30.0, 7, antithetic=True)
+        paths = inspect_terminal_paths(p, 2.0, cfg)
+        payoffs = [sum(st.tax_paid for st in steps)
+                   + (-5.0 * math.exp(-0.05 * steps[-1].t_end)
+                      if steps[-1].ruined else 0.0) for steps in paths]
+        pairs = [0.5 * (payoffs[j] + payoffs[j + 200]) for j in range(200)]
+        mean = sum(pairs) / 200
+        stderr = math.sqrt(sum((x - mean) ** 2 for x in pairs) / 199 / 200)
+        r = simulate_terminal(p, 2.0, cfg)
+        assert r.mean == pytest.approx(mean, rel=1e-12)
+        assert r.stderr == pytest.approx(stderr, rel=1e-9)
+
+    @pytest.mark.parametrize("antithetic", [False, True])
+    def test_work_counters_match_step_logs(self, scale05, antithetic):
+        cfg = SimConfig(200, 30.0, 99, antithetic=antithetic)
+        pt = TerminalProblem(scale05, 0.1, -5.0, 1.0)
+        pi = InjectionProblem(scale05, 0.2, 1.5, 1.0)
+        for paths, result in (
+                (inspect_terminal_paths(pt, 2.0, cfg), simulate_terminal(pt, 2.0, cfg)),
+                (inspect_injection_paths(pi, 2.0, cfg), simulate_injection(pi, 2.0, cfg))):
+            assert result.events == sum(len(steps) for steps in paths)
+            assert result.iterations == max(len(steps) for steps in paths)
