@@ -20,9 +20,9 @@ import argparse
 import csv
 import functools
 import io
-import json
 import math
 import sys
+from json.encoder import encode_basestring_ascii
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from .errors import (BracketFailure, DomainError, EventCapExceeded,
@@ -276,12 +276,23 @@ def _csv_cell(value: Any, precision: int) -> str:
     return str(value)
 
 
-def _json_cell(value: Any, precision: int) -> Any:
-    if isinstance(value, float) and math.isfinite(value):
-        return float(f"{value:.{precision}g}")
+def _json_cell(value: Any, precision: int) -> str:
+    """The text ``json.dumps`` writes for one cell, floats rounded first."""
     if isinstance(value, float):
-        return str(value)  # nan/inf are not valid JSON literals
-    return value
+        if not math.isfinite(value):
+            return encode_basestring_ascii(str(value))  # nan/inf are not JSON literals
+        if precision < 17:  # 17 significant digits round-trip every double
+            value = float(f"{value:.{precision}g}")
+            if math.isinf(value):  # rounded past the largest double
+                return "Infinity" if value > 0.0 else "-Infinity"
+        return float.__repr__(value)
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    if value is None:
+        return "null"
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    return int.__repr__(value)
 
 
 def _render(header: List[str], rows: List[Row], args: argparse.Namespace) -> str:
@@ -289,9 +300,14 @@ def _render(header: List[str], rows: List[Row], args: argparse.Namespace) -> str
     if precision < 1:
         raise InvalidParameter(f"--precision must be >= 1, got {precision}")
     if args.format == "json":
-        cooked = [{k: _json_cell(row[k], precision) for k in header} for row in rows]
-        payload: Any = cooked[0] if len(cooked) == 1 else cooked
-        return json.dumps(payload, indent=2) + "\n"
+        # json.dumps(..., indent=2) layout: one %-template per row, one fill pass
+        pad = "" if len(rows) == 1 else "  "
+        fields = ",\n".join(f"{pad}  {encode_basestring_ascii(k).replace('%', '%%')}: %s"
+                            for k in header)
+        template = f"{pad}{{\n{fields}\n{pad}}}"
+        text = ",\n".join([template] * len(rows)) % tuple(
+            [_json_cell(row[k], precision) for row in rows for k in header])
+        return (text if len(rows) == 1 else f"[\n{text}\n]" if rows else "[]") + "\n"
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
     writer.writerow(header)

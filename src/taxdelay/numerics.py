@@ -14,7 +14,6 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Optional, Tuple
 
-from scipy.integrate import quad
 from scipy.optimize import brentq
 
 from .errors import BracketFailure, InvalidParameter, ToleranceNotMet
@@ -75,6 +74,13 @@ class RootReport:
     bracket: Tuple[float, float]
     iterations: int
     boundary_case: bool = False
+
+
+def quad(f: Callable[[float], float], a: float, b: float, **options):
+    """scipy's adaptive ``quad``, imported on first use."""
+    # scipy.integrate adds ~0.1 s to import; the solve paths never integrate
+    from scipy.integrate import quad as scipy_quad
+    return scipy_quad(f, a, b, **options)
 
 
 def _quad_once(f: Callable[[float], float], a: float, b: float, spec: QuadSpec) -> Tuple[float, float]:

@@ -25,6 +25,8 @@ import math
 from dataclasses import dataclass, replace
 from typing import List, Optional, Tuple
 
+import numpy as np
+
 from .errors import InvalidParameter
 from .model import LevyModel, new_model
 from .scale import ScaleSet
@@ -269,18 +271,22 @@ def existence_grid(model: LevyModel, ell: float,
     """2-D (S, q) map of the sign of the terminal candidate at zero.
 
     Exploits linearity: per q the candidate at zero is affine in S, so each
-    row costs two tail evaluations regardless of the S resolution.
+    row costs two tail evaluations regardless of the S resolution.  One
+    array expression then evaluates (I + Sl S) - (Ri + Rs S) over all
+    (q, S) in that scalar order, so each value equals the scalar formula's
+    bit for bit.  Cells come q-major.
     """
-    cells: List[ExistenceCell] = []
-    for q in grid_values(q_lo, q_hi, q_steps):
+    s_grid = grid_values(s_lo, s_hi, s_steps)
+    q_grid = grid_values(q_lo, q_hi, q_steps)
+    coeffs = []
+    for q in q_grid:
         scale = ScaleSet(model, q)
-        intercept, slope = terminal_affine(scale, ell)
-        rhs_i, rhs_s = terminal_rhs(scale)
-        for s in grid_values(s_lo, s_hi, s_steps):
-            h0 = (intercept + slope * s) - (rhs_i + rhs_s * s)
-            cells.append(ExistenceCell(
-                s_terminal=s, q=q, h_at_zero=h0, positive_threshold=h0 > 0.0))
-    return cells
+        coeffs.append(terminal_affine(scale, ell) + terminal_rhs(scale))
+    i, sl, ri, rs = np.array(coeffs, dtype=float).T[:, :, None]
+    s = np.array(s_grid)
+    h0 = ((i + sl * s) - (ri + rs * s)).tolist()
+    return [ExistenceCell(s_terminal=sv, q=q, h_at_zero=h, positive_threshold=h > 0.0)
+            for q, row in zip(q_grid, h0) for sv, h in zip(s_grid, row)]
 
 
 __all__ = [

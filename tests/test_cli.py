@@ -3,17 +3,24 @@ exit codes, and numeric agreement with the library."""
 
 from __future__ import annotations
 
+import argparse
 import csv
 import io
 import json
 import math
-from typing import Dict, List, Tuple
+import subprocess
+import sys
+from pathlib import Path
+from typing import Any, Dict, List, Tuple
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import taxdelay
 from taxdelay.cli import (EXIT_INVALID_INPUT, EXIT_NUMERICAL_FAILURE, EXIT_OK,
-                          main)
+                          _json_cell, _render, main)
 
 TERMINAL_ARGS = ["--mode", "terminal", "--c", "1.2", "--lambda", "1",
                  "--mu", "1", "--q", "0.05", "--ell", "0.1"]
@@ -370,3 +377,81 @@ class TestRepeatedCalls:
         header, rows = parse_csv(out)
         assert rows[0]["mode"] == "injection"
         assert float(rows[0]["threshold"]) == pytest.approx(0.5314597, abs=1e-6)
+
+
+# ---------------------------------------------------------------------------
+# JSON rendering
+# ---------------------------------------------------------------------------
+
+
+def reference_render(header: List[str], rows: List[Dict[str, Any]],
+                     precision: int) -> str:
+    """The JSON rule the renderer must reproduce byte for byte: round each
+    finite float to ``precision`` significant digits, write non-finite
+    floats as strings, then ``json.dumps(..., indent=2)``."""
+    def cook(v):
+        if isinstance(v, float) and math.isfinite(v):
+            return float(f"{v:.{precision}g}")
+        if isinstance(v, float):
+            return str(v)
+        return v
+    cooked = [{k: cook(row[k]) for k in header} for row in rows]
+    return json.dumps(cooked[0] if len(cooked) == 1 else cooked, indent=2) + "\n"
+
+
+_AWKWARD_TEXT = st.text(st.sampled_from('a%s"\\/\n\t\x00\x1f\x7f\u00e9\u2028\U0001f600'))
+
+_CELLS = st.one_of(
+    st.floats(),
+    st.sampled_from([-0.0, 5e-324, 2.2250738585072014e-308, 1.7e308, -1.7e308,
+                     1.7976931348623157e308, math.nan, math.inf, -math.inf]),
+    st.floats().map(np.float64),
+    st.booleans(),
+    st.none(),
+    st.integers(),
+    st.text(),
+    _AWKWARD_TEXT,
+)
+
+
+@st.composite
+def _tables(draw):
+    header = draw(st.lists(st.one_of(st.text(max_size=6), _AWKWARD_TEXT),
+                           min_size=1, max_size=5, unique=True))
+    rows = draw(st.lists(st.fixed_dictionaries({k: _CELLS for k in header}),
+                         max_size=6))
+    return header, rows
+
+
+class TestJsonRendering:
+    @settings(max_examples=400)
+    @given(_tables(), st.integers(1, 25))
+    def test_matches_json_dumps(self, table, precision):
+        header, rows = table
+        args = argparse.Namespace(format="json", precision=precision)
+        assert _render(header, rows, args) == reference_render(header, rows, precision)
+
+    @pytest.mark.parametrize("n_rows", [0, 1, 2, 7])
+    def test_row_counts(self, n_rows):
+        header = ["x", "flag", "name"]
+        rows = [{"x": 0.1 * i, "flag": i % 2 == 0, "name": f"r{i}"} for i in range(n_rows)]
+        args = argparse.Namespace(format="json", precision=6)
+        assert _render(header, rows, args) == reference_render(header, rows, 6)
+
+    @given(st.floats(allow_nan=False, allow_infinity=False))
+    def test_seventeen_digits_reproduce_every_double(self, v):
+        assert float(f"{v:.17g}") == v
+        assert _json_cell(v, 17) == float.__repr__(v)
+        assert _json_cell(v, 25) == float.__repr__(v)
+
+
+class TestImport:
+    def test_cli_import_leaves_quadrature_unloaded(self):
+        """Only quadrature needs scipy.integrate, and no subcommand but
+        ``validate`` integrates; importing the CLI must not load it."""
+        src = str(Path(taxdelay.__file__).resolve().parents[1])
+        code = (f"import sys; sys.path.insert(0, {src!r}); import taxdelay.cli; "
+                "print('scipy.integrate' in sys.modules)")
+        done = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                              text=True, check=True, timeout=120)
+        assert done.stdout.strip() == "False"

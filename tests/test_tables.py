@@ -231,3 +231,23 @@ class TestExistenceGrid:
         at_zero = [c for c in cells if c.s_terminal == 0.0]
         assert all(c.positive_threshold for c in at_minus_ten)
         assert not any(c.positive_threshold for c in at_zero)
+
+    @pytest.mark.parametrize("s_lo, s_hi", [(-7.3, 4.1), (-1e300, 1e300)])
+    def test_cells_are_exact_and_q_major(self, s_lo, s_hi):
+        """The array-built map gives each cell the scalar formula's value
+        exactly, in q-major order, with both grid endpoints exact."""
+        q_lo, q_hi = 0.003, 0.21
+        cells = existence_grid(BASE_MODEL, 0.2, s_lo, s_hi, 9, q_lo, q_hi, 4)
+        s_grid, q_grid = grid_values(s_lo, s_hi, 9), grid_values(q_lo, q_hi, 4)
+        assert [(c.q, c.s_terminal) for c in cells] == [(q, s) for q in q_grid for s in s_grid]
+        assert (cells[0].q, cells[0].s_terminal) == (q_lo, s_lo)
+        assert (cells[-1].q, cells[-1].s_terminal) == (q_hi, s_hi)
+        for cell in cells:
+            scale = ScaleSet(BASE_MODEL, cell.q)
+            i, sl = terminal_affine(scale, 0.2)
+            ri, rs = terminal_rhs(scale)
+            s = cell.s_terminal
+            assert cell.h_at_zero == (i + sl * s) - (ri + rs * s)
+            assert type(cell.positive_threshold) is bool
+            assert cell.positive_threshold is (cell.h_at_zero > 0.0)
+        assert {c.positive_threshold for c in cells} == {True, False}
