@@ -10,11 +10,15 @@ finding:
 * the optimal threshold b* when a lump terminal value is exchanged at
   ruin (``tax_terminal``), and
 * the optimal threshold a* when ruin is instead prevented by costly
-  capital injections (``tax_injection``),
+  capital injections (``tax_injection``).
 
-together with exact Monte Carlo engines for both controlled processes
-(``simulate``), reference existence tables and parameter sweeps
-(``tables``), and a self-check battery (``validate``).
+Both are one optimal-stopping construction on a scale-function family,
+written once in ``problem``; each problem supplies its family's pieces,
+and its mode-named functions (``h_terminal``, ``h_bar``, ...) are
+aliases of the shared ones.  The library also has exact Monte Carlo
+engines for both controlled processes (``simulate``), reference
+existence tables and parameter sweeps (``tables``), and a self-check
+battery (``validate``).
 """
 
 from __future__ import annotations
@@ -32,12 +36,12 @@ from .simulate import (SimConfig, SimResult, inspect_injection_paths,
                        simulate_terminal)
 from .tables import (BASE_MODEL, SweepPoint, SweepRow, TableRow,
                      existence_grid, sweep_rows, table_rows)
-from .tax_injection import (InjectionProblem, OptimumReport as InjectionOptimum,
-                            h_bar, optimize_injection, phi_bar_partial_a,
-                            phi_bar_value, psi_bar, upsilon_bar)
-from .tax_terminal import (OptimumReport, TerminalProblem, h_terminal,
-                           optimize_terminal, phi_partial_b, phi_value, psi,
-                           upsilon)
+from .problem import OptimumReport, OptimumReport as InjectionOptimum
+from .tax_injection import (InjectionProblem, h_bar, optimize_injection,
+                            phi_bar_partial_a, phi_bar_value, psi_bar,
+                            upsilon_bar)
+from .tax_terminal import (TerminalProblem, h_terminal, optimize_terminal,
+                           phi_partial_b, phi_value, psi, upsilon)
 from .validate import CheckResult, run_checks
 
 __version__ = "1.0.0"

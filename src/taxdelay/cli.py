@@ -28,14 +28,14 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 from .errors import (BracketFailure, DomainError, EventCapExceeded,
                      InvalidConfig, InvalidParameter, ToleranceNotMet)
 from .model import new_model
+from .problem import optimize, phi
 from .scale import ScaleSet
 from .simulate import SimConfig, simulate_injection, simulate_terminal
 from .tables import (SWEEPABLE, SweepPoint, existence_grid, sweep_rows,
                      table_rows)
-from .tax_injection import (InjectionProblem, h_bar, optimize_injection,
-                            phi_bar_value)
-from .tax_terminal import (TerminalProblem, h_terminal, optimize_terminal,
-                           phi_value)
+# h_terminal is h_bar, the shared h; perfbench/tracing.py wraps both names here
+from .tax_injection import InjectionProblem, h_bar  # noqa: F401
+from .tax_terminal import TerminalProblem, h_terminal
 from .validate import run_checks
 
 EXIT_OK = 0
@@ -158,18 +158,13 @@ def _build_problem(args: argparse.Namespace):
 
 def _cmd_optimize(args: argparse.Namespace) -> Tuple[List[str], List[Row]]:
     problem = _build_problem(args)
-    if args.mode == "terminal":
-        report = optimize_terminal(problem)
-        residual = h_terminal(problem, report.threshold)
-    else:
-        report = optimize_injection(problem)
-        residual = h_bar(problem, report.threshold)
+    report = optimize(problem)
     row: Row = {
         "mode": args.mode,
         "threshold": report.threshold,
         "boundary_case": report.boundary_case,
         "value": report.value,
-        "h_residual": residual,
+        "h_residual": h_terminal(problem, report.threshold),
     }
     return list(row), [row]
 
@@ -225,15 +220,12 @@ def _cmd_simulate(args: argparse.Namespace) -> Tuple[List[str], List[Row]]:
     problem = _build_problem(args)
     cfg = SimConfig(n_paths=args.paths, horizon=args.horizon, seed=args.seed,
                     antithetic=args.antithetic)
-    if args.mode == "terminal":
-        threshold = args.b if args.b is not None else optimize_terminal(problem).threshold
-        result = simulate_terminal(problem, threshold, cfg)
-        analytic = phi_value(problem, args.x, threshold) if args.x > 0.0 \
-            else math.nan
-    else:
-        threshold = args.a if args.a is not None else optimize_injection(problem).threshold
-        result = simulate_injection(problem, threshold, cfg)
-        analytic = phi_bar_value(problem, args.x, threshold)
+    engine, threshold = (simulate_terminal, args.b) if args.mode == "terminal" \
+        else (simulate_injection, args.a)
+    if threshold is None:
+        threshold = optimize(problem).threshold
+    result = engine(problem, threshold, cfg)
+    analytic = phi(problem, args.x, threshold) if problem.admits(args.x) else math.nan
     z_score = (result.mean - analytic) / result.stderr if result.stderr > 0.0 \
         else math.nan
     if result.bias_exceeded:
@@ -277,14 +269,13 @@ def _csv_cell(value: Any, precision: int) -> str:
 
 
 def _json_cell(value: Any, precision: int) -> str:
-    """The text ``json.dumps`` writes for one cell, floats rounded first."""
+    """The text ``json.dumps`` writes for one cell, floats rounded first and
+    non-finite ones written as the strings "nan", "inf" and "-inf"."""
     if isinstance(value, float):
-        if not math.isfinite(value):
-            return encode_basestring_ascii(str(value))  # nan/inf are not JSON literals
         if precision < 17:  # 17 significant digits round-trip every double
             value = float(f"{value:.{precision}g}")
-            if math.isinf(value):  # rounded past the largest double
-                return "Infinity" if value > 0.0 else "-Infinity"
+        if not math.isfinite(value):  # also a value rounded past the largest double
+            return encode_basestring_ascii(str(value))  # nan/inf are not JSON literals
         return float.__repr__(value)
     if isinstance(value, str):
         return encode_basestring_ascii(value)

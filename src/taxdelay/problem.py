@@ -1,0 +1,181 @@
+"""The delayed-taxation construction shared by both problems.
+
+Tax at rate ell is paid on every new running-maximum increment once the
+surplus has first reached a threshold b.  Both problems, a terminal value
+exchanged at ruin (``tax_terminal``) and ruin prevented by costly capital
+injections (``tax_injection``), are one optimal-stopping construction on
+a scale-function family F.  With e = 1/(1-ell), T(x) = int_x^inf
+(F(x)/F(y))^e dy and T_K the same tail weighted by the grouped kernel K:
+
+    psi(x)      = e (ell T(x) + w T_K(x))      value of taxing at once from x
+    upsilon(x)  = psi(x) - w G(x)
+    h(x)        = psi(x) - (F/F')(x) (1 + w K(x))
+    phi(x; b)   = w G(x) + (F(x)/F(b)) upsilon(max(b, x))
+    dphi/db     = ell e F(x) F'(b) / F(b)^2 h(b)
+
+h has a single sign change from + to -; the optimal threshold is its
+root when h(0) > 0 and 0 otherwise.  Each problem is a dataclass that
+supplies its family's pieces:
+
+    piece              TerminalProblem       InjectionProblem
+    F (``tail`` key)   W ("w")               Z ("z")
+    F/F'               w_over_w1             z_over_z1d
+    kernel K           ruin_kernel           injection_kernel
+    weight w           S                     -varphi
+    potential G        Z                     -(Zbar + d/q)
+    levels x           x > 0                 x >= 0
+"""
+
+from __future__ import annotations
+
+import math
+from dataclasses import dataclass
+from typing import Callable, Optional
+
+from .errors import DomainError, InvalidParameter
+from .numerics import (DEFAULT_QUAD, QuadSpec, RootReport,
+                       find_root_decreasing_sign, integrate_finite)
+from .scale import ScaleSet
+
+__all__ = ["DelayedTaxation", "OptimumReport", "exit_ratio", "exit_integral",
+           "exit_tail", "psi", "upsilon", "cap_v", "h", "phi", "phi_partial",
+           "optimize"]
+
+DEFAULT_ROOT_TOL = 1e-8
+
+
+@dataclass(frozen=True)
+class DelayedTaxation:
+    """Tax rate on top of a ScaleSet; a subclass supplies its family's pieces
+    (see the module docstring): the class attributes ``family``, ``levels``
+    and ``admits``, the attributes ``weight``, ``f_over_f1`` and ``kernel``,
+    and the methods ``log_f``, ``potential`` and ``optimal_value``.
+
+    A subclass binds the three attributes once, in ``__post_init__``: h
+    reads them on every call, and a plain attribute costs less there than
+    a method or a property.
+    """
+
+    scale: ScaleSet
+    ell: float
+
+    def __post_init__(self):
+        if not (0.0 <= self.ell < 1.0):
+            raise InvalidParameter(f"ell must lie in [0, 1), got {self.ell!r}")
+
+    @property
+    def exponent(self) -> float:
+        """The taxed-exit exponent 1/(1 - ell)."""
+        return 1.0 / (1.0 - self.ell)
+
+
+@dataclass(frozen=True)
+class OptimumReport:
+    """Optimal threshold, objective value at x0, and root diagnostics.
+
+    ``value`` is the problem's closed-form ``optimal_value``.  It replaces
+    upsilon(threshold) through h(threshold) = 0 and does not lift the
+    threshold to x0, so it equals phi(x0; threshold) only for x0 <= threshold.
+    """
+
+    threshold: float
+    value: float
+    boundary_case: bool
+    root_diag: Optional[RootReport] = None
+
+
+def _ratio(p: DelayedTaxation, x: float, b: float, e: float = 1.0) -> float:
+    # (F(x)/F(b))^e via log space; safe for any spread of x, b
+    return math.exp(e * (p.log_f(x) - p.log_f(b)))
+
+
+def exit_ratio(p: DelayedTaxation, x: float, b: float) -> float:
+    """(F(x)/F(b))^{1/(1-ell)}: the discounted chance that the taxed process
+    reaches b from x, before ruin (W) or reflected at 0 (Z)."""
+    if not (p.admits(x) and x <= b):
+        raise DomainError(f"need {p.levels} <= b, got x={x!r}, b={b!r}")
+    return _ratio(p, x, b, p.exponent)
+
+
+def exit_integral(p: DelayedTaxation, x: float, b: float,
+                  g: Callable[[float], float], spec: QuadSpec = DEFAULT_QUAD) -> float:
+    """e int_x^b (F(x)/F(z))^e g(z) dz by adaptive quadrature; the caller
+    checks the range."""
+    e = p.exponent
+    return e * integrate_finite(lambda z: _ratio(p, x, z, e) * g(z), x, b, spec)
+
+
+def exit_tail(p: DelayedTaxation, x: float, kernel: bool = False) -> float:
+    """e int_x^inf (F(x)/F(y))^e g(y) dy, g = 1 or K, in closed form."""
+    if not (math.isfinite(x) and x >= 0.0):
+        raise DomainError(f"need finite x >= 0, got {x!r}")
+    e = p.exponent
+    return e * p.scale.tail(p.family, e, x, kernel=kernel)
+
+
+def psi(p: DelayedTaxation, x: float) -> float:
+    """Value of taxing immediately from level x, e (ell T + w T_K); affine in w.
+
+    Terminal: (ell I2 + S I1)/(1-ell) with the plain and ruin-kernel tails
+    I2, I1 of W.  Injection: tax_tail - varphi injection_tail.
+    """
+    if not (math.isfinite(x) and x >= 0.0):
+        raise DomainError(f"need finite x >= 0, got {x!r}")
+    s, e = p.scale, p.exponent
+    return (p.ell * e * s.tail(p.family, e, x)
+            + p.weight * (e * s.tail(p.family, e, x, kernel=True)))
+
+
+def upsilon(p: DelayedTaxation, x: float) -> float:
+    """upsilon = psi - w G: psi - S Z, or psi - varphi (Zbar + d/q)."""
+    return psi(p, x) - p.weight * p.potential(x)
+
+
+def cap_v(p: DelayedTaxation, x: float) -> float:
+    """V = F/F', increasing: W/W' from c/(q+lam) at 0, or Z/(q W) from c/q."""
+    if not (math.isfinite(x) and x >= 0.0):
+        raise DomainError(f"need finite x >= 0, got {x!r}")
+    return p.f_over_f1(x)
+
+
+def h(p: DelayedTaxation, x: float) -> float:
+    """Optimality function upsilon - V (1 - S q W), or upsilonbar - Vbar (1 - varphi Z).
+
+    Both are computed as psi - V (1 + w K): the grouped kernel K removes
+    the leading-order cancellation of the naive forms (see ``scale``).
+    The limit at infinity is (ell - 1)/theta1 < 0.
+    """
+    return psi(p, x) - p.f_over_f1(x) * (1.0 + p.weight * p.kernel(x))
+
+
+def phi(p: DelayedTaxation, x: float, b: float) -> float:
+    """Objective phi(x; b) = w G(x) + (F(x)/F(b)) upsilon(b).
+
+    The ratio is the plain F ratio: the path is untaxed until it first
+    reaches b.  Starting above the threshold lifts b to x (taxation is
+    immediate from the running maximum).
+    """
+    if not p.admits(x):
+        raise DomainError(f"need finite {p.levels}, got x={x!r}")
+    b = max(b, x)
+    return p.weight * p.potential(x) + _ratio(p, x, b) * upsilon(p, b)
+
+
+def phi_partial(p: DelayedTaxation, x: float, b: float) -> float:
+    """d phi(x; b)/db = (ell/(1-ell)) (F(x) F'(b)/F(b)^2) h(b) for x <= b,
+    with F(x) F'(b)/F(b)^2 = (F(x)/F(b))/V(b)."""
+    if not (p.admits(x) and x <= b):
+        raise DomainError(f"need {p.levels} <= b, got x={x!r}, b={b!r}")
+    return p.ell * p.exponent * (_ratio(p, x, b) / p.f_over_f1(b)) * h(p, b)
+
+
+def optimize(p: DelayedTaxation, tol: float = DEFAULT_ROOT_TOL) -> OptimumReport:
+    """Optimal delay threshold (the root of h if h(0) > 0, else 0) and the
+    value ``p.optimal_value(threshold)``."""
+    if h(p, 0.0) <= 0.0:
+        return OptimumReport(threshold=0.0, value=p.optimal_value(0.0),
+                             boundary_case=True, root_diag=None)
+    diag = find_root_decreasing_sign(lambda x: h(p, x), 0.0, tol,
+                                     hi_cap=1e6 / p.scale.theta1)
+    return OptimumReport(threshold=diag.root, value=p.optimal_value(diag.root),
+                         boundary_case=False, root_diag=diag)

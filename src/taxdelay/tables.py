@@ -29,10 +29,10 @@ import numpy as np
 
 from .errors import InvalidParameter
 from .model import LevyModel, new_model
+from .problem import optimize
 from .scale import ScaleSet
-from .tax_injection import (InjectionProblem, injection_tail, optimize_injection,
-                            tax_tail)
-from .tax_terminal import TerminalProblem, optimize_terminal
+from .tax_injection import InjectionProblem, injection_tail, tax_tail
+from .tax_terminal import TerminalProblem
 
 # ---------------------------------------------------------------------------
 # Built-in reference scenarios
@@ -153,14 +153,12 @@ def table_rows(table_id: int, model: LevyModel = BASE_MODEL) -> List[TableRow]:
     """Compute all rows of one built-in table on the given model."""
     definition = table_definition(table_id)
     scale = ScaleSet(model, definition.q)
+    affine, rhs = (terminal_affine, terminal_rhs) if definition.mode == "terminal" \
+        else (injection_affine, injection_rhs)
     rows: List[TableRow] = []
     for ell in definition.ells:
-        if definition.mode == "terminal":
-            intercept, slope = terminal_affine(scale, ell)
-            rhs_i, rhs_s = terminal_rhs(scale)
-        else:
-            intercept, slope = injection_affine(scale, ell)
-            rhs_i, rhs_s = injection_rhs(scale)
+        intercept, slope = affine(scale, ell)
+        rhs_i, rhs_s = rhs(scale)
         rows.append(TableRow(
             ell=ell,
             intercept=intercept,
@@ -215,14 +213,13 @@ def _with_param(base: SweepPoint, param: str, value: float) -> SweepPoint:
 def _optimize_point(point: SweepPoint) -> Tuple[float, float, bool]:
     scale = ScaleSet(new_model(point.c, point.lam, point.mu), point.q)
     if point.mode == "terminal":
-        report = optimize_terminal(
-            TerminalProblem(scale, point.ell, point.s_terminal, point.x0))
+        problem = TerminalProblem(scale, point.ell, point.s_terminal, point.x0)
     elif point.mode == "injection":
-        report = optimize_injection(
-            InjectionProblem(scale, point.ell, point.varphi, point.x0,
-                             allow_low_cost=True))
+        problem = InjectionProblem(scale, point.ell, point.varphi, point.x0,
+                                   allow_low_cost=True)
     else:
         raise InvalidParameter(f"unknown mode {point.mode!r}")
+    report = optimize(problem)
     return report.threshold, report.value, report.boundary_case
 
 

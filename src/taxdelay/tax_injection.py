@@ -19,8 +19,9 @@ and their tail limits g, r as a -> infinity.  The optimality function
 
     hbar(a) = upsilonbar(a) - Vbar(a) (1 - varphi Z(a)),  Vbar = Z/Z'
 
-has a single sign change from + to -; a* is its root when hbar(0) > 0
-and 0 otherwise.
+has a single sign change from + to -.  This is the construction of
+``problem`` on the family Z: ``InjectionProblem`` supplies the pieces,
+and ``h_bar``, ``phi_bar_value``, ... are the shared functions.
 """
 
 from __future__ import annotations
@@ -29,14 +30,9 @@ import math
 from dataclasses import dataclass
 
 from .errors import DomainError, InvalidParameter
-from .numerics import (
-    DEFAULT_QUAD,
-    QuadSpec,
-    find_root_decreasing_sign,
-    integrate_finite,
-)
-from .scale import ScaleSet
-from .tax_terminal import OptimumReport
+from .numerics import DEFAULT_QUAD, QuadSpec
+from .problem import (DelayedTaxation, cap_v, exit_integral, exit_ratio,
+                      exit_tail, h, optimize, phi, phi_partial, psi, upsilon)
 
 __all__ = [
     "InjectionProblem",
@@ -56,11 +52,9 @@ __all__ = [
     "optimize_injection",
 ]
 
-DEFAULT_ROOT_TOL = 1e-8
-
 
 @dataclass(frozen=True)
-class InjectionProblem:
+class InjectionProblem(DelayedTaxation):
     """Tax rate, injection cost factor and start level on top of a ScaleSet.
 
     varphi <= 1 makes capital injections a free (or profitable) lunch and
@@ -68,15 +62,12 @@ class InjectionProblem:
     via allow_low_cost=True.
     """
 
-    scale: ScaleSet
-    ell: float
     varphi: float
     x0: float
     allow_low_cost: bool = False
 
     def __post_init__(self):
-        if not (0.0 <= self.ell < 1.0):
-            raise InvalidParameter(f"ell must lie in [0, 1), got {self.ell!r}")
+        super().__post_init__()
         if not (math.isfinite(self.varphi) and self.varphi > 0.0):
             raise InvalidParameter(f"varphi must be finite and > 0, got {self.varphi!r}")
         if self.varphi <= 1.0 and not self.allow_low_cost:
@@ -85,21 +76,44 @@ class InjectionProblem:
             )
         if not (math.isfinite(self.x0) and self.x0 >= 0.0):
             raise InvalidParameter(f"x0 must be finite and >= 0, got {self.x0!r}")
-
-    @property
-    def exponent(self) -> float:
-        """The taxed-exit exponent 1/(1 - ell)."""
-        return 1.0 / (1.0 - self.ell)
+        s, bind = self.scale, object.__setattr__  # frozen: plain assignment raises
+        bind(self, "weight", -self.varphi)
+        bind(self, "f_over_f1", s.z_over_z1d)
+        bind(self, "kernel", s.injection_kernel)
 
     @property
     def drift_ratio(self) -> float:
         """Net drift over discount rate, (c - lam/mu)/q."""
         return self.scale.model.net_drift / self.scale.q
 
+    # the family's pieces (see ``problem``)
+    family, levels = "z", "0 <= x"
+    admits = staticmethod(lambda x: 0.0 <= x < math.inf)
 
-def _zratio_pow(s: ScaleSet, e: float, x: float, w: float) -> float:
-    # (Z(x)/Z(w))^e via log space
-    return math.exp(e * (s.log_z(x) - s.log_z(w)))
+    def log_f(self, x: float) -> float:
+        return self.scale.log_z(x)
+
+    def potential(self, x: float) -> float:
+        return -self.scale.zbar_shifted(x)
+
+    def optimal_value(self, astar: float) -> float:
+        """varphi (Zbar(x0) + d/q) + Z(x0) (1 - varphi Z(a*)) / Z'(a*), which is
+        phibar(x0; a*) only for x0 <= a* (see ``OptimumReport``).  1/Z'(a*) =
+        1/(q W(a*)) is taken in log form, since Z(a*) overflows for large a*."""
+        s = self.scale
+        bracket = math.exp(-s.log_w(astar)) / s.q - self.varphi * s.z_over_z1d(astar)
+        return self.varphi * s.zbar_shifted(self.x0) + s.z(self.x0) * bracket
+
+
+#: Discounted up-crossing factor (Z(x)/Z(a))^{1/(1-ell)} on [0, a].
+f_a = exit_ratio
+psi_bar = psi
+upsilon_bar = upsilon
+cap_v_bar = cap_v
+h_bar = h
+phi_bar_value = phi
+phi_bar_partial_a = phi_partial
+optimize_injection = optimize
 
 
 def reflected_upcross_laplace(p: InjectionProblem, x: float, a: float) -> float:
@@ -107,7 +121,7 @@ def reflected_upcross_laplace(p: InjectionProblem, x: float, a: float) -> float:
     at 0: Z(x)/Z(a)."""
     if not (0.0 <= x <= a):
         raise DomainError(f"need 0 <= x <= a, got x={x!r}, a={a!r}")
-    return math.exp(p.scale.log_z(x) - p.scale.log_z(a))
+    return math.exp(p.log_f(x) - p.log_f(a))
 
 
 def expected_injection_until_upcross(p: InjectionProblem, a: float) -> float:
@@ -129,13 +143,6 @@ def expected_injection_until_upcross(p: InjectionProblem, a: float) -> float:
     return -p.drift_ratio + ratio
 
 
-def f_a(p: InjectionProblem, x: float, a: float) -> float:
-    """Discounted up-crossing factor (Z(x)/Z(a))^{1/(1-ell)} on [0, a]."""
-    if not (0.0 <= x <= a):
-        raise DomainError(f"need 0 <= x <= a, got x={x!r}, a={a!r}")
-    return _zratio_pow(p.scale, p.exponent, x, a)
-
-
 def g_a(p: InjectionProblem, x: float, a: float,
         spec: QuadSpec = DEFAULT_QUAD) -> float:
     """Expected discounted tax collected before the process crosses a.
@@ -147,9 +154,7 @@ def g_a(p: InjectionProblem, x: float, a: float,
         raise DomainError(f"need 0 <= x <= a finite, got x={x!r}, a={a!r}")
     if p.ell == 0.0:
         return 0.0
-    s = p.scale
-    e = p.exponent
-    return p.ell * e * integrate_finite(lambda w: _zratio_pow(s, e, x, w), x, a, spec)
+    return p.ell * exit_integral(p, x, a, lambda w: 1.0, spec)
 
 
 def r_a(p: InjectionProblem, x: float, a: float,
@@ -161,11 +166,7 @@ def r_a(p: InjectionProblem, x: float, a: float,
     """
     if not (0.0 <= x <= a and math.isfinite(a)):
         raise DomainError(f"need 0 <= x <= a finite, got x={x!r}, a={a!r}")
-    s = p.scale
-    e = p.exponent
-    return e * integrate_finite(
-        lambda w: s.injection_kernel(w) * _zratio_pow(s, e, x, w), x, a, spec
-    )
+    return exit_integral(p, x, a, p.scale.injection_kernel, spec)
 
 
 def tax_tail(p: InjectionProblem, x: float) -> float:
@@ -174,10 +175,7 @@ def tax_tail(p: InjectionProblem, x: float) -> float:
     (ell/(1-ell)) * int_x^inf (Z(x)/Z(w))^{1/(1-ell)} dw, in closed form
     (``ScaleSet.tail``).
     """
-    if not (math.isfinite(x) and x >= 0.0):
-        raise DomainError(f"need finite x >= 0, got {x!r}")
-    e = p.exponent
-    return p.ell * e * p.scale.tail("z", e, x)
+    return p.ell * exit_tail(p, x)
 
 
 def injection_tail(p: InjectionProblem, x: float) -> float:
@@ -186,92 +184,4 @@ def injection_tail(p: InjectionProblem, x: float) -> float:
     (1/(1-ell)) * int_x^inf kernel(w) (Z(x)/Z(w))^{1/(1-ell)} dw with the
     grouped injection kernel, in closed form (``ScaleSet.tail``).
     """
-    if not (math.isfinite(x) and x >= 0.0):
-        raise DomainError(f"need finite x >= 0, got {x!r}")
-    e = p.exponent
-    return e * p.scale.tail("z", e, x, kernel=True)
-
-
-def psi_bar(p: InjectionProblem, x: float) -> float:
-    """Value of taxing immediately from level x, net of injection costs:
-
-    psi_bar(x) = tax_tail(x) - varphi * injection_tail(x).  Affine in
-    varphi.
-    """
-    return tax_tail(p, x) - p.varphi * injection_tail(p, x)
-
-
-def upsilon_bar(p: InjectionProblem, a: float) -> float:
-    """upsilonbar(a) = psi_bar(a) - varphi (Zbar(a) + d/q)."""
-    return psi_bar(p, a) - p.varphi * p.scale.zbar_shifted(a)
-
-
-def cap_v_bar(p: InjectionProblem, a: float) -> float:
-    """Vbar(a) = Z(a)/Z'(a) = Z(a)/(q W(a)); right-limit c/q at 0."""
-    if not (math.isfinite(a) and a >= 0.0):
-        raise DomainError(f"need finite a >= 0, got {a!r}")
-    return p.scale.z_over_z1d(a)
-
-
-def h_bar(p: InjectionProblem, a: float) -> float:
-    """Optimality function hbar(a) = upsilonbar(a) - Vbar(a)(1 - varphi Z(a)).
-
-    The terms Zbar + d/q, Vbar and varphi Z Vbar each grow like
-    e^{theta1 a} while hbar stays bounded; the growth cancels through
-    Z^2 - qW(Zbar + d/q) = (lam/(c mu)) e^{(theta1+theta2) a}, so hbar is
-    computed as psi_bar(a) - Vbar(a)(1 - varphi * injection_kernel(a)).
-    The limit at infinity is (ell - 1)/theta1 < 0.
-    """
-    s = p.scale
-    return psi_bar(p, a) - s.z_over_z1d(a) * (1.0 - p.varphi * s.injection_kernel(a))
-
-
-def phi_bar_value(p: InjectionProblem, x: float, a: float) -> float:
-    """Objective phibar(x; a) = (Z(x)/Z(a)) upsilonbar(a) + varphi (Zbar(x) + d/q).
-
-    Starting above the threshold lifts a to x (taxation immediate).
-    """
-    if not (math.isfinite(x) and x >= 0.0):
-        raise DomainError(f"need finite x >= 0, got {x!r}")
-    a = max(a, x)
-    s = p.scale
-    ratio = math.exp(s.log_z(x) - s.log_z(a))
-    return ratio * upsilon_bar(p, a) + p.varphi * s.zbar_shifted(x)
-
-
-def phi_bar_partial_a(p: InjectionProblem, x: float, a: float) -> float:
-    """Analytic derivative of phibar(x; a) in the threshold:
-
-    (ell/(1-ell)) * (Z(x) Z'(a) / Z(a)^2) * hbar(a)  for 0 <= x <= a.
-    """
-    if not (0.0 <= x <= a):
-        raise DomainError(f"need 0 <= x <= a, got x={x!r}, a={a!r}")
-    s = p.scale
-    weight = math.exp(s.log_z(x) + math.log(s.q * s.w(a)) - 2.0 * s.log_z(a))
-    return p.ell * p.exponent * weight * h_bar(p, a)
-
-
-def _optimal_value(p: InjectionProblem, astar: float) -> float:
-    # phibar(x0; a*) = varphi (Zbar(x0) + d/q) + Z(x0) (1 - varphi Z(a*)) / Z'(a*)
-    # with 1/Z'(a*) = 1/(q W(a*)) taken in log form: Z(a*) overflows for large a*.
-    s = p.scale
-    bracket = math.exp(-s.log_w(astar)) / s.q - p.varphi * s.z_over_z1d(astar)
-    return p.varphi * s.zbar_shifted(p.x0) + s.z(p.x0) * bracket
-
-
-def optimize_injection(p: InjectionProblem, tol: float = DEFAULT_ROOT_TOL) -> OptimumReport:
-    """Optimal delay threshold a* and the objective value at x0.
-
-    a* is the root of hbar when hbar(0) > 0, else 0.  The value uses
-    varphi (Zbar(x) + d/q) + Z(x)(1 - varphi Z(a*))/Z'(a*).
-    """
-    h0 = h_bar(p, 0.0)
-    if h0 <= 0.0:
-        return OptimumReport(threshold=0.0, value=_optimal_value(p, 0.0),
-                             boundary_case=True, root_diag=None)
-    diag = find_root_decreasing_sign(
-        lambda a: h_bar(p, a), 0.0, tol,
-        hi_cap=1e6 / p.scale.theta1,
-    )
-    return OptimumReport(threshold=diag.root, value=_optimal_value(p, diag.root),
-                         boundary_case=False, root_diag=diag)
+    return exit_tail(p, x, kernel=True)

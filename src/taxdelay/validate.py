@@ -11,19 +11,18 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, List
 
 from .model import laplace_exponent, new_model, spectral_roots
 from .numerics import integrate_finite, integrate_tail
+from .problem import h, optimize, phi, phi_partial
 from .scale import ScaleSet
 from .simulate import SimConfig, simulate_injection, simulate_terminal
 from .tables import (existence_threshold, injection_affine, injection_rhs,
                      table_rows, terminal_affine, terminal_rhs)
-from .tax_injection import (InjectionProblem, f_a, g_a, h_bar,
-                            optimize_injection, phi_bar_partial_a,
-                            phi_bar_value, r_a)
-from .tax_terminal import (TerminalProblem, h_terminal, optimize_terminal,
-                           phi_partial_b, phi_value)
+from .tax_injection import InjectionProblem, f_a, g_a, r_a
+from .tax_terminal import TerminalProblem
 
 # ---------------------------------------------------------------------------
 # Result record
@@ -89,30 +88,15 @@ def _check_antiderivatives() -> CheckResult:
                   f"max defect {err:.2e} (tol 1e-8)")
 
 
-def _check_terminal_derivative() -> CheckResult:
-    s = ScaleSet(new_model(1.2, 1.0, 1.0), 0.05)
-    p = TerminalProblem(s, 0.15, -3.0, 0.5)
+def _check_derivative(name: str, problem: type, ell: float, weight: float) -> CheckResult:
+    p = problem(ScaleSet(new_model(1.2, 1.0, 1.0), 0.05), ell, weight, 0.5)
     worst = 0.0
     for b in (0.8, 2.0, 5.0):
         step = 1e-3 * max(1.0, b)
-        fd = (phi_value(p, 0.5, b + step) - phi_value(p, 0.5, b - step)) / (2 * step)
-        an = phi_partial_b(p, 0.5, b)
+        fd = (phi(p, 0.5, b + step) - phi(p, 0.5, b - step)) / (2 * step)
+        an = phi_partial(p, 0.5, b)
         worst = max(worst, abs(fd - an) / max(1e-12, abs(an)))
-    return _check("terminal-derivative-consistency", worst < 1e-5,
-                  f"max relative gap {worst:.2e} (tol 1e-5)")
-
-
-def _check_injection_derivative() -> CheckResult:
-    s = ScaleSet(new_model(1.2, 1.0, 1.0), 0.05)
-    p = InjectionProblem(s, 0.2, 1.5, 0.5)
-    worst = 0.0
-    for a in (0.8, 2.0, 5.0):
-        step = 1e-3 * max(1.0, a)
-        fd = (phi_bar_value(p, 0.5, a + step) - phi_bar_value(p, 0.5, a - step)) / (2 * step)
-        an = phi_bar_partial_a(p, 0.5, a)
-        worst = max(worst, abs(fd - an) / max(1e-12, abs(an)))
-    return _check("injection-derivative-consistency", worst < 1e-5,
-                  f"max relative gap {worst:.2e} (tol 1e-5)")
+    return _check(name, worst < 1e-5, f"max relative gap {worst:.2e} (tol 1e-5)")
 
 
 def _check_ode_residuals() -> CheckResult:
@@ -140,16 +124,11 @@ def _check_ode_residuals() -> CheckResult:
 def _check_existence_boundaries() -> CheckResult:
     s5 = ScaleSet(new_model(1.2, 1.0, 1.0), 0.05)
     worst = 0.0
-    intercept, slope = terminal_affine(s5, 0.1)
-    rhs_i, rhs_s = terminal_rhs(s5)
-    s_star = existence_threshold(intercept, slope, rhs_i, rhs_s)
-    worst = max(worst, abs(h_terminal(
-        TerminalProblem(s5, 0.1, s_star, 1.0), 0.0)))
-    intercept, slope = injection_affine(s5, 0.2)
-    rhs_i, rhs_s = injection_rhs(s5)
-    phi_star = existence_threshold(intercept, slope, rhs_i, rhs_s)
-    worst = max(worst, abs(h_bar(
-        InjectionProblem(s5, 0.2, phi_star, 1.0), 0.0)))
+    for affine, rhs, problem, ell in (
+            (terminal_affine, terminal_rhs, TerminalProblem, 0.1),
+            (injection_affine, injection_rhs, InjectionProblem, 0.2)):
+        boundary = existence_threshold(*affine(s5, ell), *rhs(s5))
+        worst = max(worst, abs(h(problem(s5, ell, boundary, 1.0), 0.0)))
     return _check("existence-boundary-consistency", worst < 1e-8,
                   f"candidate-at-zero residual {worst:.2e} at the affine crossing (tol 1e-8)")
 
@@ -165,16 +144,11 @@ def _check_tables_compute() -> CheckResult:
 
 def _check_optimizer_argmax() -> CheckResult:
     s = ScaleSet(new_model(1.2, 1.0, 1.0), 0.05)
-    worst = 0.0
-    pt = TerminalProblem(s, 0.1, -5.0, 0.25)
-    rep = optimize_terminal(pt)
     grid = [0.25 + 0.002 * i for i in range(int(2.0 / 0.002))]
-    best = max(grid, key=lambda b: phi_value(pt, 0.25, b))
-    worst = max(worst, abs(best - rep.threshold))
-    pi = InjectionProblem(s, 0.2, 1.5, 0.25)
-    repi = optimize_injection(pi)
-    besti = max(grid, key=lambda a: phi_bar_value(pi, 0.25, a))
-    worst = max(worst, abs(besti - repi.threshold))
+    worst = 0.0
+    for p in (TerminalProblem(s, 0.1, -5.0, 0.25), InjectionProblem(s, 0.2, 1.5, 0.25)):
+        best = max(grid, key=lambda b: phi(p, 0.25, b))
+        worst = max(worst, abs(best - optimize(p).threshold))
     return _check("optimizer-grid-argmax", worst < 4e-3,
                   f"max |optimizer - grid argmax| {worst:.2e} (tol 4e-3 on a 2e-3 grid)")
 
@@ -182,13 +156,11 @@ def _check_optimizer_argmax() -> CheckResult:
 def _check_monte_carlo() -> CheckResult:
     s = ScaleSet(new_model(1.2, 1.0, 1.0), 0.05)
     cfg = SimConfig(n_paths=20_000, horizon=200.0, seed=20260814)
-    pt = TerminalProblem(s, 0.1, -5.0, 1.0)
-    rt = simulate_terminal(pt, 2.0, cfg)
-    zt = (rt.mean - phi_value(pt, 1.0, 2.0)) / rt.stderr
-    pi = InjectionProblem(s, 0.2, 1.5, 1.0)
-    ri = simulate_injection(pi, 2.0, cfg)
-    zi = (ri.mean - phi_bar_value(pi, 1.0, 2.0)) / ri.stderr
-    worst = max(abs(zt), abs(zi))
+    worst = 0.0
+    for engine, p in ((simulate_terminal, TerminalProblem(s, 0.1, -5.0, 1.0)),
+                      (simulate_injection, InjectionProblem(s, 0.2, 1.5, 1.0))):
+        result = engine(p, 2.0, cfg)
+        worst = max(worst, abs((result.mean - phi(p, 1.0, 2.0)) / result.stderr))
     return _check("monte-carlo-agreement", worst < 4.5,
                   f"max |z| {worst:.2f} over both engines (tol 4.5)")
 
@@ -197,8 +169,8 @@ _CHECKS: List[Callable[[], CheckResult]] = [
     _check_boundary_identities,
     _check_laplace_transform,
     _check_antiderivatives,
-    _check_terminal_derivative,
-    _check_injection_derivative,
+    partial(_check_derivative, "terminal-derivative-consistency", TerminalProblem, 0.15, -3.0),
+    partial(_check_derivative, "injection-derivative-consistency", InjectionProblem, 0.2, 1.5),
     _check_ode_residuals,
     _check_existence_boundaries,
     _check_tables_compute,

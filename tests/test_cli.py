@@ -388,11 +388,13 @@ def reference_render(header: List[str], rows: List[Dict[str, Any]],
                      precision: int) -> str:
     """The JSON rule the renderer must reproduce byte for byte: round each
     finite float to ``precision`` significant digits, write non-finite
-    floats as strings, then ``json.dumps(..., indent=2)``."""
+    floats as strings (also a finite one that rounding carried past the
+    largest double, which json.dumps would write as the non-JSON
+    ``Infinity``), then ``json.dumps(..., indent=2)``."""
     def cook(v):
         if isinstance(v, float) and math.isfinite(v):
-            return float(f"{v:.{precision}g}")
-        if isinstance(v, float):
+            v = float(f"{v:.{precision}g}")
+        if isinstance(v, float) and not math.isfinite(v):
             return str(v)
         return v
     cooked = [{k: cook(row[k]) for k in header} for row in rows]
@@ -437,6 +439,21 @@ class TestJsonRendering:
         rows = [{"x": 0.1 * i, "flag": i % 2 == 0, "name": f"r{i}"} for i in range(n_rows)]
         args = argparse.Namespace(format="json", precision=6)
         assert _render(header, rows, args) == reference_render(header, rows, 6)
+
+    def test_rounding_past_the_largest_double_stays_strict_json(self, capsys):
+        """At 16 digits the most negative double rounds to -inf; the cell is
+        then the documented string "-inf", which a strict parser accepts."""
+        rc, out, _ = run_cli(
+            capsys, "sweep", *TERMINAL_ARGS, "--param", "S",
+            "--from=-1.7976931348623157e308", "--to", "0", "--steps", "2",
+            "--q-from", "0.01", "--q-to", "0.02", "--q-steps", "2",
+            "--format", "json", "--precision", "16")
+        assert rc == EXIT_OK
+
+        def reject(constant):
+            raise ValueError(f"non-JSON constant {constant}")
+        rows = json.loads(out, parse_constant=reject)
+        assert [r["S"] for r in rows] == ["-inf", 0.0, "-inf", 0.0]
 
     @given(st.floats(allow_nan=False, allow_infinity=False))
     def test_seventeen_digits_reproduce_every_double(self, v):
