@@ -27,9 +27,8 @@ from .errors import (BracketFailure, DomainError, EventCapExceeded,
                      InvalidConfig, InvalidParameter, ToleranceNotMet)
 from .model import (LevyModel, SpectralRoots, laplace_exponent, new_model,
                     spectral_roots)
-from .numerics import (DEFAULT_QUAD, QuadSpec, RootReport,
-                       find_root_decreasing_sign, integrate_finite,
-                       integrate_tail)
+from .numerics import (RootReport, find_root_decreasing_sign,
+                       integrate_finite, integrate_tail)
 from .scale import ScaleSet
 from .simulate import (SimConfig, SimResult, inspect_injection_paths,
                        inspect_terminal_paths, simulate_injection,
@@ -55,8 +54,8 @@ __all__ = [
     "LevyModel", "SpectralRoots", "laplace_exponent", "new_model",
     "spectral_roots", "ScaleSet",
     # numerics
-    "DEFAULT_QUAD", "QuadSpec", "RootReport", "find_root_decreasing_sign",
-    "integrate_finite", "integrate_tail",
+    "RootReport", "find_root_decreasing_sign", "integrate_finite",
+    "integrate_tail",
     # terminal-value problem
     "TerminalProblem", "OptimumReport", "h_terminal", "optimize_terminal",
     "phi_partial_b", "phi_value", "psi", "upsilon",

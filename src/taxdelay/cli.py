@@ -191,16 +191,10 @@ def _cmd_sweep(args: argparse.Namespace) -> Tuple[List[str], List[Row]]:
         if args.param != "S" or args.mode != "terminal":
             raise InvalidParameter("the existence map supports --param S in "
                                    "terminal mode only")
-        cells = existence_grid(new_model(args.c, args.lam, args.mu), args.ell,
-                               args.lo, args.hi, args.steps,
-                               args.q_lo, args.q_hi, args.q_steps)
         header = ["S", "q", "h_at_zero", "positive_threshold"]
-        return header, [{
-            "S": cell.s_terminal,
-            "q": cell.q,
-            "h_at_zero": cell.h_at_zero,
-            "positive_threshold": cell.positive_threshold,
-        } for cell in cells]
+        return header, existence_grid(new_model(args.c, args.lam, args.mu), args.ell,
+                                      args.lo, args.hi, args.steps,
+                                      args.q_lo, args.q_hi, args.q_steps)
     base = SweepPoint(mode=args.mode, c=args.c, lam=args.lam, mu=args.mu,
                       q=args.q, ell=args.ell, s_terminal=args.s_terminal,
                       varphi=args.varphi if args.varphi is not None else 1.5,
@@ -288,8 +282,6 @@ def _json_cell(value: Any, precision: int) -> str:
 
 def _render(header: List[str], rows: List[Row], args: argparse.Namespace) -> str:
     precision = args.precision
-    if precision < 1:
-        raise InvalidParameter(f"--precision must be >= 1, got {precision}")
     if args.format == "json":
         # json.dumps(..., indent=2) layout: one %-template per row, one fill pass
         pad = "" if len(rows) == 1 else "  "
@@ -310,9 +302,12 @@ def _render(header: List[str], rows: List[Row], args: argparse.Namespace) -> str
 def _emit(text: str, out_path: Optional[str]) -> None:
     if out_path is None:
         sys.stdout.write(text)
-    else:
+        return
+    try:
         with open(out_path, "w", encoding="utf-8", newline="") as handle:
             handle.write(text)
+    except OSError as exc:
+        raise InvalidParameter(f"cannot write {out_path}: {exc.strerror or exc}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -332,6 +327,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if args.precision < 1:  # before the subcommand spends any work
+            raise InvalidParameter(f"--precision must be >= 1, got {args.precision}")
         header, rows = _COMMANDS[args.command](args)
         _emit(_render(header, rows, args), args.out)
     except (InvalidParameter, InvalidConfig, DomainError) as exc:

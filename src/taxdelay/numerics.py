@@ -1,64 +1,43 @@
 """Adaptive quadrature and bracketed roots.
 
-The tail integrals have closed forms (``ScaleSet.tail``); quadrature is
-left for finite ranges and, in ``integrate_tail``, for checking those
-forms independently.  ``integrate_tail`` needs a known exponential
-envelope: if |f(z)| <= |f(T)| e^{-decay (z-T)} for every z >= T >= a,
-the tail beyond T is at most |f(T)|/decay, so T is extended until that
-bound drops below the tolerance and the finite part is adaptive.
+Every exit functional of the two problems has a closed form
+(``ScaleSet.tail``); quadrature is left for the penalty functional with
+an arbitrary weight and, in the self-checks, for testing the closed forms
+independently.  Both routines work to a relative tolerance of 1e-10 and
+an absolute tolerance of 1e-14, with at most 2000 subdivisions.
+``integrate_tail`` needs a known exponential envelope: if
+|f(z)| <= |f(T)| e^{-decay (z-T)} for every z >= T >= a, the tail beyond
+T is at most |f(T)|/decay, so T is extended until that bound drops below
+the tolerance and the finite part is adaptive.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Tuple
+from typing import Callable, Tuple
 
 from scipy.optimize import brentq
 
 from .errors import BracketFailure, InvalidParameter, ToleranceNotMet
 
 __all__ = [
-    "QuadSpec",
     "RootReport",
     "integrate_tail",
     "integrate_finite",
     "find_root_decreasing_sign",
 ]
 
-# the adaptive backend cannot honour relative tolerances below roughly
-# 50*eps; requests beyond that are clamped to this floor
-_REL_TOL_FLOOR = 5e-13
+# tolerances and subdivision limit of every adaptive quadrature
+_REL_TOL = 1e-10
+_ABS_TOL = 1e-14
+_MAX_SUBDIVISIONS = 2000
 
 # each tail chunk spans this many e-folds of the guaranteed envelope
 _CHUNK_EFOLDS = 20.0
 
 # a lying decay rate would otherwise extend the tail forever
 _MAX_CHUNKS = 64
-
-
-@dataclass(frozen=True)
-class QuadSpec:
-    """Tolerances for the adaptive quadrature routines.
-
-    rel_tol below ~5e-13 is clamped to the backend's floor; the tail
-    truncation criterion still uses the requested value.
-    """
-
-    rel_tol: float = 1e-10
-    abs_tol: float = 1e-14
-    max_subdivisions: int = 2000
-
-    def __post_init__(self):
-        if not (self.rel_tol >= 1e-14 and math.isfinite(self.rel_tol)):
-            raise InvalidParameter("rel_tol must be finite and >= 1e-14")
-        if not (self.abs_tol > 0.0 and math.isfinite(self.abs_tol)):
-            raise InvalidParameter("abs_tol must be finite and > 0")
-        if self.max_subdivisions < 10:
-            raise InvalidParameter("max_subdivisions must be >= 10")
-
-
-DEFAULT_QUAD = QuadSpec()
 
 
 @dataclass(frozen=True)
@@ -83,41 +62,37 @@ def quad(f: Callable[[float], float], a: float, b: float, **options):
     return scipy_quad(f, a, b, **options)
 
 
-def _quad_once(f: Callable[[float], float], a: float, b: float, spec: QuadSpec) -> Tuple[float, float]:
-    eff_rel = max(spec.rel_tol, _REL_TOL_FLOOR)
-    out = quad(f, a, b, epsabs=spec.abs_tol, epsrel=eff_rel,
-               limit=spec.max_subdivisions, full_output=True)
+def _quad_once(f: Callable[[float], float], a: float, b: float) -> float:
+    out = quad(f, a, b, epsabs=_ABS_TOL, epsrel=_REL_TOL,
+               limit=_MAX_SUBDIVISIONS, full_output=True)
     value, abserr = out[0], out[1]
     if len(out) > 3:  # quadpack appended an error message (limit exhausted, ...)
         raise ToleranceNotMet(
             f"adaptive quadrature failed on [{a:g}, {b:g}]: {out[3].strip()}"
         )
-    if abserr > 1e3 * (eff_rel * abs(value) + spec.abs_tol):
+    if abserr > 1e3 * (_REL_TOL * abs(value) + _ABS_TOL):
         raise ToleranceNotMet(
             f"quadrature error estimate {abserr:g} exceeds tolerance on [{a:g}, {b:g}]"
         )
-    return value, abserr
+    return value
 
 
-def integrate_finite(f: Callable[[float], float], a: float, b: float,
-                     spec: QuadSpec = DEFAULT_QUAD) -> float:
+def integrate_finite(f: Callable[[float], float], a: float, b: float) -> float:
     """Adaptive quadrature of f over the finite interval [a, b]."""
     if not (math.isfinite(a) and math.isfinite(b)):
         raise InvalidParameter("integrate_finite requires finite endpoints")
     if b <= a:
         return 0.0
-    value, _ = _quad_once(f, a, b, spec)
-    return value
+    return _quad_once(f, a, b)
 
 
-def integrate_tail(f: Callable[[float], float], a: float, decay: float,
-                   spec: QuadSpec = DEFAULT_QUAD) -> float:
+def integrate_tail(f: Callable[[float], float], a: float, decay: float) -> float:
     """Integral of f over [a, infinity) under a guaranteed decay envelope.
 
     The caller guarantees |f(z)| <= |f(T)| e^{-decay (z-T)} for all
     z >= T >= a.  The integration window is extended in chunks of
     20/decay until the analytic tail bound |f(T)|/decay falls below
-    rel_tol*|integral| + abs_tol.
+    1e-10*|integral| + 1e-14.
     """
     if not (math.isfinite(decay) and decay > 0.0):
         raise InvalidParameter(f"decay must be finite and > 0, got {decay!r}")
@@ -128,10 +103,9 @@ def integrate_tail(f: Callable[[float], float], a: float, decay: float,
     left = a
     for _ in range(_MAX_CHUNKS):
         right = left + chunk
-        value, _ = _quad_once(f, left, right, spec)
-        total += value
+        total += _quad_once(f, left, right)
         tail_bound = abs(f(right)) / decay
-        if tail_bound <= spec.rel_tol * abs(total) + spec.abs_tol:
+        if tail_bound <= _REL_TOL * abs(total) + _ABS_TOL:
             return total
         left = right
     raise ToleranceNotMet(

@@ -159,6 +159,20 @@ class ScaleSet:
             (-self._z2 / self._z1) * math.exp((t2 - t1) * x)
         )
 
+    def log_ratio(self, family: str, x: float, y: float) -> float:
+        """log(F(x)/F(y)) for x, y >= 0, F = W ("w") or Z ("z").
+
+        Taken as theta1 (x - y) plus the difference of the bounded factors
+        log(1 - (f2/f1) e^{-(theta1-theta2) x}), never as the difference of
+        two large logarithms, so its absolute error stays near machine
+        epsilon however far out x and y lie.
+        """
+        f1, f2 = (self._w1, self._w2) if family == "w" else (self._z1, self._z2)
+        t1, t2 = self.theta1, self.theta2
+        r = f2 / f1
+        return t1 * (x - y) + (math.log1p(-r * math.exp((t2 - t1) * x))
+                               - math.log1p(-r * math.exp((t2 - t1) * y)))
+
     # -- stable ratios and kernels ------------------------------------------
 
     def w_over_w1(self, x: float) -> float:

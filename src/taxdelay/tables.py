@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -252,26 +252,17 @@ def sweep_rows(base: SweepPoint, param: str, lo: float, hi: float,
     return rows
 
 
-@dataclass(frozen=True)
-class ExistenceCell:
-    """Sign of the terminal candidate function at zero for one (S, q) pair."""
-
-    s_terminal: float
-    q: float
-    h_at_zero: float
-    positive_threshold: bool
-
-
 def existence_grid(model: LevyModel, ell: float,
                    s_lo: float, s_hi: float, s_steps: int,
-                   q_lo: float, q_hi: float, q_steps: int) -> List[ExistenceCell]:
+                   q_lo: float, q_hi: float, q_steps: int) -> List[Dict[str, Any]]:
     """2-D (S, q) map of the sign of the terminal candidate at zero.
 
     Exploits linearity: per q the candidate at zero is affine in S, so each
     row costs two tail evaluations regardless of the S resolution.  One
     array expression then evaluates (I + Sl S) - (Ri + Rs S) over all
     (q, S) in that scalar order, so each value equals the scalar formula's
-    bit for bit.  Cells come q-major.
+    bit for bit.  Each cell is a row with keys ``S``, ``q``, ``h_at_zero``
+    and ``positive_threshold`` (h_at_zero > 0); cells come q-major.
     """
     s_grid = grid_values(s_lo, s_hi, s_steps)
     q_grid = grid_values(q_lo, q_hi, q_steps)
@@ -282,7 +273,7 @@ def existence_grid(model: LevyModel, ell: float,
     i, sl, ri, rs = np.array(coeffs, dtype=float).T[:, :, None]
     s = np.array(s_grid)
     h0 = ((i + sl * s) - (ri + rs * s)).tolist()
-    return [ExistenceCell(s_terminal=sv, q=q, h_at_zero=h, positive_threshold=h > 0.0)
+    return [{"S": sv, "q": q, "h_at_zero": h, "positive_threshold": h > 0.0}
             for q, row in zip(q_grid, h0) for sv, h in zip(s_grid, row)]
 
 
@@ -304,6 +295,5 @@ __all__ = [
     "SweepRow",
     "sweep_rows",
     "grid_values",
-    "ExistenceCell",
     "existence_grid",
 ]

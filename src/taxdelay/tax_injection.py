@@ -30,7 +30,6 @@ import math
 from dataclasses import dataclass
 
 from .errors import DomainError, InvalidParameter
-from .numerics import DEFAULT_QUAD, QuadSpec
 from .problem import (DelayedTaxation, cap_v, exit_integral, exit_ratio,
                       exit_tail, h, optimize, phi, phi_partial, psi, upsilon)
 
@@ -90,9 +89,6 @@ class InjectionProblem(DelayedTaxation):
     family, levels = "z", "0 <= x"
     admits = staticmethod(lambda x: 0.0 <= x < math.inf)
 
-    def log_f(self, x: float) -> float:
-        return self.scale.log_z(x)
-
     def potential(self, x: float) -> float:
         return -self.scale.zbar_shifted(x)
 
@@ -121,7 +117,7 @@ def reflected_upcross_laplace(p: InjectionProblem, x: float, a: float) -> float:
     at 0: Z(x)/Z(a)."""
     if not (0.0 <= x <= a):
         raise DomainError(f"need 0 <= x <= a, got x={x!r}, a={a!r}")
-    return math.exp(p.log_f(x) - p.log_f(a))
+    return math.exp(p.scale.log_ratio("z", x, a))
 
 
 def expected_injection_until_upcross(p: InjectionProblem, a: float) -> float:
@@ -143,30 +139,29 @@ def expected_injection_until_upcross(p: InjectionProblem, a: float) -> float:
     return -p.drift_ratio + ratio
 
 
-def g_a(p: InjectionProblem, x: float, a: float,
-        spec: QuadSpec = DEFAULT_QUAD) -> float:
+def g_a(p: InjectionProblem, x: float, a: float) -> float:
     """Expected discounted tax collected before the process crosses a.
 
-    (ell/(1-ell)) * int_x^a (Z(x)/Z(w))^{1/(1-ell)} dw; the value at
-    x = 0 is the continuous right-limit.
+    (ell/(1-ell)) * int_x^a (Z(x)/Z(w))^{1/(1-ell)} dw, taken as
+    tax_tail(x) - f_a(x) tax_tail(a) (strong Markov property at a).
     """
     if not (0.0 <= x <= a and math.isfinite(a)):
         raise DomainError(f"need 0 <= x <= a finite, got x={x!r}, a={a!r}")
     if p.ell == 0.0:
         return 0.0
-    return p.ell * exit_integral(p, x, a, lambda w: 1.0, spec)
+    return p.ell * exit_integral(p, x, a)
 
 
-def r_a(p: InjectionProblem, x: float, a: float,
-        spec: QuadSpec = DEFAULT_QUAD) -> float:
+def r_a(p: InjectionProblem, x: float, a: float) -> float:
     """Expected discounted injections spent before the process crosses a.
 
     (1/(1-ell)) * int_x^a kernel(w) (Z(x)/Z(w))^{1/(1-ell)} dw with the
-    grouped injection kernel.
+    grouped injection kernel, taken as injection_tail(x) - f_a(x)
+    injection_tail(a) (strong Markov property at a).
     """
     if not (0.0 <= x <= a and math.isfinite(a)):
         raise DomainError(f"need 0 <= x <= a finite, got x={x!r}, a={a!r}")
-    return exit_integral(p, x, a, p.scale.injection_kernel, spec)
+    return exit_integral(p, x, a, kernel=True)
 
 
 def tax_tail(p: InjectionProblem, x: float) -> float:

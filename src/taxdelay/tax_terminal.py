@@ -24,10 +24,9 @@ from dataclasses import dataclass
 from typing import Callable
 
 from .errors import DomainError, InvalidParameter
-from .numerics import DEFAULT_QUAD, QuadSpec
+from .numerics import integrate_finite
 from .problem import (DelayedTaxation, OptimumReport, cap_v, exit_integral,
-                      exit_ratio, exit_tail, h, optimize, phi, phi_partial, psi,
-                      upsilon)
+                      exit_ratio, h, optimize, phi, phi_partial, psi, upsilon)
 
 __all__ = [
     "TerminalProblem",
@@ -68,9 +67,6 @@ class TerminalProblem(DelayedTaxation):
     family, levels = "w", "0 < x"
     admits = staticmethod(lambda x: 0.0 < x < math.inf)
 
-    def log_f(self, x: float) -> float:
-        return self.scale.log_w(x)
-
     def potential(self, x: float) -> float:
         return self.scale.z(x)
 
@@ -91,39 +87,38 @@ phi_partial_b = phi_partial
 optimize_terminal = optimize
 
 
-def ruin_time_laplace_taxed(p: TerminalProblem, x: float, b: float,
-                            spec: QuadSpec = DEFAULT_QUAD) -> float:
+def ruin_time_laplace_taxed(p: TerminalProblem, x: float, b: float) -> float:
     """E_x[e^{-q ruin}; ruin before reaching b] for the taxed process.
 
-    b may be infinite; that tail is the closed form ``ScaleSet.tail``,
-    while a finite b is integrated by adaptive quadrature.
+    The ruin-kernel exit integral on [x, b] in closed form
+    (``exit_integral``); b may be infinite.
     """
     if not (0.0 < x <= b):
         raise DomainError(f"need 0 < x <= b, got x={x!r}, b={b!r}")
-    if math.isinf(b):
-        return exit_tail(p, x, kernel=True)
-    return exit_integral(p, x, b, p.scale.ruin_kernel, spec)
+    return exit_integral(p, x, b, kernel=True)
 
 
 def expected_discounted_penalty(p: TerminalProblem, x: float, a: float,
-                                hbar: Callable[[float], float],
-                                spec: QuadSpec = DEFAULT_QUAD) -> float:
+                                hbar: Callable[[float], float]) -> float:
     """E_x[e^{-q ruin} hbar(max before ruin); ruin before reaching a].
 
-    hbar is any bounded function of the pre-ruin running maximum.
+    hbar is any bounded function of the pre-ruin running maximum.  An
+    arbitrary hbar has no closed form, so this one functional is
+    integrated by adaptive quadrature.
     """
     if not (0.0 < x < a and math.isfinite(a)):
         raise DomainError(f"need 0 < x < a finite, got x={x!r}, a={a!r}")
-    return exit_integral(p, x, a, lambda z: hbar(z) * p.scale.ruin_kernel(z), spec)
+    kernel = p.scale.ruin_kernel
+    return p.exponent * integrate_finite(
+        lambda z: exit_ratio(p, x, z) * hbar(z) * kernel(z), x, a)
 
 
-def expected_discounted_deficit(p: TerminalProblem, x: float, a: float,
-                                spec: QuadSpec = DEFAULT_QUAD) -> float:
+def expected_discounted_deficit(p: TerminalProblem, x: float, a: float) -> float:
     """E_x[e^{-q ruin} |deficit at ruin|; ruin before reaching a].
 
-    The deficit bracket collapses to ruin_kernel/mu for exponential
-    claims (memoryless overshoot), which is how it is evaluated.
+    For exponential claims the overshoot below 0 is memoryless with mean
+    1/mu, so this is ``ruin_time_laplace_taxed(p, x, a)`` divided by mu.
     """
     if not (0.0 < x < a and math.isfinite(a)):
         raise DomainError(f"need 0 < x < a finite, got x={x!r}, a={a!r}")
-    return exit_integral(p, x, a, p.scale.deficit_kernel, spec)
+    return exit_integral(p, x, a, kernel=True) / p.scale.model.mu

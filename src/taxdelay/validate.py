@@ -179,14 +179,9 @@ _CHECKS: List[Callable[[], CheckResult]] = [
 ]
 
 
-def run_checks(include_monte_carlo: bool = True) -> List[CheckResult]:
-    """Run the battery; optionally skip the (slowest) simulation check."""
-    results = []
-    for check in _CHECKS:
-        if not include_monte_carlo and check is _check_monte_carlo:
-            continue
-        results.append(check())
-    return results
+def run_checks() -> List[CheckResult]:
+    """Run the battery in order."""
+    return [check() for check in _CHECKS]
 
 
 __all__ = ["CheckResult", "run_checks"]

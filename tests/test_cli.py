@@ -19,6 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import taxdelay
+from taxdelay import cli
 from taxdelay.cli import (EXIT_INVALID_INPUT, EXIT_NUMERICAL_FAILURE, EXIT_OK,
                           _json_cell, _render, main)
 
@@ -212,6 +213,14 @@ class TestReproduce:
         rc, out, err = run_cli(capsys, "reproduce", "1", "--precision", "0")
         assert rc == EXIT_INVALID_INPUT
 
+    def test_unwritable_out_is_input_error(self, capsys, tmp_path):
+        target = tmp_path / "missing" / "table1.csv"
+        rc, out, err = run_cli(capsys, "reproduce", "1", "--out", str(target))
+        assert rc == EXIT_INVALID_INPUT
+        assert out == ""
+        assert err.startswith(f"error: cannot write {target}")
+        assert "Traceback" not in err
+
 
 # ---------------------------------------------------------------------------
 # sweep
@@ -323,6 +332,17 @@ class TestSimulate:
         rc, out, _ = run_cli(capsys, *argv, "--format", "json")
         assert rc == EXIT_OK
         assert list(json.loads(out)) == columns
+
+    def test_nonpositive_precision_rejected_before_any_work(self, capsys, monkeypatch):
+        def engine(*args, **kwargs):
+            raise AssertionError("the engine ran before --precision was checked")
+
+        monkeypatch.setattr(cli, "simulate_terminal", engine)
+        rc, out, err = run_cli(capsys, "simulate", *TERMINAL_ARGS, "--b", "2",
+                               "--paths", "400000", "--precision", "0")
+        assert rc == EXIT_INVALID_INPUT
+        assert out == ""
+        assert "--precision" in err
 
     def test_antithetic_needs_even_paths(self, capsys):
         rc, out, err = run_cli(capsys, "simulate", *TERMINAL_ARGS,
@@ -469,6 +489,33 @@ class TestImport:
         src = str(Path(taxdelay.__file__).resolve().parents[1])
         code = (f"import sys; sys.path.insert(0, {src!r}); import taxdelay.cli; "
                 "print('scipy.integrate' in sys.modules)")
+        done = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                              text=True, check=True, timeout=120)
+        assert done.stdout.strip() == "False"
+
+    def test_solves_and_exit_functionals_leave_quadrature_unloaded(self):
+        """Both optimizers and every finite-range exit functional are closed
+        forms; none of them may load scipy.integrate."""
+        src = str(Path(taxdelay.__file__).resolve().parents[1])
+        code = "\n".join([
+            "import io, sys",
+            f"sys.path.insert(0, {src!r})",
+            "from contextlib import redirect_stdout",
+            "from taxdelay.cli import main",
+            "from taxdelay.model import new_model",
+            "from taxdelay.scale import ScaleSet",
+            "from taxdelay.tax_injection import InjectionProblem, g_a, r_a",
+            "from taxdelay.tax_terminal import (TerminalProblem, expected_discounted_deficit,",
+            "                                   ruin_time_laplace_taxed)",
+            "with redirect_stdout(io.StringIO()):",
+            f"    assert main(['optimize', *{TERMINAL_ARGS!r}, '--S', '-5']) == 0",
+            f"    assert main(['optimize', *{INJECTION_ARGS!r}]) == 0",
+            "s = ScaleSet(new_model(1.2, 1.0, 1.0), 0.05)",
+            "inj, term = InjectionProblem(s, 0.2, 1.5, 0.5), TerminalProblem(s, 0.1, -5.0, 0.5)",
+            "g_a(inj, 0.5, 3.0), r_a(inj, 0.5, 3.0)",
+            "ruin_time_laplace_taxed(term, 0.5, 3.0), expected_discounted_deficit(term, 0.5, 3.0)",
+            "print('scipy.integrate' in sys.modules)",
+        ])
         done = subprocess.run([sys.executable, "-c", code], capture_output=True,
                               text=True, check=True, timeout=120)
         assert done.stdout.strip() == "False"

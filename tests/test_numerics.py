@@ -8,11 +8,9 @@ import numpy as np
 import pytest
 from scipy.integrate import simpson
 
-from taxdelay.errors import BracketFailure, InvalidParameter
+from taxdelay.errors import BracketFailure
 from taxdelay.model import new_model
 from taxdelay.numerics import (
-    DEFAULT_QUAD,
-    QuadSpec,
     RootReport,
     find_root_decreasing_sign,
     integrate_finite,
@@ -23,41 +21,17 @@ from taxdelay.tax_terminal import TerminalProblem, h_terminal, optimize_terminal
 
 
 # ---------------------------------------------------------------------------
-# QuadSpec validation
-# ---------------------------------------------------------------------------
-
-
-class TestQuadSpec:
-    def test_defaults(self):
-        spec = QuadSpec()
-        assert spec.rel_tol == 1e-10
-        assert spec.abs_tol == 1e-14
-        assert spec.max_subdivisions == 2000
-
-    @pytest.mark.parametrize("kwargs", [
-        {"rel_tol": 1e-16},
-        {"rel_tol": float("nan")},
-        {"abs_tol": 0.0},
-        {"abs_tol": -1e-10},
-        {"max_subdivisions": 5},
-    ])
-    def test_invalid_tolerances_rejected(self, kwargs):
-        with pytest.raises(InvalidParameter):
-            QuadSpec(**kwargs)
-
-
-# ---------------------------------------------------------------------------
 # Quadrature
 # ---------------------------------------------------------------------------
 
 
 class TestIntegrateTail:
     def test_unit_exponential(self):
-        got = integrate_tail(lambda z: math.exp(-z), 0.0, 1.0, DEFAULT_QUAD)
+        got = integrate_tail(lambda z: math.exp(-z), 0.0, 1.0)
         assert got == pytest.approx(1.0, abs=1e-10)
 
     def test_shifted_exponential(self):
-        got = integrate_tail(lambda z: math.exp(-2.0 * z), 1.0, 2.0, DEFAULT_QUAD)
+        got = integrate_tail(lambda z: math.exp(-2.0 * z), 1.0, 2.0)
         assert got == pytest.approx(math.exp(-2.0) / 2.0, abs=1e-10)
 
     def test_powered_scale_ratio_against_simpson(self):
@@ -70,7 +44,7 @@ class TestIntegrateTail:
             return math.exp(e * (s.log_w(0.0) - s.log_w(z)))
 
         decay = e * s.theta1
-        got = integrate_tail(f, 0.0, decay, DEFAULT_QUAD)
+        got = integrate_tail(f, 0.0, decay)
 
         # brute-force oracle: rebuild W from the roots with numpy and apply
         # a plain Simpson rule on a uniform 1e6-point grid
@@ -82,28 +56,14 @@ class TestIntegrateTail:
         oracle = simpson((w_grid[0] / w_grid) ** e, x=grid)
         assert got == pytest.approx(oracle, abs=1e-8)
 
-    def test_result_invariant_under_tighter_tolerance(self):
-        s = ScaleSet(new_model(1.2, 1.0, 1.0), 0.05)
-        e = 1.0 / (1.0 - 0.1)
-
-        def f(z: float) -> float:
-            return math.exp(e * (s.log_w(1.0) - s.log_w(z)))
-
-        decay = e * s.theta1
-        loose = QuadSpec(rel_tol=1e-8)
-        tight = QuadSpec(rel_tol=5e-9)
-        a = integrate_tail(f, 1.0, decay, loose)
-        b = integrate_tail(f, 1.0, decay, tight)
-        assert abs(a - b) <= 2.0 * (1e-8 * abs(a) + 1e-14)
-
 
 class TestIntegrateFinite:
     def test_polynomial(self):
-        got = integrate_finite(lambda z: z * z, 0.0, 1.0, DEFAULT_QUAD)
+        got = integrate_finite(lambda z: z * z, 0.0, 1.0)
         assert got == pytest.approx(1.0 / 3.0, abs=1e-12)
 
     def test_empty_interval_is_zero(self):
-        assert integrate_finite(lambda z: 1.0, 2.0, 2.0, DEFAULT_QUAD) == 0.0
+        assert integrate_finite(lambda z: 1.0, 2.0, 2.0) == 0.0
 
 
 # ---------------------------------------------------------------------------

@@ -196,6 +196,21 @@ class TestKernels:
         ratio = math.exp(scale05.log_w(x) - scale05.log_w(x + 1.0))
         assert ratio == pytest.approx(math.exp(-scale05.theta1), rel=1e-9)
 
+    def test_log_ratio_matches_log_accessors(self, scale05):
+        for family, log_f in (("w", scale05.log_w), ("z", scale05.log_z)):
+            for x, y in ((0.0, 2.0), (0.5, 0.5), (3.0, 1.0), (20.0, 45.0)):
+                assert scale05.log_ratio(family, x, y) == pytest.approx(
+                    log_f(x) - log_f(y), abs=1e-13)
+
+    def test_log_ratio_keeps_close_levels_exact_far_out(self, scale05):
+        """log(F(x)/F(y)) for y - x = 1e-9 at x = 1e5: the difference of
+        two logarithms near 1.5e4 would carry an error near 2e-12."""
+        x = 1e5
+        y = x + 1e-9
+        for family in ("w", "z"):
+            got = scale05.log_ratio(family, x, y)
+            assert got == pytest.approx(-scale05.theta1 * (y - x), rel=1e-12)
+
     def test_ratio_accessors(self, scale05):
         for x in (0.3, 2.0, 9.0):
             assert scale05.w_over_w1(x) == pytest.approx(

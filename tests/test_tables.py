@@ -213,24 +213,24 @@ class TestExistenceGrid:
     def test_grid_shape(self):
         cells = existence_grid(BASE_MODEL, 0.1, -8.0, 0.0, 5, 0.01, 0.09, 3)
         assert len(cells) == 15
-        assert len({c.q for c in cells}) == 3
-        assert len({c.s_terminal for c in cells}) == 5
+        assert len({c["q"] for c in cells}) == 3
+        assert len({c["S"] for c in cells}) == 5
 
     def test_cell_sign_matches_candidate_function(self, scale05):
         """Each cell's value is exactly the optimality function at zero for
         the corresponding terminal problem."""
         cells = existence_grid(BASE_MODEL, 0.1, -6.0, 1.0, 3, 0.05, 0.10, 2)
-        for cell in (c for c in cells if c.q == 0.05):
-            p = TerminalProblem(scale05, 0.1, cell.s_terminal, 1.0)
-            assert cell.h_at_zero == pytest.approx(h_terminal(p, 0.0), rel=1e-9)
-            assert cell.positive_threshold == (cell.h_at_zero > 0.0)
+        for cell in (c for c in cells if c["q"] == 0.05):
+            p = TerminalProblem(scale05, 0.1, cell["S"], 1.0)
+            assert cell["h_at_zero"] == pytest.approx(h_terminal(p, 0.0), rel=1e-9)
+            assert cell["positive_threshold"] == (cell["h_at_zero"] > 0.0)
 
     def test_very_negative_ruin_value_forces_existence(self):
         cells = existence_grid(BASE_MODEL, 0.1, -10.0, 0.0, 2, 0.02, 0.08, 3)
-        at_minus_ten = [c for c in cells if c.s_terminal == -10.0]
-        at_zero = [c for c in cells if c.s_terminal == 0.0]
-        assert all(c.positive_threshold for c in at_minus_ten)
-        assert not any(c.positive_threshold for c in at_zero)
+        at_minus_ten = [c for c in cells if c["S"] == -10.0]
+        at_zero = [c for c in cells if c["S"] == 0.0]
+        assert all(c["positive_threshold"] for c in at_minus_ten)
+        assert not any(c["positive_threshold"] for c in at_zero)
 
     @pytest.mark.parametrize("s_lo, s_hi", [(-7.3, 4.1), (-1e300, 1e300)])
     def test_cells_are_exact_and_q_major(self, s_lo, s_hi):
@@ -239,15 +239,15 @@ class TestExistenceGrid:
         q_lo, q_hi = 0.003, 0.21
         cells = existence_grid(BASE_MODEL, 0.2, s_lo, s_hi, 9, q_lo, q_hi, 4)
         s_grid, q_grid = grid_values(s_lo, s_hi, 9), grid_values(q_lo, q_hi, 4)
-        assert [(c.q, c.s_terminal) for c in cells] == [(q, s) for q in q_grid for s in s_grid]
-        assert (cells[0].q, cells[0].s_terminal) == (q_lo, s_lo)
-        assert (cells[-1].q, cells[-1].s_terminal) == (q_hi, s_hi)
+        assert [(c["q"], c["S"]) for c in cells] == [(q, s) for q in q_grid for s in s_grid]
+        assert (cells[0]["q"], cells[0]["S"]) == (q_lo, s_lo)
+        assert (cells[-1]["q"], cells[-1]["S"]) == (q_hi, s_hi)
         for cell in cells:
-            scale = ScaleSet(BASE_MODEL, cell.q)
+            scale = ScaleSet(BASE_MODEL, cell["q"])
             i, sl = terminal_affine(scale, 0.2)
             ri, rs = terminal_rhs(scale)
-            s = cell.s_terminal
-            assert cell.h_at_zero == (i + sl * s) - (ri + rs * s)
-            assert type(cell.positive_threshold) is bool
-            assert cell.positive_threshold is (cell.h_at_zero > 0.0)
-        assert {c.positive_threshold for c in cells} == {True, False}
+            s = cell["S"]
+            assert cell["h_at_zero"] == (i + sl * s) - (ri + rs * s)
+            assert type(cell["positive_threshold"]) is bool
+            assert cell["positive_threshold"] is (cell["h_at_zero"] > 0.0)
+        assert {c["positive_threshold"] for c in cells} == {True, False}

@@ -1,4 +1,5 @@
-"""Tests for the closed-form tail integrals ``ScaleSet.tail``.
+"""Tests for the closed-form tail integrals ``ScaleSet.tail`` and the
+finite-range exit functionals built from them.
 
 The library evaluates every infinite-range tail through one Gauss
 hypergeometric identity.  These tests check it against independent
@@ -6,7 +7,10 @@ high-precision oracles built from the public roots and model only:
 ``mpmath.hyp2f1`` of the same identity, and ``mpmath.quad`` of the
 original integral, both at 32 significant digits.  Scenarios are drawn
 from the fuzz box c, lam, mu in [0.1, 30], q in [1e-5, 1], ell in
-[0, 0.98], negative safety loading included.
+[0, 0.98], negative safety loading included.  A finite range [x, b] is
+the tail from x less (F(x)/F(b))^e times the tail from b; ``g_a``,
+``r_a`` and ``ruin_time_laplace_taxed`` are checked against ``mpmath.quad``
+of the finite integral itself.
 """
 
 from __future__ import annotations
@@ -19,8 +23,11 @@ import pytest
 
 from taxdelay.errors import InvalidParameter, ToleranceNotMet
 from taxdelay.model import new_model
+from taxdelay.problem import exit_tail
 from taxdelay.scale import ScaleSet
-from taxdelay.tax_terminal import TerminalProblem, h_terminal, optimize_terminal
+from taxdelay.tax_injection import InjectionProblem, g_a, injection_tail, r_a, tax_tail
+from taxdelay.tax_terminal import (TerminalProblem, h_terminal, optimize_terminal,
+                                   ruin_time_laplace_taxed)
 
 DIGITS = 32
 REL_TOL = 1e-10
@@ -70,27 +77,32 @@ def mp_hyp2f1_tail(s: ScaleSet, family: str, e: float, x: float, kernel: bool):
         return pref * (1 - rho) ** e * mp.hyp2f1(e + k, g, g + 1, rho) / (delta * g)
 
 
+def _mp_integrand(s: ScaleSet, family: str, e, x, kernel: bool):
+    """y -> (F(x)/F(y))^e g(y) at the working precision, and the levels
+    past x where it bends: the scale of the decaying exponential, 1/delta,
+    and of the slowest tail decay, 1/(e theta1)."""
+    t1, t2, f1, f2, const = _family(s, family)
+
+    def big_f(y):
+        return f1 * mp.exp(t1 * y) - f2 * mp.exp(t2 * y)
+
+    fx = big_f(x)
+
+    def integrand(y):
+        value = (fx / big_f(y)) ** e
+        if kernel:
+            value *= const * mp.exp((t1 + t2) * y) / big_f(y)
+        return value
+
+    knees = (1 / (t1 - t2), 1 / (e * t1))
+    return integrand, {x + m * k for k in knees for m in (1, 10, 100)}
+
+
 def mp_quad_tail(s: ScaleSet, family: str, e: float, x: float, kernel: bool):
     with mp.workdps(DIGITS):
-        t1, t2, f1, f2, const = _family(s, family)
         e, x = mp.mpf(e), mp.mpf(x)
-
-        def big_f(y):
-            return f1 * mp.exp(t1 * y) - f2 * mp.exp(t2 * y)
-
-        fx = big_f(x)
-
-        def integrand(y):
-            value = (fx / big_f(y)) ** e
-            if kernel:
-                value *= const * mp.exp((t1 + t2) * y) / big_f(y)
-            return value
-
-        # split where the integrand bends: the scale of the decaying
-        # exponential, 1/delta, and of the slowest tail decay, 1/(e theta1)
-        knees = (1 / (t1 - t2), 1 / (e * t1))
-        points = sorted({x} | {x + m * k for k in knees for m in (1, 10, 100)})
-        return mp.quad(integrand, points + [mp.inf])
+        integrand, bends = _mp_integrand(s, family, e, x, kernel)
+        return mp.quad(integrand, sorted({x} | bends) + [mp.inf])
 
 
 CASES = [(s, ell, family, x, kernel)
@@ -189,3 +201,89 @@ def test_former_quadrature_failures_solve(c, lam, mu, q, ell, s_terminal):
     else:
         delta = 1e-4 * max(1.0, b)
         assert h_terminal(p, max(b - delta, 0.0)) > 0.0 > h_terminal(p, b + delta)
+
+
+# ---------------------------------------------------------------------------
+# Finite-range exit functionals
+# ---------------------------------------------------------------------------
+
+
+def mp_quad_exit(s: ScaleSet, family: str, e: float, x: float, b: float, kernel: bool):
+    """e int_x^b (F(x)/F(y))^e g(y) dy by mpmath Gauss-Legendre quadrature."""
+    with mp.workdps(DIGITS):
+        e, x, b = mp.mpf(e), mp.mpf(x), mp.mpf(b)
+        integrand, bends = _mp_integrand(s, family, e, x, kernel)
+        points = sorted({x, b} | {y for y in bends if y < b})
+        # mp.quad's tolerance is absolute: integrate relative to the value
+        # at x so that kernel integrands far below 1 keep every digit
+        top = integrand(x)
+        return e * top * mp.quad(lambda y: integrand(y) / top, points,
+                                 method="gauss-legendre")
+
+
+EXIT_SCENARIOS = [  # c, lam, mu, q, ell
+    (1.2, 1.0, 1.0, 0.05, 0.2),         # the baseline
+    (2.0, 0.4, 2.7, 0.0014, 0.6),       # theta1 = 7.6e-4: ranges up to 1.3e4
+    (0.8, 1.0, 1.0, 0.01, 0.5),         # negative loading, rho < -1/2 to x = 0.5
+    (1.0, 2.0, 1.5, 0.2, 0.95),         # negative loading, exponent e = 20
+    (0.127, 27.1, 24.5, 0.0186, 0.6),   # theta1 = 189: log F(20) is near 3800
+]
+
+#: theta1 (b - x), from far inside to far beyond the exit scale 1/theta1
+EXIT_GAPS = (1e-8, 1e-6, 1e-4, 1e-2, 0.1, 1.0, 10.0)
+
+
+def test_exit_scenarios_cover_hard_regions():
+    scales = [ScaleSet(new_model(c, lam, mu), q) for c, lam, mu, q, _ in EXIT_SCENARIOS]
+    assert any(s.model.negative_loading for s in scales)
+    assert any(_rho(s, "z", 0.5) < -0.5 for s in scales)  # the incomplete-beta branch
+    assert max(s.theta1 for s in scales) * 20.0 > 1e3
+
+
+@pytest.mark.parametrize("c, lam, mu, q, ell", EXIT_SCENARIOS)
+def test_finite_range_functionals_match_mpmath(c, lam, mu, q, ell):
+    """Absolute error at most 1e-12 of the tail from x at every gap, and
+    relative error at most 1e-10 once theta1 (b - x) >= 0.1.  The
+    terminal problem (family W) starts above 0, so it skips x = 0."""
+    s = ScaleSet(new_model(c, lam, mu), q)
+    inj = InjectionProblem(s, ell, 1.5, 0.0)
+    term = TerminalProblem(s, ell, 0.0, 1.0)
+    functionals = [  # library call, its problem, kernel, weight
+        (g_a, inj, False, ell),
+        (r_a, inj, True, 1.0),
+        (ruin_time_laplace_taxed, term, True, 1.0),
+    ]
+    for x in (0.0, 0.5, 3.0, 20.0):
+        for call, p, kernel, weight in functionals:
+            if not p.admits(x):
+                continue
+            tail = weight * exit_tail(p, x, kernel)
+            for gap in EXIT_GAPS:
+                b = x + gap / s.theta1
+                got = call(p, x, b)
+                want = weight * mp_quad_exit(s, p.family, p.exponent, x, b, kernel)
+                where = f"{call.__name__} x={x} theta1*(b-x)={gap}"
+                assert float(abs(got - want)) <= 1e-12 * tail, where
+                if gap >= 0.1:
+                    assert float(abs(got / want - 1)) <= 1e-10, where
+
+
+def test_long_ranges_reach_their_tails():
+    """A range of 1e4 (ten exit scales 1/theta1) holds nearly all the
+    integrand's mass near x.  Adaptive quadrature samples missed that mass
+    (r_a and the ruin factor came out near 1e-16, g_a above its own
+    limit); the closed form lands on the tails."""
+    s = ScaleSet(new_model(2.0, 0.4, 2.7), 0.0014)
+    inj = InjectionProblem(s, 0.6, 1.5, 0.5)
+    term = TerminalProblem(s, 0.6, 0.0, 0.5)
+    assert s.theta1 * 14000.0 > 10.0
+    r = r_a(inj, 0.5, 14000.0)
+    assert r == pytest.approx(injection_tail(inj, 0.5), rel=1e-12)
+    assert r == pytest.approx(0.0212061, rel=1e-5)
+    ruin = ruin_time_laplace_taxed(term, 0.5, 14000.0)
+    assert ruin == pytest.approx(ruin_time_laplace_taxed(term, 0.5, math.inf), rel=1e-12)
+    assert ruin == pytest.approx(0.0521765, rel=1e-5)
+    # the plain tail beyond b still holds e^{-e theta1 (b - x)} = 3.2e-12 of it
+    g = g_a(inj, 0.5, 14000.0)
+    assert g == pytest.approx(tax_tail(inj, 0.5), rel=1e-11)
+    assert g < tax_tail(inj, 0.5)
