@@ -35,7 +35,7 @@ from .simulate import (SimConfig, SimResult, inspect_injection_paths,
                        simulate_terminal)
 from .tables import (BASE_MODEL, SweepPoint, SweepRow, TableRow,
                      existence_grid, sweep_rows, table_rows)
-from .problem import OptimumReport, OptimumReport as InjectionOptimum
+from .problem import OptimumReport
 from .tax_injection import (InjectionProblem, h_bar, optimize_injection,
                             phi_bar_partial_a, phi_bar_value, psi_bar,
                             upsilon_bar)
@@ -60,7 +60,7 @@ __all__ = [
     "TerminalProblem", "OptimumReport", "h_terminal", "optimize_terminal",
     "phi_partial_b", "phi_value", "psi", "upsilon",
     # capital-injection problem
-    "InjectionProblem", "InjectionOptimum", "h_bar", "optimize_injection",
+    "InjectionProblem", "h_bar", "optimize_injection",
     "phi_bar_partial_a", "phi_bar_value", "psi_bar", "upsilon_bar",
     # simulation
     "SimConfig", "SimResult", "simulate_injection", "simulate_terminal",

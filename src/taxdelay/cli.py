@@ -195,6 +195,8 @@ def _cmd_sweep(args: argparse.Namespace) -> Tuple[List[str], List[Row]]:
         return header, existence_grid(new_model(args.c, args.lam, args.mu), args.ell,
                                       args.lo, args.hi, args.steps,
                                       args.q_lo, args.q_hi, args.q_steps)
+    if args.mode == "injection" and args.varphi is None and args.param != "varphi":
+        raise InvalidParameter("injection mode needs --varphi")
     base = SweepPoint(mode=args.mode, c=args.c, lam=args.lam, mu=args.mu,
                       q=args.q, ell=args.ell, s_terminal=args.s_terminal,
                       varphi=args.varphi if args.varphi is not None else 1.5,

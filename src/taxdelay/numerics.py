@@ -1,7 +1,7 @@
 """Adaptive quadrature and bracketed roots.
 
 Every exit functional of the two problems has a closed form
-(``ScaleSet.tail``); quadrature is left for the penalty functional with
+(``ScaleFamily.tail``); quadrature is left for the penalty functional with
 an arbitrary weight and, in the self-checks, for testing the closed forms
 independently.  Both routines work to a relative tolerance of 1e-10 and
 an absolute tolerance of 1e-14, with at most 2000 subdivisions.

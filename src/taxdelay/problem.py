@@ -17,12 +17,12 @@ The same integrals over a finite range [x, b] are the tails from x less
 (F(x)/F(b))^e times the tails from b (``exit_integral``).  h has a single
 sign change from + to -; the optimal threshold is its root when h(0) > 0
 and 0 otherwise.  Each problem is a dataclass that supplies its family's
-pieces:
+pieces; F/F' (``over_slope``), K (``kernel``), log(F(x)/F(y)) and the
+tails are methods of the family, a ``scale.ScaleFamily``:
 
     piece              TerminalProblem       InjectionProblem
-    F (family key)     W ("w")               Z ("z")
-    F/F'               w_over_w1             z_over_z1d
-    kernel K           ruin_kernel           injection_kernel
+    family F           W (ScaleSet.W)        Z (ScaleSet.Z)
+    kernel K           W'Z/W - qW            Z - qW (Zbar + d/q)/Z
     weight w           S                     -varphi
     potential G        Z                     -(Zbar + d/q)
     levels x           x > 0                 x >= 0
@@ -39,7 +39,7 @@ from .numerics import RootReport, find_root_decreasing_sign
 from .scale import ScaleSet
 
 __all__ = ["DelayedTaxation", "OptimumReport", "exit_ratio", "exit_integral",
-           "exit_tail", "psi", "upsilon", "cap_v", "h", "phi", "phi_partial",
+           "exit_tail", "psi", "upsilon", "h", "phi", "phi_partial",
            "optimize"]
 
 DEFAULT_ROOT_TOL = 1e-8
@@ -48,11 +48,11 @@ DEFAULT_ROOT_TOL = 1e-8
 @dataclass(frozen=True)
 class DelayedTaxation:
     """Tax rate on top of a ScaleSet; a subclass supplies its family's pieces
-    (see the module docstring): the class attributes ``family``, ``levels``
-    and ``admits``, the attributes ``weight``, ``f_over_f1`` and ``kernel``,
-    and the methods ``potential`` and ``optimal_value``.
+    (see the module docstring): the class attributes ``levels`` and
+    ``admits``, the attributes ``family`` and ``weight``, and the methods
+    ``potential`` and ``optimal_value``.
 
-    A subclass binds the three attributes once, in ``__post_init__``: h
+    A subclass binds the two attributes once, in ``__post_init__``: h
     reads them on every call, and a plain attribute costs less there than
     a method or a property.
     """
@@ -87,7 +87,7 @@ class OptimumReport:
 
 def _ratio(p: DelayedTaxation, x: float, b: float, e: float = 1.0) -> float:
     # (F(x)/F(b))^e via log space; safe for any spread of x, b
-    return math.exp(e * p.scale.log_ratio(p.family, x, b))
+    return math.exp(e * p.family.log_ratio(x, b))
 
 
 def exit_ratio(p: DelayedTaxation, x: float, b: float) -> float:
@@ -118,7 +118,7 @@ def exit_tail(p: DelayedTaxation, x: float, kernel: bool = False) -> float:
     if not (math.isfinite(x) and x >= 0.0):
         raise DomainError(f"need finite x >= 0, got {x!r}")
     e = p.exponent
-    return e * p.scale.tail(p.family, e, x, kernel=kernel)
+    return e * p.family.tail(e, x, kernel=kernel)
 
 
 def psi(p: DelayedTaxation, x: float) -> float:
@@ -129,9 +129,8 @@ def psi(p: DelayedTaxation, x: float) -> float:
     """
     if not (math.isfinite(x) and x >= 0.0):
         raise DomainError(f"need finite x >= 0, got {x!r}")
-    s, e = p.scale, p.exponent
-    return (p.ell * e * s.tail(p.family, e, x)
-            + p.weight * (e * s.tail(p.family, e, x, kernel=True)))
+    f, e = p.family, p.exponent
+    return p.ell * e * f.tail(e, x) + p.weight * (e * f.tail(e, x, kernel=True))
 
 
 def upsilon(p: DelayedTaxation, x: float) -> float:
@@ -139,21 +138,16 @@ def upsilon(p: DelayedTaxation, x: float) -> float:
     return psi(p, x) - p.weight * p.potential(x)
 
 
-def cap_v(p: DelayedTaxation, x: float) -> float:
-    """V = F/F', increasing: W/W' from c/(q+lam) at 0, or Z/(q W) from c/q."""
-    if not (math.isfinite(x) and x >= 0.0):
-        raise DomainError(f"need finite x >= 0, got {x!r}")
-    return p.f_over_f1(x)
-
-
 def h(p: DelayedTaxation, x: float) -> float:
     """Optimality function upsilon - V (1 - S q W), or upsilonbar - Vbar (1 - varphi Z).
 
     Both are computed as psi - V (1 + w K): the grouped kernel K removes
     the leading-order cancellation of the naive forms (see ``scale``).
-    The limit at infinity is (ell - 1)/theta1 < 0.
+    V = F/F' rises from c/(q+lam) (W) or c/q (Z) at 0 to 1/theta1.  The
+    limit at infinity is (ell - 1)/theta1 < 0.
     """
-    return psi(p, x) - p.f_over_f1(x) * (1.0 + p.weight * p.kernel(x))
+    f = p.family
+    return psi(p, x) - f.over_slope(x) * (1.0 + p.weight * f.kernel(x))
 
 
 def phi(p: DelayedTaxation, x: float, b: float) -> float:
@@ -174,7 +168,7 @@ def phi_partial(p: DelayedTaxation, x: float, b: float) -> float:
     with F(x) F'(b)/F(b)^2 = (F(x)/F(b))/V(b)."""
     if not (p.admits(x) and x <= b):
         raise DomainError(f"need {p.levels} <= b, got x={x!r}, b={b!r}")
-    return p.ell * p.exponent * (_ratio(p, x, b) / p.f_over_f1(b)) * h(p, b)
+    return p.ell * p.exponent * (_ratio(p, x, b) / p.family.over_slope(b)) * h(p, b)
 
 
 def optimize(p: DelayedTaxation, tol: float = DEFAULT_ROOT_TOL) -> OptimumReport:

@@ -18,11 +18,14 @@ terms cancel and only the cross terms survive:
 
 with d = net drift c - lam/mu.  Evaluating the left-hand sides naively
 loses every significant digit once e^{theta1 x} dominates, so the
-bracket kernels below always use the grouped right-hand sides.
+grouped kernels K below always use the right-hand sides over W or Z.
 
-Every tail integral of the two problems is an Euler integral with a
-closed form in the Gauss hypergeometric function; ``ScaleSet.tail``
-evaluates it.
+W and Z are each one ``ScaleFamily``, ``ScaleSet.W`` and ``ScaleSet.Z``:
+the two exponentials' coefficients, those of the slope and the kernel
+constant, with one ``log``, ``log_ratio``, ``over_slope`` (F/F'),
+``kernel`` and ``tail``.  Every tail integral of the two problems is an
+Euler integral with a closed form in the Gauss hypergeometric function;
+``ScaleFamily.tail`` evaluates it.
 """
 
 from __future__ import annotations
@@ -34,11 +37,104 @@ from scipy.special import betaincc, betaln, hyp2f1
 from .errors import InvalidParameter, ToleranceNotMet
 from .model import LevyModel, SpectralRoots, spectral_roots
 
-__all__ = ["ScaleSet"]
+__all__ = ["ScaleFamily", "ScaleSet"]
+
+
+class ScaleFamily:
+    """One scale function F(x) = f1 e^{theta1 x} - f2 e^{theta2 x}, x >= 0.
+
+    Its slope is F'(x) = dk (d1 e^{theta1 x} - d2 e^{theta2 x}) and its
+    grouped kernel K(x) = const e^{(theta1+theta2) x}/F(x):
+
+        F   f1, f2   d1, d2                 dk  const        K
+        W   w1, w2   w1 theta1, w2 theta2   1   lam/c^2      W'Z/W - qW
+        Z   z1, z2   w1, w2                 q   lam/(c mu)   Z - qW (Zbar + d/q)/Z
+    """
+
+    __slots__ = ("theta1", "theta2", "f1", "f2", "d1", "d2", "dk", "const")
+
+    def __init__(self, theta1: float, theta2: float, f1: float, f2: float,
+                 d1: float, d2: float, dk: float, const: float):
+        self.theta1, self.theta2, self.f1, self.f2 = theta1, theta2, f1, f2
+        self.d1, self.d2, self.dk, self.const = d1, d2, dk, const
+
+    def log(self, x: float) -> float:
+        """log F(x) for x >= 0, stable for arbitrarily large x."""
+        if x < 0.0:
+            raise InvalidParameter(f"log F needs x >= 0, got {x!r}")
+        t1, t2 = self.theta1, self.theta2
+        return t1 * x + math.log(self.f1) + math.log1p(
+            -(self.f2 / self.f1) * math.exp((t2 - t1) * x))
+
+    def log_ratio(self, x: float, y: float) -> float:
+        """log(F(x)/F(y)) for x, y >= 0.
+
+        Taken as theta1 (x - y) plus the difference of the bounded factors
+        log(1 - (f2/f1) e^{-(theta1-theta2) x}), never as the difference of
+        two large logarithms, so its absolute error stays near machine
+        epsilon however far out x and y lie.
+        """
+        t1, t2 = self.theta1, self.theta2
+        r = self.f2 / self.f1
+        return t1 * (x - y) + (math.log1p(-r * math.exp((t2 - t1) * x))
+                               - math.log1p(-r * math.exp((t2 - t1) * y)))
+
+    def over_slope(self, x: float) -> float:
+        """F(x)/F'(x), evaluated as a ratio of the bounded bracket factors."""
+        u = math.exp((self.theta2 - self.theta1) * x)
+        return (self.f1 - self.f2 * u) / (self.dk * (self.d1 - self.d2 * u))
+
+    def kernel(self, x: float) -> float:
+        """K(x) = const e^{(theta1+theta2) x}/F(x); the combined exponent is
+        evaluated in one shot so neither factor overflows."""
+        return self.const * math.exp((self.theta1 + self.theta2) * x - self.log(x))
+
+    def tail(self, e: float, x: float, kernel: bool = False) -> float:
+        """int_x^inf (F(x)/F(y))^e g(y) dy in closed form, for x >= 0.
+
+        g = 1, or with kernel=True the grouped kernel K.  Write
+        F(y) = f1 e^{theta1 y}(1 - rho0 e^{-delta y}), delta = theta1 - theta2,
+        rho = rho0 e^{-delta x} and k = 1 with the kernel, else 0.  Euler's
+        integral (DLMF 15.6.1) gives, with g = (e theta1 - k theta2)/delta,
+
+            (const e^{theta2 x}/f1)^k (1-rho)^e 2F1(e+k, g; g+1; rho) / (delta g),
+
+        evaluated after Euler's transformation (DLMF 15.8.1) as
+        (1-rho)^{1-k} 2F1(g+1-e-k, 1; g+1; rho), so no factor under- or
+        overflows at large e.  For Z, rho0 = z2/z1 < 0; below rho = -1/2,
+        where hyp2f1 loses up to 1e-5 for g near e, the integral is taken
+        as the incomplete beta function (1-rho)^e |rho|^{-g} B_T(g, e+k-g),
+        T = rho/(rho-1) (DLMF 8.17.1).  Raises ToleranceNotMet if the
+        result is not a finite double (seen only for e above 1e4).
+        """
+        if x < 0.0:
+            raise InvalidParameter(f"tail needs x >= 0, got {x!r}")
+        t1, t2 = self.theta1, self.theta2
+        delta = t1 - t2
+        k = 1.0 if kernel else 0.0
+        g = (e * t1 - k * t2) / delta
+        rho = self.f2 / self.f1 * math.exp(-delta * x)
+        try:
+            if rho < -0.5:
+                b = e + k - g  # > 0 for Z, the only family with rho < 0
+                log_scale = e * math.log1p(-rho) - g * math.log(-rho) + betaln(g, b)
+                value = math.exp(log_scale + math.log(betaincc(b, g, 1.0 / (1.0 - rho)))) / delta
+            else:
+                value = (1.0 - rho) ** (1.0 - k) \
+                    * float(hyp2f1(g + 1.0 - e - k, 1.0, g + 1.0, rho)) / (delta * g)
+            if kernel:
+                value *= self.const * math.exp(t2 * x) / self.f1
+        except (OverflowError, ValueError):
+            value = math.nan
+        if not math.isfinite(value):
+            raise ToleranceNotMet(
+                f"closed-form tail out of floating-point range (e={e:g}, rho={rho:g})")
+        return value
 
 
 class ScaleSet:
-    """Evaluator bundle for W, its derivatives and antiderivative, Z, Zbar.
+    """Evaluator bundle for W, its derivatives and antiderivative, Z, Zbar,
+    and the two families ``W`` and ``Z``.
 
     Immutable after construction; all coefficients are precomputed from
     the closed-form roots.  Conventions: W(x) = 0 and Z(x) = 1 for x < 0;
@@ -51,25 +147,20 @@ class ScaleSet:
         self.roots: SpectralRoots = spectral_roots(model, q)
         r = self.roots
         c = model.c
-        self.theta1 = r.theta1
-        self.theta2 = r.theta2
-        # coefficients of the two-exponential forms
-        self._w1 = r.a1 / c
-        self._w2 = r.a2 / c
-        self._z1 = self.q * r.a1 / (c * r.theta1)
-        self._z2 = self.q * r.a2 / (c * r.theta2)  # < 0
-        # grouped-kernel constants (see module docstring)
-        self._ruin_const = model.lam / (c * c)
-        self._inj_const = model.lam / (c * model.mu)
+        t1, t2 = self.theta1, self.theta2 = r.theta1, r.theta2
+        w1, w2 = r.a1 / c, r.a2 / c
+        self.W = ScaleFamily(t1, t2, w1, w2, w1 * t1, w2 * t2, 1.0, model.lam / (c * c))
+        self.Z = ScaleFamily(t1, t2, self.q * r.a1 / (c * t1), self.q * r.a2 / (c * t2),
+                             w1, w2, self.q, model.lam / (c * model.mu))  # z2 < 0
 
     # -- W family ----------------------------------------------------------
 
     def _w_deriv(self, x: float, k: int) -> float:
         # k-th derivative in factored form: the e^{theta1 x} factor is
         # pulled out so the decaying term never cancels catastrophically.
-        t1, t2 = self.theta1, self.theta2
+        t1, t2, W = self.theta1, self.theta2, self.W
         return math.exp(t1 * x) * (
-            self._w1 * t1**k - self._w2 * t2**k * math.exp((t2 - t1) * x)
+            W.f1 * t1**k - W.f2 * t2**k * math.exp((t2 - t1) * x)
         )
 
     def w(self, x: float) -> float:
@@ -104,8 +195,8 @@ class ScaleSet:
         """Antiderivative int_0^x W(y) dy; 0 for x <= 0."""
         if x <= 0.0:
             return 0.0
-        t1, t2 = self.theta1, self.theta2
-        return self._w1 / t1 * math.expm1(t1 * x) - self._w2 / t2 * math.expm1(t2 * x)
+        t1, t2, W = self.theta1, self.theta2, self.W
+        return W.f1 / t1 * math.expm1(t1 * x) - W.f2 / t2 * math.expm1(t2 * x)
 
     # -- Z family ----------------------------------------------------------
 
@@ -113,8 +204,8 @@ class ScaleSet:
         """Z(x) = 1 + q*int_0^x W; 1 for x < 0."""
         if x < 0.0:
             return 1.0
-        t1, t2 = self.theta1, self.theta2
-        return math.exp(t1 * x) * (self._z1 - self._z2 * math.exp((t2 - t1) * x))
+        t1, t2, Z = self.theta1, self.theta2, self.Z
+        return math.exp(t1 * x) * (Z.f1 - Z.f2 * math.exp((t2 - t1) * x))
 
     def z1d(self, x: float) -> float:
         """Derivative Z'(x) = q*W(x) for x >= 0."""
@@ -124,8 +215,8 @@ class ScaleSet:
         """Antiderivative int_0^x Z(y) dy (equals x for x < 0 where Z = 1)."""
         if x < 0.0:
             return x
-        t1, t2 = self.theta1, self.theta2
-        return self._z1 / t1 * math.expm1(t1 * x) - self._z2 / t2 * math.expm1(t2 * x)
+        t1, t2, Z = self.theta1, self.theta2, self.Z
+        return Z.f1 / t1 * math.expm1(t1 * x) - Z.f2 / t2 * math.expm1(t2 * x)
 
     def zbar_shifted(self, x: float) -> float:
         """Zbar(x) + d/q with d the net drift, in pure two-exponential form.
@@ -134,130 +225,5 @@ class ScaleSet:
         (z1/theta1 - z2/theta2 = d/q), leaving a form that never loses
         precision for large x.  Defined for x >= 0.
         """
-        t1, t2 = self.theta1, self.theta2
-        return math.exp(t1 * x) * (
-            self._z1 / t1 - self._z2 / t2 * math.exp((t2 - t1) * x)
-        )
-
-    # -- log-space ratios ---------------------------------------------------
-
-    def log_w(self, x: float) -> float:
-        """log W(x) for x >= 0, stable for arbitrarily large x."""
-        if x < 0.0:
-            raise InvalidParameter("log_w requires x >= 0")
-        t1, t2 = self.theta1, self.theta2
-        return t1 * x + math.log(self._w1) + math.log1p(
-            -(self._w2 / self._w1) * math.exp((t2 - t1) * x)
-        )
-
-    def log_z(self, x: float) -> float:
-        """log Z(x) for x >= 0, stable for arbitrarily large x."""
-        if x < 0.0:
-            raise InvalidParameter("log_z requires x >= 0")
-        t1, t2 = self.theta1, self.theta2
-        return t1 * x + math.log(self._z1) + math.log1p(
-            (-self._z2 / self._z1) * math.exp((t2 - t1) * x)
-        )
-
-    def log_ratio(self, family: str, x: float, y: float) -> float:
-        """log(F(x)/F(y)) for x, y >= 0, F = W ("w") or Z ("z").
-
-        Taken as theta1 (x - y) plus the difference of the bounded factors
-        log(1 - (f2/f1) e^{-(theta1-theta2) x}), never as the difference of
-        two large logarithms, so its absolute error stays near machine
-        epsilon however far out x and y lie.
-        """
-        f1, f2 = (self._w1, self._w2) if family == "w" else (self._z1, self._z2)
-        t1, t2 = self.theta1, self.theta2
-        r = f2 / f1
-        return t1 * (x - y) + (math.log1p(-r * math.exp((t2 - t1) * x))
-                               - math.log1p(-r * math.exp((t2 - t1) * y)))
-
-    # -- stable ratios and kernels ------------------------------------------
-
-    def w_over_w1(self, x: float) -> float:
-        """W(x)/W'(x), evaluated as a ratio of the bounded bracket factors."""
-        t1, t2 = self.theta1, self.theta2
-        u = math.exp((t2 - t1) * x)
-        return (self._w1 - self._w2 * u) / (self._w1 * t1 - self._w2 * t2 * u)
-
-    def z_over_z1d(self, x: float) -> float:
-        """Z(x)/Z'(x) = Z(x)/(q W(x)), in the same bounded-ratio form."""
-        t1, t2 = self.theta1, self.theta2
-        u = math.exp((t2 - t1) * x)
-        return (self._z1 - self._z2 * u) / (self.q * (self._w1 - self._w2 * u))
-
-    def ruin_kernel(self, x: float) -> float:
-        """Grouped form of the bracket W'(x)Z(x)/W(x) - qW(x).
-
-        Equals (lam/c^2) * e^{(theta1+theta2) x} / W(x); the combined
-        exponent is evaluated in one shot so neither factor overflows.
-        """
-        t1, t2 = self.theta1, self.theta2
-        return self._ruin_const * math.exp((t1 + t2) * x - self.log_w(x))
-
-    def deficit_kernel(self, x: float) -> float:
-        """Grouped form of Z - d*W - (Zbar - d*Wbar) * W'/W, d = net drift.
-
-        For exponential claims the mean overshoot below 0 is 1/mu
-        regardless of the level crossed, so this collapses to
-        ruin_kernel(x)/mu exactly.
-        """
-        return self.ruin_kernel(x) / self.model.mu
-
-    def injection_kernel(self, x: float) -> float:
-        """Grouped form of Z(x) - q W(x) (Zbar(x) + d/q) / Z(x).
-
-        Equals (lam/(c mu)) * e^{(theta1+theta2) x} / Z(x).
-        """
-        t1, t2 = self.theta1, self.theta2
-        return self._inj_const * math.exp((t1 + t2) * x - self.log_z(x))
-
-    # -- tail integrals -----------------------------------------------------
-
-    def tail(self, family: str, e: float, x: float, kernel: bool = False) -> float:
-        """int_x^inf (F(x)/F(y))^e g(y) dy in closed form, for x >= 0.
-
-        F is W (family "w") or Z ("z"); g = 1, or with kernel=True the
-        family's grouped kernel K e^{(theta1+theta2) y}/F(y), i.e.
-        ``ruin_kernel`` or ``injection_kernel``.  Write
-        F(y) = f1 e^{theta1 y}(1 - rho0 e^{-delta y}), delta = theta1 - theta2,
-        rho = rho0 e^{-delta x} and k = 1 with the kernel, else 0.  Euler's
-        integral (DLMF 15.6.1) gives, with g = (e theta1 - k theta2)/delta,
-
-            (K e^{theta2 x}/f1)^k (1-rho)^e 2F1(e+k, g; g+1; rho) / (delta g),
-
-        evaluated after Euler's transformation (DLMF 15.8.1) as
-        (1-rho)^{1-k} 2F1(g+1-e-k, 1; g+1; rho), so no factor under- or
-        overflows at large e.  For Z, rho0 = z2/z1 < 0; below rho = -1/2,
-        where hyp2f1 loses up to 1e-5 for g near e, the integral is taken
-        as the incomplete beta function (1-rho)^e |rho|^{-g} B_T(g, e+k-g),
-        T = rho/(rho-1) (DLMF 8.17.1).  Raises ToleranceNotMet if the
-        result is not a finite double (seen only for e above 1e4).
-        """
-        if x < 0.0 or family not in ("w", "z"):
-            raise InvalidParameter(
-                f"tail needs x >= 0 and family 'w' or 'z', got {x!r}, {family!r}")
-        f1, f2, const = (self._w1, self._w2, self._ruin_const) if family == "w" \
-            else (self._z1, self._z2, self._inj_const)
-        t1, t2 = self.theta1, self.theta2
-        delta = t1 - t2
-        k = 1.0 if kernel else 0.0
-        g = (e * t1 - k * t2) / delta
-        rho = f2 / f1 * math.exp(-delta * x)
-        try:
-            if rho < -0.5:
-                b = e + k - g  # > 0 for Z, the only family with rho < 0
-                log_scale = e * math.log1p(-rho) - g * math.log(-rho) + betaln(g, b)
-                value = math.exp(log_scale + math.log(betaincc(b, g, 1.0 / (1.0 - rho)))) / delta
-            else:
-                value = (1.0 - rho) ** (1.0 - k) \
-                    * float(hyp2f1(g + 1.0 - e - k, 1.0, g + 1.0, rho)) / (delta * g)
-            if kernel:
-                value *= const * math.exp(t2 * x) / f1
-        except (OverflowError, ValueError):
-            value = math.nan
-        if not math.isfinite(value):
-            raise ToleranceNotMet(
-                f"closed-form tail out of floating-point range (e={e:g}, rho={rho:g})")
-        return value
+        t1, t2, Z = self.theta1, self.theta2, self.Z
+        return math.exp(t1 * x) * (Z.f1 / t1 - Z.f2 / t2 * math.exp((t2 - t1) * x))

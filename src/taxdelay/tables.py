@@ -14,9 +14,9 @@ quantities that are affine in the economic parameter:
   in varphi is the existence boundary.
 
 All coefficients are closed forms at zero (the left-hand ones through
-the tail integrals of ``ScaleSet.tail``).  ``table_rows`` packages the
-three built-in reference scenarios; ``sweep_rows`` and ``existence_grid``
-generate plot-ready data.
+the tails of ``ScaleSet.W`` and ``ScaleSet.Z``).  ``table_rows`` packages
+the three built-in reference scenarios; ``sweep_rows`` and
+``existence_grid`` generate plot-ready data.
 """
 
 from __future__ import annotations
@@ -29,9 +29,9 @@ import numpy as np
 
 from .errors import InvalidParameter
 from .model import LevyModel, new_model
-from .problem import optimize
+from .problem import DelayedTaxation, optimize
 from .scale import ScaleSet
-from .tax_injection import InjectionProblem, injection_tail, tax_tail
+from .tax_injection import InjectionProblem
 from .tax_terminal import TerminalProblem
 
 # ---------------------------------------------------------------------------
@@ -105,9 +105,9 @@ def terminal_affine(scale: ScaleSet, ell: float) -> Tuple[float, float]:
     With e = 1/(1-ell), upsilon(0) = ell e I2(0) + S (e I1(0) - Z(0)), where
     I1 is the ruin-kernel tail and I2 the plain exit-ratio tail of W.
     """
-    e = TerminalProblem(scale, ell, s_terminal=0.0, x0=0.0).exponent  # validates ell
-    return (ell * e * scale.tail("w", e, 0.0),
-            e * scale.tail("w", e, 0.0, kernel=True) - scale.z(0.0))
+    e = DelayedTaxation(scale, ell).exponent  # validates ell
+    return (ell * e * scale.W.tail(e, 0.0),
+            e * scale.W.tail(e, 0.0, kernel=True) - scale.z(0.0))
 
 
 def terminal_rhs(scale: ScaleSet) -> Tuple[float, float]:
@@ -120,11 +120,11 @@ def injection_affine(scale: ScaleSet, ell: float) -> Tuple[float, float]:
     """Coefficients (intercept, slope) of varphi -> upsilon_bar(0).
 
     upsilon_bar(0) = tax_tail(0) - varphi (injection_tail(0) + Zbar(0) + d/q)
-    with d the net drift.
+    with d the net drift, tax_tail = ell e T and injection_tail = e T_K on Z.
     """
-    # the coefficients do not depend on varphi; any admissible value will do
-    p = InjectionProblem(scale, ell, varphi=2.0, x0=0.0)
-    return tax_tail(p, 0.0), -(injection_tail(p, 0.0) + scale.zbar_shifted(0.0))
+    e = DelayedTaxation(scale, ell).exponent  # validates ell
+    return (ell * (e * scale.Z.tail(e, 0.0)),
+            -(e * scale.Z.tail(e, 0.0, kernel=True) + scale.zbar_shifted(0.0)))
 
 
 def injection_rhs(scale: ScaleSet) -> Tuple[float, float]:
@@ -137,7 +137,7 @@ def injection_rhs(scale: ScaleSet) -> Tuple[float, float]:
     with Vbar(0) = c/q, so the rhs is affine in varphi as well.
     """
     vbar0 = scale.z(0.0) / scale.z1d(0.0)
-    return vbar0, -(vbar0 * scale.injection_kernel(0.0) + scale.zbar_shifted(0.0))
+    return vbar0, -(vbar0 * scale.Z.kernel(0.0) + scale.zbar_shifted(0.0))
 
 
 def existence_threshold(intercept: float, slope: float,

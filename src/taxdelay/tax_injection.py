@@ -30,8 +30,8 @@ import math
 from dataclasses import dataclass
 
 from .errors import DomainError, InvalidParameter
-from .problem import (DelayedTaxation, cap_v, exit_integral, exit_ratio,
-                      exit_tail, h, optimize, phi, phi_partial, psi, upsilon)
+from .problem import (DelayedTaxation, exit_integral, exit_ratio, exit_tail, h,
+                      optimize, phi, phi_partial, psi, upsilon)
 
 __all__ = [
     "InjectionProblem",
@@ -44,7 +44,6 @@ __all__ = [
     "injection_tail",
     "psi_bar",
     "upsilon_bar",
-    "cap_v_bar",
     "h_bar",
     "phi_bar_value",
     "phi_bar_partial_a",
@@ -75,10 +74,9 @@ class InjectionProblem(DelayedTaxation):
             )
         if not (math.isfinite(self.x0) and self.x0 >= 0.0):
             raise InvalidParameter(f"x0 must be finite and >= 0, got {self.x0!r}")
-        s, bind = self.scale, object.__setattr__  # frozen: plain assignment raises
+        bind = object.__setattr__  # frozen: plain assignment raises
+        bind(self, "family", self.scale.Z)
         bind(self, "weight", -self.varphi)
-        bind(self, "f_over_f1", s.z_over_z1d)
-        bind(self, "kernel", s.injection_kernel)
 
     @property
     def drift_ratio(self) -> float:
@@ -86,7 +84,7 @@ class InjectionProblem(DelayedTaxation):
         return self.scale.model.net_drift / self.scale.q
 
     # the family's pieces (see ``problem``)
-    family, levels = "z", "0 <= x"
+    levels = "0 <= x"
     admits = staticmethod(lambda x: 0.0 <= x < math.inf)
 
     def potential(self, x: float) -> float:
@@ -97,7 +95,7 @@ class InjectionProblem(DelayedTaxation):
         phibar(x0; a*) only for x0 <= a* (see ``OptimumReport``).  1/Z'(a*) =
         1/(q W(a*)) is taken in log form, since Z(a*) overflows for large a*."""
         s = self.scale
-        bracket = math.exp(-s.log_w(astar)) / s.q - self.varphi * s.z_over_z1d(astar)
+        bracket = math.exp(-s.W.log(astar)) / s.q - self.varphi * s.Z.over_slope(astar)
         return self.varphi * s.zbar_shifted(self.x0) + s.z(self.x0) * bracket
 
 
@@ -105,7 +103,6 @@ class InjectionProblem(DelayedTaxation):
 f_a = exit_ratio
 psi_bar = psi
 upsilon_bar = upsilon
-cap_v_bar = cap_v
 h_bar = h
 phi_bar_value = phi
 phi_bar_partial_a = phi_partial
@@ -117,25 +114,22 @@ def reflected_upcross_laplace(p: InjectionProblem, x: float, a: float) -> float:
     at 0: Z(x)/Z(a)."""
     if not (0.0 <= x <= a):
         raise DomainError(f"need 0 <= x <= a, got x={x!r}, a={a!r}")
-    return math.exp(p.scale.log_ratio("z", x, a))
+    return math.exp(p.family.log_ratio(x, a))
 
 
 def expected_injection_until_upcross(p: InjectionProblem, a: float) -> float:
     """Expected discounted injections, started at 0, until first reaching a:
 
     -d/q + (Zbar(a) + d/q)/Z(a),  d = net drift.
+
+    Both terms of the ratio carry the factor e^{theta1 a}; it cancels, and
+    the bounded factors that remain cannot overflow.
     """
     if not (math.isfinite(a) and a >= 0.0):
         raise DomainError(f"need finite a >= 0, got {a!r}")
-    s = p.scale
-    if s.theta1 * a > 600.0:
-        # both factors are about to overflow; at this depth the decaying
-        # terms are long gone, so move the ratio into log space
-        t1, t2 = s.theta1, s.theta2
-        log_num = t1 * a + math.log(s._z1 / t1 - s._z2 / t2 * math.exp((t2 - t1) * a))
-        ratio = math.exp(log_num - s.log_z(a))
-    else:
-        ratio = s.zbar_shifted(a) / s.z(a)
+    Z = p.family
+    u = math.exp((Z.theta2 - Z.theta1) * a)
+    ratio = (Z.f1 / Z.theta1 - Z.f2 / Z.theta2 * u) / (Z.f1 - Z.f2 * u)
     return -p.drift_ratio + ratio
 
 
@@ -168,7 +162,7 @@ def tax_tail(p: InjectionProblem, x: float) -> float:
     """Tail limit of g_a as a -> infinity (tax collected until forever):
 
     (ell/(1-ell)) * int_x^inf (Z(x)/Z(w))^{1/(1-ell)} dw, in closed form
-    (``ScaleSet.tail``).
+    (``ScaleFamily.tail``).
     """
     return p.ell * exit_tail(p, x)
 
@@ -177,6 +171,6 @@ def injection_tail(p: InjectionProblem, x: float) -> float:
     """Tail limit of r_a as a -> infinity (injections paid forever):
 
     (1/(1-ell)) * int_x^inf kernel(w) (Z(x)/Z(w))^{1/(1-ell)} dw with the
-    grouped injection kernel, in closed form (``ScaleSet.tail``).
+    grouped injection kernel, in closed form (``ScaleFamily.tail``).
     """
     return exit_tail(p, x, kernel=True)

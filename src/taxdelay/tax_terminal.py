@@ -25,8 +25,8 @@ from typing import Callable
 
 from .errors import DomainError, InvalidParameter
 from .numerics import integrate_finite
-from .problem import (DelayedTaxation, OptimumReport, cap_v, exit_integral,
-                      exit_ratio, h, optimize, phi, phi_partial, psi, upsilon)
+from .problem import (DelayedTaxation, OptimumReport, exit_integral, exit_ratio,
+                      h, optimize, phi, phi_partial, psi, upsilon)
 
 __all__ = [
     "TerminalProblem",
@@ -37,7 +37,6 @@ __all__ = [
     "expected_discounted_deficit",
     "psi",
     "upsilon",
-    "cap_v",
     "h_terminal",
     "phi_value",
     "phi_partial_b",
@@ -58,13 +57,12 @@ class TerminalProblem(DelayedTaxation):
             raise InvalidParameter("s_terminal must be finite")
         if not (math.isfinite(self.x0) and self.x0 >= 0.0):
             raise InvalidParameter(f"x0 must be finite and >= 0, got {self.x0!r}")
-        s, bind = self.scale, object.__setattr__  # frozen: plain assignment raises
+        bind = object.__setattr__  # frozen: plain assignment raises
+        bind(self, "family", self.scale.W)
         bind(self, "weight", self.s_terminal)
-        bind(self, "f_over_f1", s.w_over_w1)
-        bind(self, "kernel", s.ruin_kernel)
 
     # the family's pieces (see ``problem``)
-    family, levels = "w", "0 < x"
+    levels = "0 < x"
     admits = staticmethod(lambda x: 0.0 < x < math.inf)
 
     def potential(self, x: float) -> float:
@@ -75,7 +73,7 @@ class TerminalProblem(DelayedTaxation):
         for x0 <= b* (see ``OptimumReport``)."""
         s = self.scale
         S = self.s_terminal
-        v = s.w_over_w1(bstar)
+        v = s.W.over_slope(bstar)
         return S * s.z(self.x0) + s.w(self.x0) * (v / s.w(bstar) - S * s.q * v)
 
 
@@ -108,7 +106,7 @@ def expected_discounted_penalty(p: TerminalProblem, x: float, a: float,
     """
     if not (0.0 < x < a and math.isfinite(a)):
         raise DomainError(f"need 0 < x < a finite, got x={x!r}, a={a!r}")
-    kernel = p.scale.ruin_kernel
+    kernel = p.family.kernel
     return p.exponent * integrate_finite(
         lambda z: exit_ratio(p, x, z) * hbar(z) * kernel(z), x, a)
 

@@ -107,7 +107,7 @@ def _check_ode_residuals() -> CheckResult:
     for x in (0.5, 1.5, 2.5):
         step = 1e-4
         slope = e * s.q * s.w(x) / s.z(x)
-        kernel = s.injection_kernel(x)
+        kernel = s.Z.kernel(x)
         fd_f = (f_a(p, x + step, a) - f_a(p, x - step, a)) / (2 * step)
         fd_g = (g_a(p, x + step, a) - g_a(p, x - step, a)) / (2 * step)
         fd_r = (r_a(p, x + step, a) - r_a(p, x - step, a)) / (2 * step)

@@ -269,9 +269,9 @@ def test_scale_identity_battery():
             assert s.w1(far) / s.w(far) == pytest.approx(s.theta1, rel=1e-6)
             # grouped kernels match their naive assemblies at x = 1
             naive_ruin = s.w1(1.0) * s.z(1.0) / s.w(1.0) - q * s.w(1.0)
-            assert s.ruin_kernel(1.0) == pytest.approx(naive_ruin, rel=1e-8)
+            assert s.W.kernel(1.0) == pytest.approx(naive_ruin, rel=1e-8)
             naive_inj = s.z(1.0) - s.zbar_shifted(1.0) * q * s.w(1.0) / s.z(1.0)
-            assert s.injection_kernel(1.0) == pytest.approx(naive_inj, rel=1e-8)
+            assert s.Z.kernel(1.0) == pytest.approx(naive_inj, rel=1e-8)
             # Z - qW^2/W' vanishes at infinity and matches its one-term form
             const = r.a1 * r.a2 * (r.theta1 - r.theta2) ** 2 / (c * mu)
             naive_gap = s.z(1.0) - q * s.w(1.0) ** 2 / s.w1(1.0)
@@ -369,7 +369,7 @@ def test_corridor_ode_residuals_and_boundaries():
         assert abs(fd_g - (e * slope * g_a(p, x, a) - p.ell * e)) < 1e-7
         fd_r = (r_a(p, x + step, a) - r_a(p, x - step, a)) / (2.0 * step)
         assert abs(fd_r - (e * slope * r_a(p, x, a)
-                           - e * SCALE_05.injection_kernel(x))) < 1e-7
+                           - e * SCALE_05.Z.kernel(x))) < 1e-7
     for a in (1.0, 2.0, 6.0):
         assert f_a(p, a, a) == 1.0
         assert g_a(p, a, a) == 0.0

@@ -273,6 +273,22 @@ class TestSweep:
                                "--to", "0.3", "--steps", "1")
         assert rc == EXIT_INVALID_INPUT
 
+    def test_injection_requires_varphi(self, capsys):
+        """Like optimize and simulate, no silent default cost."""
+        rc, out, err = run_cli(capsys, "sweep", *INJECTION_ARGS[:-2],
+                               "--param", "ell", "--from", "0.1",
+                               "--to", "0.3", "--steps", "2")
+        assert rc == EXIT_INVALID_INPUT
+        assert out == ""
+        assert "injection mode needs --varphi" in err
+
+    def test_varphi_sweep_needs_no_base_varphi(self, capsys):
+        argv = ("sweep", *INJECTION_ARGS[:-2], "--param", "varphi",
+                "--from", "1.1", "--to", "2", "--steps", "2")
+        rc, out, err = run_cli(capsys, *argv)
+        assert rc == EXIT_OK, err
+        assert run_cli(capsys, *argv, "--varphi", "1.5")[1] == out
+
 
 # ---------------------------------------------------------------------------
 # simulate

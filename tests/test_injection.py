@@ -14,7 +14,6 @@ from taxdelay.model import new_model
 from taxdelay.scale import ScaleSet
 from taxdelay.tax_injection import (
     InjectionProblem,
-    cap_v_bar,
     expected_injection_until_upcross,
     f_a,
     g_a,
@@ -100,8 +99,8 @@ class TestReflectedPassage:
                 naive, rel=1e-12)
 
     def test_expected_injection_log_branch_is_continuous(self, prob, scale05):
-        """The direct and log-space evaluations meet continuously at the
-        overflow-guard switch near theta1 * a = 600."""
+        """Continuous across theta1 * a = 600, where the factors Zbar + d/q
+        and Z approach the end of the double range."""
         edge = 600.0 / scale05.theta1
         below = expected_injection_until_upcross(prob, edge * 0.999)
         above = expected_injection_until_upcross(prob, edge * 1.001)
@@ -113,6 +112,24 @@ class TestReflectedPassage:
         limit = 1.0 / scale05.theta1 - prob.drift_ratio
         assert expected_injection_until_upcross(prob, far) == pytest.approx(
             limit, rel=1e-12)
+
+    @pytest.mark.parametrize("c, lam, mu, q", [
+        (0.8, 1.0, 1.0, 0.01),    # negative loading: d/q < 0
+        (2.0, 0.4, 2.7, 0.0014),  # theta1 = 7.6e-4, d/q = 1,300
+    ])
+    def test_expected_injection_bounded_ratio(self, c, lam, mu, q):
+        """(Zbar + d/q)/Z as a ratio of the bounded factors: the naive ratio
+        where Z is in range, and at theta1 a = 1e4, where Z overflows, a
+        finite value whose ratio part is 1/theta1."""
+        s = ScaleSet(new_model(c, lam, mu), q)
+        p = InjectionProblem(s, 0.2, 1.5, 0.0)
+        for a in (0.5 / s.theta1, 3.0 / s.theta1, 30.0 / s.theta1):
+            naive = -p.drift_ratio + s.zbar_shifted(a) / s.z(a)
+            assert expected_injection_until_upcross(p, a) == pytest.approx(
+                naive, rel=1e-12)
+        far = expected_injection_until_upcross(p, 1e4 / s.theta1)
+        assert math.isfinite(far)
+        assert far + p.drift_ratio == pytest.approx(1.0 / s.theta1, rel=1e-12)
 
     def test_untaxed_injection_functional_matches_closed_form(self, scale05):
         """With ell = 0 the corridor functional r_a from 0 reduces to the
@@ -213,10 +230,10 @@ class TestTailsAndPsiBar:
             assert upsilon_bar(prob, a) == pytest.approx(expected, rel=1e-11)
 
     def test_cap_v_bar_right_limit_and_form(self, prob, scale05):
-        assert cap_v_bar(prob, 0.0) == pytest.approx(1.2 / 0.05, rel=1e-12)
+        assert prob.family.over_slope(0.0) == pytest.approx(1.2 / 0.05, rel=1e-12)
         for a in (0.5, 2.0, 9.0):
             naive = scale05.z(a) / (0.05 * scale05.w(a))
-            assert cap_v_bar(prob, a) == pytest.approx(naive, rel=1e-12)
+            assert prob.family.over_slope(a) == pytest.approx(naive, rel=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -230,7 +247,7 @@ class TestHBar:
         evaluation must agree with this naive assembly where the naive
         difference is well-conditioned."""
         for a in (0.0, 0.5, 2.0, 6.0):
-            naive = upsilon_bar(prob, a) - cap_v_bar(prob, a) * (
+            naive = upsilon_bar(prob, a) - scale05.Z.over_slope(a) * (
                 1.0 - prob.varphi * scale05.z(a))
             assert h_bar(prob, a) == pytest.approx(naive, rel=1e-12)
 

@@ -41,7 +41,7 @@ class TestIntegrateTail:
         e = 1.0 / (1.0 - 0.1)
 
         def f(z: float) -> float:
-            return math.exp(e * (s.log_w(0.0) - s.log_w(z)))
+            return math.exp(e * (s.W.log(0.0) - s.W.log(z)))
 
         decay = e * s.theta1
         got = integrate_tail(f, 0.0, decay)

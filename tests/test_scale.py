@@ -6,7 +6,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given
+from hypothesis import assume, example, given
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
@@ -137,7 +137,7 @@ class TestShape:
 
     def test_z_over_slope_limit(self, scale05):
         far = 40.0 / scale05.theta1
-        assert scale05.z_over_z1d(far) == pytest.approx(1.0 / scale05.theta1, abs=1e-6)
+        assert scale05.Z.over_slope(far) == pytest.approx(1.0 / scale05.theta1, abs=1e-6)
 
     def test_z_minus_w_square_ratio_vanishes(self, scale05):
         """Z - qW^2/W' -> 0.  Verified in two steps: the difference equals
@@ -168,54 +168,49 @@ class TestKernels:
         for x in (0.1, 1.0, 4.0, 10.0):
             naive = scale05.w1(x) * scale05.z(x) / scale05.w(x) \
                 - 0.05 * scale05.w(x)
-            assert scale05.ruin_kernel(x) == pytest.approx(naive, rel=1e-9)
-
-    def test_deficit_kernel_is_ruin_kernel_over_mu(self, scale05):
-        for x in (0.1, 2.0, 8.0):
-            assert scale05.deficit_kernel(x) == pytest.approx(
-                scale05.ruin_kernel(x) / scale05.model.mu, rel=1e-12)
+            assert scale05.W.kernel(x) == pytest.approx(naive, rel=1e-9)
 
     def test_injection_kernel_matches_naive_bracket(self, scale05):
         """The grouped injection kernel equals Z - (Zbar + d/q) qW/Z."""
         for x in (0.1, 1.0, 4.0, 10.0):
             naive = scale05.z(x) - scale05.zbar_shifted(x) * 0.05 * scale05.w(x) \
                 / scale05.z(x)
-            assert scale05.injection_kernel(x) == pytest.approx(naive, rel=1e-9)
+            assert scale05.Z.kernel(x) == pytest.approx(naive, rel=1e-9)
 
     def test_log_accessors_match_direct_logs(self, scale05):
         for x in (0.0, 0.5, 3.0, 20.0):
-            assert scale05.log_w(x) == pytest.approx(math.log(scale05.w(x)), abs=1e-12)
-            assert scale05.log_z(x) == pytest.approx(math.log(scale05.z(x)), abs=1e-12)
+            assert scale05.W.log(x) == pytest.approx(math.log(scale05.w(x)), abs=1e-12)
+            assert scale05.Z.log(x) == pytest.approx(math.log(scale05.z(x)), abs=1e-12)
 
     def test_log_accessors_finite_far_out(self, scale05):
         """Ratios of W (or Z) stay computable far beyond the overflow range
         of the raw values."""
         x = 1e5
-        assert math.isfinite(scale05.log_w(x))
-        assert math.isfinite(scale05.log_z(x))
-        ratio = math.exp(scale05.log_w(x) - scale05.log_w(x + 1.0))
+        assert math.isfinite(scale05.W.log(x))
+        assert math.isfinite(scale05.Z.log(x))
+        ratio = math.exp(scale05.W.log(x) - scale05.W.log(x + 1.0))
         assert ratio == pytest.approx(math.exp(-scale05.theta1), rel=1e-9)
 
     def test_log_ratio_matches_log_accessors(self, scale05):
-        for family, log_f in (("w", scale05.log_w), ("z", scale05.log_z)):
+        for family in (scale05.W, scale05.Z):
             for x, y in ((0.0, 2.0), (0.5, 0.5), (3.0, 1.0), (20.0, 45.0)):
-                assert scale05.log_ratio(family, x, y) == pytest.approx(
-                    log_f(x) - log_f(y), abs=1e-13)
+                assert family.log_ratio(x, y) == pytest.approx(
+                    family.log(x) - family.log(y), abs=1e-13)
 
     def test_log_ratio_keeps_close_levels_exact_far_out(self, scale05):
         """log(F(x)/F(y)) for y - x = 1e-9 at x = 1e5: the difference of
         two logarithms near 1.5e4 would carry an error near 2e-12."""
         x = 1e5
         y = x + 1e-9
-        for family in ("w", "z"):
-            got = scale05.log_ratio(family, x, y)
+        for family in (scale05.W, scale05.Z):
+            got = family.log_ratio(x, y)
             assert got == pytest.approx(-scale05.theta1 * (y - x), rel=1e-12)
 
     def test_ratio_accessors(self, scale05):
         for x in (0.3, 2.0, 9.0):
-            assert scale05.w_over_w1(x) == pytest.approx(
+            assert scale05.W.over_slope(x) == pytest.approx(
                 scale05.w(x) / scale05.w1(x), rel=1e-12)
-            assert scale05.z_over_z1d(x) == pytest.approx(
+            assert scale05.Z.over_slope(x) == pytest.approx(
                 scale05.z(x) / (0.05 * scale05.w(x)), rel=1e-12)
 
 
@@ -245,3 +240,35 @@ class TestScaleProperties:
         s = ScaleSet(new_model(c, lam, mu), q)
         assert s.w(0.0) == pytest.approx(1.0 / c, rel=1e-12)
         assert s.w1_at_zero() == pytest.approx((q + lam) / c**2, rel=1e-10)
+
+    @given(c=rates, lam=rates, mu=rates, q=discounts, x=positions, y=positions)
+    @example(c=0.5, lam=2.0, mu=1.0, q=0.01, x=3.0, y=0.2)  # negative loading
+    def test_families_match_naive_forms(self, c, lam, mu, q, x, y):
+        """W and Z against the raw accessors w, w1, z and zbar_shifted where
+        the naive forms are well conditioned.  Each naive kernel is a
+        difference of two terms, so it is held to a share of their size.
+        That share is 1e-8, not near 1e-15: the grouped kernel holds an
+        identity of the exact roots, and with negative loading at q = 1e-3
+        the rounded theta2 is off by up to 4.5e-10 relative, so the two
+        forms part by up to 9e-10 of the terms (c = mu = 0.1, lam = 8)."""
+        s = ScaleSet(new_model(c, lam, mu), q)
+        assume((s.theta1 - s.theta2) * max(x, y) < 30.0)
+        q_w = q * s.w(x)
+        cases = ((s.W, s.w, s.w1(x), (s.w1(x) * s.z(x) / s.w(x), q_w)),
+                 (s.Z, s.z, q_w, (s.z(x), s.zbar_shifted(x) * q_w / s.z(x))))
+        for family, f, slope, (a, b) in cases:
+            assert family.log(x) == pytest.approx(math.log(f(x)), rel=1e-12, abs=1e-12)
+            assert family.log_ratio(x, y) == pytest.approx(math.log(f(x) / f(y)), abs=1e-12)
+            assert family.over_slope(x) == pytest.approx(f(x) / slope, rel=1e-12)
+            assert abs(family.kernel(x) - (a - b)) <= 1e-8 * (abs(a) + abs(b))
+
+    @given(c=rates, lam=rates, mu=rates, q=discounts)
+    @example(c=0.5, lam=2.0, mu=1.0, q=0.01)  # negative loading
+    def test_families_finite_far_out(self, c, lam, mu, q):
+        s = ScaleSet(new_model(c, lam, mu), q)
+        x = 1e5
+        for family in (s.W, s.Z):
+            values = (family.log(x), family.log_ratio(x, x + 1.0),
+                      family.over_slope(x), family.kernel(x))
+            assert all(math.isfinite(v) for v in values)
+            assert family.over_slope(x) == pytest.approx(1.0 / s.theta1, rel=1e-12)

@@ -1,4 +1,4 @@
-"""Tests for the closed-form tail integrals ``ScaleSet.tail`` and the
+"""Tests for the closed-form tail integrals ``ScaleFamily.tail`` and the
 finite-range exit functionals built from them.
 
 The library evaluates every infinite-range tail through one Gauss
@@ -127,7 +127,7 @@ class TestAgainstMpmath:
             want = mp_hyp2f1_tail(s, family, e, x, kernel)
             if want < 1e-280:  # below the double range; nothing to compare
                 continue
-            got = s.tail(family, e, x, kernel=kernel)
+            got = getattr(s, family.upper()).tail(e, x, kernel=kernel)
             assert type(got) is float
             worst = max(worst, float(abs(got / want - 1)))
         assert worst <= REL_TOL
@@ -142,35 +142,32 @@ class TestAgainstMpmath:
             e = 1.0 / (1.0 - ell)
             want = mp_quad_tail(s, family, e, x, kernel)
             assert float(abs(mp_hyp2f1_tail(s, family, e, x, kernel) / want - 1)) <= 1e-15
-            assert s.tail(family, e, x, kernel=kernel) == pytest.approx(float(want), rel=REL_TOL)
+            assert getattr(s, family.upper()).tail(e, x, kernel=kernel) == pytest.approx(
+                float(want), rel=REL_TOL)
 
 
 class TestDomain:
     def test_negative_level_rejected(self, scale05):
         with pytest.raises(InvalidParameter):
-            scale05.tail("w", 1.5, -0.1)
-
-    def test_unknown_family_rejected(self, scale05):
-        with pytest.raises(InvalidParameter):
-            scale05.tail("v", 1.5, 0.0)
+            scale05.W.tail(1.5, -0.1)
 
     def test_far_level_limit(self, scale05):
         """Far out the ratio F(x)/F(y) is e^{-theta1 (y-x)}, so the plain
         tail tends to 1/(e theta1) and the kernel tail underflows to 0."""
         e = 2.0
-        assert scale05.tail("w", e, 5e3) == pytest.approx(1.0 / (e * scale05.theta1), rel=1e-14)
-        assert scale05.tail("z", e, 5e3) == pytest.approx(1.0 / (e * scale05.theta1), rel=1e-14)
-        assert scale05.tail("z", e, 5e3, kernel=True) == 0.0
+        assert scale05.W.tail(e, 5e3) == pytest.approx(1.0 / (e * scale05.theta1), rel=1e-14)
+        assert scale05.Z.tail(e, 5e3) == pytest.approx(1.0 / (e * scale05.theta1), rel=1e-14)
+        assert scale05.Z.tail(e, 5e3, kernel=True) == 0.0
 
     def test_extreme_tax_rate_is_finite_or_documented_failure(self):
         """At ell = 0.99999 the closed form can leave double range; the
         outcome is then the documented numerical failure, nothing else."""
         s = ScaleSet(new_model(3.5, 7.0, 9.0), 0.5)
         e = 1.0 / (1.0 - 0.99999)
-        for family in ("w", "z"):
+        for family in (s.W, s.Z):
             for kernel in (False, True):
                 try:
-                    value = s.tail(family, e, 0.0, kernel=kernel)
+                    value = family.tail(e, 0.0, kernel=kernel)
                 except ToleranceNotMet:
                     continue
                 assert math.isfinite(value) and value > 0.0
@@ -248,20 +245,20 @@ def test_finite_range_functionals_match_mpmath(c, lam, mu, q, ell):
     s = ScaleSet(new_model(c, lam, mu), q)
     inj = InjectionProblem(s, ell, 1.5, 0.0)
     term = TerminalProblem(s, ell, 0.0, 1.0)
-    functionals = [  # library call, its problem, kernel, weight
-        (g_a, inj, False, ell),
-        (r_a, inj, True, 1.0),
-        (ruin_time_laplace_taxed, term, True, 1.0),
+    functionals = [  # library call, its problem, its family, kernel, weight
+        (g_a, inj, "z", False, ell),
+        (r_a, inj, "z", True, 1.0),
+        (ruin_time_laplace_taxed, term, "w", True, 1.0),
     ]
     for x in (0.0, 0.5, 3.0, 20.0):
-        for call, p, kernel, weight in functionals:
+        for call, p, family, kernel, weight in functionals:
             if not p.admits(x):
                 continue
             tail = weight * exit_tail(p, x, kernel)
             for gap in EXIT_GAPS:
                 b = x + gap / s.theta1
                 got = call(p, x, b)
-                want = weight * mp_quad_exit(s, p.family, p.exponent, x, b, kernel)
+                want = weight * mp_quad_exit(s, family, p.exponent, x, b, kernel)
                 where = f"{call.__name__} x={x} theta1*(b-x)={gap}"
                 assert float(abs(got - want)) <= 1e-12 * tail, where
                 if gap >= 0.1:

@@ -14,7 +14,6 @@ from taxdelay.model import new_model
 from taxdelay.scale import ScaleSet
 from taxdelay.tax_terminal import (
     TerminalProblem,
-    cap_v,
     expected_discounted_deficit,
     expected_discounted_penalty,
     h_terminal,
@@ -198,11 +197,11 @@ class TestPsiUpsilon:
                 psi(taxed, b) - taxed.s_terminal * scale05.z(b), rel=1e-11)
 
     def test_cap_v_right_limit_and_growth(self, taxed):
-        assert cap_v(taxed, 0.0) == pytest.approx(1.2 / (0.05 + 1.0), rel=1e-12)
-        vals = [cap_v(taxed, b) for b in np.linspace(0.0, 20.0, 60)]
+        assert taxed.family.over_slope(0.0) == pytest.approx(1.2 / (0.05 + 1.0), rel=1e-12)
+        vals = [taxed.family.over_slope(b) for b in np.linspace(0.0, 20.0, 60)]
         assert all(a < b for a, b in zip(vals, vals[1:]))
         far = 40.0 / 0.15098
-        assert cap_v(taxed, far) == pytest.approx(1.0 / 0.15098, abs=1e-3)
+        assert taxed.family.over_slope(far) == pytest.approx(1.0 / 0.15098, abs=1e-3)
 
 
 class TestHTerminal:
@@ -210,7 +209,7 @@ class TestHTerminal:
         """h(b) = upsilon(b) - V(b)(1 - S q W(b)); the grouped evaluation
         must agree with this naive assembly where it is well-conditioned."""
         for b in (0.0, 0.5, 2.0, 6.0):
-            naive = upsilon(taxed, b) - cap_v(taxed, b) * (
+            naive = upsilon(taxed, b) - scale05.W.over_slope(b) * (
                 1.0 - taxed.s_terminal * 0.05 * scale05.w(b))
             assert h_terminal(taxed, b) == pytest.approx(naive, rel=1e-9)
 
