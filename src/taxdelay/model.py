@@ -92,11 +92,11 @@ def laplace_exponent(m: LevyModel, theta: float) -> float:
 def spectral_roots(m: LevyModel, q: float) -> SpectralRoots:
     """Closed-form roots of psi(theta) = q for a discount rate q > 0.
 
-    kappa = sqrt((c*mu - lam - q)^2 + 4*c*q*mu) is strictly positive, so
-    the two roots never collide:
-
-        theta1 = (lam + q - c*mu + kappa) / (2c) > 0
-        theta2 = (lam + q - c*mu - kappa) / (2c) < 0
+    kappa = sqrt(b^2 + 4*c*q*mu), b = lam + q - c*mu, is strictly positive,
+    so the roots theta2 < 0 < theta1 never collide.  The one whose two terms
+    share a sign, theta1 = (b + kappa)/(2c) if b >= 0, else
+    theta2 = (b - kappa)/(2c), is taken directly; the other from Vieta,
+    theta1 theta2 = -q mu/c, so neither loses digits to cancellation.
 
     The coefficients a1, a2 (with a1 - a2 = 1) weight the exp(theta1 x)
     and exp(theta2 x) terms of the scale function.
@@ -106,7 +106,12 @@ def spectral_roots(m: LevyModel, q: float) -> SpectralRoots:
         raise InvalidParameter(f"q must be finite and > 0, got {q!r}")
     c, lam, mu = m.c, m.lam, m.mu
     kappa = math.sqrt((c * mu - lam - q) ** 2 + 4.0 * c * q * mu)
-    theta1 = (lam + q - c * mu + kappa) / (2.0 * c)
-    theta2 = (lam + q - c * mu - kappa) / (2.0 * c)
+    b = lam + q - c * mu
+    if b >= 0.0:
+        theta1 = (b + kappa) / (2.0 * c)
+        theta2 = -q * mu / (c * theta1)
+    else:
+        theta2 = (b - kappa) / (2.0 * c)
+        theta1 = -q * mu / (c * theta2)
     a1 = (lam + q + c * mu) / (2.0 * kappa) + 0.5
     return SpectralRoots(q=q, theta1=theta1, theta2=theta2, kappa=kappa, a1=a1, a2=a1 - 1.0)

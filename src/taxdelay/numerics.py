@@ -42,17 +42,12 @@ _MAX_CHUNKS = 64
 
 @dataclass(frozen=True)
 class RootReport:
-    """Diagnostics from a bracketed root search.
-
-    boundary_case is True when the caller resolved the optimum at the
-    lower boundary without an interior root (root = 0 by convention).
-    """
+    """Diagnostics from a bracketed root search."""
 
     root: float
     residual: float
     bracket: Tuple[float, float]
     iterations: int
-    boundary_case: bool = False
 
 
 def quad(f: Callable[[float], float], a: float, b: float, **options):
@@ -156,5 +151,4 @@ def find_root_decreasing_sign(h: Callable[[float], float], lo: float, tol: float
         residual=h(float(root)),
         bracket=(left, hi),
         iterations=int(info.iterations),
-        boundary_case=False,
     )

@@ -42,7 +42,8 @@ __all__ = ["DelayedTaxation", "OptimumReport", "exit_ratio", "exit_integral",
            "exit_tail", "psi", "upsilon", "h", "phi", "phi_partial",
            "optimize"]
 
-DEFAULT_ROOT_TOL = 1e-8
+# absolute tolerance of every threshold root
+ROOT_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -171,13 +172,13 @@ def phi_partial(p: DelayedTaxation, x: float, b: float) -> float:
     return p.ell * p.exponent * (_ratio(p, x, b) / p.family.over_slope(b)) * h(p, b)
 
 
-def optimize(p: DelayedTaxation, tol: float = DEFAULT_ROOT_TOL) -> OptimumReport:
+def optimize(p: DelayedTaxation) -> OptimumReport:
     """Optimal delay threshold (the root of h if h(0) > 0, else 0) and the
     value ``p.optimal_value(threshold)``."""
     if h(p, 0.0) <= 0.0:
         return OptimumReport(threshold=0.0, value=p.optimal_value(0.0),
                              boundary_case=True, root_diag=None)
-    diag = find_root_decreasing_sign(lambda x: h(p, x), 0.0, tol,
+    diag = find_root_decreasing_sign(lambda x: h(p, x), 0.0, ROOT_TOL,
                                      hi_cap=1e6 / p.scale.theta1)
     return OptimumReport(threshold=diag.root, value=p.optimal_value(diag.root),
                          boundary_case=False, root_diag=diag)

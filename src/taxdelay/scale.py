@@ -3,9 +3,9 @@
 Everything here is a combination of two exponentials.  With
 w1 = a1/c, w2 = a2/c and z1 = q*a1/(c*theta1), z2 = q*a2/(c*theta2):
 
-    W(x)  = w1*e^{theta1 x} - w2*e^{theta2 x}          (0 for x < 0)
+    W(x)  = w1*e^{theta1 x} - w2*e^{theta2 x}
     Z(x)  = 1 + q * int_0^x W = z1*e^{theta1 x} - z2*e^{theta2 x}
-    Zbar  = int_0^x Z,   Wbar = int_0^x W
+    Zbar  = int_0^x Z
 
 (The constant term of Z vanishes identically because z1 - z2 = 1.)
 
@@ -21,9 +21,11 @@ loses every significant digit once e^{theta1 x} dominates, so the
 grouped kernels K below always use the right-hand sides over W or Z.
 
 W and Z are each one ``ScaleFamily``, ``ScaleSet.W`` and ``ScaleSet.Z``:
-the two exponentials' coefficients, those of the slope and the kernel
-constant, with one ``log``, ``log_ratio``, ``over_slope`` (F/F'),
-``kernel`` and ``tail``.  Every tail integral of the two problems is an
+the two exponentials' coefficients, those of the slope, the kernel
+constant and the value below zero (W = 0 and Z = 1 for x < 0).  A family
+is called for F(x) and has one ``slope`` (F'), ``integral`` (for Z,
+Zbar + d/q), ``log``, ``log_ratio``, ``over_slope`` (F/F'), ``kernel``
+and ``tail``.  Every tail integral of the two problems is an
 Euler integral with a closed form in the Gauss hypergeometric function;
 ``ScaleFamily.tail`` evaluates it.
 """
@@ -41,22 +43,48 @@ __all__ = ["ScaleFamily", "ScaleSet"]
 
 
 class ScaleFamily:
-    """One scale function F(x) = f1 e^{theta1 x} - f2 e^{theta2 x}, x >= 0.
+    """One scale function F(x) = f1 e^{theta1 x} - f2 e^{theta2 x}, x >= 0,
+    held at the constant F(0-) (``below``) for x < 0.
 
-    Its slope is F'(x) = dk (d1 e^{theta1 x} - d2 e^{theta2 x}) and its
-    grouped kernel K(x) = const e^{(theta1+theta2) x}/F(x):
+    Its slope is F'(x) = dk (d1 e^{theta1 x} - d2 e^{theta2 x}), 0 for
+    x < 0 and the right limit at 0, and its grouped kernel
+    K(x) = const e^{(theta1+theta2) x}/F(x):
 
-        F   f1, f2   d1, d2                 dk  const        K
-        W   w1, w2   w1 theta1, w2 theta2   1   lam/c^2      W'Z/W - qW
-        Z   z1, z2   w1, w2                 q   lam/(c mu)   Z - qW (Zbar + d/q)/Z
+        F   f1, f2   d1, d2                 dk  const        K                       F(0-)
+        W   w1, w2   w1 theta1, w2 theta2   1   lam/c^2      W'Z/W - qW              0
+        Z   z1, z2   w1, w2                 q   lam/(c mu)   Z - qW (Zbar + d/q)/Z   1
     """
 
-    __slots__ = ("theta1", "theta2", "f1", "f2", "d1", "d2", "dk", "const")
+    __slots__ = ("theta1", "theta2", "f1", "f2", "d1", "d2", "dk", "const", "below")
 
     def __init__(self, theta1: float, theta2: float, f1: float, f2: float,
-                 d1: float, d2: float, dk: float, const: float):
+                 d1: float, d2: float, dk: float, const: float, below: float):
         self.theta1, self.theta2, self.f1, self.f2 = theta1, theta2, f1, f2
         self.d1, self.d2, self.dk, self.const = d1, d2, dk, const
+        self.below = below
+
+    def __call__(self, x: float) -> float:
+        """F(x), with the e^{theta1 x} factor pulled out so the decaying term
+        never cancels catastrophically; F(0-) for x < 0."""
+        if x < 0.0:
+            return self.below
+        return math.exp(self.theta1 * x) * (
+            self.f1 - self.f2 * math.exp((self.theta2 - self.theta1) * x))
+
+    def slope(self, x: float) -> float:
+        """F'(x) in the same factored form; 0 for x < 0."""
+        if x < 0.0:
+            return 0.0
+        return self.dk * (math.exp(self.theta1 * x) * (
+            self.d1 - self.d2 * math.exp((self.theta2 - self.theta1) * x)))
+
+    def integral(self, x: float) -> float:
+        """f1/theta1 e^{theta1 x} - f2/theta2 e^{theta2 x} for x >= 0: the
+        antiderivative of F whose constant term vanishes.  For Z it is
+        Zbar(x) + d/q (z1/theta1 - z2/theta2 = d/q), which never loses
+        precision for large x."""
+        t1, t2 = self.theta1, self.theta2
+        return math.exp(t1 * x) * (self.f1 / t1 - self.f2 / t2 * math.exp((t2 - t1) * x))
 
     def log(self, x: float) -> float:
         """log F(x) for x >= 0, stable for arbitrarily large x."""
@@ -133,12 +161,10 @@ class ScaleFamily:
 
 
 class ScaleSet:
-    """Evaluator bundle for W, its derivatives and antiderivative, Z, Zbar,
-    and the two families ``W`` and ``Z``.
+    """The two families ``W`` and ``Z`` of one model at discount rate q.
 
     Immutable after construction; all coefficients are precomputed from
-    the closed-form roots.  Conventions: W(x) = 0 and Z(x) = 1 for x < 0;
-    derivative evaluations at 0 return the right-limits.
+    the closed-form roots.
     """
 
     def __init__(self, model: LevyModel, q: float):
@@ -149,81 +175,6 @@ class ScaleSet:
         c = model.c
         t1, t2 = self.theta1, self.theta2 = r.theta1, r.theta2
         w1, w2 = r.a1 / c, r.a2 / c
-        self.W = ScaleFamily(t1, t2, w1, w2, w1 * t1, w2 * t2, 1.0, model.lam / (c * c))
+        self.W = ScaleFamily(t1, t2, w1, w2, w1 * t1, w2 * t2, 1.0, model.lam / (c * c), 0.0)
         self.Z = ScaleFamily(t1, t2, self.q * r.a1 / (c * t1), self.q * r.a2 / (c * t2),
-                             w1, w2, self.q, model.lam / (c * model.mu))  # z2 < 0
-
-    # -- W family ----------------------------------------------------------
-
-    def _w_deriv(self, x: float, k: int) -> float:
-        # k-th derivative in factored form: the e^{theta1 x} factor is
-        # pulled out so the decaying term never cancels catastrophically.
-        t1, t2, W = self.theta1, self.theta2, self.W
-        return math.exp(t1 * x) * (
-            W.f1 * t1**k - W.f2 * t2**k * math.exp((t2 - t1) * x)
-        )
-
-    def w(self, x: float) -> float:
-        """Scale function W(x); 0 for x < 0, W(0) = 1/c."""
-        if x < 0.0:
-            return 0.0
-        return self._w_deriv(x, 0)
-
-    def w1(self, x: float) -> float:
-        """First derivative W'(x) for x >= 0 (right-limit at 0)."""
-        if x < 0.0:
-            return 0.0
-        return self._w_deriv(x, 1)
-
-    def w2(self, x: float) -> float:
-        """Second derivative W''(x) for x >= 0 (right-limit at 0)."""
-        if x < 0.0:
-            return 0.0
-        return self._w_deriv(x, 2)
-
-    def w3(self, x: float) -> float:
-        """Third derivative W'''(x) for x >= 0 (right-limit at 0)."""
-        if x < 0.0:
-            return 0.0
-        return self._w_deriv(x, 3)
-
-    def w1_at_zero(self) -> float:
-        """W'(0+), which equals (q + lam)/c^2 for this claim family."""
-        return (self.roots.a1 * self.theta1 - self.roots.a2 * self.theta2) / self.model.c
-
-    def wbar(self, x: float) -> float:
-        """Antiderivative int_0^x W(y) dy; 0 for x <= 0."""
-        if x <= 0.0:
-            return 0.0
-        t1, t2, W = self.theta1, self.theta2, self.W
-        return W.f1 / t1 * math.expm1(t1 * x) - W.f2 / t2 * math.expm1(t2 * x)
-
-    # -- Z family ----------------------------------------------------------
-
-    def z(self, x: float) -> float:
-        """Z(x) = 1 + q*int_0^x W; 1 for x < 0."""
-        if x < 0.0:
-            return 1.0
-        t1, t2, Z = self.theta1, self.theta2, self.Z
-        return math.exp(t1 * x) * (Z.f1 - Z.f2 * math.exp((t2 - t1) * x))
-
-    def z1d(self, x: float) -> float:
-        """Derivative Z'(x) = q*W(x) for x >= 0."""
-        return self.q * self.w(x)
-
-    def zbar(self, x: float) -> float:
-        """Antiderivative int_0^x Z(y) dy (equals x for x < 0 where Z = 1)."""
-        if x < 0.0:
-            return x
-        t1, t2, Z = self.theta1, self.theta2, self.Z
-        return Z.f1 / t1 * math.expm1(t1 * x) - Z.f2 / t2 * math.expm1(t2 * x)
-
-    def zbar_shifted(self, x: float) -> float:
-        """Zbar(x) + d/q with d the net drift, in pure two-exponential form.
-
-        The integration constant cancels against d/q exactly
-        (z1/theta1 - z2/theta2 = d/q), leaving a form that never loses
-        precision for large x.  Defined for x >= 0.
-        """
-        t1, t2, Z = self.theta1, self.theta2, self.Z
-        return math.exp(t1 * x) * (Z.f1 / t1 - Z.f2 / t2 * math.exp((t2 - t1) * x))
+                             w1, w2, self.q, model.lam / (c * model.mu), 1.0)  # z2 < 0

@@ -107,13 +107,13 @@ def terminal_affine(scale: ScaleSet, ell: float) -> Tuple[float, float]:
     """
     e = DelayedTaxation(scale, ell).exponent  # validates ell
     return (ell * e * scale.W.tail(e, 0.0),
-            e * scale.W.tail(e, 0.0, kernel=True) - scale.z(0.0))
+            e * scale.W.tail(e, 0.0, kernel=True) - scale.Z(0.0))
 
 
 def terminal_rhs(scale: ScaleSet) -> Tuple[float, float]:
     """Coefficients (intercept, slope) of S -> V(0) * (1 - S q W(0))."""
-    v0 = scale.w(0.0) / scale.w1_at_zero()
-    return v0, -v0 * scale.q * scale.w(0.0)
+    v0 = scale.W.over_slope(0.0)
+    return v0, -v0 * scale.q * scale.W(0.0)
 
 
 def injection_affine(scale: ScaleSet, ell: float) -> Tuple[float, float]:
@@ -124,7 +124,7 @@ def injection_affine(scale: ScaleSet, ell: float) -> Tuple[float, float]:
     """
     e = DelayedTaxation(scale, ell).exponent  # validates ell
     return (ell * (e * scale.Z.tail(e, 0.0)),
-            -(e * scale.Z.tail(e, 0.0, kernel=True) + scale.zbar_shifted(0.0)))
+            -(e * scale.Z.tail(e, 0.0, kernel=True) + scale.Z.integral(0.0)))
 
 
 def injection_rhs(scale: ScaleSet) -> Tuple[float, float]:
@@ -136,8 +136,8 @@ def injection_rhs(scale: ScaleSet) -> Tuple[float, float]:
 
     with Vbar(0) = c/q, so the rhs is affine in varphi as well.
     """
-    vbar0 = scale.z(0.0) / scale.z1d(0.0)
-    return vbar0, -(vbar0 * scale.Z.kernel(0.0) + scale.zbar_shifted(0.0))
+    vbar0 = scale.Z.over_slope(0.0)
+    return vbar0, -(vbar0 * scale.Z.kernel(0.0) + scale.Z.integral(0.0))
 
 
 def existence_threshold(intercept: float, slope: float,

@@ -88,7 +88,7 @@ class InjectionProblem(DelayedTaxation):
     admits = staticmethod(lambda x: 0.0 <= x < math.inf)
 
     def potential(self, x: float) -> float:
-        return -self.scale.zbar_shifted(x)
+        return -self.scale.Z.integral(x)
 
     def optimal_value(self, astar: float) -> float:
         """varphi (Zbar(x0) + d/q) + Z(x0) (1 - varphi Z(a*)) / Z'(a*), which is
@@ -96,7 +96,7 @@ class InjectionProblem(DelayedTaxation):
         1/(q W(a*)) is taken in log form, since Z(a*) overflows for large a*."""
         s = self.scale
         bracket = math.exp(-s.W.log(astar)) / s.q - self.varphi * s.Z.over_slope(astar)
-        return self.varphi * s.zbar_shifted(self.x0) + s.z(self.x0) * bracket
+        return self.varphi * s.Z.integral(self.x0) + s.Z(self.x0) * bracket
 
 
 #: Discounted up-crossing factor (Z(x)/Z(a))^{1/(1-ell)} on [0, a].
@@ -122,15 +122,19 @@ def expected_injection_until_upcross(p: InjectionProblem, a: float) -> float:
 
     -d/q + (Zbar(a) + d/q)/Z(a),  d = net drift.
 
-    Both terms of the ratio carry the factor e^{theta1 a}; it cancels, and
-    the bounded factors that remain cannot overflow.
+    With z1 - z2 = 1 and d/q = z1/theta1 - z2/theta2 this is the product
+
+        z1 z2 delta/(theta1 theta2) (1 - u)/(z1 - z2 u),  delta = theta1 - theta2,
+
+    u = e^{-delta a}, whose factors each keep one sign (z2, theta2 < 0): no
+    difference cancels as a -> 0, and nothing overflows as a grows.
     """
     if not (math.isfinite(a) and a >= 0.0):
         raise DomainError(f"need finite a >= 0, got {a!r}")
     Z = p.family
-    u = math.exp((Z.theta2 - Z.theta1) * a)
-    ratio = (Z.f1 / Z.theta1 - Z.f2 / Z.theta2 * u) / (Z.f1 - Z.f2 * u)
-    return -p.drift_ratio + ratio
+    delta = Z.theta1 - Z.theta2
+    scale = Z.f1 * Z.f2 * delta / (Z.theta1 * Z.theta2)
+    return scale * -math.expm1(-delta * a) / (Z.f1 - Z.f2 * math.exp(-delta * a))
 
 
 def g_a(p: InjectionProblem, x: float, a: float) -> float:

@@ -66,7 +66,7 @@ class TerminalProblem(DelayedTaxation):
     admits = staticmethod(lambda x: 0.0 < x < math.inf)
 
     def potential(self, x: float) -> float:
-        return self.scale.z(x)
+        return self.scale.Z(x)
 
     def optimal_value(self, bstar: float) -> float:
         """S Z(x0) + W(x0) (1 - S q W(b*)) / W'(b*), which is phi(x0; b*) only
@@ -74,7 +74,7 @@ class TerminalProblem(DelayedTaxation):
         s = self.scale
         S = self.s_terminal
         v = s.W.over_slope(bstar)
-        return S * s.z(self.x0) + s.w(self.x0) * (v / s.w(bstar) - S * s.q * v)
+        return S * s.Z(self.x0) + s.W(self.x0) * (v / s.W(bstar) - S * s.q * v)
 
 
 #: Discounted chance of reaching b before ruin: (W(x)/W(b))^{1/(1-ell)}.

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from functools import partial
 from typing import Callable, List
 
-from .model import laplace_exponent, new_model, spectral_roots
+from .model import laplace_exponent, new_model
 from .numerics import integrate_finite, integrate_tail
 from .problem import h, optimize, phi, phi_partial
 from .scale import ScaleSet
@@ -52,15 +52,14 @@ def _check_boundary_identities() -> CheckResult:
     for (c, lam, mu) in [(1.2, 1.0, 1.0), (2.0, 1.5, 0.8), (0.9, 1.0, 1.0)]:
         for q in (0.002, 0.05, 0.3):
             s = ScaleSet(new_model(c, lam, mu), q)
-            r = spectral_roots(s.model, q)
             worst = max(
                 worst,
-                abs(s.w(0.0) - 1.0 / c) * c,
-                abs(s.w1_at_zero() - (q + lam) / c ** 2) / ((q + lam) / c ** 2),
-                abs(s.z(0.0) - 1.0),
-                abs(s.zbar(0.0)),
-                abs((r.a1 - r.a2) - 1.0),
-                abs(laplace_exponent(s.model, r.theta1) - q) / q,
+                abs(s.W(0.0) - 1.0 / c) * c,
+                abs(s.W.slope(0.0) - (q + lam) / c ** 2) / ((q + lam) / c ** 2),
+                abs(s.Z(0.0) - 1.0),
+                abs(s.Z.integral(0.0) * q / s.model.net_drift - 1.0),
+                abs((s.roots.a1 - s.roots.a2) - 1.0),
+                abs(laplace_exponent(s.model, s.theta1) - q) / q,
             )
     return _check("scale-boundary-identities", worst < 1e-12,
                   f"max relative defect {worst:.2e} (tol 1e-12)")
@@ -70,9 +69,9 @@ def _check_laplace_transform() -> CheckResult:
     worst = 0.0
     for (c, lam, mu, q) in [(1.2, 1.0, 1.0, 0.05), (2.0, 1.5, 0.8, 0.01)]:
         s = ScaleSet(new_model(c, lam, mu), q)
-        theta = 2.0 * spectral_roots(s.model, q).theta1
-        val = integrate_tail(lambda x: math.exp(-theta * x) * s.w(x), 0.0,
-                             theta - spectral_roots(s.model, q).theta1)
+        theta = 2.0 * s.theta1
+        val = integrate_tail(lambda x: math.exp(-theta * x) * s.W(x), 0.0,
+                             theta - s.theta1)
         target = 1.0 / (laplace_exponent(s.model, theta) - q)
         worst = max(worst, abs(val - target) / abs(target))
     return _check("scale-laplace-transform", worst < 1e-8,
@@ -81,9 +80,10 @@ def _check_laplace_transform() -> CheckResult:
 
 def _check_antiderivatives() -> CheckResult:
     s = ScaleSet(new_model(1.2, 1.0, 1.0), 0.05)
-    zq = integrate_finite(s.w, 0.0, 3.0)
-    zbarq = integrate_finite(s.z, 0.0, 3.0)
-    err = max(abs(1.0 + s.q * zq - s.z(3.0)), abs(zbarq - s.zbar(3.0)))
+    zq = integrate_finite(s.W, 0.0, 3.0)
+    zbarq = integrate_finite(s.Z, 0.0, 3.0)
+    err = max(abs(1.0 + s.q * zq - s.Z(3.0)),
+              abs(zbarq + s.Z.integral(0.0) - s.Z.integral(3.0)))
     return _check("scale-antiderivatives", err < 1e-8,
                   f"max defect {err:.2e} (tol 1e-8)")
 
@@ -106,7 +106,7 @@ def _check_ode_residuals() -> CheckResult:
     worst = 0.0
     for x in (0.5, 1.5, 2.5):
         step = 1e-4
-        slope = e * s.q * s.w(x) / s.z(x)
+        slope = e * s.q * s.W(x) / s.Z(x)
         kernel = s.Z.kernel(x)
         fd_f = (f_a(p, x + step, a) - f_a(p, x - step, a)) / (2 * step)
         fd_g = (g_a(p, x + step, a) - g_a(p, x - step, a)) / (2 * step)

@@ -254,31 +254,31 @@ def test_scale_identity_battery():
         for q in discounts:
             s = ScaleSet(m, q)
             r = s.roots
-            assert s.w(0.0) == pytest.approx(1.0 / c, rel=1e-13)
-            assert s.w1_at_zero() == pytest.approx((q + lam) / c**2, rel=1e-10)
+            assert s.W(0.0) == pytest.approx(1.0 / c, rel=1e-13)
+            assert s.W.slope(0.0) == pytest.approx((q + lam) / c**2, rel=1e-10)
             assert laplace_exponent(m, s.theta1) == pytest.approx(q, abs=1e-9)
             assert laplace_exponent(m, s.theta2) == pytest.approx(q, abs=1e-9)
             # antiderivative: Z(2) = 1 + q * int_0^2 W, Simpson oracle on
             # the two-exponential form
             w_grid = (r.a1 * np.exp(r.theta1 * grid)
                       - r.a2 * np.exp(r.theta2 * grid)) / c
-            assert s.z(2.0) == pytest.approx(
+            assert s.Z(2.0) == pytest.approx(
                 1.0 + q * simpson(w_grid, x=grid), rel=1e-8)
             # log-slope of W settles at theta1
             far = 40.0 / s.theta1
-            assert s.w1(far) / s.w(far) == pytest.approx(s.theta1, rel=1e-6)
+            assert s.W.slope(far) / s.W(far) == pytest.approx(s.theta1, rel=1e-6)
             # grouped kernels match their naive assemblies at x = 1
-            naive_ruin = s.w1(1.0) * s.z(1.0) / s.w(1.0) - q * s.w(1.0)
+            naive_ruin = s.W.slope(1.0) * s.Z(1.0) / s.W(1.0) - q * s.W(1.0)
             assert s.W.kernel(1.0) == pytest.approx(naive_ruin, rel=1e-8)
-            naive_inj = s.z(1.0) - s.zbar_shifted(1.0) * q * s.w(1.0) / s.z(1.0)
+            naive_inj = s.Z(1.0) - s.Z.integral(1.0) * q * s.W(1.0) / s.Z(1.0)
             assert s.Z.kernel(1.0) == pytest.approx(naive_inj, rel=1e-8)
             # Z - qW^2/W' vanishes at infinity and matches its one-term form
             const = r.a1 * r.a2 * (r.theta1 - r.theta2) ** 2 / (c * mu)
-            naive_gap = s.z(1.0) - q * s.w(1.0) ** 2 / s.w1(1.0)
-            grouped_gap = const * math.exp((r.theta1 + r.theta2) * 1.0) / s.w1(1.0)
+            naive_gap = s.Z(1.0) - q * s.W(1.0) ** 2 / s.W.slope(1.0)
+            grouped_gap = const * math.exp((r.theta1 + r.theta2) * 1.0) / s.W.slope(1.0)
             assert grouped_gap == pytest.approx(naive_gap, rel=1e-8)
             assert abs(const * math.exp((r.theta1 + r.theta2) * far)
-                       / s.w1(far)) < 1e-6
+                       / s.W.slope(far)) < 1e-6
 
 
 # ---------------------------------------------------------------------------
@@ -362,7 +362,7 @@ def test_corridor_ode_residuals_and_boundaries():
               (3.6, 4.0), (0.2, 1.0), (0.8, 1.0), (1.5, 6.0), (5.0, 6.0)]
     step = 3e-4
     for (x, a) in points:
-        slope = 0.05 * SCALE_05.w(x) / SCALE_05.z(x)
+        slope = 0.05 * SCALE_05.W(x) / SCALE_05.Z(x)
         fd_f = (f_a(p, x + step, a) - f_a(p, x - step, a)) / (2.0 * step)
         assert abs(fd_f - e * slope * f_a(p, x, a)) < 1e-7
         fd_g = (g_a(p, x + step, a) - g_a(p, x - step, a)) / (2.0 * step)

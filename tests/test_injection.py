@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -36,9 +37,9 @@ def prob(scale05):
 
 
 def naive_injection_kernel(s: ScaleSet, w: float) -> float:
-    """Z - (Zbar + d/q) qW/Z assembled from the raw accessors (the oracle
+    """Z - (Zbar + d/q) qW/Z assembled from the plain evaluators (the oracle
     integrand for the injection functionals)."""
-    return s.z(w) - s.zbar_shifted(w) * s.q * s.w(w) / s.z(w)
+    return s.Z(w) - s.Z.integral(w) * s.q * s.W(w) / s.Z(w)
 
 
 # ---------------------------------------------------------------------------
@@ -82,7 +83,7 @@ class TestInjectionProblem:
 class TestReflectedPassage:
     def test_upcross_factor_is_z_ratio(self, prob, scale05):
         for (x, a) in ((0.0, 2.0), (0.5, 2.0), (2.0, 2.0)):
-            naive = scale05.z(x) / scale05.z(a)
+            naive = scale05.Z(x) / scale05.Z(a)
             assert reflected_upcross_laplace(prob, x, a) == pytest.approx(
                 naive, rel=1e-12)
 
@@ -94,7 +95,7 @@ class TestReflectedPassage:
 
     def test_expected_injection_closed_form(self, prob, scale05):
         for a in (0.5, 3.0, 10.0):
-            naive = -prob.drift_ratio + scale05.zbar_shifted(a) / scale05.z(a)
+            naive = -prob.drift_ratio + scale05.Z.integral(a) / scale05.Z(a)
             assert expected_injection_until_upcross(prob, a) == pytest.approx(
                 naive, rel=1e-12)
 
@@ -124,12 +125,35 @@ class TestReflectedPassage:
         s = ScaleSet(new_model(c, lam, mu), q)
         p = InjectionProblem(s, 0.2, 1.5, 0.0)
         for a in (0.5 / s.theta1, 3.0 / s.theta1, 30.0 / s.theta1):
-            naive = -p.drift_ratio + s.zbar_shifted(a) / s.z(a)
+            naive = -p.drift_ratio + s.Z.integral(a) / s.Z(a)
             assert expected_injection_until_upcross(p, a) == pytest.approx(
                 naive, rel=1e-12)
         far = expected_injection_until_upcross(p, 1e4 / s.theta1)
         assert math.isfinite(far)
         assert far + p.drift_ratio == pytest.approx(1.0 / s.theta1, rel=1e-12)
+
+    @pytest.mark.parametrize("a", [1e-6, 0.01, 1.0])
+    def test_expected_injection_matches_mpmath(self, a):
+        """Against 60-digit mpmath of -d/q + (Zbar(a) + d/q)/Z(a), with
+        Z = 1 + q int_0^x W from the roots of the same doubles and Zbar by
+        quadrature.  At d/q = 1,320 the two terms nearly cancel for small a."""
+        c, lam, mu, q = 2.0, 0.4, 2.7, 0.0014
+        got = expected_injection_until_upcross(
+            InjectionProblem(ScaleSet(new_model(c, lam, mu), q), 0.2, 1.5, 0.0), a)
+        with mpmath.workdps(60):
+            c, lam, mu, q, a = (mpmath.mpf(v) for v in (c, lam, mu, q, a))
+            b = lam + q - c * mu
+            kappa = mpmath.sqrt(b * b + 4 * c * q * mu)
+            t1, t2 = (b + kappa) / (2 * c), (b - kappa) / (2 * c)
+            a1 = (lam + q + c * mu) / (2 * kappa) + mpmath.mpf(0.5)
+
+            def z(x):
+                return 1 + q / c * (a1 / t1 * mpmath.expm1(t1 * x)
+                                    - (a1 - 1) / t2 * mpmath.expm1(t2 * x))
+
+            d_q = (c - lam / mu) / q
+            want = -d_q + (mpmath.quad(z, [0, a]) + d_q) / z(a)
+            assert abs(got - want) <= 1e-12 * abs(want)
 
     def test_untaxed_injection_functional_matches_closed_form(self, scale05):
         """With ell = 0 the corridor functional r_a from 0 reduces to the
@@ -155,13 +179,13 @@ class TestCorridorFunctionals:
     def test_f_matches_naive_power(self, prob, scale05):
         e = prob.exponent
         for (x, a) in ((0.0, 2.0), (0.7, 2.0), (1.5, 4.0)):
-            naive = (scale05.z(x) / scale05.z(a)) ** e
+            naive = (scale05.Z(x) / scale05.Z(a)) ** e
             assert f_a(prob, x, a) == pytest.approx(naive, rel=1e-12)
 
     def test_g_quadrature_oracle(self, prob, scale05):
         e = prob.exponent
         x, a = 0.6, 2.5
-        oracle, _ = quad(lambda w: (scale05.z(x) / scale05.z(w)) ** e,
+        oracle, _ = quad(lambda w: (scale05.Z(x) / scale05.Z(w)) ** e,
                          x, a, epsabs=1e-13, epsrel=1e-12)
         assert g_a(prob, x, a) == pytest.approx(prob.ell * e * oracle, rel=1e-10)
 
@@ -170,7 +194,7 @@ class TestCorridorFunctionals:
         x, a = 0.6, 2.5
         oracle, _ = quad(
             lambda w: naive_injection_kernel(scale05, w)
-            * (scale05.z(x) / scale05.z(w)) ** e,
+            * (scale05.Z(x) / scale05.Z(w)) ** e,
             x, a, epsabs=1e-13, epsrel=1e-12,
         )
         assert r_a(prob, x, a) == pytest.approx(e * oracle, rel=1e-10)
@@ -226,13 +250,13 @@ class TestTailsAndPsiBar:
 
     def test_upsilon_bar_identity(self, prob, scale05):
         for a in (0.0, 0.8, 3.0):
-            expected = psi_bar(prob, a) - prob.varphi * scale05.zbar_shifted(a)
+            expected = psi_bar(prob, a) - prob.varphi * scale05.Z.integral(a)
             assert upsilon_bar(prob, a) == pytest.approx(expected, rel=1e-11)
 
     def test_cap_v_bar_right_limit_and_form(self, prob, scale05):
         assert prob.family.over_slope(0.0) == pytest.approx(1.2 / 0.05, rel=1e-12)
         for a in (0.5, 2.0, 9.0):
-            naive = scale05.z(a) / (0.05 * scale05.w(a))
+            naive = scale05.Z(a) / (0.05 * scale05.W(a))
             assert prob.family.over_slope(a) == pytest.approx(naive, rel=1e-12)
 
 
@@ -248,7 +272,7 @@ class TestHBar:
         difference is well-conditioned."""
         for a in (0.0, 0.5, 2.0, 6.0):
             naive = upsilon_bar(prob, a) - scale05.Z.over_slope(a) * (
-                1.0 - prob.varphi * scale05.z(a))
+                1.0 - prob.varphi * scale05.Z(a))
             assert h_bar(prob, a) == pytest.approx(naive, rel=1e-12)
 
     def test_far_limit(self, prob, scale05):

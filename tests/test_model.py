@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 
+import mpmath
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -101,6 +102,23 @@ class TestSpectralRoots:
         for theta in (r.theta1, r.theta2):
             resid = c * theta**2 + (c * mu - lam - q) * theta - q * mu
             assert resid == pytest.approx(0.0, abs=1e-14)
+
+    @pytest.mark.parametrize("c, lam, mu, q", [
+        (0.1, 8.0, 0.1, 1e-3), (0.1, 30.0, 0.1, 1e-5),  # lam + q > c mu
+        (30.0, 0.1, 30.0, 1e-5), (2.0, 0.4, 2.7, 0.0014),  # lam + q < c mu
+    ])
+    def test_roots_match_mpmath_without_cancellation(self, c, lam, mu, q):
+        """Both roots within 1e-15 relative of the 50-digit roots of the same
+        doubles, including the one of smaller magnitude, which the
+        quadratic formula would take by cancellation."""
+        r = spectral_roots(new_model(c, lam, mu), q)
+        with mpmath.workdps(50):
+            c, lam, mu, q = (mpmath.mpf(v) for v in (c, lam, mu, q))
+            b = lam + q - c * mu
+            kappa = mpmath.sqrt(b * b + 4 * c * q * mu)
+            for got, want in ((r.theta1, (b + kappa) / (2 * c)),
+                              (r.theta2, (b - kappa) / (2 * c))):
+                assert abs(got - want) <= 1e-15 * abs(want)
 
     @pytest.mark.parametrize("q", [0.002, 0.05])
     def test_theta1_matches_bisection_of_exponent(self, base_model, q):

@@ -75,7 +75,6 @@ class TestFindRoot:
     def test_linear(self):
         rep = find_root_decreasing_sign(lambda x: 1.0 - x, 0.0, 1e-10)
         assert rep.root == pytest.approx(1.0, abs=1e-9)
-        assert not rep.boundary_case
         assert rep.bracket[0] <= rep.root <= rep.bracket[1]
         assert abs(rep.residual) < 1e-9
         assert rep.iterations >= 0

@@ -18,6 +18,13 @@ discounts = st.floats(min_value=1e-3, max_value=1.0, allow_nan=False)
 positions = st.floats(min_value=1e-3, max_value=30.0, allow_nan=False)
 
 
+def w_derivative(s: ScaleSet, x: float, k: int) -> float:
+    """k-th derivative of W, written from the family's coefficients with the
+    e^{theta1 x} factor pulled out."""
+    t1, t2, W = s.theta1, s.theta2, s.W
+    return math.exp(t1 * x) * (W.f1 * t1**k - W.f2 * t2**k * math.exp((t2 - t1) * x))
+
+
 # ---------------------------------------------------------------------------
 # Boundary values and the domain-extension convention
 # ---------------------------------------------------------------------------
@@ -25,28 +32,30 @@ positions = st.floats(min_value=1e-3, max_value=30.0, allow_nan=False)
 
 class TestBoundaryValues:
     def test_w_at_zero_is_inverse_premium(self, scale05):
-        assert scale05.w(0.0) == pytest.approx(1.0 / 1.2, abs=1e-15)
+        assert scale05.W(0.0) == pytest.approx(1.0 / 1.2, abs=1e-15)
 
     def test_domain_extension_below_zero(self, scale05):
-        assert scale05.w(-1.0) == 0.0
-        assert scale05.z(-1.0) == 1.0
+        assert scale05.W(-1.0) == 0.0
+        assert scale05.Z(-1.0) == 1.0
 
-    def test_companions_vanish_at_zero(self, scale05):
-        assert scale05.z(0.0) == pytest.approx(1.0, abs=1e-15)
-        assert scale05.zbar(0.0) == pytest.approx(0.0, abs=1e-15)
-        assert scale05.wbar(0.0) == pytest.approx(0.0, abs=1e-15)
+    def test_companions_vanish_at_zero(self, base_model, scale05):
+        """Z(0) = 1, and Zbar(0) = Wbar(0) = 0: the antiderivatives'
+        constants are d/q for Z and 1/q for W."""
+        assert scale05.Z(0.0) == pytest.approx(1.0, abs=1e-15)
+        assert scale05.Z.integral(0.0) == pytest.approx(base_model.net_drift / 0.05,
+                                                        rel=1e-15)
+        assert scale05.W.integral(0.0) == pytest.approx(1.0 / 0.05, rel=1e-15)
 
     @pytest.mark.parametrize("q, expected", [(0.05, 1.05 / 1.44), (0.002, 1.002 / 1.44)])
     def test_w_slope_at_zero(self, base_model, q, expected):
         """W'(0+) from the two-exponential form equals (q + lam)/c^2,
         computed independently from the raw parameters."""
         s = ScaleSet(base_model, q)
-        assert s.w1_at_zero() == pytest.approx(expected, rel=1e-10)
-        assert s.w1(0.0) == pytest.approx(expected, rel=1e-10)
+        assert s.W.slope(0.0) == pytest.approx(expected, rel=1e-10)
 
     def test_w_over_slope_at_zero(self, scale05):
         """W(0)/W'(0+) = c/(q + lam) = 8/7 for the baseline at q=0.05."""
-        ratio = scale05.w(0.0) / scale05.w1_at_zero()
+        ratio = scale05.W(0.0) / scale05.W.slope(0.0)
         assert ratio == pytest.approx(8.0 / 7.0, abs=1e-10)
 
 
@@ -57,26 +66,28 @@ class TestBoundaryValues:
 
 class TestAntiderivatives:
     def test_z_is_one_plus_q_integral_of_w(self, scale05):
-        integral, _ = quad(scale05.w, 0.0, 3.0, epsabs=1e-12, epsrel=1e-12)
-        assert scale05.z(3.0) == pytest.approx(1.0 + 0.05 * integral, abs=1e-8)
+        integral, _ = quad(scale05.W, 0.0, 3.0, epsabs=1e-12, epsrel=1e-12)
+        assert scale05.Z(3.0) == pytest.approx(1.0 + 0.05 * integral, abs=1e-8)
 
     def test_zbar_is_integral_of_z(self, scale05):
-        integral, _ = quad(scale05.z, 0.0, 3.0, epsabs=1e-12, epsrel=1e-12)
-        assert scale05.zbar(3.0) == pytest.approx(integral, abs=1e-8)
+        integral, _ = quad(scale05.Z, 0.0, 3.0, epsabs=1e-12, epsrel=1e-12)
+        zbar = scale05.Z.integral(3.0) - scale05.Z.integral(0.0)
+        assert zbar == pytest.approx(integral, abs=1e-8)
 
     def test_wbar_is_integral_of_w(self, scale05):
-        integral, _ = quad(scale05.w, 0.0, 3.0, epsabs=1e-12, epsrel=1e-12)
-        assert scale05.wbar(3.0) == pytest.approx(integral, abs=1e-8)
+        integral, _ = quad(scale05.W, 0.0, 3.0, epsabs=1e-12, epsrel=1e-12)
+        wbar = scale05.W.integral(3.0) - scale05.W.integral(0.0)
+        assert wbar == pytest.approx(integral, abs=1e-8)
 
     def test_zbar_shifted_offsets_by_drift_over_q(self, base_model, scale05):
         shift = base_model.net_drift / 0.05
         for x in (0.0, 0.7, 4.0):
-            assert scale05.zbar_shifted(x) == pytest.approx(scale05.zbar(x) + shift,
-                                                            rel=1e-12)
+            zbar, _ = quad(scale05.Z, 0.0, x, epsabs=1e-13, epsrel=1e-13)
+            assert scale05.Z.integral(x) == pytest.approx(zbar + shift, rel=1e-12)
 
     def test_z_slope_is_q_times_w(self, scale05):
         for x in (0.2, 1.0, 5.0):
-            assert scale05.z1d(x) == pytest.approx(0.05 * scale05.w(x), rel=1e-12)
+            assert scale05.Z.slope(x) == pytest.approx(0.05 * scale05.W(x), rel=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -93,7 +104,7 @@ class TestLaplaceIdentity:
         theta = mult * scale05.theta1
         gap = theta - scale05.theta1
         hi = math.log(1e14 / gap) / gap
-        integral, _ = quad(lambda x: math.exp(-theta * x) * scale05.w(x), 0.0, hi,
+        integral, _ = quad(lambda x: math.exp(-theta * x) * scale05.W(x), 0.0, hi,
                            epsabs=1e-13, epsrel=1e-12, limit=400)
         target = 1.0 / (laplace_exponent(base_model, theta) - 0.05)
         assert integral == pytest.approx(target, rel=1e-8)
@@ -107,32 +118,33 @@ class TestLaplaceIdentity:
 class TestShape:
     def test_w_strictly_increasing(self, scale05):
         xs = np.linspace(0.0, 25.0, 200)
-        vals = [scale05.w(float(x)) for x in xs]
+        vals = [scale05.W(float(x)) for x in xs]
         assert all(a < b for a, b in zip(vals, vals[1:]))
 
     def test_z_at_least_one(self, scale05):
         for x in np.linspace(0.0, 25.0, 100):
-            assert scale05.z(float(x)) >= 1.0
+            assert scale05.Z(float(x)) >= 1.0
 
     def test_log_concavity_of_w(self, scale05):
         """W W'' < (W')^2 everywhere: the log-slope of W decreases."""
         for x in np.linspace(0.05, 20.0, 80):
             x = float(x)
-            assert scale05.w(x) * scale05.w2(x) < scale05.w1(x) ** 2
+            assert scale05.W(x) * w_derivative(scale05, x, 2) < scale05.W.slope(x) ** 2
 
     def test_log_convexity_of_w_slope(self, scale05):
         """W' W''' > (W'')^2 everywhere: the log-slope of W' increases."""
         for x in np.linspace(0.05, 20.0, 80):
             x = float(x)
-            assert scale05.w1(x) * scale05.w3(x) > scale05.w2(x) ** 2
+            assert scale05.W.slope(x) * w_derivative(scale05, x, 3) \
+                > w_derivative(scale05, x, 2) ** 2
 
     def test_w_log_slope_decreasing_to_theta1(self, scale05):
         xs = np.linspace(0.05, 30.0, 120)
-        slopes = [scale05.w1(float(x)) / scale05.w(float(x)) for x in xs]
+        slopes = [scale05.W.slope(float(x)) / scale05.W(float(x)) for x in xs]
         assert all(a > b for a, b in zip(slopes, slopes[1:]))
         assert all(sl >= scale05.theta1 for sl in slopes)
         far = 40.0 / scale05.theta1
-        assert scale05.w1(far) / scale05.w(far) == pytest.approx(scale05.theta1,
+        assert scale05.W.slope(far) / scale05.W(far) == pytest.approx(scale05.theta1,
                                                                  abs=1e-6)
 
     def test_z_over_slope_limit(self, scale05):
@@ -148,10 +160,10 @@ class TestShape:
         const = r.a1 * r.a2 * (r.theta1 - r.theta2) ** 2 / (c * mu)
 
         def grouped(x: float) -> float:
-            return const * math.exp((r.theta1 + r.theta2) * x) / scale05.w1(x)
+            return const * math.exp((r.theta1 + r.theta2) * x) / scale05.W.slope(x)
 
         for x in (0.5, 2.0, 6.0, 12.0):
-            naive = scale05.z(x) - 0.05 * scale05.w(x) ** 2 / scale05.w1(x)
+            naive = scale05.Z(x) - 0.05 * scale05.W(x) ** 2 / scale05.W.slope(x)
             assert naive == pytest.approx(grouped(x), rel=1e-10)
         assert abs(grouped(40.0 / scale05.theta1)) < 1e-6
 
@@ -166,21 +178,21 @@ class TestKernels:
         """The grouped ruin kernel equals W'Z/W - qW when the naive
         difference is still well-conditioned."""
         for x in (0.1, 1.0, 4.0, 10.0):
-            naive = scale05.w1(x) * scale05.z(x) / scale05.w(x) \
-                - 0.05 * scale05.w(x)
+            naive = scale05.W.slope(x) * scale05.Z(x) / scale05.W(x) \
+                - 0.05 * scale05.W(x)
             assert scale05.W.kernel(x) == pytest.approx(naive, rel=1e-9)
 
     def test_injection_kernel_matches_naive_bracket(self, scale05):
         """The grouped injection kernel equals Z - (Zbar + d/q) qW/Z."""
         for x in (0.1, 1.0, 4.0, 10.0):
-            naive = scale05.z(x) - scale05.zbar_shifted(x) * 0.05 * scale05.w(x) \
-                / scale05.z(x)
+            naive = scale05.Z(x) - scale05.Z.integral(x) * 0.05 * scale05.W(x) \
+                / scale05.Z(x)
             assert scale05.Z.kernel(x) == pytest.approx(naive, rel=1e-9)
 
     def test_log_accessors_match_direct_logs(self, scale05):
         for x in (0.0, 0.5, 3.0, 20.0):
-            assert scale05.W.log(x) == pytest.approx(math.log(scale05.w(x)), abs=1e-12)
-            assert scale05.Z.log(x) == pytest.approx(math.log(scale05.z(x)), abs=1e-12)
+            assert scale05.W.log(x) == pytest.approx(math.log(scale05.W(x)), abs=1e-12)
+            assert scale05.Z.log(x) == pytest.approx(math.log(scale05.Z(x)), abs=1e-12)
 
     def test_log_accessors_finite_far_out(self, scale05):
         """Ratios of W (or Z) stay computable far beyond the overflow range
@@ -209,9 +221,9 @@ class TestKernels:
     def test_ratio_accessors(self, scale05):
         for x in (0.3, 2.0, 9.0):
             assert scale05.W.over_slope(x) == pytest.approx(
-                scale05.w(x) / scale05.w1(x), rel=1e-12)
+                scale05.W(x) / scale05.W.slope(x), rel=1e-12)
             assert scale05.Z.over_slope(x) == pytest.approx(
-                scale05.z(x) / (0.05 * scale05.w(x)), rel=1e-12)
+                scale05.Z(x) / (0.05 * scale05.W(x)), rel=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -228,39 +240,55 @@ class TestScaleProperties:
         # accept ties at rounding level (the gap itself can sit at ~1 ulp
         # when one exponential carries a tiny coefficient).
         assume((s.theta1 - s.theta2) * x < 30.0)
-        concave_lhs, concave_rhs = s.w(x) * s.w2(x), s.w1(x) ** 2
+        w2, w3 = w_derivative(s, x, 2), w_derivative(s, x, 3)
+        concave_lhs, concave_rhs = s.W(x) * w2, s.W.slope(x) ** 2
         assert concave_lhs < concave_rhs or \
             concave_lhs == pytest.approx(concave_rhs, rel=1e-12)
-        convex_lhs, convex_rhs = s.w1(x) * s.w3(x), s.w2(x) ** 2
+        convex_lhs, convex_rhs = s.W.slope(x) * w3, w2 ** 2
         assert convex_lhs > convex_rhs or \
             convex_lhs == pytest.approx(convex_rhs, rel=1e-12)
 
     @given(c=rates, lam=rates, mu=rates, q=discounts)
     def test_w_at_zero_and_slope(self, c, lam, mu, q):
         s = ScaleSet(new_model(c, lam, mu), q)
-        assert s.w(0.0) == pytest.approx(1.0 / c, rel=1e-12)
-        assert s.w1_at_zero() == pytest.approx((q + lam) / c**2, rel=1e-10)
+        assert s.W(0.0) == pytest.approx(1.0 / c, rel=1e-12)
+        assert s.W.slope(0.0) == pytest.approx((q + lam) / c**2, rel=1e-10)
 
     @given(c=rates, lam=rates, mu=rates, q=discounts, x=positions, y=positions)
     @example(c=0.5, lam=2.0, mu=1.0, q=0.01, x=3.0, y=0.2)  # negative loading
+    @example(c=0.1, lam=8.0, mu=0.1, q=1e-3, x=0.01, y=0.2)  # theta2 from Vieta
     def test_families_match_naive_forms(self, c, lam, mu, q, x, y):
-        """W and Z against the raw accessors w, w1, z and zbar_shifted where
-        the naive forms are well conditioned.  Each naive kernel is a
-        difference of two terms, so it is held to a share of their size.
-        That share is 1e-8, not near 1e-15: the grouped kernel holds an
-        identity of the exact roots, and with negative loading at q = 1e-3
-        the rounded theta2 is off by up to 4.5e-10 relative, so the two
-        forms part by up to 9e-10 of the terms (c = mu = 0.1, lam = 8)."""
+        """The families' log, log_ratio, over_slope and kernel against naive
+        forms of F, F' and Zbar + d/q where those are well conditioned.
+        Each naive kernel is a difference of two terms, so it is held to a
+        share of their size.  The grouped kernel holds an identity of the
+        exact roots, so that share is only as small as the roots' error:
+        1e-12, with both roots free of cancellation."""
         s = ScaleSet(new_model(c, lam, mu), q)
         assume((s.theta1 - s.theta2) * max(x, y) < 30.0)
-        q_w = q * s.w(x)
-        cases = ((s.W, s.w, s.w1(x), (s.w1(x) * s.z(x) / s.w(x), q_w)),
-                 (s.Z, s.z, q_w, (s.z(x), s.zbar_shifted(x) * q_w / s.z(x))))
-        for family, f, slope, (a, b) in cases:
-            assert family.log(x) == pytest.approx(math.log(f(x)), rel=1e-12, abs=1e-12)
-            assert family.log_ratio(x, y) == pytest.approx(math.log(f(x) / f(y)), abs=1e-12)
-            assert family.over_slope(x) == pytest.approx(f(x) / slope, rel=1e-12)
-            assert abs(family.kernel(x) - (a - b)) <= 1e-8 * (abs(a) + abs(b))
+        q_w = q * s.W(x)
+        cases = ((s.W, s.W.slope(x), (s.W.slope(x) * s.Z(x) / s.W(x), q_w)),
+                 (s.Z, q_w, (s.Z(x), s.Z.integral(x) * q_w / s.Z(x))))
+        for f, slope, (a, b) in cases:
+            assert f.log(x) == pytest.approx(math.log(f(x)), rel=1e-12, abs=1e-12)
+            assert f.log_ratio(x, y) == pytest.approx(math.log(f(x) / f(y)), abs=1e-12)
+            assert f.over_slope(x) == pytest.approx(f(x) / slope, rel=1e-12)
+            assert abs(f.kernel(x) - (a - b)) <= 1e-12 * (abs(a) + abs(b))
+
+    @given(c=rates, lam=rates, mu=rates, q=discounts, x=positions)
+    @example(c=0.5, lam=2.0, mu=1.0, q=0.01, x=3.0)  # negative loading
+    def test_family_evaluators(self, c, lam, mu, q, x):
+        """F, F' and the antiderivative against each other: Z' = qW,
+        q int W = Z (both antiderivatives' constants included), W'(0+) =
+        (q + lam)/c^2, F/F' = over_slope, and the constants below zero."""
+        s = ScaleSet(new_model(c, lam, mu), q)
+        assume((s.theta1 - s.theta2) * x < 30.0)
+        assert s.Z.slope(x) == pytest.approx(q * s.W(x), rel=1e-12)
+        assert q * s.W.integral(x) == pytest.approx(s.Z(x), rel=1e-12)
+        assert s.W.slope(0.0) == pytest.approx((q + lam) / c**2, rel=1e-12)
+        for f in (s.W, s.Z):
+            assert f(x) / f.slope(x) == pytest.approx(f.over_slope(x), rel=1e-12)
+        assert (s.W(-x), s.W.slope(-x), s.Z(-x), s.Z.slope(-x)) == (0.0, 0.0, 1.0, 0.0)
 
     @given(c=rates, lam=rates, mu=rates, q=discounts)
     @example(c=0.5, lam=2.0, mu=1.0, q=0.01)  # negative loading

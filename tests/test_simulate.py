@@ -108,7 +108,7 @@ class TestTerminalEngine:
         Z(x) - (q/theta1) W(x)."""
         p = TerminalProblem(scale05, 0.0, 1.0, 1.0)
         r = simulate_terminal(p, 0.0, SimConfig(50_000, 400.0, 12345))
-        target = scale05.z(1.0) - (0.05 / scale05.theta1) * scale05.w(1.0)
+        target = scale05.Z(1.0) - (0.05 / scale05.theta1) * scale05.W(1.0)
         assert abs(r.mean - target) < 3.0 * r.stderr
         assert not r.bias_exceeded
         assert 0.0 < r.ruin_fraction < 1.0

@@ -38,9 +38,9 @@ def taxed(scale05):
 
 
 def naive_ruin_kernel(s: ScaleSet, z: float) -> float:
-    """W'Z/W - qW assembled from the raw accessors (well-conditioned only
+    """W'Z/W - qW assembled from the plain evaluators (well-conditioned only
     for moderate z; used as an independent oracle integrand)."""
-    return s.w1(z) * s.z(z) / s.w(z) - s.q * s.w(z)
+    return s.W.slope(z) * s.Z(z) / s.W(z) - s.q * s.W(z)
 
 
 # ---------------------------------------------------------------------------
@@ -81,7 +81,7 @@ class TestExitFactor:
     def test_matches_naive_power(self, taxed, scale05):
         e = taxed.exponent
         for (x, b) in ((0.5, 2.0), (1.0, 4.0), (3.0, 3.0)):
-            naive = (scale05.w(x) / scale05.w(b)) ** e
+            naive = (scale05.W(x) / scale05.W(b)) ** e
             assert two_sided_exit_taxed(taxed, x, b) == pytest.approx(naive,
                                                                       rel=1e-12)
 
@@ -111,14 +111,14 @@ class TestRuinFunctionals:
         """At ell = 0 the discounted ruin factor before reaching b is
         Z(x) - W(x) Z(b)/W(b)."""
         for (x, b) in ((0.5, 2.0), (1.0, 3.0), (2.0, 2.5)):
-            expected = scale05.z(x) - scale05.w(x) * scale05.z(b) / scale05.w(b)
+            expected = scale05.Z(x) - scale05.W(x) * scale05.Z(b) / scale05.W(b)
             got = ruin_time_laplace_taxed(untaxed, x, b)
             assert got == pytest.approx(expected, abs=1e-10)
 
     def test_untaxed_no_barrier_closed_form(self, untaxed, scale05):
         """With b = inf the discounted ruin factor is Z(x) - (q/theta1) W(x)."""
         for x in (0.3, 1.0, 4.0):
-            expected = scale05.z(x) - (0.05 / scale05.theta1) * scale05.w(x)
+            expected = scale05.Z(x) - (0.05 / scale05.theta1) * scale05.W(x)
             got = ruin_time_laplace_taxed(untaxed, x, math.inf)
             assert got == pytest.approx(expected, rel=1e-9)
 
@@ -126,7 +126,7 @@ class TestRuinFunctionals:
         e = taxed.exponent
         x, b = 0.7, 3.0
         oracle, _ = quad(
-            lambda z: (scale05.w(x) / scale05.w(z)) ** e
+            lambda z: (scale05.W(x) / scale05.W(z)) ** e
             * naive_ruin_kernel(scale05, z),
             x, b, epsabs=1e-13, epsrel=1e-12,
         )
@@ -139,7 +139,7 @@ class TestRuinFunctionals:
         rate = (e - 1.0) * scale05.theta1 - scale05.theta2
         hi = x + 45.0 / rate
         oracle, _ = quad(
-            lambda z: (scale05.w(x) / scale05.w(z)) ** e
+            lambda z: (scale05.W(x) / scale05.W(z)) ** e
             * naive_ruin_kernel(scale05, z),
             x, hi, epsabs=1e-13, epsrel=1e-12, limit=400,
         )
@@ -180,7 +180,7 @@ class TestPsiUpsilon:
         """With ell = 0 taxing from b changes nothing, so psi(b) is S times
         the discounted ruin factor started at b."""
         for b in (0.0, 1.0, 5.0):
-            expected = scale05.z(b) - (0.05 / scale05.theta1) * scale05.w(b)
+            expected = scale05.Z(b) - (0.05 / scale05.theta1) * scale05.W(b)
             assert psi(untaxed, b) == pytest.approx(expected, rel=1e-9)
 
     def test_psi_affine_in_terminal_value(self, scale05):
@@ -194,7 +194,7 @@ class TestPsiUpsilon:
     def test_upsilon_identity(self, taxed, scale05):
         for b in (0.0, 0.8, 3.0):
             assert upsilon(taxed, b) == pytest.approx(
-                psi(taxed, b) - taxed.s_terminal * scale05.z(b), rel=1e-11)
+                psi(taxed, b) - taxed.s_terminal * scale05.Z(b), rel=1e-11)
 
     def test_cap_v_right_limit_and_growth(self, taxed):
         assert taxed.family.over_slope(0.0) == pytest.approx(1.2 / (0.05 + 1.0), rel=1e-12)
@@ -210,7 +210,7 @@ class TestHTerminal:
         must agree with this naive assembly where it is well-conditioned."""
         for b in (0.0, 0.5, 2.0, 6.0):
             naive = upsilon(taxed, b) - scale05.W.over_slope(b) * (
-                1.0 - taxed.s_terminal * 0.05 * scale05.w(b))
+                1.0 - taxed.s_terminal * 0.05 * scale05.W(b))
             assert h_terminal(taxed, b) == pytest.approx(naive, rel=1e-9)
 
     def test_far_limit(self, taxed, scale05):
@@ -256,7 +256,7 @@ class TestPhiValue:
         assert phi_value(taxed, 2.0, 1.0) == phi_value(taxed, 2.0, 2.0)
 
     def test_untaxed_objective_ignores_threshold(self, untaxed, scale05):
-        expected = scale05.z(1.0) - (0.05 / scale05.theta1) * scale05.w(1.0)
+        expected = scale05.Z(1.0) - (0.05 / scale05.theta1) * scale05.W(1.0)
         for b in (1.0, 2.0, 7.0):
             assert phi_value(untaxed, 1.0, b) == pytest.approx(expected,
                                                                rel=1e-9)
