@@ -13,7 +13,7 @@ finding:
   capital injections (``tax_injection``).
 
 Both are one optimal-stopping construction on a scale-function family,
-written once in ``problem``; each problem supplies its family's pieces,
+written once in ``problem``; each problem supplies its family's data,
 and its mode-named functions (``h_terminal``, ``h_bar``, ...) are
 aliases of the shared ones.  The library also has exact Monte Carlo
 engines for both controlled processes (``simulate``), reference

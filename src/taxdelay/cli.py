@@ -68,10 +68,10 @@ def _add_scenario_flags(sub: argparse.ArgumentParser) -> None:
                      help="exponential claim-size parameter")
     sub.add_argument("--q", type=float, required=True, help="discount rate")
     sub.add_argument("--ell", type=float, required=True, help="tax rate in [0, 1)")
-    sub.add_argument("--S", dest="s_terminal", type=float, default=0.0,
-                     help="terminal value at ruin (terminal mode, default 0)")
+    sub.add_argument("--S", dest="s_terminal", type=float, default=None,
+                     help="terminal value at ruin (terminal mode only, default 0)")
     sub.add_argument("--varphi", type=float, default=None,
-                     help="cost per unit injected (> 1; required in injection mode)")
+                     help="cost per unit injected (> 1; injection mode only, required)")
     sub.add_argument("--x", type=float, default=1.0,
                      help="starting surplus level (default 1)")
 
@@ -117,9 +117,9 @@ def build_parser() -> argparse.ArgumentParser:
         "simulate", help="Monte Carlo run compared against the formula")
     _add_scenario_flags(p_sim)
     p_sim.add_argument("--b", type=float, default=None,
-                       help="terminal-mode threshold (default: the optimum)")
+                       help="threshold (terminal mode only; default: the optimum)")
     p_sim.add_argument("--a", type=float, default=None,
-                       help="injection-mode threshold (default: the optimum)")
+                       help="threshold (injection mode only; default: the optimum)")
     p_sim.add_argument("--paths", type=int, default=200_000,
                        help="number of simulated paths (default 200000)")
     p_sim.add_argument("--horizon", type=float, default=400.0,
@@ -142,10 +142,22 @@ def build_parser() -> argparse.ArgumentParser:
 # ---------------------------------------------------------------------------
 
 
+# the flags that only the other mode takes, by their argparse dest
+_OTHER_MODE_FLAGS = {"terminal": (("varphi", "--varphi"), ("a", "--a")),
+                     "injection": (("s_terminal", "--S"), ("b", "--b"))}
+
+
+def _reject_other_mode_flags(args: argparse.Namespace) -> None:
+    for dest, flag in _OTHER_MODE_FLAGS[args.mode]:
+        if getattr(args, dest, None) is not None:
+            raise InvalidParameter(f"{args.mode} mode takes no {flag}")
+
+
 def _build_problem(args: argparse.Namespace):
+    _reject_other_mode_flags(args)
     scale = ScaleSet(new_model(args.c, args.lam, args.mu), args.q)
     if args.mode == "terminal":
-        return TerminalProblem(scale, args.ell, args.s_terminal, args.x)
+        return TerminalProblem(scale, args.ell, args.s_terminal or 0.0, args.x)
     if args.varphi is None:
         raise InvalidParameter("injection mode needs --varphi")
     return InjectionProblem(scale, args.ell, args.varphi, args.x)
@@ -183,6 +195,7 @@ def _cmd_reproduce(args: argparse.Namespace) -> Tuple[List[str], List[Row]]:
 
 
 def _cmd_sweep(args: argparse.Namespace) -> Tuple[List[str], List[Row]]:
+    _reject_other_mode_flags(args)
     grid_flags = (args.q_lo, args.q_hi, args.q_steps)
     if any(v is not None for v in grid_flags):
         if any(v is None for v in grid_flags):
@@ -198,7 +211,7 @@ def _cmd_sweep(args: argparse.Namespace) -> Tuple[List[str], List[Row]]:
     if args.mode == "injection" and args.varphi is None and args.param != "varphi":
         raise InvalidParameter("injection mode needs --varphi")
     base = SweepPoint(mode=args.mode, c=args.c, lam=args.lam, mu=args.mu,
-                      q=args.q, ell=args.ell, s_terminal=args.s_terminal,
+                      q=args.q, ell=args.ell, s_terminal=args.s_terminal or 0.0,
                       varphi=args.varphi if args.varphi is not None else 1.5,
                       x0=args.x)
     header = ["param", "param_value", "threshold", "value", "boundary_case"]

@@ -10,14 +10,16 @@ a scale-function family F.  With e = 1/(1-ell), T(x) = int_x^inf
     psi(x)      = e (ell T(x) + w T_K(x))      value of taxing at once from x
     upsilon(x)  = psi(x) - w G(x)
     h(x)        = psi(x) - (F/F')(x) (1 + w K(x))
-    phi(x; b)   = w G(x) + (F(x)/F(b)) upsilon(max(b, x))
+    phi(x; b)   = w gap(x, b) + (F(x)/F(b)) psi(b),  b lifted to max(b, x)
     dphi/db     = ell e F(x) F'(b) / F(b)^2 h(b)
 
+with the gap G(x) - (F(x)/F(b)) G(b) of the potential G (``gap``), which
+is phi's w G(x) + (F(x)/F(b)) upsilon(b) without its cancelling terms.
 The same integrals over a finite range [x, b] are the tails from x less
 (F(x)/F(b))^e times the tails from b (``exit_integral``).  h has a single
 sign change from + to -; the optimal threshold is its root when h(0) > 0
 and 0 otherwise.  Each problem is a dataclass that supplies its family's
-pieces; F/F' (``over_slope``), K (``kernel``), log(F(x)/F(y)) and the
+data; F/F' (``over_slope``), K (``kernel``), log(F(x)/F(y)) and the
 tails are methods of the family, a ``scale.ScaleFamily``:
 
     piece              TerminalProblem       InjectionProblem
@@ -25,6 +27,7 @@ tails are methods of the family, a ``scale.ScaleFamily``:
     kernel K           W'Z/W - qW            Z - qW (Zbar + d/q)/Z
     weight w           S                     -varphi
     potential G        Z                     -(Zbar + d/q)
+    G's g1, g2         z1, z2                -z1/theta1, -z2/theta2
     levels x           x > 0                 x >= 0
 """
 
@@ -39,8 +42,8 @@ from .numerics import RootReport, find_root_decreasing_sign
 from .scale import ScaleSet
 
 __all__ = ["DelayedTaxation", "OptimumReport", "exit_ratio", "exit_integral",
-           "exit_tail", "psi", "upsilon", "h", "phi", "phi_partial",
-           "optimize"]
+           "exit_tail", "psi", "potential", "gap", "upsilon", "h", "phi",
+           "phi_partial", "optimal_value", "optimize"]
 
 # absolute tolerance of every threshold root
 ROOT_TOL = 1e-8
@@ -48,14 +51,14 @@ ROOT_TOL = 1e-8
 
 @dataclass(frozen=True)
 class DelayedTaxation:
-    """Tax rate on top of a ScaleSet; a subclass supplies its family's pieces
-    (see the module docstring): the class attributes ``levels`` and
-    ``admits``, the attributes ``family`` and ``weight``, and the methods
-    ``potential`` and ``optimal_value``.
+    """Tax rate on top of a ScaleSet; a subclass supplies its family's data
+    (see the module docstring) and no methods: the class attributes
+    ``levels`` and ``admits``, and the attributes ``family``, ``weight``
+    and the potential's coefficients ``g1``, ``g2``.
 
-    A subclass binds the two attributes once, in ``__post_init__``: h
-    reads them on every call, and a plain attribute costs less there than
-    a method or a property.
+    A subclass binds the attributes once, in ``__post_init__``: h reads
+    them on every call, and a plain attribute costs less there than a
+    method or a property.
     """
 
     scale: ScaleSet
@@ -75,9 +78,10 @@ class DelayedTaxation:
 class OptimumReport:
     """Optimal threshold, objective value at x0, and root diagnostics.
 
-    ``value`` is the problem's closed-form ``optimal_value``.  It replaces
-    upsilon(threshold) through h(threshold) = 0 and does not lift the
-    threshold to x0, so it equals phi(x0; threshold) only for x0 <= threshold.
+    ``value`` is ``optimal_value(p, threshold)``: phi's formula with
+    psi(threshold) replaced through h(threshold) = 0, and the threshold not
+    lifted to x0.  So it equals phi(x0; threshold) only for x0 <= threshold
+    at an interior optimum; at a boundary case h(0) < 0.
     """
 
     threshold: float
@@ -134,9 +138,33 @@ def psi(p: DelayedTaxation, x: float) -> float:
     return p.ell * e * f.tail(e, x) + p.weight * (e * f.tail(e, x, kernel=True))
 
 
+def potential(p: DelayedTaxation, x: float) -> float:
+    """G(x) = g1 e^{theta1 x} - g2 e^{theta2 x}: Z, or -(Zbar + d/q)."""
+    f = p.family
+    return math.exp(f.theta1 * x) * (p.g1 - p.g2 * math.exp((f.theta2 - f.theta1) * x))
+
+
+def gap(p: DelayedTaxation, x: float, b: float) -> float:
+    """G(x) - (F(x)/F(b)) G(b) for x, b >= 0, without cancellation or overflow.
+
+    The e^{theta1 (x+b)} terms of G(x) F(b) - F(x) G(b) cancel exactly, so
+
+        gap = C e^{theta2 x} expm1(-delta (b-x)) / (f1 - f2 e^{-delta b}),
+
+    delta = theta1 - theta2 and C = f1 g2 - g1 f2.  For both problems the
+    two products in C have opposite signs, so nothing cancels there either.
+    Past b the numerator is -e^{theta1 x - delta b} expm1(-delta (x-b)).
+    """
+    f = p.family
+    delta = f.theta1 - f.theta2
+    num = math.exp(f.theta2 * x) * math.expm1(-delta * (b - x)) if x <= b \
+        else -math.exp(f.theta1 * x - delta * b) * math.expm1(-delta * (x - b))
+    return (f.f1 * p.g2 - p.g1 * f.f2) * num / (f.f1 - f.f2 * math.exp(-delta * b))
+
+
 def upsilon(p: DelayedTaxation, x: float) -> float:
     """upsilon = psi - w G: psi - S Z, or psi - varphi (Zbar + d/q)."""
-    return psi(p, x) - p.weight * p.potential(x)
+    return psi(p, x) - p.weight * potential(p, x)
 
 
 def h(p: DelayedTaxation, x: float) -> float:
@@ -152,7 +180,8 @@ def h(p: DelayedTaxation, x: float) -> float:
 
 
 def phi(p: DelayedTaxation, x: float, b: float) -> float:
-    """Objective phi(x; b) = w G(x) + (F(x)/F(b)) upsilon(b).
+    """Objective phi(x; b) = w G(x) + (F(x)/F(b)) upsilon(b), taken as
+    w gap(x, b) + (F(x)/F(b)) psi(b): every term is bounded.
 
     The ratio is the plain F ratio: the path is untaxed until it first
     reaches b.  Starting above the threshold lifts b to x (taxation is
@@ -161,7 +190,7 @@ def phi(p: DelayedTaxation, x: float, b: float) -> float:
     if not p.admits(x):
         raise DomainError(f"need finite {p.levels}, got x={x!r}")
     b = max(b, x)
-    return p.weight * p.potential(x) + _ratio(p, x, b) * upsilon(p, b)
+    return p.weight * gap(p, x, b) + _ratio(p, x, b) * psi(p, b)
 
 
 def phi_partial(p: DelayedTaxation, x: float, b: float) -> float:
@@ -172,13 +201,22 @@ def phi_partial(p: DelayedTaxation, x: float, b: float) -> float:
     return p.ell * p.exponent * (_ratio(p, x, b) / p.family.over_slope(b)) * h(p, b)
 
 
+def optimal_value(p: DelayedTaxation, b: float) -> float:
+    """phi's formula at (p.x0; b) with psi(b) = V(b) (1 + w K(b)), its value
+    where h(b) = 0: w gap(x0, b) + (F(x0)/F(b)) V(b) (1 + w K(b)).  b is not
+    lifted to x0 (see ``OptimumReport``)."""
+    f, x0 = p.family, p.x0
+    return p.weight * gap(p, x0, b) \
+        + _ratio(p, x0, b) * f.over_slope(b) * (1.0 + p.weight * f.kernel(b))
+
+
 def optimize(p: DelayedTaxation) -> OptimumReport:
     """Optimal delay threshold (the root of h if h(0) > 0, else 0) and the
-    value ``p.optimal_value(threshold)``."""
+    value ``optimal_value(p, threshold)``."""
     if h(p, 0.0) <= 0.0:
-        return OptimumReport(threshold=0.0, value=p.optimal_value(0.0),
+        return OptimumReport(threshold=0.0, value=optimal_value(p, 0.0),
                              boundary_case=True, root_diag=None)
     diag = find_root_decreasing_sign(lambda x: h(p, x), 0.0, ROOT_TOL,
                                      hi_cap=1e6 / p.scale.theta1)
-    return OptimumReport(threshold=diag.root, value=p.optimal_value(diag.root),
+    return OptimumReport(threshold=diag.root, value=optimal_value(p, diag.root),
                          boundary_case=False, root_diag=diag)

@@ -44,8 +44,6 @@ BASE_MODEL = new_model(c=1.2, lam=1.0, mu=1.0)
 #: Tax rates covered by every built-in table row set.
 TABLE_ELLS = (0.1, 0.2, 0.3)
 
-TABLE_IDS = (1, 2, 3)
-
 
 @dataclass(frozen=True)
 class TableDefinition:
@@ -280,7 +278,6 @@ def existence_grid(model: LevyModel, ell: float,
 __all__ = [
     "BASE_MODEL",
     "TABLE_ELLS",
-    "TABLE_IDS",
     "TableDefinition",
     "TableRow",
     "table_definition",

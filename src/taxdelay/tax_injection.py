@@ -20,7 +20,7 @@ and their tail limits g, r as a -> infinity.  The optimality function
     hbar(a) = upsilonbar(a) - Vbar(a) (1 - varphi Z(a)),  Vbar = Z/Z'
 
 has a single sign change from + to -.  This is the construction of
-``problem`` on the family Z: ``InjectionProblem`` supplies the pieces,
+``problem`` on the family Z: ``InjectionProblem`` supplies the data,
 and ``h_bar``, ``phi_bar_value``, ... are the shared functions.
 """
 
@@ -30,8 +30,8 @@ import math
 from dataclasses import dataclass
 
 from .errors import DomainError, InvalidParameter
-from .problem import (DelayedTaxation, exit_integral, exit_ratio, exit_tail, h,
-                      optimize, phi, phi_partial, psi, upsilon)
+from .problem import (DelayedTaxation, exit_integral, exit_ratio, exit_tail, gap,
+                      h, optimize, phi, phi_partial, psi, upsilon)
 
 __all__ = [
     "InjectionProblem",
@@ -75,28 +75,15 @@ class InjectionProblem(DelayedTaxation):
         if not (math.isfinite(self.x0) and self.x0 >= 0.0):
             raise InvalidParameter(f"x0 must be finite and >= 0, got {self.x0!r}")
         bind = object.__setattr__  # frozen: plain assignment raises
-        bind(self, "family", self.scale.Z)
+        Z = self.scale.Z
+        bind(self, "family", Z)
         bind(self, "weight", -self.varphi)
+        bind(self, "g1", -Z.f1 / Z.theta1)  # potential -(Zbar + d/q)
+        bind(self, "g2", -Z.f2 / Z.theta2)
 
-    @property
-    def drift_ratio(self) -> float:
-        """Net drift over discount rate, (c - lam/mu)/q."""
-        return self.scale.model.net_drift / self.scale.q
-
-    # the family's pieces (see ``problem``)
+    # the family's data (see ``problem``)
     levels = "0 <= x"
     admits = staticmethod(lambda x: 0.0 <= x < math.inf)
-
-    def potential(self, x: float) -> float:
-        return -self.scale.Z.integral(x)
-
-    def optimal_value(self, astar: float) -> float:
-        """varphi (Zbar(x0) + d/q) + Z(x0) (1 - varphi Z(a*)) / Z'(a*), which is
-        phibar(x0; a*) only for x0 <= a* (see ``OptimumReport``).  1/Z'(a*) =
-        1/(q W(a*)) is taken in log form, since Z(a*) overflows for large a*."""
-        s = self.scale
-        bracket = math.exp(-s.W.log(astar)) / s.q - self.varphi * s.Z.over_slope(astar)
-        return self.varphi * s.Z.integral(self.x0) + s.Z(self.x0) * bracket
 
 
 #: Discounted up-crossing factor (Z(x)/Z(a))^{1/(1-ell)} on [0, a].
@@ -119,22 +106,11 @@ def reflected_upcross_laplace(p: InjectionProblem, x: float, a: float) -> float:
 
 def expected_injection_until_upcross(p: InjectionProblem, a: float) -> float:
     """Expected discounted injections, started at 0, until first reaching a:
-
-    -d/q + (Zbar(a) + d/q)/Z(a),  d = net drift.
-
-    With z1 - z2 = 1 and d/q = z1/theta1 - z2/theta2 this is the product
-
-        z1 z2 delta/(theta1 theta2) (1 - u)/(z1 - z2 u),  delta = theta1 - theta2,
-
-    u = e^{-delta a}, whose factors each keep one sign (z2, theta2 < 0): no
-    difference cancels as a -> 0, and nothing overflows as a grows.
-    """
+    -d/q + (Zbar(a) + d/q)/Z(a), d = net drift.  This is the potential's
+    ``gap(0, a)``, so nothing cancels as a -> 0 or overflows as a grows."""
     if not (math.isfinite(a) and a >= 0.0):
         raise DomainError(f"need finite a >= 0, got {a!r}")
-    Z = p.family
-    delta = Z.theta1 - Z.theta2
-    scale = Z.f1 * Z.f2 * delta / (Z.theta1 * Z.theta2)
-    return scale * -math.expm1(-delta * a) / (Z.f1 - Z.f2 * math.exp(-delta * a))
+    return gap(p, 0.0, a)
 
 
 def g_a(p: InjectionProblem, x: float, a: float) -> float:

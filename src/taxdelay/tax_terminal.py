@@ -13,7 +13,7 @@ is maximized over b.  The optimality function
     h(b) = upsilon(b) - V(b) (1 - S q W(b)),     V = W/W'
 
 has a single sign change from + to -.  This is the construction of
-``problem`` on the family W: ``TerminalProblem`` supplies the pieces,
+``problem`` on the family W: ``TerminalProblem`` supplies the data,
 and ``h_terminal``, ``phi_value``, ... are the shared functions.
 """
 
@@ -21,10 +21,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 from .errors import DomainError, InvalidParameter
-from .numerics import integrate_finite
 from .problem import (DelayedTaxation, OptimumReport, exit_integral, exit_ratio,
                       h, optimize, phi, phi_partial, psi, upsilon)
 
@@ -33,7 +31,6 @@ __all__ = [
     "OptimumReport",
     "two_sided_exit_taxed",
     "ruin_time_laplace_taxed",
-    "expected_discounted_penalty",
     "expected_discounted_deficit",
     "psi",
     "upsilon",
@@ -60,21 +57,12 @@ class TerminalProblem(DelayedTaxation):
         bind = object.__setattr__  # frozen: plain assignment raises
         bind(self, "family", self.scale.W)
         bind(self, "weight", self.s_terminal)
+        bind(self, "g1", self.scale.Z.f1)  # potential Z
+        bind(self, "g2", self.scale.Z.f2)
 
-    # the family's pieces (see ``problem``)
+    # the family's data (see ``problem``)
     levels = "0 < x"
     admits = staticmethod(lambda x: 0.0 < x < math.inf)
-
-    def potential(self, x: float) -> float:
-        return self.scale.Z(x)
-
-    def optimal_value(self, bstar: float) -> float:
-        """S Z(x0) + W(x0) (1 - S q W(b*)) / W'(b*), which is phi(x0; b*) only
-        for x0 <= b* (see ``OptimumReport``)."""
-        s = self.scale
-        S = self.s_terminal
-        v = s.W.over_slope(bstar)
-        return S * s.Z(self.x0) + s.W(self.x0) * (v / s.W(bstar) - S * s.q * v)
 
 
 #: Discounted chance of reaching b before ruin: (W(x)/W(b))^{1/(1-ell)}.
@@ -94,21 +82,6 @@ def ruin_time_laplace_taxed(p: TerminalProblem, x: float, b: float) -> float:
     if not (0.0 < x <= b):
         raise DomainError(f"need 0 < x <= b, got x={x!r}, b={b!r}")
     return exit_integral(p, x, b, kernel=True)
-
-
-def expected_discounted_penalty(p: TerminalProblem, x: float, a: float,
-                                hbar: Callable[[float], float]) -> float:
-    """E_x[e^{-q ruin} hbar(max before ruin); ruin before reaching a].
-
-    hbar is any bounded function of the pre-ruin running maximum.  An
-    arbitrary hbar has no closed form, so this one functional is
-    integrated by adaptive quadrature.
-    """
-    if not (0.0 < x < a and math.isfinite(a)):
-        raise DomainError(f"need 0 < x < a finite, got x={x!r}, a={a!r}")
-    kernel = p.family.kernel
-    return p.exponent * integrate_finite(
-        lambda z: exit_ratio(p, x, z) * hbar(z) * kernel(z), x, a)
 
 
 def expected_discounted_deficit(p: TerminalProblem, x: float, a: float) -> float:

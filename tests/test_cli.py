@@ -10,9 +10,11 @@ import json
 import math
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
-from typing import Any, Dict, List, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -22,6 +24,12 @@ import taxdelay
 from taxdelay import cli
 from taxdelay.cli import (EXIT_INVALID_INPUT, EXIT_NUMERICAL_FAILURE, EXIT_OK,
                           _json_cell, _render, main)
+from taxdelay.errors import BracketFailure
+from taxdelay.model import new_model
+from taxdelay.problem import DelayedTaxation, h, optimize, phi, psi
+from taxdelay.scale import ScaleSet
+from taxdelay.tax_injection import InjectionProblem
+from taxdelay.tax_terminal import TerminalProblem
 
 TERMINAL_ARGS = ["--mode", "terminal", "--c", "1.2", "--lambda", "1",
                  "--mu", "1", "--q", "0.05", "--ell", "0.1"]
@@ -113,6 +121,27 @@ class TestOptimize:
         assert payload["threshold"] == pytest.approx(1101.49, rel=1e-5)
         assert math.isfinite(payload["value"])
 
+    @pytest.mark.parametrize("base", [TERMINAL_ARGS + ["--S", "-5"],
+                                      INJECTION_ARGS])
+    @pytest.mark.parametrize("mu,x0", [("1", 2000.0), ("10", 100.0)])
+    def test_start_far_above_threshold(self, capsys, base, mu, x0):
+        """x0 far above the threshold, where delta (x0 - b) passes 709 but
+        theta1 x0 does not: the value is finite and equals the closed form
+        w G(x0) + (F(x0)/F(b)) (V(b) (1 + w K(b)) - w G(b)) in mpmath."""
+        argv = [*base, "--x", repr(x0)]
+        argv[argv.index("--mu") + 1] = mu
+        rc, out, err = run_cli(capsys, "optimize", *argv, "--format", "json",
+                               "--precision", "17")
+        assert rc == EXIT_OK, err
+        payload = json.loads(out)
+        scale = ScaleSet(new_model(1.2, 1.0, float(mu)), 0.05)
+        p = TerminalProblem(scale, 0.1, -5.0, x0) if "terminal" in argv \
+            else InjectionProblem(scale, 0.2, 1.5, x0)
+        b, F = payload["threshold"], p.family
+        assert (F.theta1 - F.theta2) * (x0 - b) > 709.8 > F.theta1 * x0
+        want = phi_referee(p, x0, b, F.over_slope(b) * (1.0 + p.weight * F.kernel(b)))
+        assert payload["value"] == pytest.approx(want, rel=1e-11)
+
 
 # ---------------------------------------------------------------------------
 # optimize over the whole parameter box
@@ -161,6 +190,94 @@ class TestFuzzBox:
             elif rc not in (EXIT_INVALID_INPUT, EXIT_NUMERICAL_FAILURE):
                 failures.append((argv, rc))
         assert not failures, failures[:5]
+
+    @pytest.mark.parametrize("mode", ["terminal", "injection"])
+    def test_phi_matches_mpmath_referee(self, mode):
+        """phi at (1, opt), (0.5, opt + 1) and (1, 3) on every draw that
+        solves, against the naive w G(x) + (F(x)/F(b)) (psi(b) - w G(b)) in
+        mpmath.  Some points lie past theta1 b = 709, where G(b) overflows a
+        double."""
+        worst, past_overflow = 0.0, 0
+        for p in solved_draws(mode):
+            threshold = optimize(p).threshold
+            for x, b in ((1.0, threshold), (0.5, threshold + 1.0), (1.0, 3.0)):
+                want = phi_referee(p, x, b)
+                worst = max(worst, abs(phi(p, x, b) - want) / max(1.0, abs(want)))
+                past_overflow += p.family.theta1 * max(x, b) > 709.8
+        assert worst <= 1e-12
+        assert past_overflow > 0
+
+    @pytest.mark.parametrize("mode", ["terminal", "injection"])
+    def test_value_is_phi_up_to_the_threshold(self, mode):
+        """With x0 <= threshold, value is phi(x0; threshold) with h(threshold)
+        = 0 imposed, so it differs from phi by (F(x0)/F(threshold)) h, which
+        the root tolerance keeps small.  Checked at x0 = 1, and at half of
+        every positive threshold, where the terms of a closed form in F(x0)
+        and G(x0) cancel as e^{theta1 x0} grows."""
+        worst_identity, worst_at_one, checked = 0.0, 0.0, 0
+        for p in solved_draws(mode):
+            threshold = optimize(p).threshold
+            for x0 in {1.0, threshold / 2}:
+                if not 0.0 < x0 <= threshold:
+                    continue
+                value = optimize(replace(p, x0=x0)).value  # same threshold
+                want = phi(p, x0, threshold)
+                scale = max(1.0, abs(want))
+                ratio = math.exp(p.family.log_ratio(x0, threshold))
+                off = (want - value) / scale
+                worst_identity = max(worst_identity,
+                                     abs(off - ratio * h(p, threshold) / scale))
+                if x0 == 1.0:
+                    worst_at_one = max(worst_at_one, abs(off))
+                checked += 1
+        assert checked > 200
+        assert worst_identity <= 1e-12
+        assert worst_at_one <= 1e-7
+
+
+def solved_draws(mode: str) -> List[DelayedTaxation]:
+    """The problems of the fuzz box at x0 = 1 whose threshold solves."""
+    problems = []
+    for d in fuzz_box(300, 20261018):
+        scale = ScaleSet(new_model(d["c"], d["lambda"], d["mu"]), d["q"])
+        p = TerminalProblem(scale, d["ell"], d["S"], 1.0) if mode == "terminal" \
+            else InjectionProblem(scale, d["ell"], d["varphi"], 1.0)
+        try:
+            optimize(p)
+        except BracketFailure:  # open item C2
+            continue
+        problems.append(p)
+    return problems
+
+
+def phi_referee(p: DelayedTaxation, x: float, b: float,
+                psi_b: Optional[float] = None) -> float:
+    """phi(x; b) = w G(x) + (F(x)/F(b)) (psi(b) - w G(b)), b lifted to x,
+    taken naively in mpmath from the family's coefficients and the
+    library's psi(b).  A given psi_b stands in for psi(b), and b is then
+    not lifted.
+
+    mpmath's exponent is unbounded, so e^{theta1 b} neither overflows nor
+    costs digits; the terms that cancel are of size e^{theta1 x}, and
+    60 + theta1 x/2.3 digits leave far more than 17 in the difference.
+    """
+    if psi_b is None:
+        b = max(b, x)
+        psi_b = psi(p, b)
+    s, F = p.scale, p.family
+    with mpmath.workdps(int(60 + F.theta1 * x / 2.3)):
+        t1, t2 = mpmath.mpf(F.theta1), mpmath.mpf(F.theta2)
+
+        def two_exp(c1, c2, y):
+            return c1 * mpmath.exp(t1 * y) - c2 * mpmath.exp(t2 * y)
+
+        z1, z2 = mpmath.mpf(s.Z.f1), mpmath.mpf(s.Z.f2)
+        g1, g2 = (z1, z2) if F is s.W else (-z1 / t1, -z2 / t2)  # Z or -(Zbar + d/q)
+        f1, f2, w = mpmath.mpf(F.f1), mpmath.mpf(F.f2), mpmath.mpf(p.weight)
+        xm, bm = mpmath.mpf(x), mpmath.mpf(b)
+        upsilon = mpmath.mpf(psi_b) - w * two_exp(g1, g2, bm)
+        return float(w * two_exp(g1, g2, xm)
+                     + two_exp(f1, f2, xm) / two_exp(f1, f2, bm) * upsilon)
 
 
 # ---------------------------------------------------------------------------
@@ -360,6 +477,18 @@ class TestSimulate:
         assert out == ""
         assert "--precision" in err
 
+    @pytest.mark.parametrize("argv", [
+        [*INJECTION_ARGS, "--a", "5000"],
+        [*TERMINAL_ARGS, "--S", "-5", "--b", "5000"],
+    ])
+    def test_far_threshold_gives_finite_analytic(self, capsys, argv):
+        """Past theta1 b = 709 the potential at b leaves double range; the
+        objective does not."""
+        rc, out, err = run_cli(capsys, "simulate", *argv, "--paths", "100",
+                               "--horizon", "10", "--format", "json")
+        assert rc == EXIT_OK, err
+        assert math.isfinite(json.loads(out)["analytic"])
+
     def test_antithetic_needs_even_paths(self, capsys):
         rc, out, err = run_cli(capsys, "simulate", *TERMINAL_ARGS,
                                "--S", "-5", "--b", "2", "--paths", "2001",
@@ -367,6 +496,32 @@ class TestSimulate:
                                "--antithetic")
         assert rc == EXIT_INVALID_INPUT
         assert "error:" in err
+
+
+# ---------------------------------------------------------------------------
+# flags of the other mode
+# ---------------------------------------------------------------------------
+
+
+SWEEP_ELL = ["--param", "ell", "--from", "0.1", "--to", "0.3", "--steps", "2"]
+
+
+@pytest.mark.parametrize("argv,flag", [
+    (["optimize", *TERMINAL_ARGS, "--varphi", "1.5"], "--varphi"),
+    (["optimize", *INJECTION_ARGS, "--S", "-5"], "--S"),
+    (["sweep", *TERMINAL_ARGS, "--varphi", "1.5", *SWEEP_ELL], "--varphi"),
+    (["sweep", *INJECTION_ARGS, "--S", "-5", *SWEEP_ELL], "--S"),
+    (["simulate", *TERMINAL_ARGS, "--S", "-5", "--a", "3"], "--a"),
+    (["simulate", *TERMINAL_ARGS, "--varphi", "1.5"], "--varphi"),
+    (["simulate", *INJECTION_ARGS, "--b", "3"], "--b"),
+    (["simulate", *INJECTION_ARGS, "--S", "-5"], "--S"),
+])
+def test_other_mode_flag_is_input_error(capsys, argv, flag):
+    """A flag that only the other mode takes is rejected, not ignored."""
+    rc, out, err = run_cli(capsys, *argv)
+    assert rc == EXIT_INVALID_INPUT
+    assert out == ""
+    assert f"takes no {flag}" in err
 
 
 # ---------------------------------------------------------------------------

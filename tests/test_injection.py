@@ -12,6 +12,7 @@ from scipy.integrate import quad
 
 from taxdelay.errors import DomainError, InvalidParameter
 from taxdelay.model import new_model
+from taxdelay.problem import potential
 from taxdelay.scale import ScaleSet
 from taxdelay.tax_injection import (
     InjectionProblem,
@@ -49,10 +50,11 @@ def naive_injection_kernel(s: ScaleSet, w: float) -> float:
 
 class TestInjectionProblem:
     def test_exponent_and_drift_ratio(self, scale05, base_model):
+        """The potential -(Zbar + d/q) at 0 is minus the drift ratio d/q."""
         p = InjectionProblem(scale05, 0.25, 1.5, 1.0)
         assert p.exponent == pytest.approx(4.0 / 3.0, rel=1e-15)
-        assert p.drift_ratio == pytest.approx(base_model.net_drift / 0.05,
-                                              rel=1e-15)
+        assert potential(p, 0.0) == pytest.approx(-base_model.net_drift / 0.05,
+                                                  rel=1e-15)
 
     @pytest.mark.parametrize("ell", [-0.1, 1.0, math.nan])
     def test_rejects_bad_tax_rate(self, scale05, ell):
@@ -94,8 +96,9 @@ class TestReflectedPassage:
             reflected_upcross_laplace(prob, 3.0, 2.0)
 
     def test_expected_injection_closed_form(self, prob, scale05):
+        d_q = scale05.model.net_drift / scale05.q
         for a in (0.5, 3.0, 10.0):
-            naive = -prob.drift_ratio + scale05.Z.integral(a) / scale05.Z(a)
+            naive = -d_q + scale05.Z.integral(a) / scale05.Z(a)
             assert expected_injection_until_upcross(prob, a) == pytest.approx(
                 naive, rel=1e-12)
 
@@ -110,7 +113,7 @@ class TestReflectedPassage:
     def test_expected_injection_far_limit(self, prob, scale05):
         """As a grows the expression settles at 1/theta1 - d/q."""
         far = 2000.0 / scale05.theta1
-        limit = 1.0 / scale05.theta1 - prob.drift_ratio
+        limit = 1.0 / scale05.theta1 - scale05.model.net_drift / scale05.q
         assert expected_injection_until_upcross(prob, far) == pytest.approx(
             limit, rel=1e-12)
 
@@ -124,13 +127,14 @@ class TestReflectedPassage:
         finite value whose ratio part is 1/theta1."""
         s = ScaleSet(new_model(c, lam, mu), q)
         p = InjectionProblem(s, 0.2, 1.5, 0.0)
+        d_q = s.model.net_drift / s.q
         for a in (0.5 / s.theta1, 3.0 / s.theta1, 30.0 / s.theta1):
-            naive = -p.drift_ratio + s.Z.integral(a) / s.Z(a)
+            naive = -d_q + s.Z.integral(a) / s.Z(a)
             assert expected_injection_until_upcross(p, a) == pytest.approx(
                 naive, rel=1e-12)
         far = expected_injection_until_upcross(p, 1e4 / s.theta1)
         assert math.isfinite(far)
-        assert far + p.drift_ratio == pytest.approx(1.0 / s.theta1, rel=1e-12)
+        assert far + d_q == pytest.approx(1.0 / s.theta1, rel=1e-12)
 
     @pytest.mark.parametrize("a", [1e-6, 0.01, 1.0])
     def test_expected_injection_matches_mpmath(self, a):

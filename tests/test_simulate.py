@@ -10,6 +10,7 @@ import pytest
 
 import taxdelay.simulate as simulate
 from mc_oracle import injected_corridor, taxed_corridor
+from quad_oracle import expected_discounted_penalty
 from taxdelay.errors import EventCapExceeded, InvalidConfig, InvalidParameter
 from taxdelay.model import new_model
 from taxdelay.scale import ScaleSet
@@ -30,7 +31,6 @@ from taxdelay.tax_injection import (
 from taxdelay.tax_terminal import (
     TerminalProblem,
     expected_discounted_deficit,
-    expected_discounted_penalty,
     phi_value,
     ruin_time_laplace_taxed,
     two_sided_exit_taxed,

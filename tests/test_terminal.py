@@ -7,6 +7,7 @@ import math
 
 import numpy as np
 import pytest
+from quad_oracle import expected_discounted_penalty
 from scipy.integrate import quad
 
 from taxdelay.errors import DomainError, InvalidParameter
@@ -15,7 +16,6 @@ from taxdelay.scale import ScaleSet
 from taxdelay.tax_terminal import (
     TerminalProblem,
     expected_discounted_deficit,
-    expected_discounted_penalty,
     h_terminal,
     optimize_terminal,
     phi_partial_b,
