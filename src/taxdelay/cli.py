@@ -11,7 +11,8 @@ Subcommands:
 
 Output is CSV (default) or JSON, written to stdout or ``--out``.  Floats
 are printed with ``--precision`` significant digits (default 6).  Exit
-codes: 0 success, 2 invalid input, 3 numerical failure.
+codes: 0 success, 2 invalid input, 3 numerical failure (any
+ArithmeticError, overflow and division by zero included).
 """
 
 from __future__ import annotations
@@ -22,17 +23,17 @@ import functools
 import io
 import math
 import sys
+from dataclasses import asdict, fields
 from json.encoder import encode_basestring_ascii
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
-from .errors import (BracketFailure, DomainError, EventCapExceeded,
-                     InvalidConfig, InvalidParameter, ToleranceNotMet)
+from .errors import DomainError, EventCapExceeded, InvalidConfig, InvalidParameter
 from .model import new_model
 from .problem import optimize, phi
 from .scale import ScaleSet
 from .simulate import SimConfig, simulate_injection, simulate_terminal
-from .tables import (SWEEPABLE, SweepPoint, existence_grid, sweep_rows,
-                     table_rows)
+from .tables import (SWEEPABLE, SweepPoint, TableRow, existence_grid,
+                     sweep_rows, table_rows)
 # h_terminal is h_bar, the shared h; perfbench/tracing.py wraps both names here
 from .tax_injection import InjectionProblem, h_bar  # noqa: F401
 from .tax_terminal import TerminalProblem, h_terminal
@@ -182,16 +183,7 @@ def _cmd_optimize(args: argparse.Namespace) -> Tuple[List[str], List[Row]]:
 
 
 def _cmd_reproduce(args: argparse.Namespace) -> Tuple[List[str], List[Row]]:
-    header = ["ell", "intercept", "slope", "rhs_intercept", "rhs_slope", "threshold"]
-    rows = [{
-        "ell": r.ell,
-        "intercept": r.intercept,
-        "slope": r.slope,
-        "rhs_intercept": r.rhs_intercept,
-        "rhs_slope": r.rhs_slope,
-        "threshold": r.threshold,
-    } for r in table_rows(args.table)]
-    return header, rows
+    return [f.name for f in fields(TableRow)], [asdict(r) for r in table_rows(args.table)]
 
 
 def _cmd_sweep(args: argparse.Namespace) -> Tuple[List[str], List[Row]]:
@@ -349,7 +341,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except (InvalidParameter, InvalidConfig, DomainError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID_INPUT
-    except (ToleranceNotMet, BracketFailure, EventCapExceeded) as exc:
+    except (ArithmeticError, EventCapExceeded) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL_FAILURE
     if args.command == "validate" and not all(row["passed"] for row in rows):

@@ -26,6 +26,7 @@ tails are methods of the family, a ``scale.ScaleFamily``:
     family F           W (ScaleSet.W)        Z (ScaleSet.Z)
     kernel K           W'Z/W - qW            Z - qW (Zbar + d/q)/Z
     weight w           S                     -varphi
+    sign = w/param     +1                    -1
     potential G        Z                     -(Zbar + d/q)
     G's g1, g2         z1, z2                -z1/theta1, -z2/theta2
     levels x           x > 0                 x >= 0
@@ -53,8 +54,8 @@ ROOT_TOL = 1e-8
 class DelayedTaxation:
     """Tax rate on top of a ScaleSet; a subclass supplies its family's data
     (see the module docstring) and no methods: the class attributes
-    ``levels`` and ``admits``, and the attributes ``family``, ``weight``
-    and the potential's coefficients ``g1``, ``g2``.
+    ``levels``, ``admits`` and ``sign``, and the attributes ``family``,
+    ``weight`` and the potential's coefficients ``g1``, ``g2``.
 
     A subclass binds the attributes once, in ``__post_init__``: h reads
     them on every call, and a plain attribute costs less there than a

@@ -1,35 +1,35 @@
 """Reference tables and parameter sweeps for threshold existence.
 
-A positive optimal threshold exists exactly when the candidate function is
-positive at zero.  For both problem modes that condition compares two
-quantities that are affine in the economic parameter:
+A positive optimal threshold exists exactly when h(0) > 0 (``problem``).
+With the problem's parameter param (S, or varphi) and w = sign * param
+(sign = +1 terminal, -1 injection), h(0) > 0 reads
 
-* terminal mode: upsilon(0) = intercept + slope * S on the left against
-  V(0) * (1 - S q W(0)) = rhs_intercept + rhs_slope * S on the right; a
-  positive threshold exists iff the left side exceeds the right, and the
-  crossing point in S is the existence boundary.
-* injection mode: upsilon_bar(0) = intercept + slope * varphi on the left
-  against Vbar(0) - varphi * (Vbar(0) G(0) + Zbar(0) + d/q) on the right,
-  where G is the injection kernel and d the net drift; the crossing point
-  in varphi is the existence boundary.
+    ell e T(0) + w (e T_K(0) - G(0))  >  V(0) + w (V(0) K(0) - G(0)),
 
-All coefficients are closed forms at zero (the left-hand ones through
-the tails of ``ScaleSet.W`` and ``ScaleSet.Z``).  ``table_rows`` packages
-the three built-in reference scenarios; ``sweep_rows`` and
-``existence_grid`` generate plot-ready data.
+upsilon(0) against V(0) (1 + w K(0)) - w G(0), with the tails T and T_K,
+the potential G, V = F/F' and the kernel K of the problem's family at
+zero.  Both sides are affine in param:
+
+    intercept     = ell e T(0)      slope     = sign (e T_K(0) - G(0))
+    rhs_intercept = V(0)            rhs_slope = sign (V(0) K(0) - G(0))
+
+and their crossing point in param is the existence boundary.
+``existence_affine`` takes the four from the shared construction;
+``table_rows`` packages the three built-in reference scenarios;
+``sweep_rows`` and ``existence_grid`` generate plot-ready data.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Tuple
 
 import numpy as np
 
 from .errors import InvalidParameter
 from .model import LevyModel, new_model
-from .problem import DelayedTaxation, optimize
+from .problem import exit_tail, optimize, potential
 from .scale import ScaleSet
 from .tax_injection import InjectionProblem
 from .tax_terminal import TerminalProblem
@@ -47,10 +47,10 @@ TABLE_ELLS = (0.1, 0.2, 0.3)
 
 @dataclass(frozen=True)
 class TableDefinition:
-    """Mode, discount rate and tax-rate rows of one built-in table."""
+    """Problem class, discount rate and tax-rate rows of one built-in table."""
 
     table_id: int
-    mode: str  # "terminal" or "injection"
+    problem: type  # TerminalProblem or InjectionProblem
     q: float
     ells: Tuple[float, ...]
 
@@ -76,9 +76,9 @@ class TableRow:
 
 
 _DEFINITIONS = {
-    1: TableDefinition(table_id=1, mode="terminal", q=0.05, ells=TABLE_ELLS),
-    2: TableDefinition(table_id=2, mode="terminal", q=0.002, ells=TABLE_ELLS),
-    3: TableDefinition(table_id=3, mode="injection", q=0.05, ells=TABLE_ELLS),
+    1: TableDefinition(table_id=1, problem=TerminalProblem, q=0.05, ells=TABLE_ELLS),
+    2: TableDefinition(table_id=2, problem=TerminalProblem, q=0.002, ells=TABLE_ELLS),
+    3: TableDefinition(table_id=3, problem=InjectionProblem, q=0.05, ells=TABLE_ELLS),
 }
 
 
@@ -97,45 +97,15 @@ def table_definition(table_id: int) -> TableDefinition:
 # ---------------------------------------------------------------------------
 
 
-def terminal_affine(scale: ScaleSet, ell: float) -> Tuple[float, float]:
-    """Coefficients (intercept, slope) of S -> upsilon(0).
-
-    With e = 1/(1-ell), upsilon(0) = ell e I2(0) + S (e I1(0) - Z(0)), where
-    I1 is the ruin-kernel tail and I2 the plain exit-ratio tail of W.
-    """
-    e = DelayedTaxation(scale, ell).exponent  # validates ell
-    return (ell * e * scale.W.tail(e, 0.0),
-            e * scale.W.tail(e, 0.0, kernel=True) - scale.Z(0.0))
-
-
-def terminal_rhs(scale: ScaleSet) -> Tuple[float, float]:
-    """Coefficients (intercept, slope) of S -> V(0) * (1 - S q W(0))."""
-    v0 = scale.W.over_slope(0.0)
-    return v0, -v0 * scale.q * scale.W(0.0)
-
-
-def injection_affine(scale: ScaleSet, ell: float) -> Tuple[float, float]:
-    """Coefficients (intercept, slope) of varphi -> upsilon_bar(0).
-
-    upsilon_bar(0) = tax_tail(0) - varphi (injection_tail(0) + Zbar(0) + d/q)
-    with d the net drift, tax_tail = ell e T and injection_tail = e T_K on Z.
-    """
-    e = DelayedTaxation(scale, ell).exponent  # validates ell
-    return (ell * (e * scale.Z.tail(e, 0.0)),
-            -(e * scale.Z.tail(e, 0.0, kernel=True) + scale.Z.integral(0.0)))
-
-
-def injection_rhs(scale: ScaleSet) -> Tuple[float, float]:
-    """Coefficients (intercept, slope) of varphi -> the injection condition rhs.
-
-    The candidate function at zero is upsilon_bar(0) minus
-
-        Vbar(0) - varphi * (Vbar(0) G(0) + Zbar(0) + d/q)
-
-    with Vbar(0) = c/q, so the rhs is affine in varphi as well.
-    """
-    vbar0 = scale.Z.over_slope(0.0)
-    return vbar0, -(vbar0 * scale.Z.kernel(0.0) + scale.Z.integral(0.0))
+def existence_affine(problem: type, scale: ScaleSet,
+                     ell: float) -> Tuple[float, float, float, float]:
+    """(intercept, slope, rhs_intercept, rhs_slope) of the existence
+    condition of a problem class at (scale, ell); see the module docstring."""
+    p = problem(scale, ell, 2.0, 0.0)  # param 2 suits both classes; no piece reads it
+    f, sign = p.family, problem.sign
+    v0, g0 = f.over_slope(0.0), potential(p, 0.0)
+    return (ell * exit_tail(p, 0.0), sign * (exit_tail(p, 0.0, kernel=True) - g0),
+            v0, sign * (v0 * f.kernel(0.0) - g0))
 
 
 def existence_threshold(intercept: float, slope: float,
@@ -151,20 +121,10 @@ def table_rows(table_id: int, model: LevyModel = BASE_MODEL) -> List[TableRow]:
     """Compute all rows of one built-in table on the given model."""
     definition = table_definition(table_id)
     scale = ScaleSet(model, definition.q)
-    affine, rhs = (terminal_affine, terminal_rhs) if definition.mode == "terminal" \
-        else (injection_affine, injection_rhs)
     rows: List[TableRow] = []
     for ell in definition.ells:
-        intercept, slope = affine(scale, ell)
-        rhs_i, rhs_s = rhs(scale)
-        rows.append(TableRow(
-            ell=ell,
-            intercept=intercept,
-            slope=slope,
-            rhs_intercept=rhs_i,
-            rhs_slope=rhs_s,
-            threshold=existence_threshold(intercept, slope, rhs_i, rhs_s),
-        ))
+        coeffs = existence_affine(definition.problem, scale, ell)
+        rows.append(TableRow(ell, *coeffs, threshold=existence_threshold(*coeffs)))
     return rows
 
 
@@ -264,10 +224,7 @@ def existence_grid(model: LevyModel, ell: float,
     """
     s_grid = grid_values(s_lo, s_hi, s_steps)
     q_grid = grid_values(q_lo, q_hi, q_steps)
-    coeffs = []
-    for q in q_grid:
-        scale = ScaleSet(model, q)
-        coeffs.append(terminal_affine(scale, ell) + terminal_rhs(scale))
+    coeffs = [existence_affine(TerminalProblem, ScaleSet(model, q), ell) for q in q_grid]
     i, sl, ri, rs = np.array(coeffs, dtype=float).T[:, :, None]
     s = np.array(s_grid)
     h0 = ((i + sl * s) - (ri + rs * s)).tolist()
@@ -281,10 +238,7 @@ __all__ = [
     "TableDefinition",
     "TableRow",
     "table_definition",
-    "terminal_affine",
-    "terminal_rhs",
-    "injection_affine",
-    "injection_rhs",
+    "existence_affine",
     "existence_threshold",
     "table_rows",
     "SWEEPABLE",

@@ -84,6 +84,7 @@ class InjectionProblem(DelayedTaxation):
     # the family's data (see ``problem``)
     levels = "0 <= x"
     admits = staticmethod(lambda x: 0.0 <= x < math.inf)
+    sign = -1  # weight = sign * varphi
 
 
 #: Discounted up-crossing factor (Z(x)/Z(a))^{1/(1-ell)} on [0, a].

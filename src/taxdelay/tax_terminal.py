@@ -63,6 +63,7 @@ class TerminalProblem(DelayedTaxation):
     # the family's data (see ``problem``)
     levels = "0 < x"
     admits = staticmethod(lambda x: 0.0 < x < math.inf)
+    sign = 1  # weight = sign * s_terminal
 
 
 #: Discounted chance of reaching b before ruin: (W(x)/W(b))^{1/(1-ell)}.

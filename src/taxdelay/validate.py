@@ -19,8 +19,7 @@ from .numerics import integrate_finite, integrate_tail
 from .problem import h, optimize, phi, phi_partial
 from .scale import ScaleSet
 from .simulate import SimConfig, simulate_injection, simulate_terminal
-from .tables import (existence_threshold, injection_affine, injection_rhs,
-                     table_rows, terminal_affine, terminal_rhs)
+from .tables import existence_affine, existence_threshold, table_rows
 from .tax_injection import InjectionProblem, f_a, g_a, r_a
 from .tax_terminal import TerminalProblem
 
@@ -124,10 +123,8 @@ def _check_ode_residuals() -> CheckResult:
 def _check_existence_boundaries() -> CheckResult:
     s5 = ScaleSet(new_model(1.2, 1.0, 1.0), 0.05)
     worst = 0.0
-    for affine, rhs, problem, ell in (
-            (terminal_affine, terminal_rhs, TerminalProblem, 0.1),
-            (injection_affine, injection_rhs, InjectionProblem, 0.2)):
-        boundary = existence_threshold(*affine(s5, ell), *rhs(s5))
+    for problem, ell in ((TerminalProblem, 0.1), (InjectionProblem, 0.2)):
+        boundary = existence_threshold(*existence_affine(problem, s5, ell))
         worst = max(worst, abs(h(problem(s5, ell, boundary, 1.0), 0.0)))
     return _check("existence-boundary-consistency", worst < 1e-8,
                   f"candidate-at-zero residual {worst:.2e} at the affine crossing (tol 1e-8)")

@@ -142,6 +142,29 @@ class TestOptimize:
         want = phi_referee(p, x0, b, F.over_slope(b) * (1.0 + p.weight * F.kernel(b)))
         assert payload["value"] == pytest.approx(want, rel=1e-11)
 
+    @pytest.mark.parametrize("argv", [
+        # the value at x0 = 5000 is not taken with the threshold lifted to x0
+        ["optimize", *TERMINAL_ARGS, "--S", "-5", "--x", "5000"],
+        ["optimize", *INJECTION_ARGS, "--x", "5000"],
+        ["simulate", *TERMINAL_ARGS, "--S", "-5", "--x", "5000",
+         "--paths", "10", "--horizon", "5"],
+        ["sweep", *TERMINAL_ARGS, "--S", "-5", "--param", "x", "--from", "0",
+         "--to", "6000", "--steps", "3"],
+        # the spectral roots overflow or divide by zero
+        ["optimize", "--mode", "terminal", "--c", "1e300", "--lambda", "1",
+         "--mu", "1", "--q", "0.05", "--ell", "0.1"],
+        ["optimize", "--mode", "terminal", "--c", "1.2", "--lambda", "1",
+         "--mu", "1", "--q", "1e300", "--ell", "0.1"],
+        ["optimize", "--mode", "terminal", "--c", "1e-300", "--lambda", "1",
+         "--mu", "1", "--q", "0.05", "--ell", "0.1"],
+    ])
+    def test_arithmetic_fault_is_numerical_failure(self, capsys, argv):
+        """Overflow and division by zero exit 3 with one line on stderr."""
+        rc, out, err = run_cli(capsys, *argv)
+        assert rc == EXIT_NUMERICAL_FAILURE
+        assert out == "" and err.startswith("numerical failure: ")
+        assert err.count("\n") == 1
+
 
 # ---------------------------------------------------------------------------
 # optimize over the whole parameter box

@@ -5,21 +5,20 @@ from __future__ import annotations
 import pytest
 
 from taxdelay.errors import InvalidParameter
+from taxdelay.problem import h
 from taxdelay.scale import ScaleSet
 from taxdelay.tables import (
     BASE_MODEL,
+    TABLE_ELLS,
     SweepPoint,
     TableRow,
+    existence_affine,
     existence_grid,
     existence_threshold,
     grid_values,
-    injection_affine,
-    injection_rhs,
     sweep_rows,
     table_definition,
     table_rows,
-    terminal_affine,
-    terminal_rhs,
 )
 from taxdelay.tax_injection import InjectionProblem, optimize_injection, upsilon_bar
 from taxdelay.tax_terminal import TerminalProblem, h_terminal, optimize_terminal, upsilon
@@ -33,9 +32,9 @@ from taxdelay.tax_terminal import TerminalProblem, h_terminal, optimize_terminal
 class TestTableDefinition:
     def test_builtin_ids(self):
         d1, d2, d3 = (table_definition(i) for i in (1, 2, 3))
-        assert (d1.mode, d1.q) == ("terminal", 0.05)
-        assert (d2.mode, d2.q) == ("terminal", 0.002)
-        assert (d3.mode, d3.q) == ("injection", 0.05)
+        assert (d1.problem, d1.q) == (TerminalProblem, 0.05)
+        assert (d2.problem, d2.q) == (TerminalProblem, 0.002)
+        assert (d3.problem, d3.q) == (InjectionProblem, 0.05)
         assert d1.ells == d2.ells == d3.ells == (0.1, 0.2, 0.3)
 
     @pytest.mark.parametrize("bad", [0, 4, -1, "one", None])
@@ -51,7 +50,7 @@ class TestTableDefinition:
 
 class TestAffineExtraction:
     def test_terminal_affinity_is_exact(self, scale05):
-        intercept, slope = terminal_affine(scale05, 0.1)
+        intercept, slope, _, _ = existence_affine(TerminalProblem, scale05, 0.1)
         for s_val in (-6.0, -1.5, 2.0):
             p = TerminalProblem(scale05, 0.1, s_val, 1.0)
             assert upsilon(p, 0.0) == pytest.approx(intercept + slope * s_val,
@@ -59,12 +58,12 @@ class TestAffineExtraction:
 
     def test_terminal_rhs_closed_form(self, scale05):
         """V(0) = c/(q + lam) and the S coefficient is -q/(q + lam)."""
-        rhs_i, rhs_s = terminal_rhs(scale05)
+        _, _, rhs_i, rhs_s = existence_affine(TerminalProblem, scale05, 0.1)
         assert rhs_i == pytest.approx(1.2 / 1.05, rel=1e-12)
         assert rhs_s == pytest.approx(-0.05 / 1.05, rel=1e-12)
 
     def test_injection_affinity_is_exact(self, scale05):
-        intercept, slope = injection_affine(scale05, 0.2)
+        intercept, slope, _, _ = existence_affine(InjectionProblem, scale05, 0.2)
         for vp in (1.1, 2.0, 3.5):
             p = InjectionProblem(scale05, 0.2, vp, 1.0)
             assert upsilon_bar(p, 0.0) == pytest.approx(intercept + slope * vp,
@@ -73,9 +72,24 @@ class TestAffineExtraction:
     def test_injection_rhs_closed_form(self, scale05):
         """Vbar(0) = c/q = 24 and the varphi coefficient collapses to -c/q
         for these parameters."""
-        rhs_i, rhs_s = injection_rhs(scale05)
+        _, _, rhs_i, rhs_s = existence_affine(InjectionProblem, scale05, 0.2)
         assert rhs_i == pytest.approx(24.0, rel=1e-12)
         assert rhs_s == pytest.approx(-24.0, rel=1e-12)
+
+    @pytest.mark.parametrize("problem, params", [
+        (TerminalProblem, (-6.0, -1.5, 2.0)), (InjectionProblem, (1.1, 2.0, 3.5))])
+    @pytest.mark.parametrize("q", [0.002, 0.05])
+    def test_sides_differ_by_h_at_zero(self, problem, params, q):
+        """The left side less the right side is the optimality function at
+        zero, to rounding in the size of the four terms."""
+        scale = ScaleSet(BASE_MODEL, q)
+        for ell in TABLE_ELLS:
+            i, sl, ri, rs = existence_affine(problem, scale, ell)
+            for param in params:
+                terms = (i, sl * param, ri, rs * param)
+                want = h(problem(scale, ell, param, 1.0), 0.0)
+                got = (i + sl * param) - (ri + rs * param)
+                assert abs(got - want) <= 1e-12 * max(map(abs, terms))
 
 
 class TestExistenceThreshold:
@@ -244,8 +258,7 @@ class TestExistenceGrid:
         assert (cells[-1]["q"], cells[-1]["S"]) == (q_hi, s_hi)
         for cell in cells:
             scale = ScaleSet(BASE_MODEL, cell["q"])
-            i, sl = terminal_affine(scale, 0.2)
-            ri, rs = terminal_rhs(scale)
+            i, sl, ri, rs = existence_affine(TerminalProblem, scale, 0.2)
             s = cell["S"]
             assert cell["h_at_zero"] == (i + sl * s) - (ri + rs * s)
             assert type(cell["positive_threshold"]) is bool
