@@ -240,7 +240,7 @@ def _cmd_simulate(args: argparse.Namespace) -> Tuple[List[str], List[Row]]:
         "n_paths": result.n_paths,
         "bias_bound": result.bias_bound,
         "bias_exceeded": result.bias_exceeded,
-        "ruin_fraction": result.ruin_fraction,
+        "ruin_laplace": result.ruin_laplace,
         "analytic": analytic,
         "z_score": z_score,
     }

@@ -10,8 +10,19 @@ Both engines are exact in distribution: claim waiting times and claim
 sizes are exponential draws, the drift between claims is handled in closed
 form (including the discounted tax accrued while the path grows at a
 record), and ruin or injection can happen only at claim instants because
-the drift is upward.  The one approximation is the finite horizon, whose
-discounted-tail bias is bounded in closed form and reported.
+the drift is upward.  The target is the objective up to a finite horizon,
+whose discounted-tail bias is bounded in closed form and reported.
+
+Paths are not followed to the horizon once their discount weight is spent.
+From t_w = min(ln(1/W_MIN)/q, horizon), where e^{-qt} reaches ``W_MIN``, a
+payoff is discounted by the flat D(t_w) = e^{-q t_w} instead, and Russian
+roulette (Kahn & Harris 1951) stops each unit at min(t_w + T, horizon)
+with T ~ Exp(q).  Given the path, a payoff at s > t_w survives the clock
+with probability e^{-q(s - t_w)}, so the estimate is unbiased for the same
+horizon-truncated target.  T comes from its own stream,
+``Philox(key=seed).jumped()``: one uniform per unit, u and 1 - u for the
+members of an antithetic pair.  The main stream below does not depend on
+the clock, and where t_w is the horizon the clock never acts.
 
 Both engines run on one event loop and supply only their per-event step.
 The loop works on the live paths alone: a path that ends leaves the working
@@ -44,6 +55,8 @@ from .tax_terminal import TerminalProblem
 
 # Hard cap on per-path event count; a legitimate run ends long before this.
 EVENT_CAP = 10_000_000
+# Discount weight e^{-qt} from which a path runs on its Exp(q) stop clock.
+W_MIN = 0.1
 
 # ---------------------------------------------------------------------------
 # Configuration and result records
@@ -79,10 +92,11 @@ class SimResult:
 
     ``bias_exceeded`` is set when the bias bound is not below 10% of the
     standard error, signalling that the horizon is too short for the
-    requested precision.  ``ruin_fraction`` is populated in terminal mode
-    only (fraction of paths ruined before the horizon).  ``iterations``
-    counts the event loop's passes (the longest path's event count) and
-    ``events`` the path-events simulated over all paths.
+    requested precision.  ``ruin_laplace`` is populated in terminal mode
+    only: the estimate of E[e^{-q tau}; tau < horizon] for the ruin time
+    tau.  ``iterations`` counts the event loop's passes (the longest path's
+    event count), ``events`` the path-events simulated over all paths and
+    ``killed`` the paths the stop clock ended before the horizon.
     """
 
     mean: float
@@ -90,9 +104,10 @@ class SimResult:
     n_paths: int
     bias_bound: float
     bias_exceeded: bool
-    ruin_fraction: Optional[float] = None
+    ruin_laplace: Optional[float] = None
     iterations: int = 0
     events: int = 0
+    killed: int = 0
 
 
 def _require_level(name: str, value: float) -> float:
@@ -116,29 +131,35 @@ class _Capture:
 # ---------------------------------------------------------------------------
 
 
-def _run(cfg: SimConfig, lam: float, mu: float, state: Tuple[np.ndarray, ...],
-         step: Callable, capture: Optional[_Capture]) -> Tuple[np.ndarray, int, int]:
+def _run(cfg: SimConfig, lam: float, mu: float, q: float, state: Tuple[np.ndarray, ...],
+         step: Callable, capture: Optional[_Capture]) -> Tuple[np.ndarray, Dict[str, int]]:
     """Drive ``step`` over the live paths until every path has ended.
 
-    ``step`` gets the live paths' state arrays with their waiting times and
-    claim sizes.  It returns the discounted tax of the interval, the
-    discounted penalty at the claim as (positions, amounts) for the few
-    paths that incur one, the mask of paths that end with the event, their
-    next state, and a callable that builds the arrays a capture records.
-    Returns each path's total payoff in path order, the loop passes and
-    the path-events simulated.
+    ``step`` gets the live paths' state arrays, the start and end of their
+    interval, the mask of paths whose claim falls at or past their stop
+    (``end`` is then the stop and the claim is not paid), their claim sizes
+    and t_w, past which the discount stays e^{-q t_w}.  It returns the
+    discounted tax of the interval, the discounted penalty at the claim as
+    (positions, amounts) for the few paths that incur one, the mask of
+    paths that end with the event, their next state, and a callable that
+    builds the arrays a capture records.  Returns each path's total payoff
+    in path order and the work counters.
     """
-    n = cfg.n_paths
+    n, horizon = cfg.n_paths, float(cfg.horizon)
     rng = np.random.Generator(np.random.Philox(key=cfg.seed))
     idx = np.arange(n)  # original index of each live path
     acc = np.zeros(n)
     out = np.empty(n)
     units = n // 2 if cfg.antithetic else n
+    t_w = min(math.log(1.0 / W_MIN) / q, horizon)
+    clock = np.random.Generator(np.random.Philox(key=cfg.seed).jumped()).random(units)
     if cfg.antithetic:
         rank = idx % units  # position of each live path's pair among live pairs
         mirror = idx >= units
+        clock = np.concatenate((clock, 1.0 - clock))
+    t, stop = np.zeros(n), np.minimum(t_w - np.log1p(-clock) / q, horizon)
     scale = np.array([[-1.0 / lam], [-1.0 / mu]])
-    iterations = events = 0
+    iterations = events = killed = 0
     while idx.size:
         iterations += 1
         if iterations > EVENT_CAP:
@@ -152,17 +173,24 @@ def _run(cfg: SimConfig, lam: float, mu: float, state: Tuple[np.ndarray, ...],
         np.negative(u, out=u)
         np.log1p(u, out=u)
         u *= scale  # -log1p(-u) / rate: exponential waiting times and claims
-        tax, (charged, penalty), done, state, frame = step(state, u[0], u[1])
+        t_claim = t + u[0]
+        end = np.minimum(t_claim, stop)
+        truncated = t_claim >= stop
+        tax, (charged, penalty), done, state, frame = step(state, t, end, truncated,
+                                                           u[1], t_w)
         acc += tax
         acc[charged] += penalty
         if capture is not None:
-            capture.add(alive=np.ones(idx.size, dtype=bool), idx=idx, **frame())
+            capture.add(alive=np.ones(idx.size, dtype=bool), idx=idx, t_start=t,
+                        t_end=end, truncated=truncated, **frame())
+        t = t_claim
         if not done.any():
             continue
         gone = np.flatnonzero(done)
         out[idx[gone]] = acc[gone]
+        killed += int(np.count_nonzero(truncated[gone] & (stop[gone] < horizon)))
         keep = np.flatnonzero(~done)
-        idx, acc = idx[keep], acc[keep]
+        idx, acc, t, stop = idx[keep], acc[keep], t[keep], stop[keep]
         state = tuple(a[keep] for a in state)
         if cfg.antithetic:
             rank, mirror = rank[keep], mirror[keep]
@@ -172,11 +200,11 @@ def _run(cfg: SimConfig, lam: float, mu: float, state: Tuple[np.ndarray, ...],
             rank, units = renumber[rank] - 1, int(renumber[-1])
         else:
             units = idx.size
-    return out, iterations, events
+    return out, dict(iterations=iterations, events=events, killed=killed)
 
 
-def _result(out: np.ndarray, cfg: SimConfig, bias_bound: float, iterations: int,
-            events: int, ruin_fraction: Optional[float] = None) -> SimResult:
+def _result(out: np.ndarray, cfg: SimConfig, bias_bound: float, counters: Dict[str, int],
+            ruin_laplace: Optional[float] = None) -> SimResult:
     """Mean and standard error (pair-averaged when antithetic) of ``out``."""
     mean = float(np.mean(out))
     if cfg.antithetic:
@@ -192,9 +220,8 @@ def _result(out: np.ndarray, cfg: SimConfig, bias_bound: float, iterations: int,
         n_paths=cfg.n_paths,
         bias_bound=bias_bound,
         bias_exceeded=bool(bias_bound > 0.0 and not bias_bound < 0.1 * stderr),
-        ruin_fraction=ruin_fraction,
-        iterations=iterations,
-        events=events,
+        ruin_laplace=ruin_laplace,
+        **counters,
     )
 
 
@@ -211,51 +238,48 @@ def simulate_terminal(p: TerminalProblem, b: float, cfg: SimConfig,
     record above max(b, records so far); each interval's discounted accrual
     is integrated in closed form.  Ruin is the first claim instant at which
     the net (post-tax) level is negative; it contributes S discounted.
-    Paths still alive at the horizon contribute their accrued tax only.
+    Paths still alive at their stop contribute their accrued tax only.
     """
     b = _require_level("threshold b", b)
     model, q = p.scale.model, p.scale.q
     c, ell, s_value = model.c, p.ell, p.s_terminal
-    horizon = float(cfg.horizon)
     n = cfg.n_paths
     base = max(p.x0, b)
     tax_rate = ell * c / q
-    ruined_paths = 0
+    ruin_weight = 0.0
 
-    def step(state, wait, claim):
-        nonlocal ruined_paths
+    def step(state, t, end, truncated, claim, t_w):
+        nonlocal ruin_weight
         # record: running max of the pre-tax path, floored at b
-        t, level, record = state
-        t_claim = t + wait
-        end = np.minimum(t_claim, horizon)
+        level, record = state
         level_end = level + c * (end - t)
         # Record growth occupies [taxed_from, end]; empty when the barrier
         # is not reached before the interval ends.
         taxed_from = np.minimum(t + (record - level) / c, end)
-        discount_end = np.exp(-q * end)
-        tax = tax_rate * (np.exp(-q * taxed_from) - discount_end)
+        discount_end = np.exp(-q * np.minimum(end, t_w))
+        late = np.minimum(end - taxed_from, np.maximum(end - t_w, 0.0))  # taxed past t_w
+        tax = tax_rate * (np.exp(-q * np.minimum(taxed_from, t_w)) - discount_end) \
+            + (ell * c * math.exp(-q * t_w)) * late
         record_end = np.maximum(record, level_end)
         level_post = level_end - claim
         net_post = level_post - ell * (record_end - base)
-        truncated = t_claim >= horizon
         ruined = (net_post < 0.0) & ~truncated
         ruin = np.flatnonzero(ruined)
-        ruined_paths += ruin.size
+        ruin_weight += float(discount_end[ruin].sum())
         penalty = (ruin, s_value * discount_end[ruin])
 
         def frame():
-            return dict(t_start=t, t_end=end, level_start=level, level_end=level_end,
+            return dict(level_start=level, level_end=level_end,
                         record_start=record, record_end=record_end,
                         taxed_from=taxed_from, tax_paid=tax, claim_size=claim,
-                        net_after_claim=net_post, truncated=truncated, ruined=ruined)
+                        net_after_claim=net_post, ruined=ruined)
 
-        next_state = (t_claim, level_post, record_end)
-        return tax, penalty, truncated | ruined, next_state, frame
+        return tax, penalty, truncated | ruined, (level_post, record_end), frame
 
-    state = (np.zeros(n), np.full(n, float(p.x0)), np.full(n, base))
-    out, iterations, events = _run(cfg, model.lam, model.mu, state, step, capture)
-    bias_bound = math.exp(-q * horizon) * (abs(s_value) + tax_rate)
-    return _result(out, cfg, bias_bound, iterations, events, ruined_paths / n)
+    state = (np.full(n, float(p.x0)), np.full(n, base))
+    out, counters = _run(cfg, model.lam, model.mu, q, state, step, capture)
+    bias_bound = math.exp(-q * cfg.horizon) * (abs(s_value) + tax_rate)
+    return _result(out, cfg, bias_bound, counters, ruin_weight / n)
 
 
 # ---------------------------------------------------------------------------
@@ -280,15 +304,12 @@ def simulate_injection(p: InjectionProblem, a: float, cfg: SimConfig,
     model, q = p.scale.model, p.scale.q
     c, lam, mu = model.c, model.lam, model.mu
     ell, varphi = p.ell, p.varphi
-    horizon = float(cfg.horizon)
     n = cfg.n_paths
     tax_rate = ell * c / q
 
-    def step(state, wait, claim):
+    def step(state, t, end, truncated, claim, t_w):
         # barrier: regime record in a taxed phase, upcross target otherwise
-        t, level, taxed, barrier = state
-        t_claim = t + wait
-        end = np.minimum(t_claim, horizon)
+        level, taxed, barrier = state
         duration = end - t
         # Time to reach the barrier at full drift; level <= barrier always.
         reach = (barrier - level) / c
@@ -301,36 +322,38 @@ def simulate_injection(p: InjectionProblem, a: float, cfg: SimConfig,
         # phase-0 path that reaches its target becomes taxed there.
         taxed_end = taxed | hits
         barrier_end = np.maximum(barrier, level_end)
-        tax = np.exp(-q * hit_time) * np.expm1(-q * above) * -tax_rate
+        late = np.minimum(above, np.maximum(end - t_w, 0.0))  # taxed time past t_w
+        tax = np.exp(-q * np.minimum(hit_time, t_w)) * np.expm1(-q * (above - late)) \
+            * -tax_rate + (ell * c * math.exp(-q * t_w)) * late
 
-        truncated = t_claim >= horizon
         level_post = level_end - claim
-        # A claim past the horizon is not paid: truncated paths end here.
+        # A claim at or past the stop is not paid: truncated paths end here.
         short = np.flatnonzero(level_post < 0.0)
-        short = short[t_claim[short] < horizon]
-        penalty = (short, varphi * level_post[short] * np.exp(-q * t_claim[short]))
+        short = short[~truncated[short]]
+        penalty = (short, varphi * level_post[short]
+                   * np.exp(-q * np.minimum(end[short], t_w)))
 
         def frame():
             shortfall = (level_post < 0.0) & ~truncated
-            return dict(t_start=t, t_end=end, taxed_start=taxed, taxed_end=taxed_end,
+            return dict(taxed_start=taxed, taxed_end=taxed_end,
                         level_start=level, level_end=level_end, barrier_start=barrier,
                         barrier_end=barrier_end, hit_time=hit_time, tax_paid=tax,
                         claim_size=claim, injected=np.where(shortfall, -level_post, 0.0),
-                        ended_taxed_phase=shortfall & taxed_end, truncated=truncated)
+                        ended_taxed_phase=shortfall & taxed_end)
 
         # The injection tops the level up to zero.  It ends a taxed phase,
         # and the record stays as the next target; in phase 0 the target
         # is unchanged.
-        next_state = (t_claim, np.maximum(level_post, 0.0),
-                      taxed_end & (level_post >= 0.0), barrier_end)
+        next_state = (np.maximum(level_post, 0.0), taxed_end & (level_post >= 0.0),
+                      barrier_end)
         return tax, penalty, truncated, next_state, frame
 
     start_taxed = p.x0 >= a
-    state = (np.zeros(n), np.full(n, float(p.x0)), np.full(n, start_taxed),
+    state = (np.full(n, float(p.x0)), np.full(n, start_taxed),
              np.full(n, float(max(p.x0, a) if start_taxed else a)))
-    out, iterations, events = _run(cfg, lam, mu, state, step, capture)
-    bias_bound = math.exp(-q * horizon) * (tax_rate + varphi * lam / (mu * q))
-    return _result(out, cfg, bias_bound, iterations, events)
+    out, counters = _run(cfg, lam, mu, q, state, step, capture)
+    bias_bound = math.exp(-q * cfg.horizon) * (tax_rate + varphi * lam / (mu * q))
+    return _result(out, cfg, bias_bound, counters)
 
 
 # ---------------------------------------------------------------------------

@@ -464,7 +464,7 @@ class TestSimulate:
         assert rc == EXIT_OK
         payload = json.loads(out)
         assert payload["threshold"] == pytest.approx(0.5314597, abs=1e-6)
-        assert payload["ruin_fraction"] is None
+        assert payload["ruin_laplace"] is None
 
     def test_short_horizon_warns(self, capsys):
         rc, out, err = run_cli(capsys, "simulate", *TERMINAL_ARGS,
@@ -480,7 +480,7 @@ class TestSimulate:
         argv = ["simulate", *TERMINAL_ARGS, "--S", "-5", "--b", "2",
                 "--paths", "200", "--horizon", "50", "--seed", "5"]
         columns = ["mode", "threshold", "mean", "stderr", "n_paths",
-                   "bias_bound", "bias_exceeded", "ruin_fraction", "analytic",
+                   "bias_bound", "bias_exceeded", "ruin_laplace", "analytic",
                    "z_score"]
         rc, out, _ = run_cli(capsys, *argv)
         assert rc == EXIT_OK

@@ -105,13 +105,15 @@ class TestDeterminism:
 class TestTerminalEngine:
     def test_untaxed_no_barrier(self, scale05):
         """ell = 0, S = 1: the estimate is the discounted ruin factor
-        Z(x) - (q/theta1) W(x)."""
+        Z(x) - (q/theta1) W(x), and each payoff is the discounted ruin
+        indicator that ``ruin_laplace`` averages."""
         p = TerminalProblem(scale05, 0.0, 1.0, 1.0)
         r = simulate_terminal(p, 0.0, SimConfig(50_000, 400.0, 12345))
         target = scale05.Z(1.0) - (0.05 / scale05.theta1) * scale05.W(1.0)
         assert abs(r.mean - target) < 3.0 * r.stderr
         assert not r.bias_exceeded
-        assert 0.0 < r.ruin_fraction < 1.0
+        assert 0.0 < r.ruin_laplace < 1.0
+        assert r.ruin_laplace == pytest.approx(r.mean, rel=1e-12)
 
     def test_taxed_objective(self, scale05):
         p = TerminalProblem(scale05, 0.1, -5.0, 1.0)
@@ -128,13 +130,13 @@ class TestTerminalEngine:
 
     def test_ruin_fraction_near_zero_discount(self):
         """At q ~ 0 the discounted ruin factor is the ruin probability, so
-        the ruined-path fraction must match it."""
+        the ruin-time Laplace estimate must match it."""
         s = ScaleSet(new_model(2.0, 1.0, 1.0), 1e-8)
         p = TerminalProblem(s, 0.0, 1.0, 1.0)
         r = simulate_terminal(p, 0.0, SimConfig(100_000, 400.0, 20260814))
         target = ruin_time_laplace_taxed(p, 1.0, math.inf)
         se = math.sqrt(target * (1.0 - target) / 100_000)
-        assert abs(r.ruin_fraction - target) < 3.0 * se
+        assert abs(r.ruin_laplace - target) < 3.0 * se
 
     def test_short_horizon_sets_bias_flag(self, scale05):
         p = TerminalProblem(scale05, 0.1, -5.0, 1.0)
@@ -162,7 +164,7 @@ class TestInjectionEngine:
         r = simulate_injection(p, 2.0, SimConfig(50_000, 400.0, 31337))
         target = phi_bar_value(p, 1.0, 2.0)
         assert abs(r.mean - target) < 3.0 * r.stderr
-        assert r.ruin_fraction is None
+        assert r.ruin_laplace is None
 
     def test_untaxed_injection_stream(self, scale05):
         """ell = 0: the estimate is minus the discounted injection costs."""
@@ -408,11 +410,88 @@ class TestLivePathLoop:
 
     @pytest.mark.parametrize("antithetic", [False, True])
     def test_work_counters_match_step_logs(self, scale05, antithetic):
-        cfg = SimConfig(200, 30.0, 99, antithetic=antithetic)
+        """At horizon 30 the stop clock cannot act (t_w = horizon); at 100
+        it ends paths before the horizon."""
         pt = TerminalProblem(scale05, 0.1, -5.0, 1.0)
         pi = InjectionProblem(scale05, 0.2, 1.5, 1.0)
-        for paths, result in (
-                (inspect_terminal_paths(pt, 2.0, cfg), simulate_terminal(pt, 2.0, cfg)),
-                (inspect_injection_paths(pi, 2.0, cfg), simulate_injection(pi, 2.0, cfg))):
-            assert result.events == sum(len(steps) for steps in paths)
-            assert result.iterations == max(len(steps) for steps in paths)
+        for horizon in (30.0, 100.0):
+            cfg = SimConfig(200, horizon, 99, antithetic=antithetic)
+            for paths, result in (
+                    (inspect_terminal_paths(pt, 2.0, cfg), simulate_terminal(pt, 2.0, cfg)),
+                    (inspect_injection_paths(pi, 2.0, cfg), simulate_injection(pi, 2.0, cfg))):
+                assert result.events == sum(len(steps) for steps in paths)
+                assert result.iterations == max(len(steps) for steps in paths)
+                assert result.killed == sum(
+                    1 for steps in paths
+                    if steps[-1].truncated and steps[-1].t_end < horizon)
+                assert (result.killed > 0) == (horizon == 100.0)
+
+
+# ---------------------------------------------------------------------------
+# Russian roulette past t_w
+# ---------------------------------------------------------------------------
+
+
+def _stops(cfg: SimConfig, q: float):
+    """Each path's stop: t_w plus an Exp(q) time from the clock stream,
+    capped at the horizon."""
+    t_w = min(math.log(1.0 / simulate.W_MIN) / q, cfg.horizon)
+    units = cfg.n_paths // 2 if cfg.antithetic else cfg.n_paths
+    u = np.random.Generator(np.random.Philox(key=cfg.seed).jumped()).random(units)
+    if cfg.antithetic:
+        u = np.concatenate((u, 1.0 - u))
+    return t_w, np.minimum(t_w - np.log1p(-u) / q, cfg.horizon).tolist()
+
+
+def _flat_discount_tax(ell_c: float, q: float, t_w: float, u: float, v: float) -> float:
+    """Tax at rate ell*c over [u, v] discounted by D(s) = exp(-q min(s, t_w))."""
+    u_w, v_w = min(u, t_w), min(v, t_w)
+    return (ell_c / q) * math.exp(-q * u_w) * -math.expm1(-q * (v_w - u_w)) \
+        + ell_c * math.exp(-q * t_w) * ((v - u) - (v_w - u_w))
+
+
+class TestStopClock:
+    @pytest.mark.parametrize("antithetic", [False, True])
+    @pytest.mark.parametrize("mode", ["terminal", "injection"])
+    def test_steps_past_t_w(self, scale05, mode, antithetic):
+        """Horizon 100 at q = 0.05 puts t_w at 46: every step's tax is the
+        flat-discount closed form, and a path ends at its own stop, with
+        ruin or injections only at claims before it."""
+        cfg = SimConfig(200, 100.0, 99, antithetic=antithetic)
+        t_w, stops = _stops(cfg, 0.05)
+        if mode == "terminal":
+            ell = 0.1
+            paths = inspect_terminal_paths(TerminalProblem(scale05, ell, -5.0, 1.0), 2.0, cfg)
+        else:
+            ell = 0.2
+            paths = inspect_injection_paths(InjectionProblem(scale05, ell, 1.5, 1.0), 2.0, cfg)
+        past = 0
+        for steps, stop in zip(paths, stops):
+            for st in steps:
+                start = st.taxed_from if mode == "terminal" else st.hit_time
+                assert st.tax_paid == pytest.approx(
+                    _flat_discount_tax(ell * 1.2, 0.05, t_w, start, st.t_end), abs=1e-14)
+                assert st.t_end <= stop <= 100.0
+                if st.truncated:
+                    assert st.t_end == stop
+                elif getattr(st, "ruined", False) or getattr(st, "injected", 0.0) > 0.0:
+                    assert st.t_end < stop
+                past += st.t_end > t_w
+            last = steps[-1]
+            assert last.truncated or getattr(last, "ruined", False)
+        assert past > 0
+
+    @pytest.mark.parametrize("antithetic", [False, True])
+    def test_roulette_dominated_unbiased(self, base_model, antithetic):
+        """At q = 0.5, t_w = 4.6: most of each payoff's weight comes from
+        the flat discount and the stop clock, and both engines still agree
+        with the closed forms within 3 sigma."""
+        scale = ScaleSet(base_model, 0.5)
+        cfg = SimConfig(200_000, 100.0, 5150, antithetic=antithetic)
+        pt = TerminalProblem(scale, 0.1, -5.0, 1.0)
+        pi = InjectionProblem(scale, 0.2, 1.5, 1.0)
+        for result, target in ((simulate_terminal(pt, 2.0, cfg), phi_value(pt, 1.0, 2.0)),
+                               (simulate_injection(pi, 2.0, cfg),
+                                phi_bar_value(pi, 1.0, 2.0))):
+            assert result.killed > cfg.n_paths // 10
+            assert abs(result.mean - target) < 3.0 * result.stderr
