@@ -1,5 +1,11 @@
 """Adaptive quadrature and bracketed roots.
 
+Roots are bracketed by ``find_root_decreasing_sign`` and refined by
+``brentq``, a pure-Python port of Brent's method as scipy's ``brentq.c``
+writes it (Brent 1973, ch. 4), iterate for iterate.  The port takes the
+two h values the bracket search already has and returns h at the root;
+with h(lo) from the caller, no point is evaluated twice.
+
 Every exit functional of the two problems has a closed form
 (``ScaleFamily.tail``); quadrature is left for the penalty functional with
 an arbitrary weight and, in the self-checks, for testing the closed forms
@@ -15,9 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Tuple
-
-from scipy.optimize import brentq
+from typing import Callable, Optional, Tuple
 
 from .errors import BracketFailure, InvalidParameter, ToleranceNotMet
 
@@ -38,6 +42,10 @@ _CHUNK_EFOLDS = 20.0
 
 # a lying decay rate would otherwise extend the tail forever
 _MAX_CHUNKS = 64
+
+# brentq's relative tolerance (scipy's smallest allowed) and iteration cap
+_BRENT_RTOL = 4.0 * math.ulp(1.0)
+_BRENT_MAXITER = 200
 
 
 @dataclass(frozen=True)
@@ -109,23 +117,74 @@ def integrate_tail(f: Callable[[float], float], a: float, decay: float) -> float
     )
 
 
+def brentq(f: Callable[[float], float], xa: float, xb: float, fa: float, fb: float,
+           xtol: float) -> Tuple[float, float, int]:
+    """Root of f in [xa, xb] by Brent's method, given fa = f(xa) and fb = f(xb)
+    of strictly opposite signs.
+
+    A port of scipy's ``brentq.c``, operation for operation, so root and
+    iteration count agree bit for bit with scipy's ``brentq`` at
+    rtol = 4 eps and maxiter = 200.  f is evaluated only at new iterates.
+    Returns (root, f(root), iterations).
+    """
+    if not (fa < 0.0 < fb or fb < 0.0 < fa):
+        raise BracketFailure(f"f({xa:g}) = {fa!r} and f({xb:g}) = {fb!r} do not bracket a root")
+    xpre, xcur, fpre, fcur = xa, xb, fa, fb
+    xblk = fblk = spre = scur = 0.0
+    for iterations in range(1, _BRENT_MAXITER + 1):
+        if fpre != 0.0 and fcur != 0.0 and (fpre < 0.0) != (fcur < 0.0):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + _BRENT_RTOL * abs(xcur)) / 2.0
+        sbis = (xblk - xcur) / 2.0
+        if fcur == 0.0 or abs(sbis) < delta:
+            return xcur, fcur, iterations
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:  # interpolate
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:  # extrapolate
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            if 2.0 * abs(stry) < min(abs(spre), 3.0 * abs(sbis) - delta):
+                spre, scur = scur, stry  # good short step
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        xcur += scur if abs(scur) > delta else (delta if sbis > 0.0 else -delta)
+        fcur = f(xcur)
+        if math.isnan(fcur):
+            raise BracketFailure(f"f({xcur!r}) is NaN")
+    raise BracketFailure(f"bracketed solve failed to converge on [{xa:g}, {xb:g}]")
+
+
 def find_root_decreasing_sign(h: Callable[[float], float], lo: float, tol: float,
-                              hi_cap: float = 1e6) -> RootReport:
+                              hi_cap: float = 1e6,
+                              h_lo: Optional[float] = None) -> RootReport:
     """Root of a function with a single sign change from + to - on [lo, inf).
 
-    Requires h(lo) > 0.  The bracket is grown geometrically
+    Requires h(lo) > 0; pass ``h_lo`` if it is known, and h is not
+    evaluated at lo again.  The bracket is grown geometrically
     (hi = max(1, 2*hi)) until h(hi) <= 0; an exact zero at hi is the
-    root (iterations = 0), otherwise the bracket is handed to a hybrid
-    bisection/inverse-quadratic solver.  Deterministic for fixed inputs.
+    root (iterations = 0), otherwise the bracket and its two h values go
+    to ``brentq``, the port of Brent's method, whose last iterate's h is
+    the residual.  Every h value is computed once.  Deterministic for
+    fixed inputs.
     """
     if not (math.isfinite(lo) and lo >= 0.0):
         raise InvalidParameter("lo must be finite and >= 0")
     if not (math.isfinite(tol) and tol > 0.0):
         raise InvalidParameter("tol must be finite and > 0")
-    h_lo = h(lo)
+    if h_lo is None:
+        h_lo = h(lo)
     if not math.isfinite(h_lo) or h_lo <= 0.0:
         raise BracketFailure(f"h({lo:g}) = {h_lo!r} is not strictly positive")
-    left = lo
+    left, h_left = lo, h_lo
     hi = max(1.0, 2.0 * lo)
     while True:
         if hi > hi_cap:
@@ -140,15 +199,8 @@ def find_root_decreasing_sign(h: Callable[[float], float], lo: float, tol: float
             return RootReport(root=hi, residual=0.0, bracket=(left, hi), iterations=0)
         if h_hi < 0.0:
             break
-        left = hi
+        left, h_left = hi, h_hi
         hi = 2.0 * hi
-    root, info = brentq(h, left, hi, xtol=tol, rtol=4.0 * math.ulp(1.0),
-                        maxiter=200, full_output=True, disp=False)
-    if not info.converged:
-        raise BracketFailure(f"bracketed solve failed to converge on [{left:g}, {hi:g}]")
-    return RootReport(
-        root=float(root),
-        residual=h(float(root)),
-        bracket=(left, hi),
-        iterations=int(info.iterations),
-    )
+    root, residual, iterations = brentq(h, left, hi, h_left, h_hi, tol)
+    return RootReport(root=root, residual=residual, bracket=(left, hi),
+                      iterations=iterations)

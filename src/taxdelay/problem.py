@@ -214,10 +214,11 @@ def optimal_value(p: DelayedTaxation, b: float) -> float:
 def optimize(p: DelayedTaxation) -> OptimumReport:
     """Optimal delay threshold (the root of h if h(0) > 0, else 0) and the
     value ``optimal_value(p, threshold)``."""
-    if h(p, 0.0) <= 0.0:
+    h0 = h(p, 0.0)
+    if h0 <= 0.0:
         return OptimumReport(threshold=0.0, value=optimal_value(p, 0.0),
                              boundary_case=True, root_diag=None)
     diag = find_root_decreasing_sign(lambda x: h(p, x), 0.0, ROOT_TOL,
-                                     hi_cap=1e6 / p.scale.theta1)
+                                     hi_cap=1e6 / p.scale.theta1, h_lo=h0)
     return OptimumReport(threshold=diag.root, value=optimal_value(p, diag.root),
                          boundary_case=False, root_diag=diag)

@@ -41,6 +41,43 @@ from .model import LevyModel, SpectralRoots, spectral_roots
 
 __all__ = ["ScaleFamily", "ScaleSet"]
 
+# Gauss's continued fraction: stop once a step changes the value by at
+# most this relative amount, or give up after this many terms
+_CF_TOL = 2.0 * math.ulp(1.0)
+_CF_MAX_TERMS = 1000
+_CF_TINY = 1e-300
+
+
+def _gauss_cf(a: float, c: float, z: float) -> float:
+    """2F1(a, 1; c + 1; z) for c > 0 and z < 1 by Gauss's continued fraction.
+
+    DLMF 15.7.5 with b = 0, where F(a, 0; c; z) = 1:
+
+        c / 2F1(a, 1; c+1; z) = t0 - u1 z/(t1 - u2 z/(t2 - ...)),
+        t_j = c + j,  u_{2n+1} = (a+n)(c+n),  u_{2n} = n(c-a+n),
+
+    run by the modified Lentz algorithm (Thompson & Barnett 1986).  It
+    stays accurate where scipy's hyp2f1 returns nan (a and c near 1e5).
+    Raises ToleranceNotMet if it has not converged after 1000 terms, as
+    for |a| z/c in the thousands.
+    """
+    f = cf = c
+    d = 0.0
+    for j in range(1, _CF_MAX_TERMS + 1):
+        n = j // 2
+        step = -((a + n) * (c + n) if j % 2 else n * (c - a + n)) * z
+        d = c + j + step * d
+        d = 1.0 / (d or _CF_TINY)
+        cf = c + j + step / cf
+        cf = cf or _CF_TINY
+        delta = cf * d
+        f *= delta
+        if abs(delta - 1.0) <= _CF_TOL:
+            return c / f
+    raise ToleranceNotMet(
+        f"continued fraction for 2F1({a:g}, 1; {c + 1.0:g}; {z:g}) did not converge "
+        f"in {_CF_MAX_TERMS} terms")
+
 
 class ScaleFamily:
     """One scale function F(x) = f1 e^{theta1 x} - f2 e^{theta2 x}, x >= 0,
@@ -132,8 +169,10 @@ class ScaleFamily:
         overflows at large e.  For Z, rho0 = z2/z1 < 0; below rho = -1/2,
         where hyp2f1 loses up to 1e-5 for g near e, the integral is taken
         as the incomplete beta function (1-rho)^e |rho|^{-g} B_T(g, e+k-g),
-        T = rho/(rho-1) (DLMF 8.17.1).  Raises ToleranceNotMet if the
-        result is not a finite double (seen only for e above 1e4).
+        T = rho/(rho-1) (DLMF 8.17.1).  Where hyp2f1 returns no finite
+        value (from e near 1e5 on), 2F1 is Gauss's continued fraction
+        (``_gauss_cf``).  Raises ToleranceNotMet if the result is not a
+        finite double.
         """
         if x < 0.0:
             raise InvalidParameter(f"tail needs x >= 0, got {x!r}")
@@ -148,8 +187,11 @@ class ScaleFamily:
                 log_scale = e * math.log1p(-rho) - g * math.log(-rho) + betaln(g, b)
                 value = math.exp(log_scale + math.log(betaincc(b, g, 1.0 / (1.0 - rho)))) / delta
             else:
-                value = (1.0 - rho) ** (1.0 - k) \
-                    * float(hyp2f1(g + 1.0 - e - k, 1.0, g + 1.0, rho)) / (delta * g)
+                a = g + 1.0 - e - k
+                f21 = float(hyp2f1(a, 1.0, g + 1.0, rho))
+                if not math.isfinite(f21):
+                    f21 = _gauss_cf(a, g, rho)
+                value = (1.0 - rho) ** (1.0 - k) * f21 / (delta * g)
             if kernel:
                 value *= self.const * math.exp(t2 * x) / self.f1
         except (OverflowError, ValueError):

@@ -687,6 +687,25 @@ class TestImport:
                               text=True, check=True, timeout=120)
         assert done.stdout.strip() == "False"
 
+    def test_solves_leave_scipy_optimize_linalg_sparse_unloaded(self):
+        """The root finder is the library's own Brent port; importing the
+        CLI and solving in both modes loads only scipy.special."""
+        src = str(Path(taxdelay.__file__).resolve().parents[1])
+        code = "\n".join([
+            "import io, sys",
+            f"sys.path.insert(0, {src!r})",
+            "from contextlib import redirect_stdout",
+            "from taxdelay.cli import main",
+            "with redirect_stdout(io.StringIO()):",
+            f"    assert main(['optimize', *{TERMINAL_ARGS!r}, '--S', '-5']) == 0",
+            f"    assert main(['optimize', *{INJECTION_ARGS!r}]) == 0",
+            "print(sorted(m for m in ('scipy.optimize', 'scipy.linalg', 'scipy.sparse')",
+            "             if m in sys.modules))",
+        ])
+        done = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                              text=True, check=True, timeout=120)
+        assert done.stdout.strip() == "[]"
+
     def test_solves_and_exit_functionals_leave_quadrature_unloaded(self):
         """Both optimizers and every finite-range exit functional are closed
         forms; none of them may load scipy.integrate."""

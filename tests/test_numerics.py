@@ -6,8 +6,11 @@ import math
 
 import numpy as np
 import pytest
+import scipy.optimize
 from scipy.integrate import simpson
 
+import taxdelay.problem as problem
+from taxdelay import numerics
 from taxdelay.errors import BracketFailure
 from taxdelay.model import new_model
 from taxdelay.numerics import (
@@ -16,8 +19,11 @@ from taxdelay.numerics import (
     integrate_finite,
     integrate_tail,
 )
+from taxdelay.problem import ROOT_TOL, h
 from taxdelay.scale import ScaleSet
+from taxdelay.tax_injection import InjectionProblem
 from taxdelay.tax_terminal import TerminalProblem, h_terminal, optimize_terminal, phi_value
+from test_cli import solved_draws
 
 
 # ---------------------------------------------------------------------------
@@ -119,3 +125,82 @@ class TestFindRoot:
         rep = optimize_terminal(p)
         h0 = h_terminal(p, 0.0)
         assert abs(h_terminal(p, rep.threshold)) < 1e-8 * max(1.0, abs(h0))
+
+
+# ---------------------------------------------------------------------------
+# The Brent port against scipy's brentq, which it replaces
+# ---------------------------------------------------------------------------
+
+
+def scipy_brentq(f, a: float, b: float, xtol: float):
+    """scipy.optimize.brentq with the port's defaults: (root, iterations)."""
+    root, info = scipy.optimize.brentq(f, a, b, xtol=xtol, rtol=4.0 * math.ulp(1.0),
+                                       maxiter=200, full_output=True, disp=False)
+    assert info.converged
+    return root, info.iterations
+
+
+class TestBrentPort:
+    @pytest.mark.parametrize("f, a, b, xtol", [
+        (lambda x: x ** 3 - 2.0 * x - 5.0, 2.0, 3.0, 1e-12),
+        (lambda x: math.cos(x) - x, 0.0, 1.0, ROOT_TOL),
+        (lambda x: math.exp(-x) - 0.5, 0.0, 4.0, ROOT_TOL),
+        (lambda x: math.tanh(50.0 * (x - 0.3)), 0.0, 1.0, 1e-10),
+        (lambda x: (x - 1e-3) ** 3, 0.0, 1.0, 1e-14),  # triple root: bisection steps
+        (lambda x: 1.0 / x - 3.0, 0.1, 8.0, ROOT_TOL),
+        (lambda x: 1.0 - x * x, 0.0, 4.0, 5e-324),  # the relative tolerance decides
+    ], ids=["cubic", "cosine", "exponential", "steep", "triple_root", "reciprocal",
+            "relative_tol"])
+    def test_closed_forms_match_scipy_bit_for_bit(self, f, a, b, xtol):
+        root, f_root, iterations = numerics.brentq(f, a, b, f(a), f(b), xtol)
+        want, want_iterations = scipy_brentq(f, a, b, xtol)
+        assert root.hex() == want.hex()
+        assert iterations == want_iterations
+        assert f_root == f(root)
+
+    def test_same_signs_rejected(self):
+        with pytest.raises(BracketFailure):
+            numerics.brentq(lambda x: x, 1.0, 2.0, 1.0, 2.0, 1e-8)
+
+    @pytest.mark.parametrize("mode", ["terminal", "injection"])
+    def test_fuzz_box_roots_match_scipy_bit_for_bit(self, mode):
+        """Every interior root of h on the fuzz box: same root, same
+        iteration count as scipy on the same bracket, and h(root) as the
+        residual."""
+        checked = 0
+        for p in solved_draws(mode):
+            diag = problem.optimize(p).root_diag
+            if diag is None or diag.iterations == 0:
+                continue
+            want, want_iterations = scipy_brentq(lambda x: h(p, x), *diag.bracket, ROOT_TOL)
+            assert (diag.root.hex(), diag.iterations) == (want.hex(), want_iterations)
+            assert diag.residual == h(p, diag.root)
+            checked += 1
+        assert checked >= 100
+
+
+class TestOptimizeEvaluations:
+    @pytest.mark.parametrize("mode, param", [("terminal", -5.0), ("injection", 1.5),
+                                             ("terminal", 5.0)])
+    def test_h_evaluated_once_per_point(self, monkeypatch, scale05, mode, param):
+        """optimize evaluates h at no point twice: h(0), then each upper
+        bracket end tried (1, 2, 4, ...), then one point per Brent iteration
+        after the first; a boundary case evaluates only h(0)."""
+        p = TerminalProblem(scale05, 0.1, param, 1.0) if mode == "terminal" \
+            else InjectionProblem(scale05, 0.2, param, 1.0)
+        points = []
+
+        def counted(p, x):
+            points.append(x)
+            return h(p, x)
+
+        monkeypatch.setattr(problem, "h", counted)
+        report = problem.optimize(p)
+        assert len(set(points)) == len(points)
+        if report.boundary_case:
+            assert points == [0.0]
+            return
+        diag = report.root_diag
+        upper_ends = int(math.log2(diag.bracket[1])) + 1
+        assert diag.iterations > 1
+        assert len(points) == 1 + upper_ends + diag.iterations - 1

@@ -15,16 +15,20 @@ of the finite integral itself.
 
 from __future__ import annotations
 
+import json
 import math
 import random
 
 import mpmath as mp
 import pytest
+from scipy.special import hyp2f1
+
+from taxdelay.cli import main
 
 from taxdelay.errors import InvalidParameter, ToleranceNotMet
 from taxdelay.model import new_model
 from taxdelay.problem import exit_tail
-from taxdelay.scale import ScaleSet
+from taxdelay.scale import ScaleSet, _gauss_cf
 from taxdelay.tax_injection import InjectionProblem, g_a, injection_tail, r_a, tax_tail
 from taxdelay.tax_terminal import (TerminalProblem, h_terminal, optimize_terminal,
                                    ruin_time_laplace_taxed)
@@ -171,6 +175,76 @@ class TestDomain:
                 except ToleranceNotMet:
                     continue
                 assert math.isfinite(value) and value > 0.0
+
+
+# ---------------------------------------------------------------------------
+# Gauss's continued fraction, where scipy's hyp2f1 gives nan (ell >= 0.99999)
+# ---------------------------------------------------------------------------
+
+
+def mp_euler_2f1(a: float, g: float, z: float):
+    """2F1(a, 1; g + 1; z) = g int_0^1 (1-t)^(g-1) (1-zt)^(-a) dt (DLMF 15.6.1)
+    by mpmath quadrature at 30 digits, split where the integrand, peaked
+    at t = 0, has fallen by e^-1, e^-10, ..."""
+    with mp.workdps(30):
+        a, g, z = mp.mpf(a), mp.mpf(g), mp.mpf(z)
+        rate = (g - 1) - a * z  # -d/dt of the log integrand at t = 0
+
+        def integrand(t):
+            return mp.exp((g - 1) * mp.log1p(-t) - a * mp.log1p(-z * t))
+
+        knees = {m / rate for m in (1, 10, 100, 1000) if m / rate < 1}
+        return g * mp.quad(integrand, sorted({mp.mpf(0), mp.mpf(1)} | knees))
+
+
+C3_SCENARIO = (3.5, 7.0, 9.0, 0.5)
+
+
+class TestGaussContinuedFraction:
+    @pytest.mark.parametrize("ell", [0.9999, 0.99999, 0.999999])
+    def test_matches_mpmath_on_both_families(self, ell):
+        """The 2F1 of the tails at x in {0, 0.5}, both families, both
+        kernels, on the C3 scenario, the base scenario and a small-q one
+        whose power series cancels thousands of digits."""
+        e = 1.0 / (1.0 - ell)
+        worst = 0.0
+        for c, lam, mu, q in (C3_SCENARIO, (1.2, 1.0, 1.0, 0.05), (2.0, 0.4, 2.7, 0.0014)):
+            s = ScaleSet(new_model(c, lam, mu), q)
+            for family in (s.W, s.Z):
+                delta = family.theta1 - family.theta2
+                for k in (0.0, 1.0):
+                    g = (e * family.theta1 - k * family.theta2) / delta
+                    a = g + 1.0 - e - k
+                    for x in (0.0, 0.5):
+                        rho = family.f2 / family.f1 * math.exp(-delta * x)
+                        assert rho >= -0.5
+                        want = mp_euler_2f1(a, g, rho)
+                        worst = max(worst, float(abs(_gauss_cf(a, g, rho) / want - 1)))
+        assert worst <= 1e-14
+
+    def test_slow_convergence_is_a_documented_failure(self):
+        """At a = -1e5 and c + 1 = 4.5 (W at q = 9e-5, ell = 0.99999) the
+        fraction needs far more than its 1000 terms."""
+        with pytest.raises(ToleranceNotMet, match="continued fraction"):
+            _gauss_cf(-1e5, 3.465, 0.3851)
+
+    def test_tails_finite_where_hyp2f1_is_nan(self):
+        s = ScaleSet(new_model(*C3_SCENARIO[:3]), C3_SCENARIO[3])
+        e = 1.0 / (1.0 - 0.99999)
+        family = s.W
+        g = e * family.theta1 / (family.theta1 - family.theta2)
+        assert math.isnan(hyp2f1(g + 1.0 - e, 1.0, g + 1.0, family.f2 / family.f1))
+        for family in (s.W, s.Z):
+            for kernel in (False, True):
+                assert 0.0 < family.tail(e, 0.0, kernel=kernel) < math.inf
+
+    def test_c3_example_solves(self, capsys):
+        """ROADMAP C3: exit 3 before the continued fraction, b* = 0.763 now."""
+        rc = main(["optimize", "--mode", "terminal", "--c", "3.5", "--lambda", "7",
+                   "--mu", "9", "--q", "0.5", "--ell", "0.99999", "--S", "1",
+                   "--format", "json"])
+        assert rc == 0
+        assert json.loads(capsys.readouterr().out)["threshold"] == pytest.approx(0.763, abs=1e-3)
 
 
 # ---------------------------------------------------------------------------
