@@ -23,5 +23,13 @@ class BracketFailure(ArithmeticError):
     """Root bracketing failed: no sign change found within the search cap."""
 
 
+class OutOfRange(ArithmeticError):
+    """The spectral roots or scale coefficients of a model leave double range."""
+
+    def __init__(self, model, q: float):
+        super().__init__(f"the model leaves double range at c={model.c!r}, "
+                         f"lam={model.lam!r}, mu={model.mu!r}, q={q!r}")
+
+
 class EventCapExceeded(RuntimeError):
     """A simulated path exceeded the hard per-path event budget."""

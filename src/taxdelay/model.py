@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import InvalidParameter
+from .errors import InvalidParameter, OutOfRange
 
 __all__ = ["LevyModel", "SpectralRoots", "new_model", "laplace_exponent", "spectral_roots"]
 
@@ -99,19 +99,25 @@ def spectral_roots(m: LevyModel, q: float) -> SpectralRoots:
     theta1 theta2 = -q mu/c, so neither loses digits to cancellation.
 
     The coefficients a1, a2 (with a1 - a2 = 1) weight the exp(theta1 x)
-    and exp(theta2 x) terms of the scale function.
+    and exp(theta2 x) terms of the scale function.  Raises OutOfRange where
+    the roots leave double range.
     """
     q = float(q)
     if not math.isfinite(q) or q <= 0.0:
         raise InvalidParameter(f"q must be finite and > 0, got {q!r}")
     c, lam, mu = m.c, m.lam, m.mu
-    kappa = math.sqrt((c * mu - lam - q) ** 2 + 4.0 * c * q * mu)
-    b = lam + q - c * mu
-    if b >= 0.0:
-        theta1 = (b + kappa) / (2.0 * c)
-        theta2 = -q * mu / (c * theta1)
-    else:
-        theta2 = (b - kappa) / (2.0 * c)
-        theta1 = -q * mu / (c * theta2)
-    a1 = (lam + q + c * mu) / (2.0 * kappa) + 0.5
+    try:
+        kappa = math.sqrt((c * mu - lam - q) ** 2 + 4.0 * c * q * mu)
+        b = lam + q - c * mu
+        if b >= 0.0:
+            theta1 = (b + kappa) / (2.0 * c)
+            theta2 = -q * mu / (c * theta1)
+        else:
+            theta2 = (b - kappa) / (2.0 * c)
+            theta1 = -q * mu / (c * theta2)
+        a1 = (lam + q + c * mu) / (2.0 * kappa) + 0.5
+    except (OverflowError, ZeroDivisionError):
+        raise OutOfRange(m, q) from None
+    if not (0.0 < theta1 < math.inf and -math.inf < theta2 < 0.0 and math.isfinite(a1)):
+        raise OutOfRange(m, q)
     return SpectralRoots(q=q, theta1=theta1, theta2=theta2, kappa=kappa, a1=a1, a2=a1 - 1.0)

@@ -36,7 +36,7 @@ import math
 
 from scipy.special import betaincc, betaln, hyp2f1
 
-from .errors import InvalidParameter, ToleranceNotMet
+from .errors import InvalidParameter, OutOfRange, ToleranceNotMet
 from .model import LevyModel, SpectralRoots, spectral_roots
 
 __all__ = ["ScaleFamily", "ScaleSet"]
@@ -217,6 +217,9 @@ class ScaleSet:
         c = model.c
         t1, t2 = self.theta1, self.theta2 = r.theta1, r.theta2
         w1, w2 = r.a1 / c, r.a2 / c
-        self.W = ScaleFamily(t1, t2, w1, w2, w1 * t1, w2 * t2, 1.0, model.lam / (c * c), 0.0)
-        self.Z = ScaleFamily(t1, t2, self.q * r.a1 / (c * t1), self.q * r.a2 / (c * t2),
-                             w1, w2, self.q, model.lam / (c * model.mu), 1.0)  # z2 < 0
+        try:
+            self.W = ScaleFamily(t1, t2, w1, w2, w1 * t1, w2 * t2, 1.0, model.lam / (c * c), 0.0)
+            self.Z = ScaleFamily(t1, t2, self.q * r.a1 / (c * t1), self.q * r.a2 / (c * t2),
+                                 w1, w2, self.q, model.lam / (c * model.mu), 1.0)  # z2 < 0
+        except ZeroDivisionError:
+            raise OutOfRange(model, q) from None

@@ -1,17 +1,21 @@
 """Exact event-driven Monte Carlo for the taxed risk process.
 
-Two engines estimate the two analytic objectives:
+Both problems control one process, the loss-carry-forward process of
+Albrecher & Hipp (2007).  A path is its net (after-tax) level X and its
+barrier B >= X, which starts at max(x0, threshold) and never decreases.
+Below B the level drifts at c; on B tax is paid at rate ell*c, and X and B
+grow together at (1-ell)*c.  (In terminal mode B - X is the pre-tax record
+less the pre-tax level.)  A claim that takes X below zero is a shortfall,
+and the engines differ only in what follows it: ``simulate_terminal`` pays
+the terminal value S and ends the path (ruin); ``simulate_injection``
+injects the deficit at cost varphi per unit and restarts X at zero below
+the same B, which the path must regain before tax is paid again.
 
-* ``simulate_terminal``: taxed process with a lump terminal value at ruin.
-* ``simulate_injection``: taxed process kept nonnegative by costly capital
-  injections, with taxation gated by pre-ruin memory levels.
-
-Both engines are exact in distribution: claim waiting times and claim
-sizes are exponential draws, the drift between claims is handled in closed
-form (including the discounted tax accrued while the path grows at a
-record), and ruin or injection can happen only at claim instants because
-the drift is upward.  The target is the objective up to a finite horizon,
-whose discounted-tail bias is bounded in closed form and reported.
+The paths are exact in distribution: exponential waiting times and claim
+sizes, the drift and its discounted tax in closed form between claims, and
+shortfalls only at claim instants, since the drift is upward.  The target
+is the objective up to a finite horizon, whose discounted-tail bias is
+bounded in closed form and reported.
 
 Paths are not followed to the horizon once their discount weight is spent.
 From t_w = min(ln(1/W_MIN)/q, horizon), where e^{-qt} reaches ``W_MIN``, a
@@ -24,11 +28,12 @@ horizon-truncated target.  T comes from its own stream,
 members of an antithetic pair.  The main stream below does not depend on
 the clock, and where t_w is the horizon the clock never acts.
 
-Both engines run on one event loop and supply only their per-event step.
-The loop works on the live paths alone: a path that ends leaves the working
-arrays at once and its payoff goes to its own slot of the output, so an
-iteration costs O(live paths), and the mean and standard error are taken
-over the output in the original path order.
+Both engines run on one event loop, and each one's per-event step is the
+shared ``_taxed_interval`` plus its shortfall rule.  The loop works on the
+live paths alone: a path that ends leaves the working arrays at once and
+its payoff goes to its own slot of the output, so an iteration costs
+O(live paths), and the mean and standard error are taken over the output
+in the original path order.
 
 Randomness comes from one counter-based Philox stream keyed by the seed.
 Each iteration draws ``2m`` uniforms in one call for the ``m`` live units,
@@ -131,21 +136,23 @@ class _Capture:
 # ---------------------------------------------------------------------------
 
 
-def _run(cfg: SimConfig, lam: float, mu: float, q: float, state: Tuple[np.ndarray, ...],
-         step: Callable, capture: Optional[_Capture]) -> Tuple[np.ndarray, Dict[str, int]]:
-    """Drive ``step`` over the live paths until every path has ended.
+def _run(cfg: SimConfig, p, threshold: float, step: Callable,
+         capture: Optional[_Capture]) -> Tuple[np.ndarray, Dict[str, int]]:
+    """Drive ``step`` over the live paths of problem ``p`` until all have ended.
 
-    ``step`` gets the live paths' state arrays, the start and end of their
-    interval, the mask of paths whose claim falls at or past their stop
-    (``end`` is then the stop and the claim is not paid), their claim sizes
-    and t_w, past which the discount stays e^{-q t_w}.  It returns the
+    Every path starts at level x0 with the barrier max(x0, threshold).
+    ``step`` gets the live paths' (level, barrier) arrays, the start and end
+    of their interval, the mask of paths whose claim falls at or past their
+    stop (``end`` is then the stop and the claim is not paid), their claim
+    sizes and t_w, past which the discount stays e^{-q t_w}.  It returns the
     discounted tax of the interval, the discounted penalty at the claim as
     (positions, amounts) for the few paths that incur one, the mask of
     paths that end with the event, their next state, and a callable that
     builds the arrays a capture records.  Returns each path's total payoff
     in path order and the work counters.
     """
-    n, horizon = cfg.n_paths, float(cfg.horizon)
+    n, horizon, q = cfg.n_paths, float(cfg.horizon), p.scale.q
+    state = (np.full(n, float(p.x0)), np.full(n, float(max(p.x0, threshold))))
     rng = np.random.Generator(np.random.Philox(key=cfg.seed))
     idx = np.arange(n)  # original index of each live path
     acc = np.zeros(n)
@@ -158,7 +165,7 @@ def _run(cfg: SimConfig, lam: float, mu: float, q: float, state: Tuple[np.ndarra
         mirror = idx >= units
         clock = np.concatenate((clock, 1.0 - clock))
     t, stop = np.zeros(n), np.minimum(t_w - np.log1p(-clock) / q, horizon)
-    scale = np.array([[-1.0 / lam], [-1.0 / mu]])
+    scale = np.array([[-1.0 / p.scale.model.lam], [-1.0 / p.scale.model.mu]])
     iterations = events = killed = 0
     while idx.size:
         iterations += 1
@@ -226,133 +233,101 @@ def _result(out: np.ndarray, cfg: SimConfig, bias_bound: float, counters: Dict[s
 
 
 # ---------------------------------------------------------------------------
-# Terminal-value engine
+# The taxed path, and the two engines' shortfall rules
 # ---------------------------------------------------------------------------
+
+
+def _taxed_interval(p) -> Callable:
+    """Problem ``p``'s taxed path over one interval, for both engines' steps.
+
+    Given a step's arguments, it returns the discounted tax, the level after
+    the claim, the barrier at ``end``, the positions of the shortfalls, their
+    discount e^{-q min(end, t_w)}, and the frame builder for a capture.
+    """
+    c, ell, q = p.scale.model.c, p.ell, p.scale.q
+    tax_rate = ell * c / q
+
+    def interval(state, t, end, truncated, claim, t_w):
+        level, barrier = state
+        duration = end - t
+        # Time to reach the barrier at full drift; level <= barrier always.
+        reach = (barrier - level) / c
+        above = np.maximum(duration - reach, 0.0)  # time spent on the barrier
+        hit_time = t + np.minimum(reach, duration)
+        # Drift c up to the barrier, then (1-ell)*c along it.
+        level_end = level + c * duration - (ell * c) * above
+        barrier_end = np.maximum(barrier, level_end)
+        late = np.minimum(above, np.maximum(end - t_w, 0.0))  # taxed time past t_w
+        tax = np.exp(-q * np.minimum(hit_time, t_w)) * np.expm1(-q * (above - late)) \
+            * -tax_rate + (ell * c * math.exp(-q * t_w)) * late
+        level_post = level_end - claim
+        # A claim at or past the stop is not paid: truncated paths end here.
+        short = np.flatnonzero(level_post < 0.0)
+        short = short[~truncated[short]]
+        discount = np.exp(-q * np.minimum(end[short], t_w))
+
+        def frame():
+            deficit = np.zeros(level.size)
+            deficit[short] = -level_post[short]
+            return dict(level_start=level, level_end=level_end, barrier_start=barrier,
+                        barrier_end=barrier_end, hit_time=hit_time, tax_paid=tax,
+                        claim_size=claim, deficit=deficit)
+
+        return tax, level_post, barrier_end, short, discount, frame
+
+    return interval
 
 
 def simulate_terminal(p: TerminalProblem, b: float, cfg: SimConfig,
                       capture: Optional[_Capture] = None) -> SimResult:
     """Estimate the discounted tax-plus-terminal-value objective at x0.
 
-    Tax accrues at rate ell*c exactly while the pre-tax path grows at a
-    record above max(b, records so far); each interval's discounted accrual
-    is integrated in closed form.  Ruin is the first claim instant at which
-    the net (post-tax) level is negative; it contributes S discounted.
+    Tax is paid at rate ell*c while the path sits on its barrier, which
+    starts at max(x0, b).  Ruin is the first claim that takes the net
+    level below zero; it contributes S discounted and ends the path.
     Paths still alive at their stop contribute their accrued tax only.
     """
     b = _require_level("threshold b", b)
-    model, q = p.scale.model, p.scale.q
-    c, ell, s_value = model.c, p.ell, p.s_terminal
-    n = cfg.n_paths
-    base = max(p.x0, b)
-    tax_rate = ell * c / q
+    q, s_value = p.scale.q, p.s_terminal
+    interval = _taxed_interval(p)
     ruin_weight = 0.0
 
     def step(state, t, end, truncated, claim, t_w):
         nonlocal ruin_weight
-        # record: running max of the pre-tax path, floored at b
-        level, record = state
-        level_end = level + c * (end - t)
-        # Record growth occupies [taxed_from, end]; empty when the barrier
-        # is not reached before the interval ends.
-        taxed_from = np.minimum(t + (record - level) / c, end)
-        discount_end = np.exp(-q * np.minimum(end, t_w))
-        late = np.minimum(end - taxed_from, np.maximum(end - t_w, 0.0))  # taxed past t_w
-        tax = tax_rate * (np.exp(-q * np.minimum(taxed_from, t_w)) - discount_end) \
-            + (ell * c * math.exp(-q * t_w)) * late
-        record_end = np.maximum(record, level_end)
-        level_post = level_end - claim
-        net_post = level_post - ell * (record_end - base)
-        ruined = (net_post < 0.0) & ~truncated
-        ruin = np.flatnonzero(ruined)
-        ruin_weight += float(discount_end[ruin].sum())
-        penalty = (ruin, s_value * discount_end[ruin])
+        tax, level_post, barrier_end, ruin, discount, frame = interval(
+            state, t, end, truncated, claim, t_w)
+        ruin_weight += float(discount.sum())
+        done = truncated.copy()
+        done[ruin] = True
+        return tax, (ruin, s_value * discount), done, (level_post, barrier_end), frame
 
-        def frame():
-            return dict(level_start=level, level_end=level_end,
-                        record_start=record, record_end=record_end,
-                        taxed_from=taxed_from, tax_paid=tax, claim_size=claim,
-                        net_after_claim=net_post, ruined=ruined)
-
-        return tax, penalty, truncated | ruined, (level_post, record_end), frame
-
-    state = (np.full(n, float(p.x0)), np.full(n, base))
-    out, counters = _run(cfg, model.lam, model.mu, q, state, step, capture)
-    bias_bound = math.exp(-q * cfg.horizon) * (abs(s_value) + tax_rate)
-    return _result(out, cfg, bias_bound, counters, ruin_weight / n)
-
-
-# ---------------------------------------------------------------------------
-# Capital-injection engine
-# ---------------------------------------------------------------------------
+    out, counters = _run(cfg, p, b, step, capture)
+    bias_bound = math.exp(-q * cfg.horizon) * (abs(s_value) + p.ell * p.scale.model.c / q)
+    return _result(out, cfg, bias_bound, counters, ruin_weight / cfg.n_paths)
 
 
 def simulate_injection(p: InjectionProblem, a: float, cfg: SimConfig,
                        capture: Optional[_Capture] = None) -> SimResult:
     """Estimate the discounted tax-minus-injection-cost objective at x0.
 
-    Phase 0 (delay or post-ruin): the path drifts upward, claims that push
-    it negative are topped up to zero at cost varphi per unit, and no tax
-    accrues until the path reaches its current target (the initial
-    threshold a, or the memory level left by the last taxed phase).  Phase
-    1 (taxed): tax accrues at rate ell*c while the path sits at its regime
-    record, which then grows at (1-ell)*c; the first claim that takes the
-    level negative is topped up to zero, the record is remembered as the
-    new target, and the path re-enters phase 0.
+    Tax is paid at rate ell*c while the path sits on its barrier, which
+    starts at max(x0, a).  A claim that takes the level below zero is
+    topped up to zero at cost varphi per unit; the barrier stays, so no tax
+    is paid until the path regains it.
     """
     a = _require_level("threshold a", a)
-    model, q = p.scale.model, p.scale.q
-    c, lam, mu = model.c, model.lam, model.mu
-    ell, varphi = p.ell, p.varphi
-    n = cfg.n_paths
-    tax_rate = ell * c / q
+    model, q, varphi = p.scale.model, p.scale.q, p.varphi
+    interval = _taxed_interval(p)
 
     def step(state, t, end, truncated, claim, t_w):
-        # barrier: regime record in a taxed phase, upcross target otherwise
-        level, taxed, barrier = state
-        duration = end - t
-        # Time to reach the barrier at full drift; level <= barrier always.
-        reach = (barrier - level) / c
-        above = np.maximum(duration - reach, 0.0)  # time spent on the record
-        hits = above > 0.0
-        hit_time = t + np.minimum(reach, duration)
-        # Drift c up to the barrier, then (1-ell)*c along the record.
-        level_end = level + c * duration - (ell * c) * above
-        # Paths at the barrier are taxed records from the hit onward; a
-        # phase-0 path that reaches its target becomes taxed there.
-        taxed_end = taxed | hits
-        barrier_end = np.maximum(barrier, level_end)
-        late = np.minimum(above, np.maximum(end - t_w, 0.0))  # taxed time past t_w
-        tax = np.exp(-q * np.minimum(hit_time, t_w)) * np.expm1(-q * (above - late)) \
-            * -tax_rate + (ell * c * math.exp(-q * t_w)) * late
+        tax, level_post, barrier_end, short, discount, frame = interval(
+            state, t, end, truncated, claim, t_w)
+        penalty = (short, varphi * level_post[short] * discount)
+        return tax, penalty, truncated, (np.maximum(level_post, 0.0), barrier_end), frame
 
-        level_post = level_end - claim
-        # A claim at or past the stop is not paid: truncated paths end here.
-        short = np.flatnonzero(level_post < 0.0)
-        short = short[~truncated[short]]
-        penalty = (short, varphi * level_post[short]
-                   * np.exp(-q * np.minimum(end[short], t_w)))
-
-        def frame():
-            shortfall = (level_post < 0.0) & ~truncated
-            return dict(taxed_start=taxed, taxed_end=taxed_end,
-                        level_start=level, level_end=level_end, barrier_start=barrier,
-                        barrier_end=barrier_end, hit_time=hit_time, tax_paid=tax,
-                        claim_size=claim, injected=np.where(shortfall, -level_post, 0.0),
-                        ended_taxed_phase=shortfall & taxed_end)
-
-        # The injection tops the level up to zero.  It ends a taxed phase,
-        # and the record stays as the next target; in phase 0 the target
-        # is unchanged.
-        next_state = (np.maximum(level_post, 0.0), taxed_end & (level_post >= 0.0),
-                      barrier_end)
-        return tax, penalty, truncated, next_state, frame
-
-    start_taxed = p.x0 >= a
-    state = (np.full(n, float(p.x0)), np.full(n, start_taxed),
-             np.full(n, float(max(p.x0, a) if start_taxed else a)))
-    out, counters = _run(cfg, lam, mu, q, state, step, capture)
-    bias_bound = math.exp(-q * cfg.horizon) * (tax_rate + varphi * lam / (mu * q))
+    out, counters = _run(cfg, p, a, step, capture)
+    bias_bound = math.exp(-q * cfg.horizon) \
+        * (p.ell * model.c / q + varphi * model.lam / (model.mu * q))
     return _result(out, cfg, bias_bound, counters)
 
 
@@ -362,31 +337,16 @@ def simulate_injection(p: InjectionProblem, a: float, cfg: SimConfig,
 
 
 @dataclass(frozen=True)
-class TerminalStep:
-    """One inter-claim interval of one simulated terminal-mode path."""
+class PathStep:
+    """One inter-claim interval of one simulated path, in either mode.
+
+    Levels are net of tax.  ``hit_time`` is when the level reaches the
+    barrier (``t_end`` if it does not); ``deficit`` > 0 marks the claim as
+    a shortfall: ruin in terminal mode, an injection in injection mode.
+    """
 
     t_start: float
     t_end: float
-    level_start: float
-    level_end: float
-    record_start: float
-    record_end: float
-    taxed_from: float
-    tax_paid: float
-    claim_size: float
-    net_after_claim: float
-    truncated: bool
-    ruined: bool
-
-
-@dataclass(frozen=True)
-class InjectionStep:
-    """One inter-claim interval of one simulated injection-mode path."""
-
-    t_start: float
-    t_end: float
-    taxed_start: bool
-    taxed_end: bool
     level_start: float
     level_end: float
     barrier_start: float
@@ -394,39 +354,38 @@ class InjectionStep:
     hit_time: float
     tax_paid: float
     claim_size: float
-    injected: float
-    ended_taxed_phase: bool
+    deficit: float
     truncated: bool
 
 
-def _inspect(engine: Callable, step_type: type, problem, threshold: float,
-             cfg: SimConfig) -> List[list]:
+def _inspect(engine: Callable, problem, threshold: float,
+             cfg: SimConfig) -> List[List[PathStep]]:
     """Run ``engine`` with a capture and split its frames into per-path steps.
 
-    Each frame array is named after the ``step_type`` field it fills, so the
+    Each frame array is named after the ``PathStep`` field it fills, so the
     dataclass's own field list is the table that drives the copy.
     """
     capture = _Capture()
     engine(problem, threshold, cfg, capture=capture)
-    names = [f.name for f in fields(step_type)]
-    paths: List[list] = [[] for _ in range(cfg.n_paths)]
+    names = [f.name for f in fields(PathStep)]
+    paths: List[List[PathStep]] = [[] for _ in range(cfg.n_paths)]
     for frame in capture.frames:
         columns = [frame[name].tolist() for name in names]
         for j, *values in zip(frame["idx"].tolist(), *columns):
-            paths[j].append(step_type(*values))
+            paths[j].append(PathStep(*values))
     return paths
 
 
 def inspect_terminal_paths(p: TerminalProblem, b: float,
-                           cfg: SimConfig) -> List[List[TerminalStep]]:
+                           cfg: SimConfig) -> List[List[PathStep]]:
     """Run the terminal engine and return every path's step log."""
-    return _inspect(simulate_terminal, TerminalStep, p, b, cfg)
+    return _inspect(simulate_terminal, p, b, cfg)
 
 
 def inspect_injection_paths(p: InjectionProblem, a: float,
-                            cfg: SimConfig) -> List[List[InjectionStep]]:
+                            cfg: SimConfig) -> List[List[PathStep]]:
     """Run the injection engine and return every path's step log."""
-    return _inspect(simulate_injection, InjectionStep, p, a, cfg)
+    return _inspect(simulate_injection, p, a, cfg)
 
 
 __all__ = [
@@ -435,8 +394,7 @@ __all__ = [
     "SimResult",
     "simulate_terminal",
     "simulate_injection",
-    "TerminalStep",
-    "InjectionStep",
+    "PathStep",
     "inspect_terminal_paths",
     "inspect_injection_paths",
 ]

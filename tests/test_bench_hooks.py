@@ -3,9 +3,11 @@
 ``perfbench/tracing.py`` wraps library functions from outside: it rebinds
 ``numerics.find_root_decreasing_sign``, ``numerics.quad``,
 ``numerics.brentq``, ``cli.main`` and cli's own ``h_terminal``/``h_bar``,
-through which ``optimize`` takes the residual it prints.  A rename in the
-library would break the traced benchmark run without failing any other
-test; this one runs ``optimize`` in both modes under the tracer.
+through which ``optimize`` takes the residual it prints, and it passes a
+counting ``capture=`` to ``simulate_terminal`` and ``simulate_injection``.
+A rename in the library would break the traced benchmark run without
+failing any other test; these run ``optimize`` and ``simulate`` in both
+modes under the tracer.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ import numpy as np
 
 import taxdelay.cli as cli
 import taxdelay.numerics as numerics
+import taxdelay.simulate as simulate
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
@@ -48,3 +51,23 @@ def test_tracer_sees_root_search_and_residual(capsys):
         lambda values, level: float(np.quantile(values, level)) if len(values) else 0.0)
     assert metrics["cli.residual_h_ms"][0] > 0.0
     assert metrics["cli.uncaught_errors"][0] == 0.0
+
+
+def test_tracer_counts_both_engines(capsys):
+    names = (cli.main, cli.simulate_terminal, cli.simulate_injection,
+             simulate.simulate_terminal, simulate.simulate_injection)
+    tracer = _load_tracing().Tracer()
+    tracer.install()
+    try:
+        assert cli.main(["simulate", "--mode", "terminal", *SCENARIO, "--S", "-5",
+                         "--paths", "2000"]) == 0
+        assert cli.main(["simulate", "--mode", "injection", *SCENARIO, "--varphi", "1.5",
+                         "--paths", "2000", "--antithetic"]) == 0
+    finally:
+        tracer.uninstall()
+    capsys.readouterr()
+
+    assert (cli.main, cli.simulate_terminal, cli.simulate_injection,
+            simulate.simulate_terminal, simulate.simulate_injection) == names
+    for mode in ("terminal", "injection"):
+        assert tracer.count(f"simulate.{mode}.iterations") > 0

@@ -165,6 +165,20 @@ class TestOptimize:
         assert out == "" and err.startswith("numerical failure: ")
         assert err.count("\n") == 1
 
+    @pytest.mark.parametrize("flag, value, named", [
+        # the spectral roots overflow
+        ("--c", "1e300", "c=1e+300, lam=1.0, mu=1.0, q=0.05"),
+        ("--q", "1e300", "c=1.2, lam=1.0, mu=1.0, q=1e+300"),
+        # the scale coefficient lam/c^2 divides by zero
+        ("--c", "1e-300", "c=1e-300, lam=1.0, mu=1.0, q=0.05"),
+    ])
+    def test_model_out_of_range_names_inputs(self, capsys, flag, value, named):
+        inputs = {"--c": "1.2", "--lambda": "1", "--mu": "1", "--q": "0.05", flag: value}
+        rc, out, err = run_cli(capsys, "optimize", "--mode", "terminal", "--ell", "0.1",
+                               *(arg for pair in inputs.items() for arg in pair))
+        assert rc == EXIT_NUMERICAL_FAILURE
+        assert err == f"numerical failure: the model leaves double range at {named}\n"
+
 
 # ---------------------------------------------------------------------------
 # optimize over the whole parameter box

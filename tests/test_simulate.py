@@ -226,68 +226,18 @@ def injection_paths(scale05):
     return inspect_injection_paths(p, 2.0, SimConfig(200, 30.0, 99))
 
 
-class TestTerminalPathSteps:
-    @pytest.fixture
-    def paths(self, terminal_paths):
-        return terminal_paths
+class PathStepChecks:
+    """The one taxed path, checked step by step.  Each subclass binds one
+    engine and its tax rate; the checks here hold in both modes."""
+
+    ell: float
 
     def test_every_path_has_steps(self, paths):
         assert len(paths) == 200
         assert all(len(steps) >= 1 for steps in paths)
 
-    def test_time_and_level_chain(self, paths):
-        for steps in paths:
-            for k, st in enumerate(steps):
-                assert st.t_end >= st.t_start
-                assert st.level_end == pytest.approx(
-                    st.level_start + 1.2 * (st.t_end - st.t_start), rel=1e-12)
-                if k + 1 < len(steps):
-                    nxt = steps[k + 1]
-                    assert nxt.t_start == pytest.approx(st.t_end, rel=1e-12)
-                    assert nxt.level_start == pytest.approx(
-                        st.level_end - st.claim_size, abs=1e-12)
-
-    def test_records_never_decrease(self, paths):
-        for steps in paths:
-            for k, st in enumerate(steps):
-                assert st.record_end == pytest.approx(
-                    max(st.record_start, st.level_end), rel=1e-12)
-                if k + 1 < len(steps):
-                    assert steps[k + 1].record_start >= st.record_start
-
-    def test_tax_accrual_closed_form(self, paths):
-        ell_c, q = 0.1 * 1.2, 0.05
-        for steps in paths:
-            for st in steps:
-                assert st.t_start <= st.taxed_from <= st.t_end
-                expected = (ell_c / q) * math.exp(-q * st.taxed_from) \
-                    * (-math.expm1(-q * (st.t_end - st.taxed_from)))
-                assert st.tax_paid == pytest.approx(expected, abs=1e-14)
-
-    def test_terminal_flags_only_on_last_step(self, paths):
-        for steps in paths:
-            for st in steps[:-1]:
-                assert not st.ruined and not st.truncated
-            last = steps[-1]
-            assert last.ruined or last.truncated
-            if last.ruined:
-                assert last.net_after_claim < 0.0
-
-    def test_net_after_claim_accounts_for_tax(self, paths):
-        base = max(1.0, 2.0)
-        for steps in paths:
-            for st in steps:
-                expected = st.level_end - st.claim_size \
-                    - 0.1 * (st.record_end - base)
-                assert st.net_after_claim == pytest.approx(expected, abs=1e-12)
-
-
-class TestInjectionPathSteps:
-    @pytest.fixture
-    def paths(self, injection_paths):
-        return injection_paths
-
     def test_level_below_barrier_and_drift(self, paths):
+        """Drift c below the barrier, (1 - ell) c on it from ``hit_time``."""
         for steps in paths:
             for st in steps:
                 assert st.level_start <= st.barrier_start + 1e-12
@@ -296,47 +246,101 @@ class TestInjectionPathSteps:
                     st.level_start == st.barrier_start and st.hit_time == st.t_start)
                 if hit:
                     expected = st.barrier_start \
-                        + (1.0 - 0.2) * 1.2 * (st.t_end - st.hit_time)
+                        + (1.0 - self.ell) * 1.2 * (st.t_end - st.hit_time)
                 else:
                     expected = st.level_start + 1.2 * (st.t_end - st.t_start)
-                assert st.level_end == pytest.approx(expected, rel=1e-10)
+                assert st.level_end == pytest.approx(expected, rel=1e-12)
 
     def test_barrier_never_decreases(self, paths):
         for steps in paths:
             for k, st in enumerate(steps):
-                assert st.barrier_end >= st.barrier_start - 1e-12
+                assert st.barrier_end == pytest.approx(
+                    max(st.barrier_start, st.level_end), rel=1e-12)
+                assert st.barrier_end >= st.barrier_start
                 if k + 1 < len(steps):
-                    assert steps[k + 1].barrier_start == pytest.approx(
-                        st.barrier_end, rel=1e-12)
+                    assert steps[k + 1].barrier_start == st.barrier_end
 
-    def test_injections_top_up_to_zero(self, paths):
-        for steps in paths:
-            for k, st in enumerate(steps):
-                assert st.injected >= 0.0
-                if k + 1 < len(steps):
-                    nxt = steps[k + 1]
-                    assert nxt.level_start == pytest.approx(
-                        max(st.level_end - st.claim_size, 0.0), abs=1e-12)
-                    if st.injected > 0.0:
-                        assert nxt.level_start == 0.0
-                        assert st.injected == pytest.approx(
-                            st.claim_size - st.level_end, rel=1e-12)
-
-    def test_tax_only_while_at_barrier(self, paths):
+    def test_tax_accrual_closed_form(self, paths):
+        """Tax at rate ell*c over [hit_time, t_end] (t_w is the horizon 30
+        here, so the discount is e^{-qt} throughout); none off the barrier."""
+        ell_c, q = self.ell * 1.2, 0.05
         for steps in paths:
             for st in steps:
-                if st.tax_paid > 0.0:
-                    assert st.taxed_end
-                    assert st.hit_time < st.t_end
-                if not st.taxed_end:
+                expected = (ell_c / q) * math.exp(-q * st.hit_time) \
+                    * (-math.expm1(-q * (st.t_end - st.hit_time)))
+                assert st.tax_paid == pytest.approx(expected, abs=1e-14)
+                if st.hit_time == st.t_end:
                     assert st.tax_paid == 0.0
 
-    def test_ended_taxed_phase_requires_shortfall(self, paths):
+    def test_time_and_level_chain(self, paths):
+        """The next step starts at the claim, from the level after it
+        (floored at zero by an injection); ``deficit`` is the shortfall of
+        a paid claim."""
         for steps in paths:
-            for st in steps:
-                if st.ended_taxed_phase:
-                    assert st.taxed_end
-                    assert st.injected > 0.0
+            for k, st in enumerate(steps):
+                assert st.t_end >= st.t_start
+                assert st.deficit == (0.0 if st.truncated else pytest.approx(
+                    max(st.claim_size - st.level_end, 0.0), rel=1e-12))
+                if k + 1 < len(steps):
+                    nxt = steps[k + 1]
+                    assert nxt.t_start == pytest.approx(st.t_end, rel=1e-12)
+                    assert nxt.level_start == pytest.approx(
+                        max(st.level_end - st.claim_size, 0.0), abs=1e-12)
+
+
+class TestTerminalPathSteps(PathStepChecks):
+    ell = 0.1
+
+    @pytest.fixture
+    def paths(self, terminal_paths):
+        return terminal_paths
+
+    def test_terminal_flags_only_on_last_step(self, paths):
+        """Ruin (a shortfall) or the stop ends the path, and only they do."""
+        for steps in paths:
+            for st in steps[:-1]:
+                assert st.deficit == 0.0 and not st.truncated
+            assert steps[-1].deficit > 0.0 or steps[-1].truncated
+
+
+class TestInjectionPathSteps(PathStepChecks):
+    ell = 0.2
+
+    @pytest.fixture
+    def paths(self, injection_paths):
+        return injection_paths
+
+    def test_injections_top_up_to_zero(self, paths):
+        """A shortfall restarts the path at zero below the same barrier, and
+        only the stop ends it."""
+        injected = 0
+        for steps in paths:
+            for st, nxt in zip(steps, steps[1:]):
+                assert not st.truncated
+                if st.deficit > 0.0:
+                    injected += 1
+                    assert nxt.level_start == 0.0
+                    assert nxt.barrier_start == st.barrier_end
+            assert steps[-1].truncated
+        assert injected > 0
+
+
+def test_one_process_serves_both_modes(scale05):
+    """With the same x0, threshold, ell and seed, the two engines step the
+    same path: the terminal log is the injection log up to and including
+    its ruin, and the whole log where the path is not ruined."""
+    ruined = 0
+    for seed in range(50):
+        cfg = SimConfig(1, 100.0, seed)
+        terminal = inspect_terminal_paths(TerminalProblem(scale05, 0.2, -5.0, 1.0), 2.0, cfg)[0]
+        injection = inspect_injection_paths(
+            InjectionProblem(scale05, 0.2, 1.5, 1.0), 2.0, cfg)[0]
+        if terminal[-1].deficit > 0.0:
+            ruined += 1
+            assert injection[:len(terminal)] == terminal
+        else:
+            assert injection == terminal
+    assert 0 < ruined < 50
 
 
 # ---------------------------------------------------------------------------
@@ -400,7 +404,7 @@ class TestLivePathLoop:
         paths = inspect_terminal_paths(p, 2.0, cfg)
         payoffs = [sum(st.tax_paid for st in steps)
                    + (-5.0 * math.exp(-0.05 * steps[-1].t_end)
-                      if steps[-1].ruined else 0.0) for steps in paths]
+                      if steps[-1].deficit > 0.0 else 0.0) for steps in paths]
         pairs = [0.5 * (payoffs[j] + payoffs[j + 200]) for j in range(200)]
         mean = sum(pairs) / 200
         stderr = math.sqrt(sum((x - mean) ** 2 for x in pairs) / 199 / 200)
@@ -468,17 +472,15 @@ class TestStopClock:
         past = 0
         for steps, stop in zip(paths, stops):
             for st in steps:
-                start = st.taxed_from if mode == "terminal" else st.hit_time
                 assert st.tax_paid == pytest.approx(
-                    _flat_discount_tax(ell * 1.2, 0.05, t_w, start, st.t_end), abs=1e-14)
+                    _flat_discount_tax(ell * 1.2, 0.05, t_w, st.hit_time, st.t_end), abs=1e-14)
                 assert st.t_end <= stop <= 100.0
                 if st.truncated:
                     assert st.t_end == stop
-                elif getattr(st, "ruined", False) or getattr(st, "injected", 0.0) > 0.0:
+                elif st.deficit > 0.0:
                     assert st.t_end < stop
                 past += st.t_end > t_w
-            last = steps[-1]
-            assert last.truncated or getattr(last, "ruined", False)
+            assert steps[-1].truncated or steps[-1].deficit > 0.0
         assert past > 0
 
     @pytest.mark.parametrize("antithetic", [False, True])
