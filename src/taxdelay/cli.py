@@ -25,7 +25,7 @@ import math
 import sys
 from dataclasses import asdict, fields
 from json.encoder import encode_basestring_ascii
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from .errors import DomainError, EventCapExceeded, InvalidConfig, InvalidParameter
 from .model import new_model
@@ -77,9 +77,14 @@ def _add_scenario_flags(sub: argparse.ArgumentParser) -> None:
                      help="starting surplus level (default 1)")
 
 
-@functools.lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
     """The argument parser, built on first use and shared within the process."""
+    return _parsers()[0]
+
+
+@functools.lru_cache(maxsize=None)
+def _parsers() -> Tuple[argparse.ArgumentParser, Dict[str, argparse.ArgumentParser]]:
+    """The top-level parser and each subcommand's own parser, by name."""
     parser = argparse.ArgumentParser(
         prog="taxdelay",
         description="Optimal tax-implementation-delay thresholds for the "
@@ -135,7 +140,28 @@ def build_parser() -> argparse.ArgumentParser:
         "validate", help="run the internal self-check battery")
     _add_output_flags(p_val)
 
-    return parser
+    return parser, commands.choices
+
+
+def parse_args(argv: Optional[Sequence[str]] = None) -> argparse.Namespace:
+    """The Namespace ``build_parser().parse_args(argv)`` gives, in one pass.
+
+    The top-level parser scans every flag as an unknown option before its
+    subcommand's parser parses them again, so when argv[0] names a
+    subcommand, that subcommand's parser alone parses the rest.  The
+    top-level parser still takes no arguments, ``-h`` and unknown
+    commands, and reports unrecognized extras with its own usage line, as
+    its own pass does.
+    """
+    parser, commands = _parsers()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    if not argv or argv[0] not in commands:
+        return parser.parse_args(argv)
+    args, extras = commands[argv[0]].parse_known_args(argv[1:])
+    if extras:
+        parser.error(f"unrecognized arguments: {' '.join(extras)}")
+    args.command = argv[0]
+    return args
 
 
 # ---------------------------------------------------------------------------
@@ -287,6 +313,18 @@ def _json_cell(value: Any, precision: int) -> str:
     return int.__repr__(value)
 
 
+def _cell_texts(header: List[str], rows: List[Row],
+                cell: Callable[[Any, int], str], precision: int) -> List[str]:
+    """The text of every cell, row by row, each distinct cell object
+    formatted once.  Cells are told apart by identity, since a value key
+    would merge -0.0 with 0.0 and True with 1 and 1.0; the list of cells
+    keeps every object alive, so no id is reused."""
+    cells = [row[k] for row in rows for k in header]
+    ids = list(map(id, cells))
+    text = {i: cell(v, precision) for i, v in dict(zip(ids, cells)).items()}
+    return list(map(text.__getitem__, ids))
+
+
 def _render(header: List[str], rows: List[Row], args: argparse.Namespace) -> str:
     precision = args.precision
     if args.format == "json":
@@ -296,13 +334,14 @@ def _render(header: List[str], rows: List[Row], args: argparse.Namespace) -> str
                             for k in header)
         template = f"{pad}{{\n{fields}\n{pad}}}"
         text = ",\n".join([template] * len(rows)) % tuple(
-            [_json_cell(row[k], precision) for row in rows for k in header])
+            _cell_texts(header, rows, _json_cell, precision))
         return (text if len(rows) == 1 else f"[\n{text}\n]" if rows else "[]") + "\n"
+    texts = _cell_texts(header, rows, _csv_cell, precision)
+    width = len(header)
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
     writer.writerow(header)
-    for row in rows:
-        writer.writerow([_csv_cell(row[k], precision) for k in header])
+    writer.writerows(texts[i:i + width] for i in range(0, len(texts), width))
     return buffer.getvalue()
 
 
@@ -331,8 +370,7 @@ _COMMANDS = {
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parse_args(argv)
     try:
         if args.precision < 1:  # before the subcommand spends any work
             raise InvalidParameter(f"--precision must be >= 1, got {args.precision}")

@@ -206,7 +206,8 @@ class ScaleSet:
     """The two families ``W`` and ``Z`` of one model at discount rate q.
 
     Immutable after construction; all coefficients are precomputed from
-    the closed-form roots.
+    the closed-form roots.  Raises OutOfRange where one of them is not a
+    finite double.
     """
 
     def __init__(self, model: LevyModel, q: float):
@@ -223,3 +224,7 @@ class ScaleSet:
                                  w1, w2, self.q, model.lam / (c * model.mu), 1.0)  # z2 < 0
         except ZeroDivisionError:
             raise OutOfRange(model, q) from None
+        # a float division past the largest double gives inf without raising
+        if not all(math.isfinite(getattr(f, name))
+                   for f in (self.W, self.Z) for name in ScaleFamily.__slots__):
+            raise OutOfRange(model, q)

@@ -168,8 +168,11 @@ def _with_param(base: SweepPoint, param: str, value: float) -> SweepPoint:
     return replace(base, **{field: value})
 
 
-def _optimize_point(point: SweepPoint) -> Tuple[float, float, bool]:
-    scale = ScaleSet(new_model(point.c, point.lam, point.mu), point.q)
+def _scale(point: SweepPoint) -> ScaleSet:
+    return ScaleSet(new_model(point.c, point.lam, point.mu), point.q)
+
+
+def _optimize_point(point: SweepPoint, scale: ScaleSet) -> Tuple[float, float, bool]:
     if point.mode == "terminal":
         problem = TerminalProblem(scale, point.ell, point.s_terminal, point.x0)
     elif point.mode == "injection":
@@ -201,10 +204,13 @@ def sweep_rows(base: SweepPoint, param: str, lo: float, hi: float,
         raise InvalidParameter("parameter S exists only in terminal mode")
     if param == "varphi" and base.mode != "injection":
         raise InvalidParameter("parameter varphi exists only in injection mode")
+    grid = grid_values(lo, hi, steps)
+    # the model and q stay put along these, so one ScaleSet serves every point
+    shared = _scale(base) if param in ("S", "varphi", "ell", "x") else None
     rows: List[SweepRow] = []
-    for value in grid_values(lo, hi, steps):
-        threshold, objective, boundary = _optimize_point(
-            _with_param(base, param, value))
+    for value in grid:
+        point = _with_param(base, param, value)
+        threshold, objective, boundary = _optimize_point(point, shared or _scale(point))
         rows.append(SweepRow(param=param, value=value, threshold=threshold,
                              objective=objective, boundary_case=boundary))
     return rows

@@ -23,7 +23,7 @@ from hypothesis import strategies as st
 import taxdelay
 from taxdelay import cli
 from taxdelay.cli import (EXIT_INVALID_INPUT, EXIT_NUMERICAL_FAILURE, EXIT_OK,
-                          _json_cell, _render, main)
+                          _csv_cell, _json_cell, _render, main)
 from taxdelay.errors import BracketFailure
 from taxdelay.model import new_model
 from taxdelay.problem import DelayedTaxation, h, optimize, phi, psi
@@ -171,6 +171,8 @@ class TestOptimize:
         ("--q", "1e300", "c=1.2, lam=1.0, mu=1.0, q=1e+300"),
         # the scale coefficient lam/c^2 divides by zero
         ("--c", "1e-300", "c=1e-300, lam=1.0, mu=1.0, q=0.05"),
+        # the slope coefficient w1 theta1 and lam/c^2 overflow to inf silently
+        ("--c", "1e-160", "c=1e-160, lam=1.0, mu=1.0, q=0.05"),
     ])
     def test_model_out_of_range_names_inputs(self, capsys, flag, value, named):
         inputs = {"--c": "1.2", "--lambda": "1", "--mu": "1", "--q": "0.05", flag: value}
@@ -178,6 +180,18 @@ class TestOptimize:
                                *(arg for pair in inputs.items() for arg in pair))
         assert rc == EXIT_NUMERICAL_FAILURE
         assert err == f"numerical failure: the model leaves double range at {named}\n"
+
+    @pytest.mark.parametrize("flag", ["--lambda", "--mu"])
+    def test_vanishing_scale_coefficient_still_solves(self, capsys, flag):
+        """At lam or mu = 1e-300 the coefficient W.f2 underflows to 0.0,
+        which is finite: the scenario still has an answer."""
+        inputs = {"--c": "1.2", "--lambda": "1", "--mu": "1", "--q": "0.05", flag: "1e-300"}
+        rc, out, err = run_cli(capsys, "optimize", "--mode", "terminal", "--ell", "0.1",
+                               *(arg for pair in inputs.items() for arg in pair))
+        assert rc == EXIT_OK and err == ""
+        header, rows = parse_csv(out)
+        assert math.isfinite(float(rows[0]["threshold"]))
+        assert math.isfinite(float(rows[0]["value"]))
 
 
 # ---------------------------------------------------------------------------
@@ -608,6 +622,69 @@ class TestRepeatedCalls:
 
 
 # ---------------------------------------------------------------------------
+# argument parsing: one pass, the top-level parser's result
+# ---------------------------------------------------------------------------
+
+_SIM_ARGS = ["--paths", "100", "--horizon", "10"]
+
+PARSED_ARGV = [
+    ["optimize", *TERMINAL_ARGS, "--S", "-5"],
+    ["optimize", *INJECTION_ARGS, "--format=json", "--prec", "17"],
+    ["optimize", "--S", "-5", "--x=0.5", *TERMINAL_ARGS, "--out", "o.csv"],
+    ["reproduce", "3"],
+    ["reproduce", "--format", "json", "2"],
+    ["sweep", *TERMINAL_ARGS, "--S", "-5", "--param", "S", "--from", "-10",
+     "--to=10", "--steps", "5", "--q-from", "0.01", "--q-to", "0.3", "--q-steps", "3"],
+    ["sweep", *INJECTION_ARGS, "--param", "varphi", "--from=1.1", "--to", "3",
+     "--steps", "4", "--prec", "8"],
+    ["simulate", *TERMINAL_ARGS, "--b", "0.5", *_SIM_ARGS, "--seed=7"],
+    ["simulate", *INJECTION_ARGS, *_SIM_ARGS, "--antithetic", "--format", "json"],
+    ["validate"],
+    ["validate", "--precision=3"],
+]
+
+REJECTED_ARGV = [
+    ["--help"],
+    ["-h"],
+    ["optimize", "--help"],
+    ["sweep", "-h"],
+    [],
+    ["optimise", *TERMINAL_ARGS],
+    ["--format", "json"],
+    ["optimize", *TERMINAL_ARGS, "--bogus", "1"],
+    ["reproduce", "1", "2"],
+    ["validate", "extra", "--unknown"],
+    ["optimize", *TERMINAL_ARGS[2:]],
+    ["optimize", *TERMINAL_ARGS[:-1]],
+    ["optimize", "--mode", "both", *TERMINAL_ARGS[2:]],
+    ["reproduce", "one"],
+]
+
+
+def _exit_outcome(capsys, parse, argv) -> Tuple[Any, str, str]:
+    with pytest.raises(SystemExit) as stop:
+        parse(list(argv))
+    captured = capsys.readouterr()
+    return stop.value.code, captured.out, captured.err
+
+
+class TestParseParity:
+    """``main`` parses a named subcommand's arguments once, with that
+    subcommand's own parser; the result, and every exit argparse takes,
+    must be those of the top-level parser's own pass."""
+
+    @pytest.mark.parametrize("argv", PARSED_ARGV, ids=" ".join)
+    def test_namespace_matches_top_level_parse(self, argv):
+        assert cli.parse_args(argv) == cli.build_parser().parse_args(argv)
+
+    @pytest.mark.parametrize("argv", REJECTED_ARGV, ids=lambda argv: " ".join(argv) or "no-args")
+    def test_exits_match_top_level_parse(self, capsys, argv):
+        want = _exit_outcome(capsys, cli.build_parser().parse_args, argv)
+        assert _exit_outcome(capsys, main, argv) == want
+        assert want[0] in (0, 2)
+
+
+# ---------------------------------------------------------------------------
 # JSON rendering
 # ---------------------------------------------------------------------------
 
@@ -688,6 +765,56 @@ class TestJsonRendering:
         assert float(f"{v:.17g}") == v
         assert _json_cell(v, 17) == float.__repr__(v)
         assert _json_cell(v, 25) == float.__repr__(v)
+
+
+# each object once: -0.0 == 0.0, True == 1 == 1.0 and nan != nan, so only
+# identity tells these cells apart when one object repeats in a table
+_SHARED_POOL = [-0.0, 0.0, math.nan, float("nan"), True, 1, 1.0, False, 0,
+                np.float64(0.1), np.float64(-0.0), 0.1, 1e300, -math.inf, None, "1", ""]
+
+
+@st.composite
+def _shared_tables(draw):
+    header = draw(st.lists(st.text(max_size=4), min_size=1, max_size=4, unique=True))
+    rows = draw(st.lists(st.fixed_dictionaries(
+        {k: st.sampled_from(_SHARED_POOL) for k in header}), max_size=8))
+    return header, rows
+
+
+def reference_csv(header: List[str], rows: List[Dict[str, Any]], precision: int) -> str:
+    """CSV written one cell at a time: each cell formatted where it stands."""
+    buffer = io.StringIO()
+    writer = csv.writer(buffer, lineterminator="\n")
+    writer.writerow(header)
+    for row in rows:
+        writer.writerow([_csv_cell(row[k], precision) for k in header])
+    return buffer.getvalue()
+
+
+class TestSharedCells:
+    """The renderer formats each distinct cell object once; objects that
+    compare equal but print differently must keep their own text."""
+
+    @settings(max_examples=300)
+    @given(_shared_tables(), st.integers(1, 20))
+    def test_json_matches_json_dumps(self, table, precision):
+        header, rows = table
+        args = argparse.Namespace(format="json", precision=precision)
+        assert _render(header, rows, args) == reference_render(header, rows, precision)
+
+    @settings(max_examples=300)
+    @given(_shared_tables(), st.integers(1, 20))
+    def test_csv_matches_cell_by_cell_writer(self, table, precision):
+        header, rows = table
+        args = argparse.Namespace(format="csv", precision=precision)
+        assert _render(header, rows, args) == reference_csv(header, rows, precision)
+
+    def test_equal_values_keep_their_own_text(self):
+        rows = [{"v": v} for v in (0.0, -0.0, True, 1, 1.0, math.nan, math.nan,
+                                   np.float64(1.0))]
+        for fmt, reference in (("json", reference_render), ("csv", reference_csv)):
+            args = argparse.Namespace(format=fmt, precision=6)
+            assert _render(["v"], rows, args) == reference(["v"], rows, 6)
 
 
 class TestImport:
