@@ -12,7 +12,9 @@ Subcommands:
 Output is CSV (default) or JSON, written to stdout or ``--out``.  Floats
 are printed with ``--precision`` significant digits (default 6).  Exit
 codes: 0 success, 2 invalid input, 3 numerical failure (any
-ArithmeticError, overflow and division by zero included).
+ArithmeticError, overflow and division by zero included).  An argv of
+``--flag value`` pairs after the subcommand is read in one pass from a
+table of that subcommand's parser; argparse parses every other argv.
 """
 
 from __future__ import annotations
@@ -143,24 +145,67 @@ def _parsers() -> Tuple[argparse.ArgumentParser, Dict[str, argparse.ArgumentPars
     return parser, commands.choices
 
 
+@functools.lru_cache(maxsize=None)
+def _flag_table(command: str) -> Tuple[dict, dict, set, Optional[Callable[[str], Any]]]:
+    """Read once from ``command``'s own parser: each store flag's (dest, type,
+    choices), argparse's defaults, the required dests, the number matcher."""
+    sub = _parsers()[1][command]
+    flags, defaults, required = {}, dict(sub._defaults), set()
+    for action in sub._actions:
+        convert = sub._registry_get("type", action.type, action.type)
+        if type(action) is argparse._StoreAction and action.nargs is None:
+            flags.update(dict.fromkeys(action.option_strings,
+                                       (action.dest, convert, action.choices)))
+        if action.required:
+            required.add(action.dest)
+        elif action.dest is not argparse.SUPPRESS and action.default is not argparse.SUPPRESS:
+            defaults[action.dest] = convert(action.default) \
+                if isinstance(action.default, str) else action.default
+    negative = None if sub._has_negative_number_optionals else sub._negative_number_matcher.match
+    return flags, defaults, required, negative
+
+
+def _scan(command: str, argv: List[str]) -> Optional[argparse.Namespace]:
+    """argparse's Namespace for ``--flag value`` pairs of ``command``'s store
+    flags, or None where argparse could read argv otherwise or would exit.
+    It mirrors argparse internals: test_cli.py's drawn-argv test checks each Python."""
+    flags, defaults, required, negative = _flag_table(command)
+    args = argparse.Namespace(command=command)
+    values = vars(args)
+    values.update(defaults)
+    for flag, text in zip(argv[::2], argv[1::2]):
+        entry = flags.get(flag)
+        if entry is None or text[:1] == "-" and not (negative and negative(text)):
+            return None  # not a store flag, or a value argparse takes for an option
+        dest, convert, choices = entry
+        try:  # the last occurrence wins, as in argparse
+            values[dest] = value = convert(text)
+        except (argparse.ArgumentTypeError, TypeError, ValueError):
+            return None
+        if choices is not None and value not in choices:
+            return None
+    return None if len(argv) % 2 or not required <= values.keys() else args
+
+
 def parse_args(argv: Optional[Sequence[str]] = None) -> argparse.Namespace:
     """The Namespace ``build_parser().parse_args(argv)`` gives, in one pass.
 
-    The top-level parser scans every flag as an unknown option before its
-    subcommand's parser parses them again, so when argv[0] names a
-    subcommand, that subcommand's parser alone parses the rest.  The
-    top-level parser still takes no arguments, ``-h`` and unknown
-    commands, and reports unrecognized extras with its own usage line, as
-    its own pass does.
+    When argv[0] names a subcommand and the rest is only ``--flag value``
+    pairs its parser would take, ``_scan`` reads them from a table of that
+    parser.  argparse serves every other argv and writes all help, usage
+    and error text: the subcommand's parser parses the rest, and the
+    top-level parser takes no arguments, ``-h`` and unknown commands.
     """
     parser, commands = _parsers()
     argv = sys.argv[1:] if argv is None else list(argv)
     if not argv or argv[0] not in commands:
         return parser.parse_args(argv)
-    args, extras = commands[argv[0]].parse_known_args(argv[1:])
-    if extras:
-        parser.error(f"unrecognized arguments: {' '.join(extras)}")
-    args.command = argv[0]
+    args = _scan(argv[0], argv[1:])
+    if args is None:
+        args, extras = commands[argv[0]].parse_known_args(argv[1:])
+        if extras:
+            parser.error(f"unrecognized arguments: {' '.join(extras)}")
+        args.command = argv[0]
     return args
 
 
