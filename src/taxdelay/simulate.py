@@ -29,11 +29,15 @@ members of an antithetic pair.  The main stream below does not depend on
 the clock, and where t_w is the horizon the clock never acts.
 
 Both engines run on one event loop, and each one's per-event step is the
-shared ``_taxed_interval`` plus its shortfall rule.  The loop works on the
-live paths alone: a path that ends leaves the working arrays at once and
-its payoff goes to its own slot of the output, so an iteration costs
+shared ``_taxed_interval`` plus its shortfall rule, which runs only on
+iterations where some claim is a shortfall.  The loop works on the live
+paths alone: a path that ends leaves the working arrays at once and its
+payoff goes to its own slot of the output, so an iteration costs
 O(live paths), and the mean and standard error are taken over the output
-in the original path order.
+in the original path order.  Once every live interval starts at or past
+t_w, which then stays so, the tax is the flat rate ell*c*D(t_w) times the
+time on the barrier, with no exp or expm1; in floating point this gives
+the general form's bits exactly, so the phase changes no result.
 
 Randomness comes from one counter-based Philox stream keyed by the seed.
 Each iteration draws ``2m`` uniforms in one call for the ``m`` live units,
@@ -81,8 +85,8 @@ class SimConfig:
         if isinstance(self.n_paths, bool) or not isinstance(self.n_paths, int) \
                 or self.n_paths < 1:
             raise InvalidConfig(f"n_paths must be an integer >= 1, got {self.n_paths!r}")
-        if not (isinstance(self.horizon, (int, float))
-                and math.isfinite(self.horizon) and self.horizon > 0.0):
+        if isinstance(self.horizon, bool) or not isinstance(self.horizon, (int, float)) \
+                or not (math.isfinite(self.horizon) and self.horizon > 0.0):
             raise InvalidConfig(f"horizon must be finite and > 0, got {self.horizon!r}")
         if isinstance(self.seed, bool) or not isinstance(self.seed, int) \
                 or not (0 <= self.seed < 2 ** 64):
@@ -116,7 +120,8 @@ class SimResult:
 
 
 def _require_level(name: str, value: float) -> float:
-    if not (isinstance(value, (int, float)) and math.isfinite(value) and value >= 0.0):
+    if isinstance(value, bool) or not isinstance(value, (int, float)) \
+            or not (math.isfinite(value) and value >= 0.0):
         raise InvalidParameter(f"{name} must be finite and >= 0, got {value!r}")
     return float(value)
 
@@ -136,19 +141,19 @@ class _Capture:
 # ---------------------------------------------------------------------------
 
 
-def _run(cfg: SimConfig, p, threshold: float, step: Callable,
+def _run(cfg: SimConfig, p, threshold: float, shortfall: Callable,
          capture: Optional[_Capture]) -> Tuple[np.ndarray, Dict[str, int]]:
-    """Drive ``step`` over the live paths of problem ``p`` until all have ended.
+    """Step the live paths of problem ``p`` until all have ended.
 
-    Every path starts at level x0 with the barrier max(x0, threshold).
-    ``step`` gets the live paths' (level, barrier) arrays, the start and end
-    of their interval, the mask of paths whose claim falls at or past their
-    stop (``end`` is then the stop and the claim is not paid), their claim
-    sizes and t_w, past which the discount stays e^{-q t_w}.  It returns the
-    discounted tax of the interval, the discounted penalty at the claim as
-    (positions, amounts) for the few paths that incur one, the mask of
-    paths that end with the event, their next state, and a callable that
-    builds the arrays a capture records.  Returns each path's total payoff
+    Every path starts at level x0 with the barrier max(x0, threshold) and
+    each iteration takes the live paths through ``_taxed_interval``.  A path
+    whose claim falls at or past its stop ends there: the stop is then the
+    interval's end and the claim is not paid.  On an iteration where some
+    claim is a shortfall, ``shortfall(short, discount, done, state)`` gets
+    the shortfalls' positions and discounts, the mask of the paths ending
+    at their stop and the (level, barrier) state after the claims; it
+    returns the discounted penalties, the mask with the paths the
+    shortfalls end, and the next state.  Returns each path's total payoff
     in path order and the work counters.
     """
     n, horizon, q = cfg.n_paths, float(cfg.horizon), p.scale.q
@@ -165,15 +170,17 @@ def _run(cfg: SimConfig, p, threshold: float, step: Callable,
         mirror = idx >= units
         clock = np.concatenate((clock, 1.0 - clock))
     t, stop = np.zeros(n), np.minimum(t_w - np.log1p(-clock) / q, horizon)
+    interval = _taxed_interval(p, t_w)
     scale = np.array([[-1.0 / p.scale.model.lam], [-1.0 / p.scale.model.mu]])
     iterations = events = killed = 0
+    flat = False
     while idx.size:
         iterations += 1
         if iterations > EVENT_CAP:
             raise EventCapExceeded(f"exceeded {EVENT_CAP} events per path")
         events += idx.size
         # One draw per live unit: the waiting-time row, then the claim-size row.
-        u = rng.random(2 * units).reshape(2, units)
+        u = rng.random((2, units))
         if cfg.antithetic:
             u = u[:, rank]
             u = np.where(mirror, 1.0 - u, u)
@@ -182,21 +189,25 @@ def _run(cfg: SimConfig, p, threshold: float, step: Callable,
         u *= scale  # -log1p(-u) / rate: exponential waiting times and claims
         t_claim = t + u[0]
         end = np.minimum(t_claim, stop)
-        truncated = t_claim >= stop
-        tax, (charged, penalty), done, state, frame = step(state, t, end, truncated,
-                                                           u[1], t_w)
+        truncated = done = t_claim >= stop
+        # Once every interval starts at or past t_w it stays so: t only grows
+        # and compaction only removes paths.
+        flat = flat or t.min() >= t_w
+        tax, state, short, discount, frame = interval(state, t, end, truncated, u[1], flat)
         acc += tax
-        acc[charged] += penalty
+        if short.size:
+            penalty, done, state = shortfall(short, discount, done, state)
+            acc[short] += penalty
         if capture is not None:
             capture.add(alive=np.ones(idx.size, dtype=bool), idx=idx, t_start=t,
                         t_end=end, truncated=truncated, **frame())
         t = t_claim
-        if not done.any():
+        if not np.count_nonzero(done):
             continue
-        gone = np.flatnonzero(done)
+        gone = done.nonzero()[0]
         out[idx[gone]] = acc[gone]
-        killed += int(np.count_nonzero(truncated[gone] & (stop[gone] < horizon)))
-        keep = np.flatnonzero(~done)
+        killed += int(np.count_nonzero(truncated & (stop < horizon)))  # truncated paths all end
+        keep = (~done).nonzero()[0]
         idx, acc, t, stop = idx[keep], acc[keep], t[keep], stop[keep]
         state = tuple(a[keep] for a in state)
         if cfg.antithetic:
@@ -237,43 +248,57 @@ def _result(out: np.ndarray, cfg: SimConfig, bias_bound: float, counters: Dict[s
 # ---------------------------------------------------------------------------
 
 
-def _taxed_interval(p) -> Callable:
-    """Problem ``p``'s taxed path over one interval, for both engines' steps.
+def _taxed_interval(p, t_w: float) -> Callable:
+    """Problem ``p``'s taxed path over one interval, for both engines.
 
-    Given a step's arguments, it returns the discounted tax, the level after
-    the claim, the barrier at ``end``, the positions of the shortfalls, their
-    discount e^{-q min(end, t_w)}, and the frame builder for a capture.
+    Given the live paths' (level, barrier) state, the start and end of their
+    interval, the mask of truncated paths, their claims and whether every
+    start is at or past t_w, it returns the discounted tax, the state after
+    the claim, the positions of the shortfalls, their discount
+    e^{-q min(end, t_w)} (None when there is none), and the frame builder
+    for a capture.
     """
     c, ell, q = p.scale.model.c, p.ell, p.scale.q
-    tax_rate = ell * c / q
+    tax_rate, flat_rate = ell * c / q, ell * c * math.exp(-q * t_w)
 
-    def interval(state, t, end, truncated, claim, t_w):
+    def interval(state, t, end, truncated, claim, flat):
         level, barrier = state
         duration = end - t
         # Time to reach the barrier at full drift; level <= barrier always.
         reach = (barrier - level) / c
         above = np.maximum(duration - reach, 0.0)  # time spent on the barrier
-        hit_time = t + np.minimum(reach, duration)
+
+        def hit_time():
+            return t + np.minimum(reach, duration)
+
         # Drift c up to the barrier, then (1-ell)*c along it.
         level_end = level + c * duration - (ell * c) * above
         barrier_end = np.maximum(barrier, level_end)
-        late = np.minimum(above, np.maximum(end - t_w, 0.0))  # taxed time past t_w
-        tax = np.exp(-q * np.minimum(hit_time, t_w)) * np.expm1(-q * (above - late)) \
-            * -tax_rate + (ell * c * math.exp(-q * t_w)) * late
+        if flat:
+            # Every t >= t_w, and the general form gives these bits: reach >= 0,
+            # so above <= fl(end - t) <= fl(end - t_w) and late == above; then
+            # expm1(-q * 0.0) = -0.0 makes the first term +0.0, and adding it
+            # to flat_rate * above, itself +0.0 or more, changes nothing.
+            tax = flat_rate * above
+        else:
+            late = np.minimum(above, np.maximum(end - t_w, 0.0))  # taxed time past t_w
+            tax = np.exp(-q * np.minimum(hit_time(), t_w)) * np.expm1(-q * (above - late)) \
+                * -tax_rate + flat_rate * late
         level_post = level_end - claim
         # A claim at or past the stop is not paid: truncated paths end here.
-        short = np.flatnonzero(level_post < 0.0)
-        short = short[~truncated[short]]
-        discount = np.exp(-q * np.minimum(end[short], t_w))
+        short = (level_post < 0.0).nonzero()[0]
+        if short.size:
+            short = short[~truncated[short]]
+        discount = np.exp(-q * np.minimum(end[short], t_w)) if short.size else None
 
         def frame():
             deficit = np.zeros(level.size)
             deficit[short] = -level_post[short]
             return dict(level_start=level, level_end=level_end, barrier_start=barrier,
-                        barrier_end=barrier_end, hit_time=hit_time, tax_paid=tax,
+                        barrier_end=barrier_end, hit_time=hit_time(), tax_paid=tax,
                         claim_size=claim, deficit=deficit)
 
-        return tax, level_post, barrier_end, short, discount, frame
+        return tax, (level_post, barrier_end), short, discount, frame
 
     return interval
 
@@ -289,19 +314,16 @@ def simulate_terminal(p: TerminalProblem, b: float, cfg: SimConfig,
     """
     b = _require_level("threshold b", b)
     q, s_value = p.scale.q, p.s_terminal
-    interval = _taxed_interval(p)
     ruin_weight = 0.0
 
-    def step(state, t, end, truncated, claim, t_w):
+    def ruin(short, discount, done, state):
         nonlocal ruin_weight
-        tax, level_post, barrier_end, ruin, discount, frame = interval(
-            state, t, end, truncated, claim, t_w)
         ruin_weight += float(discount.sum())
-        done = truncated.copy()
-        done[ruin] = True
-        return tax, (ruin, s_value * discount), done, (level_post, barrier_end), frame
+        done = done.copy()
+        done[short] = True
+        return s_value * discount, done, state
 
-    out, counters = _run(cfg, p, b, step, capture)
+    out, counters = _run(cfg, p, b, ruin, capture)
     bias_bound = math.exp(-q * cfg.horizon) * (abs(s_value) + p.ell * p.scale.model.c / q)
     return _result(out, cfg, bias_bound, counters, ruin_weight / cfg.n_paths)
 
@@ -317,15 +339,13 @@ def simulate_injection(p: InjectionProblem, a: float, cfg: SimConfig,
     """
     a = _require_level("threshold a", a)
     model, q, varphi = p.scale.model, p.scale.q, p.varphi
-    interval = _taxed_interval(p)
 
-    def step(state, t, end, truncated, claim, t_w):
-        tax, level_post, barrier_end, short, discount, frame = interval(
-            state, t, end, truncated, claim, t_w)
-        penalty = (short, varphi * level_post[short] * discount)
-        return tax, penalty, truncated, (np.maximum(level_post, 0.0), barrier_end), frame
+    def inject(short, discount, done, state):
+        # Only shortfalls and paths ending at their stop have a level below zero.
+        level, barrier = state
+        return varphi * level[short] * discount, done, (np.maximum(level, 0.0), barrier)
 
-    out, counters = _run(cfg, p, a, step, capture)
+    out, counters = _run(cfg, p, a, inject, capture)
     bias_bound = math.exp(-q * cfg.horizon) \
         * (p.ell * model.c / q + varphi * model.lam / (model.mu * q))
     return _result(out, cfg, bias_bound, counters)

@@ -3,6 +3,7 @@ with the closed forms, and step-level path consistency."""
 
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import numpy as np
@@ -48,7 +49,7 @@ class TestSimConfig:
         with pytest.raises(InvalidConfig):
             SimConfig(n, 100.0, 1)
 
-    @pytest.mark.parametrize("horizon", [0.0, -1.0, math.inf, math.nan])
+    @pytest.mark.parametrize("horizon", [0.0, -1.0, math.inf, math.nan, True, False])
     def test_rejects_bad_horizon(self, horizon):
         with pytest.raises(InvalidConfig):
             SimConfig(100, horizon, 1)
@@ -152,10 +153,12 @@ class TestTerminalEngine:
 
     def test_rejects_bad_threshold(self, scale05):
         p = TerminalProblem(scale05, 0.1, -5.0, 1.0)
+        for bad in (-1.0, math.inf, True, False):
+            with pytest.raises(InvalidParameter):
+                simulate_terminal(p, bad, SimConfig(100, 100.0, 1))
         with pytest.raises(InvalidParameter):
-            simulate_terminal(p, -1.0, SimConfig(100, 100.0, 1))
-        with pytest.raises(InvalidParameter):
-            simulate_terminal(p, math.inf, SimConfig(100, 100.0, 1))
+            simulate_injection(InjectionProblem(scale05, 0.2, 1.5, 1.0), True,
+                               SimConfig(100, 100.0, 1))
 
 
 class TestInjectionEngine:
@@ -415,11 +418,13 @@ class TestLivePathLoop:
     @pytest.mark.parametrize("antithetic", [False, True])
     def test_work_counters_match_step_logs(self, scale05, antithetic):
         """At horizon 30 the stop clock cannot act (t_w = horizon); at 100
-        it ends paths before the horizon."""
+        it ends paths before the horizon, and the loop reaches its flat
+        phase: an iteration whose every live path starts at or past t_w."""
         pt = TerminalProblem(scale05, 0.1, -5.0, 1.0)
         pi = InjectionProblem(scale05, 0.2, 1.5, 1.0)
         for horizon in (30.0, 100.0):
             cfg = SimConfig(200, horizon, 99, antithetic=antithetic)
+            t_w = min(math.log(1.0 / simulate.W_MIN) / 0.05, horizon)
             for paths, result in (
                     (inspect_terminal_paths(pt, 2.0, cfg), simulate_terminal(pt, 2.0, cfg)),
                     (inspect_injection_paths(pi, 2.0, cfg), simulate_injection(pi, 2.0, cfg))):
@@ -429,6 +434,23 @@ class TestLivePathLoop:
                     1 for steps in paths
                     if steps[-1].truncated and steps[-1].t_end < horizon)
                 assert (result.killed > 0) == (horizon == 100.0)
+                # frame k holds the k-th step of every path still live
+                flat = [all(steps[k].t_start >= t_w for steps in paths if len(steps) > k)
+                        for k in range(result.iterations)]
+                assert any(flat) == (horizon == 100.0)
+
+    @pytest.mark.parametrize("antithetic", [False, True])
+    @pytest.mark.parametrize("horizon", [30.0, 100.0, 400.0])
+    def test_capture_changes_no_result(self, scale05, horizon, antithetic):
+        cfg = SimConfig(200, horizon, 41, antithetic=antithetic)
+        for engine, p in ((simulate_terminal, TerminalProblem(scale05, 0.1, -5.0, 1.0)),
+                          (simulate_injection, InjectionProblem(scale05, 0.2, 1.5, 1.0))):
+            capture = simulate._Capture()
+            plain, captured = (
+                [v.hex() if isinstance(v, float) else v for v in dataclasses.astuple(r)]
+                for r in (engine(p, 2.0, cfg), engine(p, 2.0, cfg, capture=capture)))
+            assert capture.frames
+            assert plain == captured
 
 
 # ---------------------------------------------------------------------------
@@ -497,3 +519,105 @@ class TestStopClock:
                                 phi_bar_value(pi, 1.0, 2.0))):
             assert result.killed > cfg.n_paths // 10
             assert abs(result.mean - target) < 3.0 * result.stderr
+
+
+# ---------------------------------------------------------------------------
+# The taxed interval's flat-discount phase
+# ---------------------------------------------------------------------------
+
+T_W = 10.0
+F, T = False, True
+# Rows of (t, end, level, barrier, claim, truncated) at c = 1.2, with the
+# loop's flat flag (every t >= T_W) each case must give.  Each case has a
+# shortfall and a truncated path whose claim would be one.
+PHASE_CASES = {
+    "before t_w": (F, [(0.0, 1.5, 0.5, 2.0, 0.3, F), (3.0, 9.5, 2.0, 2.0, 20.0, F),
+                       (4.0, 6.0, 1.0, 2.0, 9.0, T)]),
+    "straddling t_w": (F, [(8.0, 12.5, 1.0, 2.0, 0.5, F), (9.5, 10.25, 0.0, 3.0, 0.1, F),
+                           (7.0, 15.0, 2.0, 2.0, 20.0, F), (9.0, 11.0, 2.0, 2.0, 20.0, T)]),
+    "past t_w": (T, [(10.0, 13.0, 1.0, 2.0, 0.5, F), (12.0, 12.75, 2.0, 2.0, 0.25, F),
+                     (15.5, 19.0, 0.5, 4.0, 30.0, F), (11.0, 14.0, 2.0, 2.0, 30.0, T)]),
+    # reach = 1.2 / 1.2 = 1.0 exactly, so hit_time = 9 + 1 = T_W
+    "hit_time at t_w": (F, [(9.0, 12.0, 0.0, 1.2, 0.5, F), (9.0, 9.5, 2.0, 2.0, 9.0, F),
+                            (9.0, 9.5, 2.0, 2.0, 9.0, T)]),
+    "hit_time at t_w, past": (T, [(10.0, 11.5, 2.0, 2.0, 0.5, F),
+                                  (10.0, 11.5, 0.0, 0.0, 9.0, F),
+                                  (10.5, 11.5, 2.0, 2.0, 9.0, T)]),
+    "end at t_w": (F, [(8.0, 10.0, 1.0, 2.0, 5.0, F), (9.0, 10.0, 1.0, 2.0, 0.1, F),
+                       (8.0, 10.0, 2.0, 2.0, 9.0, T)]),
+    "end at t_w, past": (T, [(10.0, 10.0, 1.0, 2.0, 0.0, F), (10.0, 10.0, 1.0, 2.0, 5.0, F),
+                             (10.0, 10.0, 2.0, 2.0, 9.0, T)]),
+    "above zero": (F, [(5.0, 6.0, 0.0, 3.0, 0.5, F), (9.0, 11.0, 0.0, 3.0, 0.5, F),
+                       (5.0, 6.0, 0.5, 3.0, 4.0, F), (5.0, 6.0, 0.5, 3.0, 4.0, T)]),
+    "above zero, past": (T, [(12.0, 13.0, 0.0, 3.0, 0.5, F), (12.0, 13.0, 0.5, 3.0, 4.0, F),
+                             (12.0, 13.0, 0.5, 3.0, 4.0, T)]),
+}
+
+
+def _general_interval(p, t_w, t, end, level, barrier, claim, truncated):
+    """Tax, shortfall positions and discount of one interval in the general
+    form, valid in every phase: discount e^{-q min(s, t_w)}, with the tax
+    at rate ell*c from hit_time to end in closed form."""
+    c, ell, q = p.scale.model.c, p.ell, p.scale.q
+    duration = end - t
+    reach = (barrier - level) / c
+    above = np.maximum(duration - reach, 0.0)
+    hit_time = t + np.minimum(reach, duration)
+    late = np.minimum(above, np.maximum(end - t_w, 0.0))
+    tax = np.exp(-q * np.minimum(hit_time, t_w)) * np.expm1(-q * (above - late)) \
+        * -(ell * c / q) + (ell * c * math.exp(-q * t_w)) * late
+    level_post = level + c * duration - (ell * c) * above - claim
+    short = np.flatnonzero((level_post < 0.0) & ~truncated)
+    return tax, short, np.exp(-q * np.minimum(end[short], t_w))
+
+
+class TestFlatPhase:
+    @pytest.mark.parametrize("ell", [0.1, 0.0])
+    @pytest.mark.parametrize("q", [0.05, 0.5])
+    @pytest.mark.parametrize("case", list(PHASE_CASES))
+    def test_phase_forms_match_general(self, base_model, case, q, ell):
+        """The interval's tax and shortfall discount, in the form the loop
+        picks for the case and in the general form, equal the general
+        expression to the bit."""
+        flat_case, rows = PHASE_CASES[case]
+        t, end, level, barrier, claim = (np.array(col) for col in list(zip(*rows))[:5])
+        truncated = np.array([row[5] for row in rows])
+        p = TerminalProblem(ScaleSet(base_model, q), ell, -5.0, 1.0)
+        interval = simulate._taxed_interval(p, T_W)
+        flat = bool(t.min() >= T_W)
+        assert flat == flat_case
+        want_tax, want_short, want_discount = _general_interval(
+            p, T_W, t, end, level, barrier, claim, truncated)
+        assert want_short.size == 1
+        for form in {flat, False}:
+            tax, _, short, discount, frame = interval(
+                (level, barrier), t, end, truncated, claim, form)
+            assert [x.hex() for x in tax.tolist()] == [x.hex() for x in want_tax.tolist()]
+            assert short.tolist() == want_short.tolist()
+            assert [x.hex() for x in discount.tolist()] \
+                == [x.hex() for x in want_discount.tolist()]
+            if case.startswith("hit_time"):
+                assert frame()["hit_time"][0] == T_W
+
+    @pytest.mark.parametrize("antithetic", [False, True])
+    @pytest.mark.parametrize("mu", [1.0, 20.0])
+    @pytest.mark.parametrize("q", [0.05, 0.5])
+    def test_loop_taxes_match_general(self, q, mu, antithetic):
+        """Every captured step of both engines, in whichever phase the loop
+        was in, carries the general form's tax to the bit and its shortfalls.
+        The paths start on the barrier, and at mu = 20 small claims keep
+        them near it, so the last paths to pass t_w are still being taxed."""
+        scale = ScaleSet(new_model(1.2, 1.0, mu), q)
+        cfg = SimConfig(400, 100.0, 7, antithetic=antithetic)
+        t_w = min(math.log(1.0 / simulate.W_MIN) / q, cfg.horizon)
+        for engine, p in ((simulate_terminal, TerminalProblem(scale, 0.1, -5.0, 3.0)),
+                          (simulate_injection, InjectionProblem(scale, 0.2, 1.5, 3.0))):
+            capture = simulate._Capture()
+            engine(p, 2.0, cfg, capture=capture)
+            for fr in capture.frames:
+                tax, short, _ = _general_interval(
+                    p, t_w, fr["t_start"], fr["t_end"], fr["level_start"],
+                    fr["barrier_start"], fr["claim_size"], fr["truncated"])
+                assert [x.hex() for x in fr["tax_paid"].tolist()] \
+                    == [x.hex() for x in tax.tolist()]
+                assert short.tolist() == np.flatnonzero(fr["deficit"] > 0.0).tolist()
