@@ -17,8 +17,8 @@ written once in ``problem``; each problem supplies its family's data,
 and its mode-named functions (``h_terminal``, ``h_bar``, ...) are
 aliases of the shared ones.  The library also has exact Monte Carlo
 engines for both controlled processes (``simulate``), reference
-existence tables and parameter sweeps (``tables``), and a self-check
-battery (``validate``).
+existence tables and sweeps that step one parameter of a problem
+(``tables``), and a self-check battery (``validate``).
 """
 
 from __future__ import annotations
@@ -33,8 +33,8 @@ from .scale import ScaleSet
 from .simulate import (SimConfig, SimResult, inspect_injection_paths,
                        inspect_terminal_paths, simulate_injection,
                        simulate_terminal)
-from .tables import (BASE_MODEL, SweepPoint, SweepRow, TableRow,
-                     existence_grid, sweep_rows, table_rows)
+from .tables import (BASE_MODEL, TableRow, existence_grid, grid_values,
+                     sweep_rows, table_rows)
 from .problem import OptimumReport
 from .tax_injection import (InjectionProblem, h_bar, optimize_injection,
                             phi_bar_partial_a, phi_bar_value, psi_bar,
@@ -66,8 +66,8 @@ __all__ = [
     "SimConfig", "SimResult", "simulate_injection", "simulate_terminal",
     "inspect_injection_paths", "inspect_terminal_paths",
     # tables and sweeps
-    "BASE_MODEL", "SweepPoint", "SweepRow", "TableRow", "existence_grid",
-    "sweep_rows", "table_rows",
+    "BASE_MODEL", "TableRow", "existence_grid", "grid_values", "sweep_rows",
+    "table_rows",
     # self checks
     "CheckResult", "run_checks",
 ]

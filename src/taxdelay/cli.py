@@ -34,8 +34,8 @@ from .model import new_model
 from .problem import optimize, phi
 from .scale import ScaleSet
 from .simulate import SimConfig, simulate_injection, simulate_terminal
-from .tables import (SWEEPABLE, SweepPoint, TableRow, existence_grid,
-                     sweep_rows, table_rows)
+from .tables import (SWEEPABLE, TableRow, existence_grid, grid_values, sweep_rows,
+                     table_rows)
 # h_terminal is h_bar, the shared h; perfbench/tracing.py wraps both names here
 from .tax_injection import InjectionProblem, h_bar  # noqa: F401
 from .tax_terminal import TerminalProblem, h_terminal
@@ -225,14 +225,14 @@ def _reject_other_mode_flags(args: argparse.Namespace) -> None:
             raise InvalidParameter(f"{args.mode} mode takes no {flag}")
 
 
-def _build_problem(args: argparse.Namespace):
+def _build_problem(args: argparse.Namespace, allow_low_cost: bool = False):
     _reject_other_mode_flags(args)
     scale = ScaleSet(new_model(args.c, args.lam, args.mu), args.q)
     if args.mode == "terminal":
         return TerminalProblem(scale, args.ell, args.s_terminal or 0.0, args.x)
     if args.varphi is None:
         raise InvalidParameter("injection mode needs --varphi")
-    return InjectionProblem(scale, args.ell, args.varphi, args.x)
+    return InjectionProblem(scale, args.ell, args.varphi, args.x, allow_low_cost)
 
 
 # ---------------------------------------------------------------------------
@@ -257,6 +257,10 @@ def _cmd_reproduce(args: argparse.Namespace) -> Tuple[List[str], List[Row]]:
     return [f.name for f in fields(TableRow)], [asdict(r) for r in table_rows(args.table)]
 
 
+# each sweepable name's argparse dest, where the two differ
+_SWEEP_DESTS = {"S": "s_terminal", "lambda": "lam"}
+
+
 def _cmd_sweep(args: argparse.Namespace) -> Tuple[List[str], List[Row]]:
     _reject_other_mode_flags(args)
     grid_flags = (args.q_lo, args.q_hi, args.q_steps)
@@ -273,19 +277,14 @@ def _cmd_sweep(args: argparse.Namespace) -> Tuple[List[str], List[Row]]:
                                       args.q_lo, args.q_hi, args.q_steps)
     if args.mode == "injection" and args.varphi is None and args.param != "varphi":
         raise InvalidParameter("injection mode needs --varphi")
-    base = SweepPoint(mode=args.mode, c=args.c, lam=args.lam, mu=args.mu,
-                      q=args.q, ell=args.ell, s_terminal=args.s_terminal or 0.0,
-                      varphi=args.varphi if args.varphi is not None else 1.5,
-                      x0=args.x)
+    owner = {"S": "terminal", "varphi": "injection"}.get(args.param, args.mode)
+    if owner != args.mode:  # S and varphi each belong to one mode
+        raise InvalidParameter(f"parameter {args.param} exists only in {owner} mode")
+    grid = grid_values(args.lo, args.hi, args.steps)
+    # the swept flag's own value is not read: the first grid point takes its place
+    first = argparse.Namespace(**{**vars(args), _SWEEP_DESTS.get(args.param, args.param): grid[0]})
     header = ["param", "param_value", "threshold", "value", "boundary_case"]
-    rows = [{
-        "param": r.param,
-        "param_value": r.value,
-        "threshold": r.threshold,
-        "value": r.objective,
-        "boundary_case": r.boundary_case,
-    } for r in sweep_rows(base, args.param, args.lo, args.hi, args.steps)]
-    return header, rows
+    return header, sweep_rows(_build_problem(first, allow_low_cost=True), args.param, grid)
 
 
 def _cmd_simulate(args: argparse.Namespace) -> Tuple[List[str], List[Row]]:

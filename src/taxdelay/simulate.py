@@ -127,13 +127,16 @@ def _require_level(name: str, value: float) -> float:
 
 
 class _Capture:
-    """Optional per-iteration state recorder used by the inspectors."""
+    """Optional per-iteration state recorder used by the inspectors.
+
+    The loop passes the frame builder uncalled, so a capture that reads
+    only the loop's own arrays builds no frame."""
 
     def __init__(self):
         self.frames: List[Dict[str, np.ndarray]] = []
 
-    def add(self, **arrays: np.ndarray) -> None:
-        self.frames.append({k: np.array(v, copy=True) for k, v in arrays.items()})
+    def add(self, frame: Callable[[], Dict[str, np.ndarray]], **arrays: np.ndarray) -> None:
+        self.frames.append({k: np.array(v, copy=True) for k, v in {**arrays, **frame()}.items()})
 
 
 # ---------------------------------------------------------------------------
@@ -200,7 +203,7 @@ def _run(cfg: SimConfig, p, threshold: float, shortfall: Callable,
             acc[short] += penalty
         if capture is not None:
             capture.add(alive=np.ones(idx.size, dtype=bool), idx=idx, t_start=t,
-                        t_end=end, truncated=truncated, **frame())
+                        t_end=end, truncated=truncated, frame=frame)
         t = t_claim
         if not np.count_nonzero(done):
             continue

@@ -15,21 +15,23 @@ zero.  Both sides are affine in param:
 
 and their crossing point in param is the existence boundary.
 ``existence_affine`` takes the four from the shared construction;
-``table_rows`` packages the three built-in reference scenarios;
-``sweep_rows`` and ``existence_grid`` generate plot-ready data.
+``table_rows`` packages the three built-in reference scenarios.  Two
+generators give plot-ready rows: ``sweep_rows`` optimizes a problem
+along one of its parameters, stepped with ``dataclasses.replace``, and
+``existence_grid`` maps the sign of h(0) over (S, q).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Any, Dict, List, Tuple
+from typing import Any, Dict, List, Sequence, Tuple
 
 import numpy as np
 
 from .errors import InvalidParameter
 from .model import LevyModel, new_model
-from .problem import exit_tail, optimize, potential
+from .problem import DelayedTaxation, exit_tail, optimize, potential
 from .scale import ScaleSet
 from .tax_injection import InjectionProblem
 from .tax_terminal import TerminalProblem
@@ -49,7 +51,6 @@ TABLE_ELLS = (0.1, 0.2, 0.3)
 class TableDefinition:
     """Problem class, discount rate and tax-rate rows of one built-in table."""
 
-    table_id: int
     problem: type  # TerminalProblem or InjectionProblem
     q: float
     ells: Tuple[float, ...]
@@ -76,20 +77,19 @@ class TableRow:
 
 
 _DEFINITIONS = {
-    1: TableDefinition(table_id=1, problem=TerminalProblem, q=0.05, ells=TABLE_ELLS),
-    2: TableDefinition(table_id=2, problem=TerminalProblem, q=0.002, ells=TABLE_ELLS),
-    3: TableDefinition(table_id=3, problem=InjectionProblem, q=0.05, ells=TABLE_ELLS),
+    1: TableDefinition(problem=TerminalProblem, q=0.05, ells=TABLE_ELLS),
+    2: TableDefinition(problem=TerminalProblem, q=0.002, ells=TABLE_ELLS),
+    3: TableDefinition(problem=InjectionProblem, q=0.05, ells=TABLE_ELLS),
 }
 
 
 def table_definition(table_id: int) -> TableDefinition:
-    """Look up a built-in table; raises InvalidParameter for unknown ids."""
-    try:
-        return _DEFINITIONS[table_id]
-    except (KeyError, TypeError):
+    """Look up a built-in table; raises InvalidParameter for unknown ids,
+    bools and non-int ids included."""
+    if type(table_id) is not int or table_id not in _DEFINITIONS:
         raise InvalidParameter(
-            f"unknown table id {table_id!r}; valid ids are {sorted(_DEFINITIONS)}"
-        ) from None
+            f"unknown table id {table_id!r}; valid ids are {sorted(_DEFINITIONS)}")
+    return _DEFINITIONS[table_id]
 
 
 # ---------------------------------------------------------------------------
@@ -132,56 +132,12 @@ def table_rows(table_id: int, model: LevyModel = BASE_MODEL) -> List[TableRow]:
 # Parameter sweeps
 # ---------------------------------------------------------------------------
 
-#: Scalars a sweep may vary; "S" only in terminal mode, "varphi" only in
-#: injection mode, the rest in either.
+#: Scalars a sweep may vary: "S" a TerminalProblem's, "varphi" an
+#: InjectionProblem's, the rest either's.
 SWEEPABLE = ("S", "varphi", "ell", "q", "c", "lambda", "mu", "x")
 
-
-@dataclass(frozen=True)
-class SweepPoint:
-    """Base scenario for a sweep; exactly one field is varied per run."""
-
-    mode: str
-    c: float
-    lam: float
-    mu: float
-    q: float
-    ell: float
-    s_terminal: float = 0.0
-    varphi: float = 1.5
-    x0: float = 1.0
-
-
-@dataclass(frozen=True)
-class SweepRow:
-    """One optimization outcome along a sweep."""
-
-    param: str
-    value: float
-    threshold: float
-    objective: float
-    boundary_case: bool
-
-
-def _with_param(base: SweepPoint, param: str, value: float) -> SweepPoint:
-    field = {"S": "s_terminal", "lambda": "lam", "x": "x0"}.get(param, param)
-    return replace(base, **{field: value})
-
-
-def _scale(point: SweepPoint) -> ScaleSet:
-    return ScaleSet(new_model(point.c, point.lam, point.mu), point.q)
-
-
-def _optimize_point(point: SweepPoint, scale: ScaleSet) -> Tuple[float, float, bool]:
-    if point.mode == "terminal":
-        problem = TerminalProblem(scale, point.ell, point.s_terminal, point.x0)
-    elif point.mode == "injection":
-        problem = InjectionProblem(scale, point.ell, point.varphi, point.x0,
-                                   allow_low_cost=True)
-    else:
-        raise InvalidParameter(f"unknown mode {point.mode!r}")
-    report = optimize(problem)
-    return report.threshold, report.value, report.boundary_case
+# the problem's own field for a sweepable name; the others live in its ScaleSet
+_PROBLEM_FIELDS = {"S": "s_terminal", "varphi": "varphi", "ell": "ell", "x": "x0"}
 
 
 def grid_values(lo: float, hi: float, steps: int) -> List[float]:
@@ -194,25 +150,33 @@ def grid_values(lo: float, hi: float, steps: int) -> List[float]:
     return [lo + i * width for i in range(steps - 1)] + [hi]
 
 
-def sweep_rows(base: SweepPoint, param: str, lo: float, hi: float,
-               steps: int) -> List[SweepRow]:
-    """Optimize once per grid point of one varied parameter."""
+def sweep_rows(problem: DelayedTaxation, param: str,
+               values: Sequence[float]) -> List[Dict[str, Any]]:
+    """Optimize ``problem`` once per value of one parameter, in order.
+
+    The problem's own value of ``param`` is not read.  S, varphi, ell and
+    x are fields of the problem, so those points share its ScaleSet; c,
+    lambda, mu and q build one per point.  Each row has keys ``param``,
+    ``param_value``, ``threshold``, ``value`` and ``boundary_case``.
+    """
     if param not in SWEEPABLE:
         raise InvalidParameter(
             f"cannot sweep {param!r}; choose one of {', '.join(SWEEPABLE)}")
-    if param == "S" and base.mode != "terminal":
-        raise InvalidParameter("parameter S exists only in terminal mode")
-    if param == "varphi" and base.mode != "injection":
-        raise InvalidParameter("parameter varphi exists only in injection mode")
-    grid = grid_values(lo, hi, steps)
-    # the model and q stay put along these, so one ScaleSet serves every point
-    shared = _scale(base) if param in ("S", "varphi", "ell", "x") else None
-    rows: List[SweepRow] = []
-    for value in grid:
-        point = _with_param(base, param, value)
-        threshold, objective, boundary = _optimize_point(point, shared or _scale(point))
-        rows.append(SweepRow(param=param, value=value, threshold=threshold,
-                             objective=objective, boundary_case=boundary))
+    field = _PROBLEM_FIELDS.get(param)
+    if field is not None and not hasattr(problem, field):
+        raise InvalidParameter(f"{type(problem).__name__} has no parameter {param}")
+    model, q = problem.scale.model, problem.scale.q
+    rows: List[Dict[str, Any]] = []
+    for value in values:
+        if field is None:  # a rate of the model, or q
+            r = {"c": model.c, "lambda": model.lam, "mu": model.mu, "q": q, param: value}
+            point = replace(problem, scale=ScaleSet(new_model(r["c"], r["lambda"], r["mu"]),
+                                                    r["q"]))
+        else:
+            point = replace(problem, **{field: value})
+        report = optimize(point)
+        rows.append({"param": param, "param_value": value, "threshold": report.threshold,
+                     "value": report.value, "boundary_case": report.boundary_case})
     return rows
 
 
@@ -248,8 +212,6 @@ __all__ = [
     "existence_threshold",
     "table_rows",
     "SWEEPABLE",
-    "SweepPoint",
-    "SweepRow",
     "sweep_rows",
     "grid_values",
     "existence_grid",

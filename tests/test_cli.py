@@ -451,6 +451,20 @@ class TestSweep:
         assert out == ""
         assert "injection mode needs --varphi" in err
 
+    @pytest.mark.parametrize("base, param, grid, own", [
+        ([*TERMINAL_ARGS, "--S", "-5"], "ell", ["0.1", "0.3"], ["--ell", "1.5"]),
+        ([*TERMINAL_ARGS, "--S", "-5"], "c", ["1", "2"], ["--c", "-1"]),
+        (INJECTION_ARGS, "varphi", ["1.1", "2"], ["--varphi", "-1"]),
+    ])
+    def test_swept_flag_value_is_not_read(self, capsys, base, param, grid, own):
+        """The first grid point takes the swept flag's place, so a value
+        the flag could not take on its own changes nothing."""
+        argv = ["sweep", *base, "--param", param, "--from", grid[0], "--to", grid[1],
+                "--steps", "3", "--format", "json", "--precision", "17"]
+        rc, out, err = run_cli(capsys, *argv)
+        assert rc == EXIT_OK, err
+        assert run_cli(capsys, *argv, *own) == (EXIT_OK, out, "")
+
     def test_varphi_sweep_needs_no_base_varphi(self, capsys):
         argv = ("sweep", *INJECTION_ARGS[:-2], "--param", "varphi",
                 "--from", "1.1", "--to", "2", "--steps", "2")

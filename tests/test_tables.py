@@ -5,12 +5,13 @@ from __future__ import annotations
 import pytest
 
 from taxdelay.errors import InvalidParameter
-from taxdelay.problem import h
+from taxdelay.model import new_model
+from taxdelay.problem import h, optimize
 from taxdelay.scale import ScaleSet
 from taxdelay.tables import (
     BASE_MODEL,
+    SWEEPABLE,
     TABLE_ELLS,
-    SweepPoint,
     TableRow,
     existence_affine,
     existence_grid,
@@ -37,7 +38,7 @@ class TestTableDefinition:
         assert (d3.problem, d3.q) == (InjectionProblem, 0.05)
         assert d1.ells == d2.ells == d3.ells == (0.1, 0.2, 0.3)
 
-    @pytest.mark.parametrize("bad", [0, 4, -1, "one", None])
+    @pytest.mark.parametrize("bad", [0, 4, -1, "one", None, True, 1.0])
     def test_unknown_id_raises(self, bad):
         with pytest.raises(InvalidParameter):
             table_definition(bad)
@@ -174,48 +175,74 @@ class TestGridValues:
 
 
 class TestSweepRows:
-    base_terminal = SweepPoint(mode="terminal", c=1.2, lam=1.0, mu=1.0,
-                               q=0.05, ell=0.1, s_terminal=-5.0)
-    base_injection = SweepPoint(mode="injection", c=1.2, lam=1.0, mu=1.0,
-                                q=0.05, ell=0.2, varphi=1.5)
+    scale = ScaleSet(new_model(1.2, 1.0, 1.0), 0.05)
+    base_terminal = TerminalProblem(scale, 0.1, -5.0, 1.0)
+    base_injection = InjectionProblem(scale, 0.2, 1.5, 1.0, allow_low_cost=True)
 
     def test_terminal_threshold_decreases_in_ruin_value(self):
-        rows = sweep_rows(self.base_terminal, "S", -6.0, -4.5, 3)
-        thresholds = [r.threshold for r in rows]
+        rows = sweep_rows(self.base_terminal, "S", grid_values(-6.0, -4.5, 3))
+        thresholds = [r["threshold"] for r in rows]
         assert thresholds[0] > thresholds[1] > thresholds[2] > 0.0
 
     def test_terminal_threshold_increases_in_tax_rate(self):
-        rows = sweep_rows(self.base_terminal, "ell", 0.1, 0.3, 3)
-        thresholds = [r.threshold for r in rows]
+        rows = sweep_rows(self.base_terminal, "ell", grid_values(0.1, 0.3, 3))
+        thresholds = [r["threshold"] for r in rows]
         assert 0.0 < thresholds[0] < thresholds[1] < thresholds[2]
 
     def test_injection_sweep_crosses_existence_boundary(self):
         """Sweeping the cost factor through the existence boundary records
         boundary rows (threshold 0) below it and interior rows above, in
         increasing order."""
-        rows = sweep_rows(self.base_injection, "varphi", 0.8, 2.0, 4)
-        assert [r.boundary_case for r in rows] == [True, True, False, False]
-        assert rows[0].threshold == rows[1].threshold == 0.0
-        assert 0.0 < rows[2].threshold < rows[3].threshold
+        rows = sweep_rows(self.base_injection, "varphi", grid_values(0.8, 2.0, 4))
+        assert [r["boundary_case"] for r in rows] == [True, True, False, False]
+        assert rows[0]["threshold"] == rows[1]["threshold"] == 0.0
+        assert 0.0 < rows[2]["threshold"] < rows[3]["threshold"]
 
     def test_param_gating(self):
         with pytest.raises(InvalidParameter):
-            sweep_rows(self.base_injection, "S", -6.0, -4.0, 3)
+            sweep_rows(self.base_injection, "S", grid_values(-6.0, -4.0, 3))
         with pytest.raises(InvalidParameter):
-            sweep_rows(self.base_terminal, "varphi", 1.0, 2.0, 3)
+            sweep_rows(self.base_terminal, "varphi", grid_values(1.0, 2.0, 3))
         with pytest.raises(InvalidParameter):
-            sweep_rows(self.base_terminal, "volatility", 0.0, 1.0, 3)
-
-    def test_unknown_mode_raises(self):
-        bogus = SweepPoint(mode="bogus", c=1.2, lam=1.0, mu=1.0,
-                           q=0.05, ell=0.1)
-        with pytest.raises(InvalidParameter):
-            sweep_rows(bogus, "ell", 0.1, 0.3, 3)
+            sweep_rows(self.base_terminal, "volatility", grid_values(0.0, 1.0, 3))
 
     def test_rows_carry_param_and_value(self):
-        rows = sweep_rows(self.base_terminal, "q", 0.02, 0.08, 4)
-        assert all(r.param == "q" for r in rows)
-        assert [r.value for r in rows] == pytest.approx([0.02, 0.04, 0.06, 0.08])
+        rows = sweep_rows(self.base_terminal, "q", grid_values(0.02, 0.08, 4))
+        assert all(r["param"] == "q" for r in rows)
+        assert [r["param_value"] for r in rows] == pytest.approx([0.02, 0.04, 0.06, 0.08])
+
+
+# each sweepable parameter's grid; along each but x the optimum moves
+# between boundary and interior in one problem class at least
+SWEEP_GRIDS = {"S": (-10.0, 10.0), "varphi": (0.8, 3.0), "ell": (0.0, 0.9),
+               "q": (0.002, 0.3), "c": (0.8, 3.0), "lambda": (0.2, 2.0),
+               "mu": (0.5, 4.0), "x": (0.0, 5.0)}
+
+
+def _fresh_problem(problem_class, **values):
+    """The problem built from scratch at the base scenario with ``values`` in place."""
+    v = {"c": 1.2, "lambda": 1.0, "mu": 1.0, "q": 0.05, "ell": 0.2, "S": -5.0,
+         "varphi": 1.5, "x": 1.0, **values}
+    scale = ScaleSet(new_model(v["c"], v["lambda"], v["mu"]), v["q"])
+    if problem_class is TerminalProblem:
+        return TerminalProblem(scale, v["ell"], v["S"], v["x"])
+    return InjectionProblem(scale, v["ell"], v["varphi"], v["x"], allow_low_cost=True)
+
+
+@pytest.mark.parametrize("problem_class, param", [
+    (cls, param) for cls, own in ((TerminalProblem, "S"), (InjectionProblem, "varphi"))
+    for param in SWEEPABLE if param in (own, "ell", "q", "c", "lambda", "mu", "x")])
+def test_sweep_rows_match_fresh_optimize(problem_class, param):
+    """Each row of a sweep, whose points step the base problem, is bit for
+    bit the optimum of the problem built from scratch at that point."""
+    grid = grid_values(*SWEEP_GRIDS[param], 9)
+    rows = sweep_rows(_fresh_problem(problem_class), param, grid)
+    assert [(r["param"], r["param_value"]) for r in rows] == [(param, v) for v in grid]
+    for row, value in zip(rows, grid):
+        want = optimize(_fresh_problem(problem_class, **{param: value}))
+        assert row["threshold"].hex() == want.threshold.hex()
+        assert row["value"].hex() == want.value.hex()
+        assert row["boundary_case"] is want.boundary_case
 
 
 # ---------------------------------------------------------------------------
