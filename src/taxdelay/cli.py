@@ -134,8 +134,6 @@ def _parsers() -> Tuple[argparse.ArgumentParser, Dict[str, argparse.ArgumentPars
                        help="time horizon (default 400)")
     p_sim.add_argument("--seed", type=int, default=12345,
                        help="random seed (default 12345)")
-    p_sim.add_argument("--antithetic", action="store_true",
-                       help="antithetic pairing (needs even --paths)")
     _add_output_flags(p_sim)
 
     p_val = commands.add_parser(
@@ -257,10 +255,6 @@ def _cmd_reproduce(args: argparse.Namespace) -> Tuple[List[str], List[Row]]:
     return [f.name for f in fields(TableRow)], [asdict(r) for r in table_rows(args.table)]
 
 
-# each sweepable name's argparse dest, where the two differ
-_SWEEP_DESTS = {"S": "s_terminal", "lambda": "lam"}
-
-
 def _cmd_sweep(args: argparse.Namespace) -> Tuple[List[str], List[Row]]:
     _reject_other_mode_flags(args)
     grid_flags = (args.q_lo, args.q_hi, args.q_steps)
@@ -282,15 +276,15 @@ def _cmd_sweep(args: argparse.Namespace) -> Tuple[List[str], List[Row]]:
         raise InvalidParameter(f"parameter {args.param} exists only in {owner} mode")
     grid = grid_values(args.lo, args.hi, args.steps)
     # the swept flag's own value is not read: the first grid point takes its place
-    first = argparse.Namespace(**{**vars(args), _SWEEP_DESTS.get(args.param, args.param): grid[0]})
+    dest = _flag_table("sweep")[0][f"--{args.param}"][0]
+    first = argparse.Namespace(**{**vars(args), dest: grid[0]})
     header = ["param", "param_value", "threshold", "value", "boundary_case"]
     return header, sweep_rows(_build_problem(first, allow_low_cost=True), args.param, grid)
 
 
 def _cmd_simulate(args: argparse.Namespace) -> Tuple[List[str], List[Row]]:
     problem = _build_problem(args)
-    cfg = SimConfig(n_paths=args.paths, horizon=args.horizon, seed=args.seed,
-                    antithetic=args.antithetic)
+    cfg = SimConfig(n_paths=args.paths, horizon=args.horizon, seed=args.seed)
     engine, threshold = (simulate_terminal, args.b) if args.mode == "terminal" \
         else (simulate_injection, args.a)
     if threshold is None:

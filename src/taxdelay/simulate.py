@@ -20,13 +20,13 @@ bounded in closed form and reported.
 Paths are not followed to the horizon once their discount weight is spent.
 From t_w = min(ln(1/W_MIN)/q, horizon), where e^{-qt} reaches ``W_MIN``, a
 payoff is discounted by the flat D(t_w) = e^{-q t_w} instead, and Russian
-roulette (Kahn & Harris 1951) stops each unit at min(t_w + T, horizon)
+roulette (Kahn & Harris 1951) stops each path at min(t_w + T, horizon)
 with T ~ Exp(q).  Given the path, a payoff at s > t_w survives the clock
 with probability e^{-q(s - t_w)}, so the estimate is unbiased for the same
 horizon-truncated target.  T comes from its own stream,
-``Philox(key=seed).jumped()``: one uniform per unit, u and 1 - u for the
-members of an antithetic pair.  The main stream below does not depend on
-the clock, and where t_w is the horizon the clock never acts.
+``Philox(key=seed).jumped()``: one uniform per path.  The main stream
+below does not depend on the clock, and where t_w is the horizon the
+clock never acts.
 
 Both engines run on one event loop, and each one's per-event step is the
 shared ``_taxed_interval`` plus its shortfall rule, which runs only on
@@ -40,12 +40,9 @@ time on the barrier, with no exp or expm1; in floating point this gives
 the general form's bits exactly, so the phase changes no result.
 
 Randomness comes from one counter-based Philox stream keyed by the seed.
-Each iteration draws ``2m`` uniforms in one call for the ``m`` live units,
+Each iteration draws ``2m`` uniforms in one call for the ``m`` live paths,
 in ascending path order: the ``m`` waiting-time uniforms first, then the
-``m`` claim-size uniforms.  A unit is one path, or with antithetic pairing
-the pair (j, j + n/2), which stays live while either member does; its
-members take u and 1 - u from the same draw, and the standard error is
-estimated from pair averages.  The live set at each iteration follows from
+``m`` claim-size uniforms.  The live set at each iteration follows from
 the draws before it, so the result is bit-identical for a given problem,
 threshold and configuration.
 """
@@ -74,12 +71,11 @@ W_MIN = 0.1
 
 @dataclass(frozen=True)
 class SimConfig:
-    """Path count, time horizon, seed and pairing flag for one run."""
+    """Path count, time horizon and seed for one run."""
 
     n_paths: int
     horizon: float
     seed: int
-    antithetic: bool = False
 
     def __post_init__(self):
         if isinstance(self.n_paths, bool) or not isinstance(self.n_paths, int) \
@@ -91,21 +87,20 @@ class SimConfig:
         if isinstance(self.seed, bool) or not isinstance(self.seed, int) \
                 or not (0 <= self.seed < 2 ** 64):
             raise InvalidConfig(f"seed must be an integer in [0, 2^64), got {self.seed!r}")
-        if self.antithetic and self.n_paths % 2:
-            raise InvalidConfig("antithetic pairing needs an even n_paths")
 
 
 @dataclass(frozen=True)
 class SimResult:
     """Estimate, its standard error, and the horizon-truncation bias bound.
 
-    ``bias_exceeded`` is set when the bias bound is not below 10% of the
-    standard error, signalling that the horizon is too short for the
-    requested precision.  ``ruin_laplace`` is populated in terminal mode
-    only: the estimate of E[e^{-q tau}; tau < horizon] for the ruin time
-    tau.  ``iterations`` counts the event loop's passes (the longest path's
-    event count), ``events`` the path-events simulated over all paths and
-    ``killed`` the paths the stop clock ended before the horizon.
+    ``bias_exceeded`` is set when the bias bound is positive and at least
+    10% of the standard error, signalling that the horizon is too short for
+    the requested precision; a one-path run (stderr nan) never sets it.
+    ``ruin_laplace`` is populated in terminal mode only: the estimate of
+    E[e^{-q tau}; tau < horizon] for the ruin time tau.  ``iterations``
+    counts the event loop's passes (the longest path's event count),
+    ``events`` the path-events simulated over all paths and ``killed`` the
+    paths the stop clock ended before the horizon.
     """
 
     mean: float
@@ -165,13 +160,8 @@ def _run(cfg: SimConfig, p, threshold: float, shortfall: Callable,
     idx = np.arange(n)  # original index of each live path
     acc = np.zeros(n)
     out = np.empty(n)
-    units = n // 2 if cfg.antithetic else n
     t_w = min(math.log(1.0 / W_MIN) / q, horizon)
-    clock = np.random.Generator(np.random.Philox(key=cfg.seed).jumped()).random(units)
-    if cfg.antithetic:
-        rank = idx % units  # position of each live path's pair among live pairs
-        mirror = idx >= units
-        clock = np.concatenate((clock, 1.0 - clock))
+    clock = np.random.Generator(np.random.Philox(key=cfg.seed).jumped()).random(n)
     t, stop = np.zeros(n), np.minimum(t_w - np.log1p(-clock) / q, horizon)
     interval = _taxed_interval(p, t_w)
     scale = np.array([[-1.0 / p.scale.model.lam], [-1.0 / p.scale.model.mu]])
@@ -182,11 +172,8 @@ def _run(cfg: SimConfig, p, threshold: float, shortfall: Callable,
         if iterations > EVENT_CAP:
             raise EventCapExceeded(f"exceeded {EVENT_CAP} events per path")
         events += idx.size
-        # One draw per live unit: the waiting-time row, then the claim-size row.
-        u = rng.random((2, units))
-        if cfg.antithetic:
-            u = u[:, rank]
-            u = np.where(mirror, 1.0 - u, u)
+        # One draw per live path: the waiting-time row, then the claim-size row.
+        u = rng.random((2, idx.size))
         np.negative(u, out=u)
         np.log1p(u, out=u)
         u *= scale  # -log1p(-u) / rate: exponential waiting times and claims
@@ -213,34 +200,19 @@ def _run(cfg: SimConfig, p, threshold: float, shortfall: Callable,
         keep = (~done).nonzero()[0]
         idx, acc, t, stop = idx[keep], acc[keep], t[keep], stop[keep]
         state = tuple(a[keep] for a in state)
-        if cfg.antithetic:
-            rank, mirror = rank[keep], mirror[keep]
-            live = np.zeros(units, dtype=bool)
-            live[rank] = True
-            renumber = np.cumsum(live)
-            rank, units = renumber[rank] - 1, int(renumber[-1])
-        else:
-            units = idx.size
     return out, dict(iterations=iterations, events=events, killed=killed)
 
 
 def _result(out: np.ndarray, cfg: SimConfig, bias_bound: float, counters: Dict[str, int],
             ruin_laplace: Optional[float] = None) -> SimResult:
-    """Mean and standard error (pair-averaged when antithetic) of ``out``."""
-    mean = float(np.mean(out))
-    if cfg.antithetic:
-        half = cfg.n_paths // 2
-        samples = 0.5 * (out[:half] + out[half:])
-    else:
-        samples = out
-    stderr = float(np.std(samples, ddof=1) / math.sqrt(samples.size)) \
-        if samples.size >= 2 else math.nan
+    """Mean and standard error of ``out`` (nan for one path)."""
+    stderr = float(np.std(out, ddof=1) / math.sqrt(out.size)) if out.size >= 2 else math.nan
     return SimResult(
-        mean=mean,
+        mean=float(np.mean(out)),
         stderr=stderr,
         n_paths=cfg.n_paths,
         bias_bound=bias_bound,
-        bias_exceeded=bool(bias_bound > 0.0 and not bias_bound < 0.1 * stderr),
+        bias_exceeded=bool(bias_bound > 0.0 and bias_bound >= 0.1 * stderr),
         ruin_laplace=ruin_laplace,
         **counters,
     )

@@ -49,11 +49,11 @@ TABLE_ELLS = (0.1, 0.2, 0.3)
 
 @dataclass(frozen=True)
 class TableDefinition:
-    """Problem class, discount rate and tax-rate rows of one built-in table."""
+    """Problem class and discount rate of one built-in table; its rows are
+    the tax rates ``TABLE_ELLS``."""
 
     problem: type  # TerminalProblem or InjectionProblem
     q: float
-    ells: Tuple[float, ...]
 
 
 @dataclass(frozen=True)
@@ -77,9 +77,9 @@ class TableRow:
 
 
 _DEFINITIONS = {
-    1: TableDefinition(problem=TerminalProblem, q=0.05, ells=TABLE_ELLS),
-    2: TableDefinition(problem=TerminalProblem, q=0.002, ells=TABLE_ELLS),
-    3: TableDefinition(problem=InjectionProblem, q=0.05, ells=TABLE_ELLS),
+    1: TableDefinition(problem=TerminalProblem, q=0.05),
+    2: TableDefinition(problem=TerminalProblem, q=0.002),
+    3: TableDefinition(problem=InjectionProblem, q=0.05),
 }
 
 
@@ -122,7 +122,7 @@ def table_rows(table_id: int, model: LevyModel = BASE_MODEL) -> List[TableRow]:
     definition = table_definition(table_id)
     scale = ScaleSet(model, definition.q)
     rows: List[TableRow] = []
-    for ell in definition.ells:
+    for ell in TABLE_ELLS:
         coeffs = existence_affine(definition.problem, scale, ell)
         rows.append(TableRow(ell, *coeffs, threshold=existence_threshold(*coeffs)))
     return rows

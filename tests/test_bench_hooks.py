@@ -62,7 +62,7 @@ def test_tracer_counts_both_engines(capsys):
         assert cli.main(["simulate", "--mode", "terminal", *SCENARIO, "--S", "-5",
                          "--paths", "2000"]) == 0
         assert cli.main(["simulate", "--mode", "injection", *SCENARIO, "--varphi", "1.5",
-                         "--paths", "2000", "--antithetic"]) == 0
+                         "--paths", "2000"]) == 0
     finally:
         tracer.uninstall()
     capsys.readouterr()

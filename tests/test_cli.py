@@ -518,6 +518,17 @@ class TestSimulate:
         _, rows = parse_csv(out)
         assert rows[0]["bias_exceeded"] == "true"
 
+    def test_one_path_does_not_warn(self, capsys):
+        """One path has a nan standard error; its bias bound (1.5e-8 at the
+        default horizon) is no reason to lengthen the horizon."""
+        rc, out, err = run_cli(capsys, "simulate", *TERMINAL_ARGS,
+                               "--S", "-5", "--paths", "1")
+        assert rc == EXIT_OK
+        assert err == ""
+        _, rows = parse_csv(out)
+        assert rows[0]["stderr"] == "nan"
+        assert rows[0]["bias_exceeded"] == "false"
+
     def test_default_columns_unchanged(self, capsys):
         """The engine's work counters stay out of the default output."""
         argv = ["simulate", *TERMINAL_ARGS, "--S", "-5", "--b", "2",
@@ -555,13 +566,14 @@ class TestSimulate:
         assert rc == EXIT_OK, err
         assert math.isfinite(json.loads(out)["analytic"])
 
-    def test_antithetic_needs_even_paths(self, capsys):
-        rc, out, err = run_cli(capsys, "simulate", *TERMINAL_ARGS,
-                               "--S", "-5", "--b", "2", "--paths", "2001",
-                               "--horizon", "200", "--seed", "1",
-                               "--antithetic")
-        assert rc == EXIT_INVALID_INPUT
-        assert "error:" in err
+    def test_antithetic_flag_is_unrecognized(self, capsys):
+        """The engine has one sampling path; the old pairing flag is an
+        unknown argument like any other."""
+        with pytest.raises(SystemExit) as stop:
+            main(["simulate", *TERMINAL_ARGS, "--S", "-5", "--paths", "2000",
+                  "--antithetic"])
+        assert stop.value.code == 2
+        assert "unrecognized arguments: --antithetic" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------
@@ -653,7 +665,7 @@ PARSED_ARGV = [
     ["sweep", *INJECTION_ARGS, "--param", "varphi", "--from=1.1", "--to", "3",
      "--steps", "4", "--prec", "8"],
     ["simulate", *TERMINAL_ARGS, "--b", "0.5", *_SIM_ARGS, "--seed=7"],
-    ["simulate", *INJECTION_ARGS, *_SIM_ARGS, "--antithetic", "--format", "json"],
+    ["simulate", *INJECTION_ARGS, "--paths=100", "--horizon", "10", "--format", "json"],
     ["validate"],
     ["validate", "--precision=3"],
     ["optimize", *TERMINAL_ARGS, "--S=-1.5e-3"],  # exponent notation needs the = form
@@ -672,6 +684,7 @@ REJECTED_ARGV = [
     ["optimise", *TERMINAL_ARGS],
     ["--format", "json"],
     ["optimize", *TERMINAL_ARGS, "--bogus", "1"],
+    ["simulate", *INJECTION_ARGS, "--paths", "100", "--antithetic"],
     ["reproduce", "1", "2"],
     ["validate", "extra", "--unknown"],
     ["optimize", *TERMINAL_ARGS[2:]],

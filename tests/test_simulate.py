@@ -59,14 +59,16 @@ class TestSimConfig:
         with pytest.raises(InvalidConfig):
             SimConfig(100, 100.0, seed)
 
-    def test_antithetic_needs_even_paths(self):
-        with pytest.raises(InvalidConfig):
-            SimConfig(101, 100.0, 1, antithetic=True)
-        SimConfig(100, 100.0, 1, antithetic=True)
+    def test_three_settings(self):
+        """A run is set by its path count, horizon and seed alone: there is
+        one sampling path, so no sampler option exists."""
+        assert [f.name for f in dataclasses.fields(SimConfig)] == ["n_paths", "horizon", "seed"]
+        with pytest.raises(TypeError):
+            SimConfig(100, 100.0, 1, True)
 
 
 # ---------------------------------------------------------------------------
-# Determinism and variance reduction
+# Determinism, and draws pinned across refactors of the loop
 # ---------------------------------------------------------------------------
 
 
@@ -87,15 +89,42 @@ class TestDeterminism:
         r2 = simulate_terminal(p, 2.0, SimConfig(4_000, 200.0, 2))
         assert r1.mean != r2.mean
 
-    def test_antithetic_reduces_stderr_here(self, scale05):
-        """Pair mirroring cuts the standard error for this monotone-ish
-        payoff (not a general law, but stable for this configuration)."""
-        p = TerminalProblem(scale05, 0.1, -5.0, 1.0)
-        plain = simulate_terminal(p, 2.0, SimConfig(50_000, 400.0, 777))
-        paired = simulate_terminal(
-            p, 2.0, SimConfig(50_000, 400.0, 777, antithetic=True))
-        assert paired.stderr < plain.stderr
-        assert paired.n_paths == plain.n_paths == 50_000
+    # (mode, q, x0, threshold, horizon): mean, stderr, ruin_laplace (hex),
+    # iterations, events, killed of a 2,000-path run with seed 20261019.
+    # Horizon 30 never reaches the stop clock, 400 does, and at q = 0.5 the
+    # paths start above a zero threshold and most end on the clock.
+    PINNED = {
+        ("terminal", 0.05, 1.0, 2.0, 30.0): (
+            "-0x1.43d562c183b7dp+1", "0x1.b2416406c869cp-5", "0x1.239ed70056e9ap-1",
+            42, 25668, 0),
+        ("injection", 0.05, 1.0, 2.0, 30.0): (
+            "-0x1.d5c0effcfe871p+0", "0x1.6a8542118d79ap-4", None, 57, 61718, 0),
+        ("terminal", 0.05, 1.0, 2.0, 400.0): (
+            "-0x1.40693ba680d50p+1", "0x1.b8bfe4435b379p-5", "0x1.24abb9e168b1ep-1",
+            154, 45633, 563),
+        ("injection", 0.05, 1.0, 2.0, 400.0): (
+            "-0x1.c850f050f7ac7p+0", "0x1.72bfdae4f0267p-4", None, 191, 134202, 2000),
+        ("terminal", 0.5, 3.0, 0.0, 100.0): (
+            "-0x1.5e76639d33a9ep-2", "0x1.8c673fcec0d03p-6", "0x1.81d9c61779ef8p-4",
+            20, 12633, 1501),
+        ("injection", 0.5, 3.0, 0.0, 100.0): (
+            "-0x1.95b5666cedc03p-6", "0x1.3f5cb3fffdef0p-6", None, 24, 15097, 2000),
+    }
+
+    @pytest.mark.parametrize("case", list(PINNED), ids=str)
+    def test_plain_draws_pinned(self, base_model, case):
+        """A refactor of the event loop must keep every result to the bit."""
+        mode, q, x0, threshold, horizon = case
+        scale = ScaleSet(base_model, q)
+        if mode == "terminal":
+            r = simulate_terminal(TerminalProblem(scale, 0.1, -5.0, x0), threshold,
+                                  SimConfig(2000, horizon, 20261019))
+        else:
+            r = simulate_injection(InjectionProblem(scale, 0.2, 1.5, x0), threshold,
+                                   SimConfig(2000, horizon, 20261019))
+        ruin = None if r.ruin_laplace is None else r.ruin_laplace.hex()
+        assert (r.mean.hex(), r.stderr.hex(), ruin, r.iterations, r.events, r.killed) \
+            == self.PINNED[case]
 
 
 # ---------------------------------------------------------------------------
@@ -122,13 +151,6 @@ class TestTerminalEngine:
         target = phi_value(p, 1.0, 2.0)
         assert abs(r.mean - target) < 3.0 * r.stderr
 
-    def test_taxed_objective_antithetic(self, scale05):
-        p = TerminalProblem(scale05, 0.1, -5.0, 1.0)
-        r = simulate_terminal(p, 2.0,
-                              SimConfig(50_000, 400.0, 777, antithetic=True))
-        target = phi_value(p, 1.0, 2.0)
-        assert abs(r.mean - target) < 3.0 * r.stderr
-
     def test_ruin_fraction_near_zero_discount(self):
         """At q ~ 0 the discounted ruin factor is the ruin probability, so
         the ruin-time Laplace estimate must match it."""
@@ -144,6 +166,22 @@ class TestTerminalEngine:
         r = simulate_terminal(p, 2.0, SimConfig(2_000, 5.0, 1))
         assert r.bias_bound > 0.1 * r.stderr
         assert r.bias_exceeded
+
+    def test_one_path_sets_no_bias_flag(self, scale05):
+        """One path has no standard error (nan), so the bias bound cannot
+        be measured against it."""
+        p = TerminalProblem(scale05, 0.1, -5.0, 1.0)
+        r = simulate_terminal(p, 2.0, SimConfig(1, 400.0, 1))
+        assert math.isnan(r.stderr)
+        assert 0.0 < r.bias_bound < 1e-7
+        assert not r.bias_exceeded
+
+    def test_bias_flag_at_zero_stderr(self):
+        """Equal payoffs give a standard error of 0: any positive bias bound
+        is then too large, and a zero one never is."""
+        cfg = SimConfig(3, 400.0, 1)
+        assert simulate._result(np.zeros(3), cfg, 1e-8, {}).bias_exceeded
+        assert not simulate._result(np.zeros(3), cfg, 0.0, {}).bias_exceeded
 
     def test_event_cap_raises(self, scale05, monkeypatch):
         monkeypatch.setattr(simulate, "EVENT_CAP", 3)
@@ -167,6 +205,13 @@ class TestInjectionEngine:
         r = simulate_injection(p, 2.0, SimConfig(50_000, 400.0, 31337))
         target = phi_bar_value(p, 1.0, 2.0)
         assert abs(r.mean - target) < 3.0 * r.stderr
+
+    def test_one_path_sets_no_bias_flag(self, scale05):
+        p = InjectionProblem(scale05, 0.2, 1.5, 1.0)
+        r = simulate_injection(p, 2.0, SimConfig(1, 400.0, 1))
+        assert math.isnan(r.stderr)
+        assert 0.0 < r.bias_bound < 1e-6
+        assert not r.bias_exceeded
         assert r.ruin_laplace is None
 
     def test_untaxed_injection_stream(self, scale05):
@@ -347,43 +392,19 @@ def test_one_process_serves_both_modes(scale05):
 
 
 # ---------------------------------------------------------------------------
-# Live-path event loop: antithetic lockstep, path order and work counters
+# Live-path event loop: stream contract, path order and work counters
 # ---------------------------------------------------------------------------
 
 
-def _assert_mirrored(paths, lam: float, mu: float) -> None:
-    """Members j and j + n/2 use u and 1 - u at every event both reach:
-    exp(-rate * draw) recovers 1 - u from an exponential draw."""
-    half = len(paths) // 2
-    compared = uneven = 0
-    for j in range(half):
-        first, second = paths[j], paths[j + half]
-        uneven += len(first) != len(second)
-        for a, b in zip(first, second):
-            assert math.exp(-mu * a.claim_size) + math.exp(-mu * b.claim_size) \
-                == pytest.approx(1.0, abs=1e-12)
-            if not (a.truncated or b.truncated):  # t_end is the claim instant
-                assert math.exp(-lam * (a.t_end - a.t_start)) \
-                    + math.exp(-lam * (b.t_end - b.t_start)) \
-                    == pytest.approx(1.0, abs=1e-12)
-            compared += 1
-    assert compared > len(paths)
-    assert uneven > 0  # some pairs outlive one member, so compaction ran
+def _base_engine(scale, mode: str, x0: float = 1.0):
+    """The engine, its path inspector and the base problem of ``mode``:
+    terminal at ell 0.1, S -5, or injection at ell 0.2, varphi 1.5."""
+    if mode == "terminal":
+        return simulate_terminal, inspect_terminal_paths, TerminalProblem(scale, 0.1, -5.0, x0)
+    return simulate_injection, inspect_injection_paths, InjectionProblem(scale, 0.2, 1.5, x0)
 
 
 class TestLivePathLoop:
-    def test_antithetic_lockstep_terminal(self, scale05):
-        p = TerminalProblem(scale05, 0.1, -5.0, 1.0)
-        paths = inspect_terminal_paths(
-            p, 2.0, SimConfig(200, 30.0, 99, antithetic=True))
-        _assert_mirrored(paths, 1.0, 1.0)
-
-    def test_antithetic_lockstep_injection(self, scale05):
-        p = InjectionProblem(scale05, 0.2, 1.5, 1.0)
-        paths = inspect_injection_paths(
-            p, 2.0, SimConfig(200, 30.0, 99, antithetic=True))
-        _assert_mirrored(paths, 1.0, 1.0)
-
     def test_stream_contract(self, scale05):
         """Iteration k draws 2m uniforms for the m paths still live, in path
         order: the waiting-time uniforms first, then the claim-size ones."""
@@ -400,57 +421,85 @@ class TestLivePathLoop:
                         -math.log1p(-u_wait), rel=1e-9, abs=1e-12)
 
     def test_payoffs_kept_in_path_order(self, scale05):
-        """The pair-averaged standard error needs each payoff back in its
-        own slot; rebuild the payoffs from the step logs and compare."""
+        """Each path's payoff goes back to its own slot of the output:
+        rebuild the payoffs from the step logs, in path order, and compare
+        them with the engine's output array."""
         p = TerminalProblem(scale05, 0.1, -5.0, 1.0)
-        cfg = SimConfig(400, 30.0, 7, antithetic=True)
+        cfg = SimConfig(400, 30.0, 7)
         paths = inspect_terminal_paths(p, 2.0, cfg)
         payoffs = [sum(st.tax_paid for st in steps)
                    + (-5.0 * math.exp(-0.05 * steps[-1].t_end)
                       if steps[-1].deficit > 0.0 else 0.0) for steps in paths]
-        pairs = [0.5 * (payoffs[j] + payoffs[j + 200]) for j in range(200)]
-        mean = sum(pairs) / 200
-        stderr = math.sqrt(sum((x - mean) ** 2 for x in pairs) / 199 / 200)
+        # paths end at different iterations, so path order is not end order
+        assert [len(steps) for steps in paths] != sorted(len(steps) for steps in paths)
+
+        def ruin(short, discount, done, state):
+            done = done.copy()
+            done[short] = True
+            return -5.0 * discount, done, state
+
+        out, _ = simulate._run(cfg, p, 2.0, ruin, None)
+        assert out.tolist() == pytest.approx(payoffs, rel=1e-12, abs=1e-15)
+        mean = sum(payoffs) / 400
+        stderr = math.sqrt(sum((x - mean) ** 2 for x in payoffs) / 399 / 400)
         r = simulate_terminal(p, 2.0, cfg)
         assert r.mean == pytest.approx(mean, rel=1e-12)
         assert r.stderr == pytest.approx(stderr, rel=1e-9)
 
-    @pytest.mark.parametrize("antithetic", [False, True])
-    def test_work_counters_match_step_logs(self, scale05, antithetic):
+    def test_injection_payoffs_kept_in_path_order(self, scale05):
+        """As above for the injection engine: each path's taxes less its
+        discounted injection costs, rebuilt from its step log."""
+        p = InjectionProblem(scale05, 0.2, 1.5, 1.0)
+        cfg = SimConfig(400, 30.0, 7)
+        paths = inspect_injection_paths(p, 2.0, cfg)
+        payoffs = [sum(st.tax_paid - 1.5 * st.deficit * math.exp(-0.05 * st.t_end)
+                       for st in steps) for steps in paths]
+        assert sum(st.deficit > 0.0 for steps in paths for st in steps) > 0
+
+        def inject(short, discount, done, state):
+            level, barrier = state
+            return 1.5 * level[short] * discount, done, (np.maximum(level, 0.0), barrier)
+
+        out, _ = simulate._run(cfg, p, 2.0, inject, None)
+        assert out.tolist() == pytest.approx(payoffs, rel=1e-12, abs=1e-15)
+        mean = sum(payoffs) / 400
+        stderr = math.sqrt(sum((x - mean) ** 2 for x in payoffs) / 399 / 400)
+        r = simulate_injection(p, 2.0, cfg)
+        assert r.mean == pytest.approx(mean, rel=1e-12)
+        assert r.stderr == pytest.approx(stderr, rel=1e-9)
+
+    @pytest.mark.parametrize("horizon", [30.0, 100.0])
+    @pytest.mark.parametrize("mode", ["terminal", "injection"])
+    def test_work_counters_match_step_logs(self, scale05, mode, horizon):
         """At horizon 30 the stop clock cannot act (t_w = horizon); at 100
         it ends paths before the horizon, and the loop reaches its flat
         phase: an iteration whose every live path starts at or past t_w."""
-        pt = TerminalProblem(scale05, 0.1, -5.0, 1.0)
-        pi = InjectionProblem(scale05, 0.2, 1.5, 1.0)
-        for horizon in (30.0, 100.0):
-            cfg = SimConfig(200, horizon, 99, antithetic=antithetic)
-            t_w = min(math.log(1.0 / simulate.W_MIN) / 0.05, horizon)
-            for paths, result in (
-                    (inspect_terminal_paths(pt, 2.0, cfg), simulate_terminal(pt, 2.0, cfg)),
-                    (inspect_injection_paths(pi, 2.0, cfg), simulate_injection(pi, 2.0, cfg))):
-                assert result.events == sum(len(steps) for steps in paths)
-                assert result.iterations == max(len(steps) for steps in paths)
-                assert result.killed == sum(
-                    1 for steps in paths
-                    if steps[-1].truncated and steps[-1].t_end < horizon)
-                assert (result.killed > 0) == (horizon == 100.0)
-                # frame k holds the k-th step of every path still live
-                flat = [all(steps[k].t_start >= t_w for steps in paths if len(steps) > k)
-                        for k in range(result.iterations)]
-                assert any(flat) == (horizon == 100.0)
+        engine, inspect, p = _base_engine(scale05, mode)
+        cfg = SimConfig(200, horizon, 99)
+        t_w = min(math.log(1.0 / simulate.W_MIN) / 0.05, horizon)
+        paths, result = inspect(p, 2.0, cfg), engine(p, 2.0, cfg)
+        assert result.events == sum(len(steps) for steps in paths)
+        assert result.iterations == max(len(steps) for steps in paths)
+        assert result.killed == sum(
+            1 for steps in paths
+            if steps[-1].truncated and steps[-1].t_end < horizon)
+        assert (result.killed > 0) == (horizon == 100.0)
+        # frame k holds the k-th step of every path still live
+        flat = [all(steps[k].t_start >= t_w for steps in paths if len(steps) > k)
+                for k in range(result.iterations)]
+        assert any(flat) == (horizon == 100.0)
 
-    @pytest.mark.parametrize("antithetic", [False, True])
     @pytest.mark.parametrize("horizon", [30.0, 100.0, 400.0])
-    def test_capture_changes_no_result(self, scale05, horizon, antithetic):
-        cfg = SimConfig(200, horizon, 41, antithetic=antithetic)
-        for engine, p in ((simulate_terminal, TerminalProblem(scale05, 0.1, -5.0, 1.0)),
-                          (simulate_injection, InjectionProblem(scale05, 0.2, 1.5, 1.0))):
-            capture = simulate._Capture()
-            plain, captured = (
-                [v.hex() if isinstance(v, float) else v for v in dataclasses.astuple(r)]
-                for r in (engine(p, 2.0, cfg), engine(p, 2.0, cfg, capture=capture)))
-            assert capture.frames
-            assert plain == captured
+    @pytest.mark.parametrize("mode", ["terminal", "injection"])
+    def test_capture_changes_no_result(self, scale05, mode, horizon):
+        engine, _, p = _base_engine(scale05, mode)
+        cfg = SimConfig(200, horizon, 41)
+        capture = simulate._Capture()
+        plain, captured = (
+            [v.hex() if isinstance(v, float) else v for v in dataclasses.astuple(r)]
+            for r in (engine(p, 2.0, cfg), engine(p, 2.0, cfg, capture=capture)))
+        assert capture.frames
+        assert plain == captured
 
 
 # ---------------------------------------------------------------------------
@@ -462,10 +511,7 @@ def _stops(cfg: SimConfig, q: float):
     """Each path's stop: t_w plus an Exp(q) time from the clock stream,
     capped at the horizon."""
     t_w = min(math.log(1.0 / simulate.W_MIN) / q, cfg.horizon)
-    units = cfg.n_paths // 2 if cfg.antithetic else cfg.n_paths
-    u = np.random.Generator(np.random.Philox(key=cfg.seed).jumped()).random(units)
-    if cfg.antithetic:
-        u = np.concatenate((u, 1.0 - u))
+    u = np.random.Generator(np.random.Philox(key=cfg.seed).jumped()).random(cfg.n_paths)
     return t_w, np.minimum(t_w - np.log1p(-u) / q, cfg.horizon).tolist()
 
 
@@ -477,20 +523,16 @@ def _flat_discount_tax(ell_c: float, q: float, t_w: float, u: float, v: float) -
 
 
 class TestStopClock:
-    @pytest.mark.parametrize("antithetic", [False, True])
     @pytest.mark.parametrize("mode", ["terminal", "injection"])
-    def test_steps_past_t_w(self, scale05, mode, antithetic):
+    def test_steps_past_t_w(self, scale05, mode):
         """Horizon 100 at q = 0.05 puts t_w at 46: every step's tax is the
         flat-discount closed form, and a path ends at its own stop, with
         ruin or injections only at claims before it."""
-        cfg = SimConfig(200, 100.0, 99, antithetic=antithetic)
+        cfg = SimConfig(200, 100.0, 99)
         t_w, stops = _stops(cfg, 0.05)
-        if mode == "terminal":
-            ell = 0.1
-            paths = inspect_terminal_paths(TerminalProblem(scale05, ell, -5.0, 1.0), 2.0, cfg)
-        else:
-            ell = 0.2
-            paths = inspect_injection_paths(InjectionProblem(scale05, ell, 1.5, 1.0), 2.0, cfg)
+        _, inspect, p = _base_engine(scale05, mode)
+        ell = p.ell
+        paths = inspect(p, 2.0, cfg)
         past = 0
         for steps, stop in zip(paths, stops):
             for st in steps:
@@ -505,20 +547,17 @@ class TestStopClock:
             assert steps[-1].truncated or steps[-1].deficit > 0.0
         assert past > 0
 
-    @pytest.mark.parametrize("antithetic", [False, True])
-    def test_roulette_dominated_unbiased(self, base_model, antithetic):
+    @pytest.mark.parametrize("mode", ["terminal", "injection"])
+    def test_roulette_dominated_unbiased(self, base_model, mode):
         """At q = 0.5, t_w = 4.6: most of each payoff's weight comes from
         the flat discount and the stop clock, and both engines still agree
         with the closed forms within 3 sigma."""
-        scale = ScaleSet(base_model, 0.5)
-        cfg = SimConfig(200_000, 100.0, 5150, antithetic=antithetic)
-        pt = TerminalProblem(scale, 0.1, -5.0, 1.0)
-        pi = InjectionProblem(scale, 0.2, 1.5, 1.0)
-        for result, target in ((simulate_terminal(pt, 2.0, cfg), phi_value(pt, 1.0, 2.0)),
-                               (simulate_injection(pi, 2.0, cfg),
-                                phi_bar_value(pi, 1.0, 2.0))):
-            assert result.killed > cfg.n_paths // 10
-            assert abs(result.mean - target) < 3.0 * result.stderr
+        engine, _, p = _base_engine(ScaleSet(base_model, 0.5), mode)
+        cfg = SimConfig(200_000, 100.0, 5150)
+        result = engine(p, 2.0, cfg)
+        target = (phi_value if mode == "terminal" else phi_bar_value)(p, 1.0, 2.0)
+        assert result.killed > cfg.n_paths // 10
+        assert abs(result.mean - target) < 3.0 * result.stderr
 
 
 # ---------------------------------------------------------------------------
@@ -599,25 +638,23 @@ class TestFlatPhase:
             if case.startswith("hit_time"):
                 assert frame()["hit_time"][0] == T_W
 
-    @pytest.mark.parametrize("antithetic", [False, True])
     @pytest.mark.parametrize("mu", [1.0, 20.0])
     @pytest.mark.parametrize("q", [0.05, 0.5])
-    def test_loop_taxes_match_general(self, q, mu, antithetic):
-        """Every captured step of both engines, in whichever phase the loop
+    @pytest.mark.parametrize("mode", ["terminal", "injection"])
+    def test_loop_taxes_match_general(self, mode, q, mu):
+        """Every captured step of each engine, in whichever phase the loop
         was in, carries the general form's tax to the bit and its shortfalls.
         The paths start on the barrier, and at mu = 20 small claims keep
         them near it, so the last paths to pass t_w are still being taxed."""
-        scale = ScaleSet(new_model(1.2, 1.0, mu), q)
-        cfg = SimConfig(400, 100.0, 7, antithetic=antithetic)
+        engine, _, p = _base_engine(ScaleSet(new_model(1.2, 1.0, mu), q), mode, x0=3.0)
+        cfg = SimConfig(400, 100.0, 7)
         t_w = min(math.log(1.0 / simulate.W_MIN) / q, cfg.horizon)
-        for engine, p in ((simulate_terminal, TerminalProblem(scale, 0.1, -5.0, 3.0)),
-                          (simulate_injection, InjectionProblem(scale, 0.2, 1.5, 3.0))):
-            capture = simulate._Capture()
-            engine(p, 2.0, cfg, capture=capture)
-            for fr in capture.frames:
-                tax, short, _ = _general_interval(
-                    p, t_w, fr["t_start"], fr["t_end"], fr["level_start"],
-                    fr["barrier_start"], fr["claim_size"], fr["truncated"])
-                assert [x.hex() for x in fr["tax_paid"].tolist()] \
-                    == [x.hex() for x in tax.tolist()]
-                assert short.tolist() == np.flatnonzero(fr["deficit"] > 0.0).tolist()
+        capture = simulate._Capture()
+        engine(p, 2.0, cfg, capture=capture)
+        for fr in capture.frames:
+            tax, short, _ = _general_interval(
+                p, t_w, fr["t_start"], fr["t_end"], fr["level_start"],
+                fr["barrier_start"], fr["claim_size"], fr["truncated"])
+            assert [x.hex() for x in fr["tax_paid"].tolist()] \
+                == [x.hex() for x in tax.tolist()]
+            assert short.tolist() == np.flatnonzero(fr["deficit"] > 0.0).tolist()

@@ -36,7 +36,7 @@ class TestTableDefinition:
         assert (d1.problem, d1.q) == (TerminalProblem, 0.05)
         assert (d2.problem, d2.q) == (TerminalProblem, 0.002)
         assert (d3.problem, d3.q) == (InjectionProblem, 0.05)
-        assert d1.ells == d2.ells == d3.ells == (0.1, 0.2, 0.3)
+        assert TABLE_ELLS == (0.1, 0.2, 0.3)
 
     @pytest.mark.parametrize("bad", [0, 4, -1, "one", None, True, 1.0])
     def test_unknown_id_raises(self, bad):
