@@ -363,14 +363,19 @@ def _cell_texts(header: List[str], rows: List[Row],
     return list(map(text.__getitem__, ids))
 
 
+@functools.lru_cache(maxsize=64)
+def _json_template(header: Tuple[str, ...], pad: str) -> str:
+    """A ``json.dumps(..., indent=2)`` row of ``header``'s keys, indented by pad."""
+    fields = ",\n".join(f"{pad}  {encode_basestring_ascii(k).replace('%', '%%')}: %s"
+                        for k in header)
+    return f"{pad}{{\n{fields}\n{pad}}}"
+
+
 def _render(header: List[str], rows: List[Row], args: argparse.Namespace) -> str:
     precision = args.precision
     if args.format == "json":
         # json.dumps(..., indent=2) layout: one %-template per row, one fill pass
-        pad = "" if len(rows) == 1 else "  "
-        fields = ",\n".join(f"{pad}  {encode_basestring_ascii(k).replace('%', '%%')}: %s"
-                            for k in header)
-        template = f"{pad}{{\n{fields}\n{pad}}}"
+        template = _json_template(tuple(header), "" if len(rows) == 1 else "  ")
         text = ",\n".join([template] * len(rows)) % tuple(
             _cell_texts(header, rows, _json_cell, precision))
         return (text if len(rows) == 1 else f"[\n{text}\n]" if rows else "[]") + "\n"

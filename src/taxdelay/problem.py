@@ -30,17 +30,21 @@ tails are methods of the family, a ``scale.ScaleFamily``:
     potential G        Z                     -(Zbar + d/q)
     G's g1, g2         z1, z2                -z1/theta1, -z2/theta2
     levels x           x > 0                 x >= 0
+
+h is one pass per level (``_psi_at``, shared with psi): the problem's
+``tails`` (``scale.Tails``) gives T, T_K and the u, rho for F/F' and K.  psi's
+grouping ell e T + w (e T_K) is pinned: regrouping moves roots where h is flat.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Tuple
 
 from .errors import DomainError, InvalidParameter
 from .numerics import RootReport, find_root_decreasing_sign
-from .scale import ScaleSet
+from .scale import ScaleFamily, ScaleSet, Tails
 
 __all__ = ["DelayedTaxation", "OptimumReport", "exit_ratio", "exit_integral",
            "exit_tail", "psi", "potential", "gap", "upsilon", "h", "phi",
@@ -54,11 +58,10 @@ ROOT_TOL = 1e-8
 class DelayedTaxation:
     """Tax rate on top of a ScaleSet; a subclass supplies its family's data
     (see the module docstring) and no methods: the class attributes
-    ``levels``, ``admits`` and ``sign``, and the attributes ``family``,
-    ``weight`` and the potential's coefficients ``g1``, ``g2``.
-
-    A subclass binds the attributes once, in ``__post_init__``: h reads
-    them on every call, and a plain attribute costs less there than a
+    ``levels``, ``admits`` and ``sign``, and through ``_bind`` the family,
+    the weight, the potential's coefficients ``g1``, ``g2``, the exponent
+    1/(1 - ell) and the family's ``tails`` at it.  Each is bound once: h
+    reads them on every call, and a plain attribute costs less there than a
     method or a property.
     """
 
@@ -69,10 +72,10 @@ class DelayedTaxation:
         if not (0.0 <= self.ell < 1.0):
             raise InvalidParameter(f"ell must lie in [0, 1), got {self.ell!r}")
 
-    @property
-    def exponent(self) -> float:
-        """The taxed-exit exponent 1/(1 - ell)."""
-        return 1.0 / (1.0 - self.ell)
+    def _bind(self, family: ScaleFamily, weight: float, g1: float, g2: float) -> None:
+        e = 1.0 / (1.0 - self.ell)
+        vars(self).update(family=family, weight=weight, g1=g1, g2=g2, exponent=e,
+                          tails=Tails(family, e))  # frozen: plain assignment raises
 
 
 @dataclass(frozen=True)
@@ -123,8 +126,16 @@ def exit_tail(p: DelayedTaxation, x: float, kernel: bool = False) -> float:
     """e int_x^inf (F(x)/F(y))^e g(y) dy, g = 1 or K, in closed form."""
     if not (math.isfinite(x) and x >= 0.0):
         raise DomainError(f"need finite x >= 0, got {x!r}")
+    return p.exponent * p.tails(x, (bool(kernel),))[0][0]
+
+
+def _psi_at(p: DelayedTaxation, x: float) -> Tuple[float, float, float]:
+    """psi(x), with the u and rho of its tails for F/F' and K at x."""
+    if not (math.isfinite(x) and x >= 0.0):
+        raise DomainError(f"need finite x >= 0, got {x!r}")
+    (t, t_k), u, rho = p.tails(x)
     e = p.exponent
-    return e * p.family.tail(e, x, kernel=kernel)
+    return p.ell * e * t + p.weight * (e * t_k), u, rho
 
 
 def psi(p: DelayedTaxation, x: float) -> float:
@@ -133,10 +144,7 @@ def psi(p: DelayedTaxation, x: float) -> float:
     Terminal: (ell I2 + S I1)/(1-ell) with the plain and ruin-kernel tails
     I2, I1 of W.  Injection: tax_tail - varphi injection_tail.
     """
-    if not (math.isfinite(x) and x >= 0.0):
-        raise DomainError(f"need finite x >= 0, got {x!r}")
-    f, e = p.family, p.exponent
-    return p.ell * e * f.tail(e, x) + p.weight * (e * f.tail(e, x, kernel=True))
+    return _psi_at(p, x)[0]
 
 
 def potential(p: DelayedTaxation, x: float) -> float:
@@ -176,8 +184,9 @@ def h(p: DelayedTaxation, x: float) -> float:
     V = F/F' rises from c/(q+lam) (W) or c/q (Z) at 0 to 1/theta1.  The
     limit at infinity is (ell - 1)/theta1 < 0.
     """
+    value, u, rho = _psi_at(p, x)
     f = p.family
-    return psi(p, x) - f.over_slope(x) * (1.0 + p.weight * f.kernel(x))
+    return value - f.over_slope_at(u) * (1.0 + p.weight * f.kernel_at(x, rho))
 
 
 def phi(p: DelayedTaxation, x: float, b: float) -> float:

@@ -28,18 +28,24 @@ Zbar + d/q), ``log``, ``log_ratio``, ``over_slope`` (F/F'), ``kernel``
 and ``tail``.  Every tail integral of the two problems is an
 Euler integral with a closed form in the Gauss hypergeometric function;
 ``ScaleFamily.tail`` evaluates it.
+
+``Tails`` takes both tails at one level in one pass (``tail`` uses it); its
+u = e^{-(theta1-theta2) x} and rho = (f2/f1) u give F/F' and K there (the
+``_at`` methods), so ``problem.h`` is one pass per level, bit for bit.
 """
 
 from __future__ import annotations
 
 import math
+from typing import Tuple
 
-from scipy.special import betaincc, betaln, hyp2f1
+# scipy's scalar entry points: the ufuncs' values, without their per-call set-up
+from scipy.special.cython_special import betaincc, betaln, hyp2f1
 
 from .errors import InvalidParameter, OutOfRange, ToleranceNotMet
-from .model import LevyModel, SpectralRoots, spectral_roots
+from .model import LevyModel, spectral_roots
 
-__all__ = ["ScaleFamily", "ScaleSet"]
+__all__ = ["ScaleFamily", "ScaleSet", "Tails"]
 
 # Gauss's continued fraction: stop once a step changes the value by at
 # most this relative amount, or give up after this many terms
@@ -127,9 +133,11 @@ class ScaleFamily:
         """log F(x) for x >= 0, stable for arbitrarily large x."""
         if x < 0.0:
             raise InvalidParameter(f"log F needs x >= 0, got {x!r}")
-        t1, t2 = self.theta1, self.theta2
-        return t1 * x + math.log(self.f1) + math.log1p(
-            -(self.f2 / self.f1) * math.exp((t2 - t1) * x))
+        return self.log_at(x, self.f2 / self.f1 * math.exp((self.theta2 - self.theta1) * x))
+
+    def log_at(self, x: float, rho: float) -> float:
+        """log F(x) = theta1 x + log f1 + log1p(-rho) from rho = (f2/f1) e^{-(theta1-theta2) x}."""
+        return self.theta1 * x + math.log(self.f1) + math.log1p(-rho)
 
     def log_ratio(self, x: float, y: float) -> float:
         """log(F(x)/F(y)) for x, y >= 0.
@@ -146,13 +154,20 @@ class ScaleFamily:
 
     def over_slope(self, x: float) -> float:
         """F(x)/F'(x), evaluated as a ratio of the bounded bracket factors."""
-        u = math.exp((self.theta2 - self.theta1) * x)
+        return self.over_slope_at(math.exp((self.theta2 - self.theta1) * x))
+
+    def over_slope_at(self, u: float) -> float:
+        """F(x)/F'(x) from u = e^{-(theta1-theta2) x}."""
         return (self.f1 - self.f2 * u) / (self.dk * (self.d1 - self.d2 * u))
 
     def kernel(self, x: float) -> float:
         """K(x) = const e^{(theta1+theta2) x}/F(x); the combined exponent is
         evaluated in one shot so neither factor overflows."""
         return self.const * math.exp((self.theta1 + self.theta2) * x - self.log(x))
+
+    def kernel_at(self, x: float, rho: float) -> float:
+        """K(x) from rho = (f2/f1) e^{-(theta1-theta2) x}, as ``kernel``."""
+        return self.const * math.exp((self.theta1 + self.theta2) * x - self.log_at(x, rho))
 
     def tail(self, e: float, x: float, kernel: bool = False) -> float:
         """int_x^inf (F(x)/F(y))^e g(y) dy in closed form, for x >= 0.
@@ -176,30 +191,51 @@ class ScaleFamily:
         """
         if x < 0.0:
             raise InvalidParameter(f"tail needs x >= 0, got {x!r}")
-        t1, t2 = self.theta1, self.theta2
-        delta = t1 - t2
-        k = 1.0 if kernel else 0.0
-        g = (e * t1 - k * t2) / delta
-        rho = self.f2 / self.f1 * math.exp(-delta * x)
-        try:
-            if rho < -0.5:
-                b = e + k - g  # > 0 for Z, the only family with rho < 0
-                log_scale = e * math.log1p(-rho) - g * math.log(-rho) + betaln(g, b)
-                value = math.exp(log_scale + math.log(betaincc(b, g, 1.0 / (1.0 - rho)))) / delta
-            else:
-                a = g + 1.0 - e - k
-                f21 = float(hyp2f1(a, 1.0, g + 1.0, rho))
-                if not math.isfinite(f21):
-                    f21 = _gauss_cf(a, g, rho)
-                value = (1.0 - rho) ** (1.0 - k) * f21 / (delta * g)
-            if kernel:
-                value *= self.const * math.exp(t2 * x) / self.f1
-        except (OverflowError, ValueError):
-            value = math.nan
-        if not math.isfinite(value):
-            raise ToleranceNotMet(
-                f"closed-form tail out of floating-point range (e={e:g}, rho={rho:g})")
-        return value
+        return Tails(self, e)(x, (bool(kernel),))[0][0]
+
+
+class Tails:
+    """Both tails of ``ScaleFamily.tail`` (g = 1, then g = K) at exponent e,
+    their constants bound once; at one level they share u, rho and the branch."""
+
+    __slots__ = ("family", "e", "delta", "ratio", "g", "a")
+
+    def __init__(self, family: ScaleFamily, e: float):
+        t1, t2 = family.theta1, family.theta2
+        self.family, self.e = family, e
+        self.delta = delta = t1 - t2
+        self.ratio = family.f2 / family.f1
+        # index k = 0 plain, 1 kernel: g = (e theta1 - k theta2)/delta, a = g + 1 - e - k
+        g = self.g = (e * t1 / delta, (e * t1 - t2) / delta)
+        self.a = (g[0] + 1.0 - e, g[1] + 1.0 - e - 1.0)
+
+    def __call__(self, x: float, kernels: Tuple[bool, ...] = (False, True)) -> tuple:
+        """([the tail for each of ``kernels``, in order], u, rho) at level x >= 0."""
+        f, e, delta, g, a = self.family, self.e, self.delta, self.g, self.a
+        u = math.exp(-delta * x)
+        rho = self.ratio * u
+        values = []
+        for k in kernels:
+            try:
+                if rho < -0.5:
+                    b = e + k - g[k]  # > 0 for Z, the only family with rho < 0
+                    log_scale = e * math.log1p(-rho) - g[k] * math.log(-rho) + betaln(g[k], b)
+                    value = math.exp(log_scale + math.log(betaincc(b, g[k], 1.0 / (1.0 - rho)))) \
+                        / delta
+                else:
+                    value = hyp2f1(a[k], 1.0, g[k] + 1.0, rho)
+                    if not math.isfinite(value):
+                        value = _gauss_cf(a[k], g[k], rho)
+                    value = (1.0 if k else 1.0 - rho) * value / (delta * g[k])  # (1-rho)^(1-k)
+                if k:
+                    value *= f.const * math.exp(f.theta2 * x) / f.f1
+            except (OverflowError, ValueError):
+                value = math.nan
+            if not math.isfinite(value):
+                raise ToleranceNotMet(
+                    f"closed-form tail out of floating-point range (e={e:g}, rho={rho:g})")
+            values.append(value)
+        return values, u, rho
 
 
 class ScaleSet:
@@ -213,8 +249,7 @@ class ScaleSet:
     def __init__(self, model: LevyModel, q: float):
         self.model = model
         self.q = float(q)
-        self.roots: SpectralRoots = spectral_roots(model, q)
-        r = self.roots
+        r = self.roots = spectral_roots(model, q)
         c = model.c
         t1, t2 = self.theta1, self.theta2 = r.theta1, r.theta2
         w1, w2 = r.a1 / c, r.a2 / c
@@ -224,7 +259,6 @@ class ScaleSet:
                                  w1, w2, self.q, model.lam / (c * model.mu), 1.0)  # z2 < 0
         except ZeroDivisionError:
             raise OutOfRange(model, q) from None
-        # a float division past the largest double gives inf without raising
-        if not all(math.isfinite(getattr(f, name))
-                   for f in (self.W, self.Z) for name in ScaleFamily.__slots__):
+        W, Z = self.W, self.Z  # a float division past the largest double gives inf silently
+        if not all(map(math.isfinite, (W.f1, W.f2, W.d1, W.d2, W.const, Z.f1, Z.f2, Z.const))):
             raise OutOfRange(model, q)

@@ -74,12 +74,8 @@ class InjectionProblem(DelayedTaxation):
             )
         if not (math.isfinite(self.x0) and self.x0 >= 0.0):
             raise InvalidParameter(f"x0 must be finite and >= 0, got {self.x0!r}")
-        bind = object.__setattr__  # frozen: plain assignment raises
         Z = self.scale.Z
-        bind(self, "family", Z)
-        bind(self, "weight", -self.varphi)
-        bind(self, "g1", -Z.f1 / Z.theta1)  # potential -(Zbar + d/q)
-        bind(self, "g2", -Z.f2 / Z.theta2)
+        self._bind(Z, -self.varphi, -Z.f1 / Z.theta1, -Z.f2 / Z.theta2)  # potential -(Zbar + d/q)
 
     # the family's data (see ``problem``)
     levels = "0 <= x"

@@ -54,11 +54,7 @@ class TerminalProblem(DelayedTaxation):
             raise InvalidParameter("s_terminal must be finite")
         if not (math.isfinite(self.x0) and self.x0 >= 0.0):
             raise InvalidParameter(f"x0 must be finite and >= 0, got {self.x0!r}")
-        bind = object.__setattr__  # frozen: plain assignment raises
-        bind(self, "family", self.scale.W)
-        bind(self, "weight", self.s_terminal)
-        bind(self, "g1", self.scale.Z.f1)  # potential Z
-        bind(self, "g2", self.scale.Z.f2)
+        self._bind(self.scale.W, self.s_terminal, self.scale.Z.f1, self.scale.Z.f2)  # G = Z
 
     # the family's data (see ``problem``)
     levels = "0 < x"

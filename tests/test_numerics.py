@@ -204,3 +204,43 @@ class TestOptimizeEvaluations:
         upper_ends = int(math.log2(diag.bracket[1])) + 1
         assert diag.iterations > 1
         assert len(points) == 1 + upper_ends + diag.iterations - 1
+
+
+class TestSolvePinned:
+    # (mode, c, lam, mu, q, ell, S or varphi) at x0 = 1: threshold, value and
+    # h(threshold) (hex) and boundary_case, recorded before h was evaluated in
+    # one pass.  Interior and boundary cases in both modes, q = 0.002, the
+    # continued fraction (ell = 0.99999), an injection root bracketed from
+    # h(0) in the incomplete-beta branch (rho(0) = -11) and a flat root
+    # under negative loading (a* = 28,656).
+    PINNED = {
+        ("terminal", 1.2, 1.0, 1.0, 0.05, 0.1, -5.0): (
+            "0x1.0bb326bb6e5c9p-1", "-0x1.39cd0312e2fa8p+1", "-0x1.4ffe400000000p-31", False),
+        ("terminal", 1.2, 1.0, 1.0, 0.05, 0.1, 5.0): (
+            "0x0.0p+0", "0x1.be10e027accabp+2", "-0x1.d93896db1f4e8p+0", True),
+        ("terminal", 1.2, 1.0, 1.0, 0.002, 0.3, -2.0): (
+            "0x1.435005ff4a71fp+3", "0x1.d8d60c188646fp+2", "-0x1.984a000000000p-32", False),
+        ("terminal", 3.5, 7.0, 9.0, 0.5, 0.99999, 1.0): (
+            "0x1.86ab22c1cee0cp-1", "0x1.649fb7a85f71dp+2", "0x1.f200000000000p-42", False),
+        ("injection", 1.2, 1.0, 1.0, 0.05, 0.2, 1.5): (
+            "0x1.101b7af3bdaa0p-1", "-0x1.e6ce3f77b7ed3p+0", "0x1.0d05500000000p-29", False),
+        ("injection", 1.2, 1.0, 1.0, 0.05, 0.2, 1.2): (
+            "0x0.0p+0", "0x1.e4a41ec8de0a6p-1", "-0x1.fe67ffd7b71abp+0", True),
+        ("injection", 0.10133527137802961, 4.038178960528116, 22.580989267116866,
+         0.0763649328742277, 0.8661331704555871, 2.3741544217574013): (
+            "0x1.ebf07ad5ed7efp-1", "-0x1.06e2d53bbc818p+0", "0x1.1886000000000p-37", False),
+        ("injection", 3.6379507655563637, 18.654283526117023, 0.17802695179990638,
+         0.0023620664405485732, 0.14311143652922304, 1.9527541822345937): (
+            "0x1.bfbe7ba186ae2p+14", "-0x1.46a0e691f9c01p+16", "0x1.136d000000000p-21", False),
+    }
+
+    @pytest.mark.parametrize("case", list(PINNED), ids=str)
+    def test_solve_pinned(self, case):
+        """A change to how h is evaluated must keep every solve to the bit."""
+        mode, c, lam, mu, q, ell, param = case
+        scale = ScaleSet(new_model(c, lam, mu), q)
+        p = TerminalProblem(scale, ell, param, 1.0) if mode == "terminal" \
+            else InjectionProblem(scale, ell, param, 1.0)
+        report = problem.optimize(p)
+        assert (report.threshold.hex(), report.value.hex(), h(p, report.threshold).hex(),
+                report.boundary_case) == self.PINNED[case]

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import math
 
 import numpy as np
@@ -10,8 +11,9 @@ from hypothesis import assume, example, given
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
+from taxdelay.errors import OutOfRange
 from taxdelay.model import laplace_exponent, new_model
-from taxdelay.scale import ScaleSet
+from taxdelay.scale import ScaleFamily, ScaleSet
 
 rates = st.floats(min_value=0.1, max_value=8.0, allow_nan=False)
 discounts = st.floats(min_value=1e-3, max_value=1.0, allow_nan=False)
@@ -300,3 +302,26 @@ class TestScaleProperties:
                       family.over_slope(x), family.kernel(x))
             assert all(math.isfinite(v) for v in values)
             assert family.over_slope(x) == pytest.approx(1.0 / s.theta1, rel=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# Range of the coefficients
+# ---------------------------------------------------------------------------
+
+EXTREMES = (1e-300, 1e-160, 1e-100, 1e-5, 1.0, 1e5, 1e100, 1e160, 1e300)
+
+
+def test_every_built_coefficient_is_finite():
+    """A ScaleSet raises OutOfRange or holds finite values in every slot of
+    W and Z: the check reads the coefficients that can leave double range,
+    and the rest are finite by construction."""
+    built = 0
+    for c, lam, mu, q in itertools.product(EXTREMES, repeat=4):
+        try:
+            s = ScaleSet(new_model(c, lam, mu), q)
+        except OutOfRange:
+            continue
+        for family in (s.W, s.Z):
+            assert all(math.isfinite(getattr(family, name)) for name in ScaleFamily.__slots__)
+        built += 1
+    assert 0 < built < len(EXTREMES) ** 4

@@ -21,13 +21,13 @@ import random
 
 import mpmath as mp
 import pytest
-from scipy.special import hyp2f1
+from scipy.special import betaincc, betaln, hyp2f1
 
 from taxdelay.cli import main
 
 from taxdelay.errors import InvalidParameter, ToleranceNotMet
 from taxdelay.model import new_model
-from taxdelay.problem import exit_tail
+from taxdelay.problem import exit_tail, psi
 from taxdelay.scale import ScaleSet, _gauss_cf
 from taxdelay.tax_injection import InjectionProblem, g_a, injection_tail, r_a, tax_tail
 from taxdelay.tax_terminal import (TerminalProblem, h_terminal, optimize_terminal,
@@ -358,3 +358,116 @@ def test_long_ranges_reach_their_tails():
     g = g_a(inj, 0.5, 14000.0)
     assert g == pytest.approx(tax_tail(inj, 0.5), rel=1e-11)
     assert g < tax_tail(inj, 0.5)
+
+
+# ---------------------------------------------------------------------------
+# The fused evaluation of h against the composed oracle
+# ---------------------------------------------------------------------------
+
+
+def oracle_tail(F, e: float, x: float, kernel: bool) -> float:
+    """One tail on its own, with scalar calls of scipy: the evaluation
+    that ``ScaleFamily.tail`` made before both tails shared one pass."""
+    t1, t2 = F.theta1, F.theta2
+    delta = t1 - t2
+    k = 1.0 if kernel else 0.0
+    g = (e * t1 - k * t2) / delta
+    rho = F.f2 / F.f1 * math.exp(-delta * x)
+    try:
+        if rho < -0.5:
+            b = e + k - g
+            log_scale = e * math.log1p(-rho) - g * math.log(-rho) + betaln(g, b)
+            value = math.exp(log_scale + math.log(betaincc(b, g, 1.0 / (1.0 - rho)))) / delta
+        else:
+            a = g + 1.0 - e - k
+            f21 = float(hyp2f1(a, 1.0, g + 1.0, rho))
+            if not math.isfinite(f21):
+                f21 = _gauss_cf(a, g, rho)
+            value = (1.0 - rho) ** (1.0 - k) * f21 / (delta * g)
+        if kernel:
+            value *= F.const * math.exp(t2 * x) / F.f1
+    except (OverflowError, ValueError):
+        value = math.nan
+    if not math.isfinite(value):
+        raise ToleranceNotMet(
+            f"closed-form tail out of floating-point range (e={e:g}, rho={rho:g})")
+    return value
+
+
+def oracle_h(p, x: float) -> float:
+    """psi - V (1 + w K), each piece taken on its own: two tails, then
+    F/F' and K, each from its own e^{-delta x}."""
+    F, w = p.family, p.weight
+    e = 1.0 / (1.0 - p.ell)
+    psi_x = p.ell * e * oracle_tail(F, e, x, False) + w * (e * oracle_tail(F, e, x, True))
+    u = math.exp((F.theta2 - F.theta1) * x)
+    v = (F.f1 - F.f2 * u) / (F.dk * (F.d1 - F.d2 * u))
+    log_f = F.theta1 * x + math.log(F.f1) + math.log1p(
+        -(F.f2 / F.f1) * math.exp((F.theta2 - F.theta1) * x))
+    k = F.const * math.exp((F.theta1 + F.theta2) * x - log_f)
+    return psi_x - v * (1.0 + w * k)
+
+
+def _outcome(fn, *args):
+    """The hex of fn's value, or the type and message of its numerical failure."""
+    try:
+        return fn(*args).hex()
+    except ArithmeticError as exc:
+        return type(exc).__name__, str(exc)
+
+
+def _fused_matches_oracle(p, x: float) -> None:
+    """h, psi and each tail at x are the oracle's to the bit, or fail with
+    the oracle's error type and message."""
+    F, e = p.family, p.exponent
+    where = f"{type(p).__name__} ell={p.ell!r} x={x!r}"
+    assert _outcome(h_terminal, p, x) == _outcome(oracle_h, p, x), where
+    psi_want = _outcome(lambda: p.ell * e * oracle_tail(F, e, x, False)
+                        + p.weight * (e * oracle_tail(F, e, x, True)))
+    assert _outcome(psi, p, x) == psi_want, where
+    for kernel in (False, True):
+        assert _outcome(F.tail, e, x, kernel) == _outcome(oracle_tail, F, e, x, kernel), where
+        assert _outcome(exit_tail, p, x, kernel) \
+            == _outcome(lambda: e * oracle_tail(F, e, x, kernel)), where
+
+
+FUSED_LEVELS = (0.0, 0.5, 3.0, 5e3)
+
+
+class TestFusedEvaluation:
+    def test_fuzz_box_matches_oracle_bit_for_bit(self):
+        """Both families (terminal on W, injection on Z) and both kernels at
+        four levels; the sample reaches the incomplete-beta branch."""
+        beta_branch = 0
+        for s, ell in _fuzz_box(20261018, 60):
+            for p in (TerminalProblem(s, ell, -5.0, 1.0), InjectionProblem(s, ell, 1.5, 0.0)):
+                for x in FUSED_LEVELS:
+                    _fused_matches_oracle(p, x)
+                    beta_branch += _rho(s, "z", x) < -0.5 and p.family is s.Z
+        assert beta_branch >= 10
+
+    def test_continued_fraction_fallback_matches_oracle(self):
+        """The C3 scenario at ell = 0.99999, where hyp2f1 gives nan and
+        Gauss's continued fraction stands in."""
+        s = ScaleSet(new_model(*C3_SCENARIO[:3]), C3_SCENARIO[3])
+        e = 1.0 / (1.0 - 0.99999)
+        g = e * s.W.theta1 / (s.W.theta1 - s.W.theta2)
+        assert math.isnan(hyp2f1(g + 1.0 - e, 1.0, g + 1.0, s.W.f2 / s.W.f1))
+        for p in (TerminalProblem(s, 0.99999, 1.0, 1.0), InjectionProblem(s, 0.99999, 1.5, 0.0)):
+            for x in (0.0, 0.5):
+                _fused_matches_oracle(p, x)
+
+    @pytest.mark.parametrize("c, lam, mu, q, ell, problem, param, message", [
+        # the incomplete-beta branch leaves double range (ROADMAP C3)
+        (0.172, 0.0429, 0.160, 0.0202, 0.99968, InjectionProblem, 2.80,
+         "closed-form tail out of floating-point range (e=3125, rho=-0.849121)"),
+        # the continued fraction does not converge (ROADMAP C3)
+        (0.622, 2.7, 11.3, 9.2e-5, 0.99999, TerminalProblem, 1.0,
+         "continued fraction for 2F1("),
+    ])
+    def test_failures_match_oracle(self, c, lam, mu, q, ell, problem, param, message):
+        p = problem(ScaleSet(new_model(c, lam, mu), q), ell, param, 1.0)
+        with pytest.raises(ToleranceNotMet) as failure:
+            h_terminal(p, 0.0)
+        assert str(failure.value).startswith(message)
+        _fused_matches_oracle(p, 0.0)
