@@ -8,17 +8,18 @@ integrals as Gauss hypergeometric functions) plus one-dimensional root
 finding:
 
 * the optimal threshold b* when a lump terminal value is exchanged at
-  ruin (``tax_terminal``), and
+  ruin (``TerminalProblem``), and
 * the optimal threshold a* when ruin is instead prevented by costly
-  capital injections (``tax_injection``).
+  capital injections (``InjectionProblem``).
 
 Both are one optimal-stopping construction on a scale-function family,
-written once in ``problem``; each problem supplies its family's data,
-and its mode-named functions (``h_terminal``, ``h_bar``, ...) are
-aliases of the shared ones.  The library also has exact Monte Carlo
-engines for both controlled processes (``simulate``), reference
-existence tables and sweeps that step one parameter of a problem
-(``tables``), and a self-check battery (``validate``).
+written once in ``problem``, where each problem class supplies its
+family's data and ``h``, ``phi``, ``optimize``, ... serve both; the
+paper's symbols map to these calls in docs/paper_symbols.md.  The
+library also has exact Monte Carlo engines for both controlled
+processes (``simulate``), reference existence tables and sweeps that
+step one parameter of a problem (``tables``), and a self-check battery
+(``validate``).
 """
 
 from __future__ import annotations
@@ -35,12 +36,8 @@ from .simulate import (SimConfig, SimResult, inspect_injection_paths,
                        simulate_terminal)
 from .tables import (BASE_MODEL, TableRow, existence_grid, grid_values,
                      sweep_rows, table_rows)
-from .problem import OptimumReport
-from .tax_injection import (InjectionProblem, h_bar, optimize_injection,
-                            phi_bar_partial_a, phi_bar_value, psi_bar,
-                            upsilon_bar)
-from .tax_terminal import (TerminalProblem, h_terminal, optimize_terminal,
-                           phi_partial_b, phi_value, psi, upsilon)
+from .problem import (InjectionProblem, OptimumReport, TerminalProblem, h,
+                      optimize, phi, phi_partial, psi)
 from .validate import CheckResult, run_checks
 
 __version__ = "1.0.0"
@@ -56,12 +53,9 @@ __all__ = [
     # numerics
     "RootReport", "find_root_decreasing_sign", "integrate_finite",
     "integrate_tail",
-    # terminal-value problem
-    "TerminalProblem", "OptimumReport", "h_terminal", "optimize_terminal",
-    "phi_partial_b", "phi_value", "psi", "upsilon",
-    # capital-injection problem
-    "InjectionProblem", "h_bar", "optimize_injection",
-    "phi_bar_partial_a", "phi_bar_value", "psi_bar", "upsilon_bar",
+    # the two problems and their shared construction
+    "TerminalProblem", "InjectionProblem", "OptimumReport", "h", "optimize",
+    "phi", "phi_partial", "psi",
     # simulation
     "SimConfig", "SimResult", "simulate_injection", "simulate_terminal",
     "inspect_injection_paths", "inspect_terminal_paths",

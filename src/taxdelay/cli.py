@@ -31,19 +31,21 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from .errors import DomainError, EventCapExceeded, InvalidConfig, InvalidParameter
 from .model import new_model
-from .problem import optimize, phi
+from .problem import InjectionProblem, TerminalProblem, optimize, phi
 from .scale import ScaleSet
 from .simulate import SimConfig, simulate_injection, simulate_terminal
 from .tables import (SWEEPABLE, TableRow, existence_grid, grid_values, sweep_rows,
                      table_rows)
 # h_terminal is h_bar, the shared h; perfbench/tracing.py wraps both names here
-from .tax_injection import InjectionProblem, h_bar  # noqa: F401
-from .tax_terminal import TerminalProblem, h_terminal
+from .tax_injection import h_bar  # noqa: F401
+from .tax_terminal import h_terminal
 from .validate import run_checks
 
 EXIT_OK = 0
 EXIT_INVALID_INPUT = 2
 EXIT_NUMERICAL_FAILURE = 3
+
+__all__ = ["EXIT_OK", "EXIT_INVALID_INPUT", "EXIT_NUMERICAL_FAILURE", "parse_args", "main"]
 
 Row = Dict[str, Any]
 

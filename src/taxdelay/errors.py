@@ -16,7 +16,10 @@ class InvalidConfig(ValueError):
 
 
 class ToleranceNotMet(ArithmeticError):
-    """A quadrature routine could not reach the requested tolerance."""
+    """A numerical routine could not reach a usable result: an adaptive
+    quadrature missed its tolerance, a closed-form tail left floating-point
+    range, or Gauss's continued fraction (``scale._gauss_cf``) did not
+    converge."""
 
 
 class BracketFailure(ArithmeticError):

@@ -7,10 +7,12 @@ two h values the bracket search already has and returns h at the root;
 with h(lo) from the caller, no point is evaluated twice.
 
 Every exit functional of the two problems has a closed form
-(``ScaleFamily.tail``); quadrature is left for the penalty functional with
-an arbitrary weight and, in the self-checks, for testing the closed forms
-independently.  Both routines work to a relative tolerance of 1e-10 and
-an absolute tolerance of 1e-14, with at most 2000 subdivisions.
+(``ScaleFamily.tail``); the library keeps quadrature only for the
+self-checks, which test the closed forms independently.  The penalty
+functional with an arbitrary weight has no closed form; it is a
+quadrature oracle in the tests (``tests/quad_oracle.py``).  Both routines
+work to a relative tolerance of 1e-10 and an absolute tolerance of 1e-14,
+with at most 2000 subdivisions.
 ``integrate_tail`` needs a known exponential envelope: if
 |f(z)| <= |f(T)| e^{-decay (z-T)} for every z >= T >= a, the tail beyond
 T is at most |f(T)|/decay, so T is extended until that bound drops below

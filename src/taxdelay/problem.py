@@ -2,10 +2,11 @@
 
 Tax at rate ell is paid on every new running-maximum increment once the
 surplus has first reached a threshold b.  Both problems, a terminal value
-exchanged at ruin (``tax_terminal``) and ruin prevented by costly capital
-injections (``tax_injection``), are one optimal-stopping construction on
-a scale-function family F.  With e = 1/(1-ell), T(x) = int_x^inf
-(F(x)/F(y))^e dy and T_K the same tail weighted by the grouped kernel K:
+exchanged at ruin (``TerminalProblem``) and ruin prevented by costly
+capital injections (``InjectionProblem``), are one optimal-stopping
+construction on a scale-function family F.  With e = 1/(1-ell),
+T(x) = int_x^inf (F(x)/F(y))^e dy and T_K the same tail weighted by the
+grouped kernel K:
 
     psi(x)      = e (ell T(x) + w T_K(x))      value of taxing at once from x
     upsilon(x)  = psi(x) - w G(x)
@@ -46,9 +47,9 @@ from .errors import DomainError, InvalidParameter
 from .numerics import RootReport, find_root_decreasing_sign
 from .scale import ScaleFamily, ScaleSet, Tails
 
-__all__ = ["DelayedTaxation", "OptimumReport", "exit_ratio", "exit_integral",
-           "exit_tail", "psi", "potential", "gap", "upsilon", "h", "phi",
-           "phi_partial", "optimal_value", "optimize"]
+__all__ = ["DelayedTaxation", "TerminalProblem", "InjectionProblem", "OptimumReport",
+           "exit_ratio", "exit_integral", "exit_tail", "psi", "potential", "gap", "h",
+           "phi", "phi_partial", "optimal_value", "optimize"]
 
 # absolute tolerance of every threshold root
 ROOT_TOL = 1e-8
@@ -76,6 +77,59 @@ class DelayedTaxation:
         e = 1.0 / (1.0 - self.ell)
         vars(self).update(family=family, weight=weight, g1=g1, g2=g2, exponent=e,
                           tails=Tails(family, e))  # frozen: plain assignment raises
+
+
+@dataclass(frozen=True)
+class TerminalProblem(DelayedTaxation):
+    """Tax rate, terminal value and start level on top of a ScaleSet."""
+
+    s_terminal: float
+    x0: float
+
+    def __post_init__(self):
+        super().__post_init__()
+        if not math.isfinite(self.s_terminal):
+            raise InvalidParameter("s_terminal must be finite")
+        if not (math.isfinite(self.x0) and self.x0 >= 0.0):
+            raise InvalidParameter(f"x0 must be finite and >= 0, got {self.x0!r}")
+        self._bind(self.scale.W, self.s_terminal, self.scale.Z.f1, self.scale.Z.f2)  # G = Z
+
+    # the family's data (see the module docstring)
+    levels = "0 < x"
+    admits = staticmethod(lambda x: 0.0 < x < math.inf)
+    sign = 1  # weight = sign * s_terminal
+
+
+@dataclass(frozen=True)
+class InjectionProblem(DelayedTaxation):
+    """Tax rate, injection cost factor and start level on top of a ScaleSet.
+
+    varphi <= 1 makes capital injections a free (or profitable) lunch and
+    voids the optimizer guarantees; it is admitted only for exploration
+    via allow_low_cost=True.
+    """
+
+    varphi: float
+    x0: float
+    allow_low_cost: bool = False
+
+    def __post_init__(self):
+        super().__post_init__()
+        if not (math.isfinite(self.varphi) and self.varphi > 0.0):
+            raise InvalidParameter(f"varphi must be finite and > 0, got {self.varphi!r}")
+        if self.varphi <= 1.0 and not self.allow_low_cost:
+            raise InvalidParameter(
+                "varphi <= 1 needs allow_low_cost=True (cost below one unit per unit injected)"
+            )
+        if not (math.isfinite(self.x0) and self.x0 >= 0.0):
+            raise InvalidParameter(f"x0 must be finite and >= 0, got {self.x0!r}")
+        Z = self.scale.Z
+        self._bind(Z, -self.varphi, -Z.f1 / Z.theta1, -Z.f2 / Z.theta2)  # potential -(Zbar + d/q)
+
+    # the family's data (see the module docstring)
+    levels = "0 <= x"
+    admits = staticmethod(lambda x: 0.0 <= x < math.inf)
+    sign = -1  # weight = sign * varphi
 
 
 @dataclass(frozen=True)
@@ -142,7 +196,7 @@ def psi(p: DelayedTaxation, x: float) -> float:
     """Value of taxing immediately from level x, e (ell T + w T_K); affine in w.
 
     Terminal: (ell I2 + S I1)/(1-ell) with the plain and ruin-kernel tails
-    I2, I1 of W.  Injection: tax_tail - varphi injection_tail.
+    I2, I1 of W.  Injection: g - varphi r, the paper's tail limits of g_a, r_a.
     """
     return _psi_at(p, x)[0]
 
@@ -169,11 +223,6 @@ def gap(p: DelayedTaxation, x: float, b: float) -> float:
     num = math.exp(f.theta2 * x) * math.expm1(-delta * (b - x)) if x <= b \
         else -math.exp(f.theta1 * x - delta * b) * math.expm1(-delta * (x - b))
     return (f.f1 * p.g2 - p.g1 * f.f2) * num / (f.f1 - f.f2 * math.exp(-delta * b))
-
-
-def upsilon(p: DelayedTaxation, x: float) -> float:
-    """upsilon = psi - w G: psi - S Z, or psi - varphi (Zbar + d/q)."""
-    return psi(p, x) - p.weight * potential(p, x)
 
 
 def h(p: DelayedTaxation, x: float) -> float:

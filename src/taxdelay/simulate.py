@@ -56,8 +56,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 import numpy as np
 
 from .errors import EventCapExceeded, InvalidConfig, InvalidParameter
-from .tax_injection import InjectionProblem
-from .tax_terminal import TerminalProblem
+from .problem import InjectionProblem, TerminalProblem
 
 # Hard cap on per-path event count; a legitimate run ends long before this.
 EVENT_CAP = 10_000_000

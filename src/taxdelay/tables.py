@@ -31,10 +31,9 @@ import numpy as np
 
 from .errors import InvalidParameter
 from .model import LevyModel, new_model
-from .problem import DelayedTaxation, exit_tail, optimize, potential
+from .problem import (DelayedTaxation, InjectionProblem, TerminalProblem, exit_tail,
+                      optimize, potential)
 from .scale import ScaleSet
-from .tax_injection import InjectionProblem
-from .tax_terminal import TerminalProblem
 
 # ---------------------------------------------------------------------------
 # Built-in reference scenarios

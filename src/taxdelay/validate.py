@@ -16,12 +16,11 @@ from typing import Callable, List
 
 from .model import laplace_exponent, new_model
 from .numerics import integrate_finite, integrate_tail
-from .problem import h, optimize, phi, phi_partial
+from .problem import (InjectionProblem, TerminalProblem, exit_integral, exit_ratio, h,
+                      optimize, phi, phi_partial)
 from .scale import ScaleSet
 from .simulate import SimConfig, simulate_injection, simulate_terminal
 from .tables import existence_affine, existence_threshold, table_rows
-from .tax_injection import InjectionProblem, f_a, g_a, r_a
-from .tax_terminal import TerminalProblem
 
 # ---------------------------------------------------------------------------
 # Result record
@@ -102,19 +101,30 @@ def _check_ode_residuals() -> CheckResult:
     s = ScaleSet(new_model(1.2, 1.0, 1.0), 0.05)
     p = InjectionProblem(s, 0.2, 1.5, 0.5)
     a, e = 3.0, p.exponent
+
+    # the paper's corridor functionals on [x, a] (docs/paper_symbols.md)
+    def f_a(x):
+        return exit_ratio(p, x, a)
+
+    def g_a(x):
+        return p.ell * exit_integral(p, x, a)
+
+    def r_a(x):
+        return exit_integral(p, x, a, kernel=True)
+
     worst = 0.0
     for x in (0.5, 1.5, 2.5):
         step = 1e-4
         slope = e * s.q * s.W(x) / s.Z(x)
         kernel = s.Z.kernel(x)
-        fd_f = (f_a(p, x + step, a) - f_a(p, x - step, a)) / (2 * step)
-        fd_g = (g_a(p, x + step, a) - g_a(p, x - step, a)) / (2 * step)
-        fd_r = (r_a(p, x + step, a) - r_a(p, x - step, a)) / (2 * step)
+        fd_f = (f_a(x + step) - f_a(x - step)) / (2 * step)
+        fd_g = (g_a(x + step) - g_a(x - step)) / (2 * step)
+        fd_r = (r_a(x + step) - r_a(x - step)) / (2 * step)
         worst = max(
             worst,
-            abs(fd_f - slope * f_a(p, x, a)),
-            abs(fd_g - (slope * g_a(p, x, a) - p.ell * e)),
-            abs(fd_r - (slope * r_a(p, x, a) - e * kernel)),
+            abs(fd_f - slope * f_a(x)),
+            abs(fd_g - (slope * g_a(x) - p.ell * e)),
+            abs(fd_r - (slope * r_a(x) - e * kernel)),
         )
     return _check("injection-ode-residuals", worst < 1e-6,
                   f"max residual {worst:.2e} (tol 1e-6)")

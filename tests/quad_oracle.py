@@ -13,8 +13,7 @@ from typing import Callable
 
 from taxdelay.errors import DomainError
 from taxdelay.numerics import integrate_finite
-from taxdelay.problem import exit_ratio
-from taxdelay.tax_terminal import TerminalProblem
+from taxdelay.problem import TerminalProblem, exit_ratio
 
 __all__ = ["expected_discounted_penalty"]
 

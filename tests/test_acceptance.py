@@ -16,27 +16,19 @@ import pytest
 from scipy.integrate import simpson
 from scipy.optimize import brentq
 
+from paper_functionals import f_a, g_a, r_a
 from taxdelay.model import laplace_exponent, new_model
+from taxdelay.problem import (
+    InjectionProblem,
+    TerminalProblem,
+    h,
+    optimize,
+    phi,
+    phi_partial,
+)
 from taxdelay.scale import ScaleSet
 from taxdelay.simulate import SimConfig, simulate_injection, simulate_terminal
 from taxdelay.tables import table_rows
-from taxdelay.tax_injection import (
-    InjectionProblem,
-    f_a,
-    g_a,
-    h_bar,
-    optimize_injection,
-    phi_bar_partial_a,
-    phi_bar_value,
-    r_a,
-)
-from taxdelay.tax_terminal import (
-    TerminalProblem,
-    h_terminal,
-    optimize_terminal,
-    phi_partial_b,
-    phi_value,
-)
 
 BASE = new_model(1.2, 1.0, 1.0)
 SCALE_05 = ScaleSet(BASE, 0.05)
@@ -145,14 +137,13 @@ def test_affine_and_direct_existence_roots_agree():
     for table_id, scale in ((1, SCALE_05), (2, SCALE_002)):
         for row in table_rows(table_id):
             def cand(s_val: float) -> float:
-                return h_terminal(TerminalProblem(scale, row.ell, s_val, 1.0),
-                                  0.0)
+                return h(TerminalProblem(scale, row.ell, s_val, 1.0), 0.0)
             direct = brentq(cand, row.threshold - 1.0, row.threshold + 1.0,
                             xtol=1e-10)
             assert row.threshold == pytest.approx(direct, abs=1e-3)
     for row in table_rows(3):
         def cand_bar(vp: float) -> float:
-            return h_bar(InjectionProblem(SCALE_05, row.ell, vp, 1.0), 0.0)
+            return h(InjectionProblem(SCALE_05, row.ell, vp, 1.0), 0.0)
         direct = brentq(cand_bar, row.threshold - 0.2, row.threshold + 0.2,
                         xtol=1e-10)
         assert row.threshold == pytest.approx(direct, abs=1e-3)
@@ -192,9 +183,9 @@ def test_optimizer_matches_grid_argmax():
         s_val = rng.uniform(-8.0, -0.5)
         scale = ScaleSet(new_model(c, lam, mu), q)
         p = TerminalProblem(scale, ell, s_val, 1.0)
-        bstar = optimize_terminal(p).threshold
+        bstar = optimize(p).threshold
         x0 = 0.7 * bstar if bstar > 0.0 else 1.0
-        check(f"terminal[{k}]", bstar, lambda b: phi_value(p, x0, b), 0.5)
+        check(f"terminal[{k}]", bstar, lambda b: phi(p, x0, b), 0.5)
 
     for k in range(20):
         c = rng.uniform(0.8, 2.5)
@@ -205,9 +196,9 @@ def test_optimizer_matches_grid_argmax():
         vp = rng.uniform(1.05, 3.0)
         scale = ScaleSet(new_model(c, lam, mu), q)
         p = InjectionProblem(scale, ell, vp, 1.0)
-        astar = optimize_injection(p).threshold
+        astar = optimize(p).threshold
         x0 = 0.7 * astar if astar > 0.0 else 1.0
-        check(f"injection[{k}]", astar, lambda a: phi_bar_value(p, x0, a), 0.3)
+        check(f"injection[{k}]", astar, lambda a: phi(p, x0, a), 0.3)
 
     assert not failures, "\n".join(failures)
 
@@ -225,18 +216,18 @@ def test_threshold_derivative_matches_finite_difference():
         x = rng.uniform(0.05, 1.0) * b
         p = TerminalProblem(SCALE_05, ell, -5.0, 1.0)
         step = 3e-4 * max(1.0, b)
-        fd = (phi_value(p, x, b + step)
-              - phi_value(p, x, b - step)) / (2.0 * step)
-        assert phi_partial_b(p, x, b) == pytest.approx(fd, rel=1e-5)
+        fd = (phi(p, x, b + step)
+              - phi(p, x, b - step)) / (2.0 * step)
+        assert phi_partial(p, x, b) == pytest.approx(fd, rel=1e-5)
     for _ in range(20):
         ell = float(rng.choice([0.1, 0.2, 0.3, 0.4]))
         a = rng.uniform(0.2, 8.0)
         x = rng.uniform(0.0, 1.0) * a
         p = InjectionProblem(SCALE_05, ell, 1.5, 1.0)
         step = 3e-4 * max(1.0, a)
-        fd = (phi_bar_value(p, x, a + step)
-              - phi_bar_value(p, x, a - step)) / (2.0 * step)
-        assert phi_bar_partial_a(p, x, a) == pytest.approx(fd, rel=1e-5)
+        fd = (phi(p, x, a + step)
+              - phi(p, x, a - step)) / (2.0 * step)
+        assert phi_partial(p, x, a) == pytest.approx(fd, rel=1e-5)
 
 
 # ---------------------------------------------------------------------------
@@ -303,9 +294,9 @@ def test_monte_carlo_grid_and_qualitative_monotonicity():
     for i, (ell, s_val, b, x) in enumerate(terminal_cells):
         p = TerminalProblem(SCALE_05, ell, s_val, x)
         if b is None:
-            b = optimize_terminal(p).threshold
+            b = optimize(p).threshold
         result = simulate_terminal(p, b, SimConfig(n, horizon, 1000 + i))
-        target = phi_value(p, x, b)
+        target = phi(p, x, b)
         z_scores.append((result.mean - target) / result.stderr)
 
     injection_cells = [  # (ell, varphi, threshold or None, x)
@@ -319,9 +310,9 @@ def test_monte_carlo_grid_and_qualitative_monotonicity():
     for i, (ell, vp, a, x) in enumerate(injection_cells):
         p = InjectionProblem(SCALE_05, ell, vp, x)
         if a is None:
-            a = optimize_injection(p).threshold
+            a = optimize(p).threshold
         result = simulate_injection(p, a, SimConfig(n, horizon, 2000 + i))
-        target = phi_bar_value(p, x, a)
+        target = phi(p, x, a)
         z_scores.append((result.mean - target) / result.stderr)
 
     within = sum(1 for z in z_scores if abs(z) < 3.0)
@@ -330,18 +321,18 @@ def test_monte_carlo_grid_and_qualitative_monotonicity():
     assert elapsed < 600.0, f"grid took {elapsed:.0f}s"
 
     # qualitative monotonicity of the optima
-    b_in_s = [optimize_terminal(TerminalProblem(SCALE_05, 0.1, s_val, 1.0)).threshold
+    b_in_s = [optimize(TerminalProblem(SCALE_05, 0.1, s_val, 1.0)).threshold
               for s_val in (-6.0, -5.0, -4.0)]
     assert b_in_s[0] > b_in_s[1] > b_in_s[2], f"b* not decreasing in S: {b_in_s}"
-    b_in_ell = [optimize_terminal(TerminalProblem(SCALE_05, ell, -5.0, 1.0)).threshold
+    b_in_ell = [optimize(TerminalProblem(SCALE_05, ell, -5.0, 1.0)).threshold
                 for ell in (0.1, 0.2, 0.3)]
     assert b_in_ell[0] < b_in_ell[1] < b_in_ell[2], \
         f"b* not increasing in ell: {b_in_ell}"
-    a_in_vp = [optimize_injection(InjectionProblem(SCALE_05, 0.2, vp, 1.0)).threshold
+    a_in_vp = [optimize(InjectionProblem(SCALE_05, 0.2, vp, 1.0)).threshold
                for vp in (1.5, 2.0, 2.5)]
     assert a_in_vp[0] < a_in_vp[1] < a_in_vp[2], \
         f"a* not increasing in varphi: {a_in_vp}"
-    a_in_ell = [optimize_injection(InjectionProblem(SCALE_05, ell, 1.5, 1.0)).threshold
+    a_in_ell = [optimize(InjectionProblem(SCALE_05, ell, 1.5, 1.0)).threshold
                 for ell in (0.1, 0.2, 0.3)]
     assert a_in_ell[0] < a_in_ell[1] < a_in_ell[2], \
         f"a* not increasing in ell: {a_in_ell}"

@@ -7,21 +7,32 @@ through which ``optimize`` takes the residual it prints, and it passes a
 counting ``capture=`` to ``simulate_terminal`` and ``simulate_injection``.
 A rename in the library would break the traced benchmark run without
 failing any other test; these run ``optimize`` and ``simulate`` in both
-modes under the tracer.
+modes under the tracer.  ``perfbench/run.py`` and ``tracing.py`` also
+import library names by module; the first tests read those imports from
+the two files' syntax trees and resolve every one.
 """
 
 from __future__ import annotations
 
+import ast
+import importlib
 import importlib.util
+import inspect
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 import taxdelay.cli as cli
 import taxdelay.numerics as numerics
 import taxdelay.simulate as simulate
 
-TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+TRACING = PERFBENCH / "tracing.py"
+SRC = Path(inspect.getfile(cli)).parent
+
+# the modules that exist only to keep the benchmark's mode-named imports working
+REEXPORTS = ("tax_terminal", "tax_injection")
 
 SCENARIO = ["--c", "1.2", "--lambda", "1", "--mu", "1", "--q", "0.05", "--ell", "0.2"]
 
@@ -31,6 +42,62 @@ def _load_tracing():
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+def _tree(path: Path) -> ast.Module:
+    return ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+
+
+def _library_imports(node: ast.AST):
+    """(module, [names]) for each taxdelay import under node; [] for a plain import."""
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.ImportFrom) and (sub.module or "").startswith("taxdelay"):
+            yield sub.module, [alias.name for alias in sub.names]
+        elif isinstance(sub, ast.Import):
+            for alias in sub.names:
+                if alias.name.startswith("taxdelay"):
+                    yield alias.name, []
+
+
+def _install_imports():
+    tracer = next(n for n in _tree(TRACING).body
+                  if isinstance(n, ast.ClassDef) and n.name == "Tracer")
+    install = next(n for n in tracer.body
+                   if isinstance(n, ast.FunctionDef) and n.name == "install")
+    return [module for module, _ in _library_imports(install)]
+
+
+@pytest.mark.parametrize("script", ["run.py", "tracing.py"])
+def test_benchmark_imports_resolve(script):
+    imports = list(_library_imports(_tree(PERFBENCH / script)))
+    assert imports
+    for module_name, names in imports:
+        module = importlib.import_module(module_name)
+        missing = [name for name in names if not hasattr(module, name)]
+        assert not missing, f"{script}: {module_name} has no {missing}"
+
+
+def test_traced_modules_export_what_they_list():
+    modules = _install_imports()
+    assert {f"taxdelay.{name}" for name in REEXPORTS} <= set(modules)
+    for module_name in modules:
+        module = importlib.import_module(module_name)
+        exported = getattr(module, "__all__", None)
+        assert exported, f"{module_name} has no __all__"
+        missing = [name for name in exported if not hasattr(module, name)]
+        assert not missing, f"{module_name}.__all__ lists missing {missing}"
+
+
+@pytest.mark.parametrize("name", REEXPORTS)
+def test_reexport_modules_define_nothing(name):
+    tree = _tree(SRC / f"{name}.py")
+    defined = [n.name for n in ast.walk(tree)
+               if isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))]
+    assert not defined
+    assert not any(isinstance(n, ast.Lambda) for n in ast.walk(tree))
+    module = importlib.import_module(f"taxdelay.{name}")
+    for attr in module.__all__:
+        assert getattr(module, attr).__module__ == "taxdelay.problem", attr
 
 
 def test_tracer_sees_root_search_and_residual(capsys):

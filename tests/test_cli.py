@@ -27,10 +27,9 @@ from taxdelay.cli import (EXIT_INVALID_INPUT, EXIT_NUMERICAL_FAILURE, EXIT_OK,
                           _csv_cell, _json_cell, _render, main)
 from taxdelay.errors import BracketFailure
 from taxdelay.model import new_model
-from taxdelay.problem import DelayedTaxation, h, optimize, phi, psi
+from taxdelay.problem import (DelayedTaxation, InjectionProblem, TerminalProblem, h,
+                              optimize, phi, psi)
 from taxdelay.scale import ScaleSet
-from taxdelay.tax_injection import InjectionProblem
-from taxdelay.tax_terminal import TerminalProblem
 
 TERMINAL_ARGS = ["--mode", "terminal", "--c", "1.2", "--lambda", "1",
                  "--mu", "1", "--q", "0.05", "--ell", "0.1"]
@@ -1006,9 +1005,10 @@ class TestImport:
             "from taxdelay.cli import main",
             "from taxdelay.model import new_model",
             "from taxdelay.scale import ScaleSet",
-            "from taxdelay.tax_injection import InjectionProblem, g_a, r_a",
-            "from taxdelay.tax_terminal import (TerminalProblem, expected_discounted_deficit,",
-            "                                   ruin_time_laplace_taxed)",
+            f"sys.path.insert(0, {str(Path(__file__).resolve().parent)!r})",
+            "from paper_functionals import (expected_discounted_deficit, g_a, r_a,",
+            "                               ruin_time_laplace_taxed)",
+            "from taxdelay.problem import InjectionProblem, TerminalProblem",
             "with redirect_stdout(io.StringIO()):",
             f"    assert main(['optimize', *{TERMINAL_ARGS!r}, '--S', '-5']) == 0",
             f"    assert main(['optimize', *{INJECTION_ARGS!r}]) == 0",

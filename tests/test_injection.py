@@ -10,26 +10,20 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from taxdelay.errors import DomainError, InvalidParameter
-from taxdelay.model import new_model
-from taxdelay.problem import potential
-from taxdelay.scale import ScaleSet
-from taxdelay.tax_injection import (
-    InjectionProblem,
+from paper_functionals import (
     expected_injection_until_upcross,
     f_a,
     g_a,
-    h_bar,
     injection_tail,
-    optimize_injection,
-    phi_bar_partial_a,
-    phi_bar_value,
-    psi_bar,
     r_a,
     reflected_upcross_laplace,
     tax_tail,
-    upsilon_bar,
+    upsilon,
 )
+from taxdelay.errors import DomainError, InvalidParameter
+from taxdelay.model import new_model
+from taxdelay.problem import InjectionProblem, h, optimize, phi, phi_partial, potential, psi
+from taxdelay.scale import ScaleSet
 
 
 @pytest.fixture(scope="module")
@@ -239,23 +233,23 @@ class TestTailsAndPsiBar:
 
     def test_psi_bar_affine_in_cost_factor(self, scale05):
         x = 1.0
-        base = psi_bar(InjectionProblem(scale05, 0.2, 1.0,
-                                        x, allow_low_cost=True), x)
-        two = psi_bar(InjectionProblem(scale05, 0.2, 2.0, x), x)
+        base = psi(InjectionProblem(scale05, 0.2, 1.0,
+                                    x, allow_low_cost=True), x)
+        two = psi(InjectionProblem(scale05, 0.2, 2.0, x), x)
         slope = two - base
         for vp in (1.2, 1.5, 4.0):
-            got = psi_bar(InjectionProblem(scale05, 0.2, vp, x), x)
+            got = psi(InjectionProblem(scale05, 0.2, vp, x), x)
             assert got == pytest.approx(base + (vp - 1.0) * slope, rel=1e-10)
 
     def test_psi_bar_assembly(self, prob):
         for x in (0.0, 1.0, 3.0):
             expected = tax_tail(prob, x) - prob.varphi * injection_tail(prob, x)
-            assert psi_bar(prob, x) == pytest.approx(expected, rel=1e-11)
+            assert psi(prob, x) == pytest.approx(expected, rel=1e-11)
 
     def test_upsilon_bar_identity(self, prob, scale05):
         for a in (0.0, 0.8, 3.0):
-            expected = psi_bar(prob, a) - prob.varphi * scale05.Z.integral(a)
-            assert upsilon_bar(prob, a) == pytest.approx(expected, rel=1e-11)
+            expected = psi(prob, a) - prob.varphi * scale05.Z.integral(a)
+            assert upsilon(prob, a) == pytest.approx(expected, rel=1e-11)
 
     def test_cap_v_bar_right_limit_and_form(self, prob, scale05):
         assert prob.family.over_slope(0.0) == pytest.approx(1.2 / 0.05, rel=1e-12)
@@ -275,20 +269,20 @@ class TestHBar:
         evaluation must agree with this naive assembly where the naive
         difference is well-conditioned."""
         for a in (0.0, 0.5, 2.0, 6.0):
-            naive = upsilon_bar(prob, a) - scale05.Z.over_slope(a) * (
+            naive = upsilon(prob, a) - scale05.Z.over_slope(a) * (
                 1.0 - prob.varphi * scale05.Z(a))
-            assert h_bar(prob, a) == pytest.approx(naive, rel=1e-12)
+            assert h(prob, a) == pytest.approx(naive, rel=1e-12)
 
     def test_far_limit(self, prob, scale05):
         far = 40.0 / scale05.theta1
         limit = (prob.ell - 1.0) / scale05.theta1
-        assert h_bar(prob, far) == pytest.approx(limit, abs=1e-10)
+        assert h(prob, far) == pytest.approx(limit, abs=1e-10)
 
     @pytest.mark.parametrize("ell, vp", [(0.2, 1.5), (0.3, 2.0)])
     def test_single_crossing(self, scale05, ell, vp):
         p = InjectionProblem(scale05, ell, vp, 1.0)
         grid = np.arange(0.0, 60.0 / scale05.theta1, 0.25)
-        signs = np.sign([h_bar(p, float(a)) for a in grid])
+        signs = np.sign([h(p, float(a)) for a in grid])
         flips = np.nonzero(np.diff(signs))[0]
         assert len(flips) == 1
         assert signs[0] > 0 and signs[-1] < 0
@@ -303,32 +297,32 @@ class TestPhiBarValue:
     def test_at_threshold_equals_psi_bar(self, prob):
         """phi_bar(a; a) collapses to psi_bar(a)."""
         for a in (0.5, 1.5, 4.0):
-            assert phi_bar_value(prob, a, a) == pytest.approx(
-                psi_bar(prob, a), rel=1e-10)
+            assert phi(prob, a, a) == pytest.approx(
+                psi(prob, a), rel=1e-10)
 
     def test_threshold_lift_below_start(self, prob):
-        assert phi_bar_value(prob, 2.0, 1.0) == phi_bar_value(prob, 2.0, 2.0)
+        assert phi(prob, 2.0, 1.0) == phi(prob, 2.0, 2.0)
 
     def test_start_at_zero_allowed(self, prob):
-        val = phi_bar_value(prob, 0.0, 2.0)
+        val = phi(prob, 0.0, 2.0)
         assert math.isfinite(val)
 
     def test_partial_matches_finite_difference(self, prob):
         for (x, a) in ((0.5, 1.5), (0.0, 2.0)):
             step = 3e-4
-            fd = (phi_bar_value(prob, x, a + step)
-                  - phi_bar_value(prob, x, a - step)) / (2.0 * step)
-            assert phi_bar_partial_a(prob, x, a) == pytest.approx(fd, rel=1e-6)
+            fd = (phi(prob, x, a + step)
+                  - phi(prob, x, a - step)) / (2.0 * step)
+            assert phi_partial(prob, x, a) == pytest.approx(fd, rel=1e-6)
 
     def test_partial_sign_follows_h_bar(self, scale05):
         p = InjectionProblem(scale05, 0.2, 1.5, 0.25)
-        astar = optimize_injection(p).threshold
-        assert phi_bar_partial_a(p, 0.1, 0.5 * astar) > 0.0
-        assert phi_bar_partial_a(p, 0.1, 2.0 * astar) < 0.0
+        astar = optimize(p).threshold
+        assert phi_partial(p, 0.1, 0.5 * astar) > 0.0
+        assert phi_partial(p, 0.1, 2.0 * astar) < 0.0
 
     def test_partial_domain(self, prob):
         with pytest.raises(DomainError):
-            phi_bar_partial_a(prob, 2.0, 1.0)
+            phi_partial(prob, 2.0, 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -339,12 +333,12 @@ class TestPhiBarValue:
 class TestOptimizeInjection:
     def test_interior_optimum(self, scale05):
         p = InjectionProblem(scale05, 0.2, 1.5, 0.25)
-        rep = optimize_injection(p)
+        rep = optimize(p)
         assert not rep.boundary_case
         assert rep.root_diag is not None
         assert rep.threshold == rep.root_diag.root
-        assert abs(h_bar(p, rep.threshold)) < 1e-7
-        assert rep.value == pytest.approx(phi_bar_value(p, 0.25, rep.threshold),
+        assert abs(h(p, rep.threshold)) < 1e-7
+        assert rep.value == pytest.approx(phi(p, 0.25, rep.threshold),
                                           rel=1e-8)
 
     def test_interior_threshold_anchor(self, scale05):
@@ -352,16 +346,16 @@ class TestOptimizeInjection:
         pinned against an independent bisection on h_bar below and the grid
         argmax in the acceptance suite."""
         p = InjectionProblem(scale05, 0.2, 1.5, 0.25)
-        rep = optimize_injection(p)
+        rep = optimize(p)
         assert rep.threshold == pytest.approx(0.5314596579, abs=1e-6)
 
     def test_matches_independent_bisection(self, scale05):
         p = InjectionProblem(scale05, 0.2, 1.5, 0.25)
-        rep = optimize_injection(p)
+        rep = optimize(p)
         lo, hi = 0.0, 5.0
         for _ in range(60):
             mid = 0.5 * (lo + hi)
-            if h_bar(p, mid) > 0.0:
+            if h(p, mid) > 0.0:
                 lo = mid
             else:
                 hi = mid
@@ -372,20 +366,20 @@ class TestOptimizeInjection:
         """Injection cost barely above par makes immediate taxation optimal:
         h_bar(0) < 0 and the report flags the boundary."""
         p = InjectionProblem(scale05, 0.2, 1.1, 1.0)
-        assert h_bar(p, 0.0) < 0.0
-        rep = optimize_injection(p)
+        assert h(p, 0.0) < 0.0
+        rep = optimize(p)
         assert rep.boundary_case
         assert rep.threshold == 0.0
         assert rep.root_diag is None
 
     def test_threshold_increases_with_cost_factor(self, scale05):
-        a_15 = optimize_injection(InjectionProblem(scale05, 0.2, 1.5, 1.0))
-        a_20 = optimize_injection(InjectionProblem(scale05, 0.2, 2.0, 1.0))
+        a_15 = optimize(InjectionProblem(scale05, 0.2, 1.5, 1.0))
+        a_20 = optimize(InjectionProblem(scale05, 0.2, 2.0, 1.0))
         assert a_20.threshold > a_15.threshold > 0.0
 
     def test_optimum_beats_neighbours(self, scale05):
         p = InjectionProblem(scale05, 0.2, 1.5, 0.25)
-        rep = optimize_injection(p)
-        best = phi_bar_value(p, 0.25, rep.threshold)
+        rep = optimize(p)
+        best = phi(p, 0.25, rep.threshold)
         for a in (0.3, 0.45, 0.6, 0.9, 1.5):
-            assert best >= phi_bar_value(p, 0.25, a) - 1e-12
+            assert best >= phi(p, 0.25, a) - 1e-12

@@ -19,10 +19,8 @@ from taxdelay.numerics import (
     integrate_finite,
     integrate_tail,
 )
-from taxdelay.problem import ROOT_TOL, h
+from taxdelay.problem import ROOT_TOL, InjectionProblem, TerminalProblem, h, optimize, phi
 from taxdelay.scale import ScaleSet
-from taxdelay.tax_injection import InjectionProblem
-from taxdelay.tax_terminal import TerminalProblem, h_terminal, optimize_terminal, phi_value
 from test_cli import solved_draws
 
 
@@ -112,19 +110,19 @@ class TestFindRoot:
         """The optimality root coincides with the argmax of the objective
         on a 1e-4-spaced local grid, to within 1e-3."""
         p = TerminalProblem(scale=scale05, ell=0.1, s_terminal=-5.0, x0=0.25)
-        rep = optimize_terminal(p)
+        rep = optimize(p)
         assert not rep.boundary_case
         bstar = rep.threshold
         grid = np.arange(max(0.0, bstar - 0.05), bstar + 0.05, 1e-4)
-        vals = [phi_value(p, 0.25, float(b)) for b in grid]
+        vals = [phi(p, 0.25, float(b)) for b in grid]
         best = float(grid[int(np.argmax(vals))])
         assert abs(bstar - best) < 1e-3
 
     def test_residual_small_at_returned_root(self, scale05):
         p = TerminalProblem(scale=scale05, ell=0.1, s_terminal=-5.0, x0=1.0)
-        rep = optimize_terminal(p)
-        h0 = h_terminal(p, 0.0)
-        assert abs(h_terminal(p, rep.threshold)) < 1e-8 * max(1.0, abs(h0))
+        rep = optimize(p)
+        h0 = h(p, 0.0)
+        assert abs(h(p, rep.threshold)) < 1e-8 * max(1.0, abs(h0))
 
 
 # ---------------------------------------------------------------------------

@@ -11,9 +11,12 @@ import pytest
 
 import taxdelay.simulate as simulate
 from mc_oracle import injected_corridor, taxed_corridor
+from paper_functionals import (expected_discounted_deficit, f_a, g_a, r_a,
+                               ruin_time_laplace_taxed)
 from quad_oracle import expected_discounted_penalty
 from taxdelay.errors import EventCapExceeded, InvalidConfig, InvalidParameter
 from taxdelay.model import new_model
+from taxdelay.problem import InjectionProblem, TerminalProblem, exit_ratio, phi
 from taxdelay.scale import ScaleSet
 from taxdelay.simulate import (
     SimConfig,
@@ -21,20 +24,6 @@ from taxdelay.simulate import (
     inspect_terminal_paths,
     simulate_injection,
     simulate_terminal,
-)
-from taxdelay.tax_injection import (
-    InjectionProblem,
-    f_a,
-    g_a,
-    phi_bar_value,
-    r_a,
-)
-from taxdelay.tax_terminal import (
-    TerminalProblem,
-    expected_discounted_deficit,
-    phi_value,
-    ruin_time_laplace_taxed,
-    two_sided_exit_taxed,
 )
 
 
@@ -148,7 +137,7 @@ class TestTerminalEngine:
     def test_taxed_objective(self, scale05):
         p = TerminalProblem(scale05, 0.1, -5.0, 1.0)
         r = simulate_terminal(p, 2.0, SimConfig(50_000, 400.0, 777))
-        target = phi_value(p, 1.0, 2.0)
+        target = phi(p, 1.0, 2.0)
         assert abs(r.mean - target) < 3.0 * r.stderr
 
     def test_ruin_fraction_near_zero_discount(self):
@@ -203,7 +192,7 @@ class TestInjectionEngine:
     def test_taxed_objective(self, scale05):
         p = InjectionProblem(scale05, 0.2, 1.5, 1.0)
         r = simulate_injection(p, 2.0, SimConfig(50_000, 400.0, 31337))
-        target = phi_bar_value(p, 1.0, 2.0)
+        target = phi(p, 1.0, 2.0)
         assert abs(r.mean - target) < 3.0 * r.stderr
 
     def test_one_path_sets_no_bias_flag(self, scale05):
@@ -218,7 +207,7 @@ class TestInjectionEngine:
         """ell = 0: the estimate is minus the discounted injection costs."""
         p = InjectionProblem(scale05, 0.0, 1.5, 1.0)
         r = simulate_injection(p, 2.0, SimConfig(50_000, 400.0, 999))
-        target = phi_bar_value(p, 1.0, 2.0)
+        target = phi(p, 1.0, 2.0)
         assert abs(r.mean - target) < 3.0 * r.stderr
 
     def test_event_cap_raises(self, scale05, monkeypatch):
@@ -242,7 +231,7 @@ class TestScalarOracleAgreement:
         p = TerminalProblem(scale05, 0.1, 0.0, 1.0)
         stats = taxed_corridor(base_model, 0.05, 0.1, 1.0, 2.0,
                                n_paths=40_000, seed=4242)
-        stats.reach.assert_close(two_sided_exit_taxed(p, 1.0, 2.0))
+        stats.reach.assert_close(exit_ratio(p, 1.0, 2.0))
         stats.ruin.assert_close(ruin_time_laplace_taxed(p, 1.0, 2.0))
         stats.ruin_record.assert_close(
             expected_discounted_penalty(p, 1.0, 2.0, lambda z: z))
@@ -555,7 +544,7 @@ class TestStopClock:
         engine, _, p = _base_engine(ScaleSet(base_model, 0.5), mode)
         cfg = SimConfig(200_000, 100.0, 5150)
         result = engine(p, 2.0, cfg)
-        target = (phi_value if mode == "terminal" else phi_bar_value)(p, 1.0, 2.0)
+        target = phi(p, 1.0, 2.0)
         assert result.killed > cfg.n_paths // 10
         assert abs(result.mean - target) < 3.0 * result.stderr
 

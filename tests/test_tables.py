@@ -4,9 +4,10 @@ from __future__ import annotations
 
 import pytest
 
+from paper_functionals import upsilon
 from taxdelay.errors import InvalidParameter
 from taxdelay.model import new_model
-from taxdelay.problem import h, optimize
+from taxdelay.problem import InjectionProblem, TerminalProblem, h, optimize
 from taxdelay.scale import ScaleSet
 from taxdelay.tables import (
     BASE_MODEL,
@@ -21,8 +22,6 @@ from taxdelay.tables import (
     table_definition,
     table_rows,
 )
-from taxdelay.tax_injection import InjectionProblem, optimize_injection, upsilon_bar
-from taxdelay.tax_terminal import TerminalProblem, h_terminal, optimize_terminal, upsilon
 
 
 # ---------------------------------------------------------------------------
@@ -67,8 +66,8 @@ class TestAffineExtraction:
         intercept, slope, _, _ = existence_affine(InjectionProblem, scale05, 0.2)
         for vp in (1.1, 2.0, 3.5):
             p = InjectionProblem(scale05, 0.2, vp, 1.0)
-            assert upsilon_bar(p, 0.0) == pytest.approx(intercept + slope * vp,
-                                                        rel=1e-9)
+            assert upsilon(p, 0.0) == pytest.approx(intercept + slope * vp,
+                                                    rel=1e-9)
 
     def test_injection_rhs_closed_form(self, scale05):
         """Vbar(0) = c/q = 24 and the varphi coefficient collapses to -c/q
@@ -133,8 +132,8 @@ class TestTableRows:
         """Either side of the table-1 boundary for ell = 0.1 the optimizer
         flips between an interior and a boundary threshold."""
         thr = table_rows(1)[0].threshold
-        below = optimize_terminal(TerminalProblem(scale05, 0.1, thr - 0.5, 1.0))
-        above = optimize_terminal(TerminalProblem(scale05, 0.1, thr + 0.5, 1.0))
+        below = optimize(TerminalProblem(scale05, 0.1, thr - 0.5, 1.0))
+        above = optimize(TerminalProblem(scale05, 0.1, thr + 0.5, 1.0))
         assert not below.boundary_case and below.threshold > 0.0
         assert above.boundary_case and above.threshold == 0.0
 
@@ -142,8 +141,8 @@ class TestTableRows:
         """Either side of the table-3 boundary for ell = 0.1 the optimizer
         flips between an interior and a boundary threshold."""
         thr = table_rows(3)[0].threshold
-        cheap = optimize_injection(InjectionProblem(scale05, 0.1, thr - 0.1, 1.0))
-        costly = optimize_injection(InjectionProblem(scale05, 0.1, thr + 0.1, 1.0))
+        cheap = optimize(InjectionProblem(scale05, 0.1, thr - 0.1, 1.0))
+        costly = optimize(InjectionProblem(scale05, 0.1, thr + 0.1, 1.0))
         assert cheap.boundary_case and cheap.threshold == 0.0
         assert not costly.boundary_case and costly.threshold > 0.0
 
@@ -263,7 +262,7 @@ class TestExistenceGrid:
         cells = existence_grid(BASE_MODEL, 0.1, -6.0, 1.0, 3, 0.05, 0.10, 2)
         for cell in (c for c in cells if c["q"] == 0.05):
             p = TerminalProblem(scale05, 0.1, cell["S"], 1.0)
-            assert cell["h_at_zero"] == pytest.approx(h_terminal(p, 0.0), rel=1e-9)
+            assert cell["h_at_zero"] == pytest.approx(h(p, 0.0), rel=1e-9)
             assert cell["positive_threshold"] == (cell["h_at_zero"] > 0.0)
 
     def test_very_negative_ruin_value_forces_existence(self):

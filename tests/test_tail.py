@@ -23,15 +23,13 @@ import mpmath as mp
 import pytest
 from scipy.special import betaincc, betaln, hyp2f1
 
+from paper_functionals import g_a, injection_tail, r_a, ruin_time_laplace_taxed, tax_tail
 from taxdelay.cli import main
 
 from taxdelay.errors import InvalidParameter, ToleranceNotMet
 from taxdelay.model import new_model
-from taxdelay.problem import exit_tail, psi
+from taxdelay.problem import InjectionProblem, TerminalProblem, exit_tail, h, optimize, psi
 from taxdelay.scale import ScaleSet, _gauss_cf
-from taxdelay.tax_injection import InjectionProblem, g_a, injection_tail, r_a, tax_tail
-from taxdelay.tax_terminal import (TerminalProblem, h_terminal, optimize_terminal,
-                                   ruin_time_laplace_taxed)
 
 DIGITS = 32
 REL_TOL = 1e-10
@@ -264,14 +262,14 @@ class TestGaussContinuedFraction:
 ])
 def test_former_quadrature_failures_solve(c, lam, mu, q, ell, s_terminal):
     p = TerminalProblem(ScaleSet(new_model(c, lam, mu), q), ell, s_terminal, 1.0)
-    report = optimize_terminal(p)
+    report = optimize(p)
     b = report.threshold
     assert math.isfinite(b) and b >= 0.0
     if report.boundary_case:
-        assert h_terminal(p, 0.0) <= 0.0
+        assert h(p, 0.0) <= 0.0
     else:
         delta = 1e-4 * max(1.0, b)
-        assert h_terminal(p, max(b - delta, 0.0)) > 0.0 > h_terminal(p, b + delta)
+        assert h(p, max(b - delta, 0.0)) > 0.0 > h(p, b + delta)
 
 
 # ---------------------------------------------------------------------------
@@ -421,7 +419,7 @@ def _fused_matches_oracle(p, x: float) -> None:
     the oracle's error type and message."""
     F, e = p.family, p.exponent
     where = f"{type(p).__name__} ell={p.ell!r} x={x!r}"
-    assert _outcome(h_terminal, p, x) == _outcome(oracle_h, p, x), where
+    assert _outcome(h, p, x) == _outcome(oracle_h, p, x), where
     psi_want = _outcome(lambda: p.ell * e * oracle_tail(F, e, x, False)
                         + p.weight * (e * oracle_tail(F, e, x, True)))
     assert _outcome(psi, p, x) == psi_want, where
@@ -468,6 +466,6 @@ class TestFusedEvaluation:
     def test_failures_match_oracle(self, c, lam, mu, q, ell, problem, param, message):
         p = problem(ScaleSet(new_model(c, lam, mu), q), ell, param, 1.0)
         with pytest.raises(ToleranceNotMet) as failure:
-            h_terminal(p, 0.0)
+            h(p, 0.0)
         assert str(failure.value).startswith(message)
         _fused_matches_oracle(p, 0.0)

@@ -10,21 +10,11 @@ import pytest
 from quad_oracle import expected_discounted_penalty
 from scipy.integrate import quad
 
+from paper_functionals import expected_discounted_deficit, ruin_time_laplace_taxed, upsilon
 from taxdelay.errors import DomainError, InvalidParameter
 from taxdelay.model import new_model
+from taxdelay.problem import TerminalProblem, exit_ratio, h, optimize, phi, phi_partial, psi
 from taxdelay.scale import ScaleSet
-from taxdelay.tax_terminal import (
-    TerminalProblem,
-    expected_discounted_deficit,
-    h_terminal,
-    optimize_terminal,
-    phi_partial_b,
-    phi_value,
-    psi,
-    ruin_time_laplace_taxed,
-    two_sided_exit_taxed,
-    upsilon,
-)
 
 
 @pytest.fixture(scope="module")
@@ -82,23 +72,21 @@ class TestExitFactor:
         e = taxed.exponent
         for (x, b) in ((0.5, 2.0), (1.0, 4.0), (3.0, 3.0)):
             naive = (scale05.W(x) / scale05.W(b)) ** e
-            assert two_sided_exit_taxed(taxed, x, b) == pytest.approx(naive,
-                                                                      rel=1e-12)
+            assert exit_ratio(taxed, x, b) == pytest.approx(naive, rel=1e-12)
 
     def test_one_at_the_barrier(self, taxed):
-        assert two_sided_exit_taxed(taxed, 2.0, 2.0) == pytest.approx(1.0,
-                                                                      rel=1e-15)
+        assert exit_ratio(taxed, 2.0, 2.0) == pytest.approx(1.0, rel=1e-15)
 
     def test_increasing_in_start_level(self, taxed):
-        vals = [two_sided_exit_taxed(taxed, x, 5.0)
+        vals = [exit_ratio(taxed, x, 5.0)
                 for x in np.linspace(0.1, 5.0, 40)]
         assert all(a < b for a, b in zip(vals, vals[1:]))
 
     def test_domain_errors(self, taxed):
         with pytest.raises(DomainError):
-            two_sided_exit_taxed(taxed, 0.0, 1.0)
+            exit_ratio(taxed, 0.0, 1.0)
         with pytest.raises(DomainError):
-            two_sided_exit_taxed(taxed, 2.0, 1.0)
+            exit_ratio(taxed, 2.0, 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -211,17 +199,17 @@ class TestHTerminal:
         for b in (0.0, 0.5, 2.0, 6.0):
             naive = upsilon(taxed, b) - scale05.W.over_slope(b) * (
                 1.0 - taxed.s_terminal * 0.05 * scale05.W(b))
-            assert h_terminal(taxed, b) == pytest.approx(naive, rel=1e-9)
+            assert h(taxed, b) == pytest.approx(naive, rel=1e-9)
 
     def test_far_limit(self, taxed, scale05):
         far = 40.0 / scale05.theta1
         limit = (taxed.ell - 1.0) / scale05.theta1
-        assert h_terminal(taxed, far) == pytest.approx(limit, abs=1e-10)
+        assert h(taxed, far) == pytest.approx(limit, abs=1e-10)
 
     def test_single_crossing_moderate_discount(self, taxed):
         """h changes sign exactly once on a fine grid (q = 0.05)."""
         grid = np.arange(0.0, 40.0, 0.01)
-        signs = np.sign([h_terminal(taxed, float(b)) for b in grid])
+        signs = np.sign([h(taxed, float(b)) for b in grid])
         flips = np.nonzero(np.diff(signs))[0]
         assert len(flips) == 1
         assert signs[0] > 0 and signs[-1] < 0
@@ -234,7 +222,7 @@ class TestHTerminal:
             np.arange(0.0, 30.0, 0.01),
             np.arange(30.0, 60.0 / scale002.theta1, 2.0),
         ])
-        signs = np.sign([h_terminal(p, float(b)) for b in grid])
+        signs = np.sign([h(p, float(b)) for b in grid])
         flips = np.nonzero(np.diff(signs))[0]
         assert len(flips) == 1
         assert signs[0] > 0 and signs[-1] < 0
@@ -249,34 +237,32 @@ class TestPhiValue:
     def test_at_threshold_equals_psi(self, taxed):
         """phi(b; b) collapses to psi(b): taxation starts immediately."""
         for b in (0.5, 1.5, 4.0):
-            assert phi_value(taxed, b, b) == pytest.approx(psi(taxed, b),
-                                                           rel=1e-10)
+            assert phi(taxed, b, b) == pytest.approx(psi(taxed, b), rel=1e-10)
 
     def test_threshold_lift_below_start(self, taxed):
-        assert phi_value(taxed, 2.0, 1.0) == phi_value(taxed, 2.0, 2.0)
+        assert phi(taxed, 2.0, 1.0) == phi(taxed, 2.0, 2.0)
 
     def test_untaxed_objective_ignores_threshold(self, untaxed, scale05):
         expected = scale05.Z(1.0) - (0.05 / scale05.theta1) * scale05.W(1.0)
         for b in (1.0, 2.0, 7.0):
-            assert phi_value(untaxed, 1.0, b) == pytest.approx(expected,
-                                                               rel=1e-9)
+            assert phi(untaxed, 1.0, b) == pytest.approx(expected, rel=1e-9)
 
     def test_partial_matches_finite_difference(self, taxed):
         for (x, b) in ((0.5, 1.5), (1.0, 4.0)):
             step = 3e-4
-            fd = (phi_value(taxed, x, b + step)
-                  - phi_value(taxed, x, b - step)) / (2.0 * step)
-            assert phi_partial_b(taxed, x, b) == pytest.approx(fd, rel=1e-6)
+            fd = (phi(taxed, x, b + step)
+                  - phi(taxed, x, b - step)) / (2.0 * step)
+            assert phi_partial(taxed, x, b) == pytest.approx(fd, rel=1e-6)
 
     def test_partial_sign_follows_h(self, taxed):
-        rep = optimize_terminal(taxed)
+        rep = optimize(taxed)
         bstar = rep.threshold
-        assert phi_partial_b(taxed, 0.2, 0.5 * bstar) > 0.0
-        assert phi_partial_b(taxed, 0.2, 2.0 * bstar) < 0.0
+        assert phi_partial(taxed, 0.2, 0.5 * bstar) > 0.0
+        assert phi_partial(taxed, 0.2, 2.0 * bstar) < 0.0
 
     def test_partial_domain(self, taxed):
         with pytest.raises(DomainError):
-            phi_partial_b(taxed, 2.0, 1.0)
+            phi_partial(taxed, 2.0, 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -287,12 +273,12 @@ class TestPhiValue:
 class TestOptimizeTerminal:
     def test_interior_optimum(self, scale05):
         p = TerminalProblem(scale05, 0.1, -5.0, 0.25)
-        rep = optimize_terminal(p)
+        rep = optimize(p)
         assert not rep.boundary_case
         assert rep.root_diag is not None
         assert rep.threshold == rep.root_diag.root
-        assert abs(h_terminal(p, rep.threshold)) < 1e-7
-        assert rep.value == pytest.approx(phi_value(p, 0.25, rep.threshold),
+        assert abs(h(p, rep.threshold)) < 1e-7
+        assert rep.value == pytest.approx(phi(p, 0.25, rep.threshold),
                                           rel=1e-8)
 
     def test_interior_threshold_anchor(self, scale05):
@@ -300,16 +286,16 @@ class TestOptimizeTerminal:
         against an independent bisection on h in tests below and the grid
         argmax in the acceptance suite."""
         p = TerminalProblem(scale05, 0.1, -5.0, 0.25)
-        rep = optimize_terminal(p)
+        rep = optimize(p)
         assert rep.threshold == pytest.approx(0.5228511909, abs=1e-6)
 
     def test_matches_independent_bisection(self, scale05):
         p = TerminalProblem(scale05, 0.1, -5.0, 0.25)
-        rep = optimize_terminal(p)
+        rep = optimize(p)
         lo, hi = 0.0, 5.0
         for _ in range(60):
             mid = 0.5 * (lo + hi)
-            if h_terminal(p, mid) > 0.0:
+            if h(p, mid) > 0.0:
                 lo = mid
             else:
                 hi = mid
@@ -320,15 +306,15 @@ class TestOptimizeTerminal:
         """A large enough ruin reward makes immediate taxation optimal:
         h(0) < 0 and the report flags the boundary."""
         p = TerminalProblem(scale05, 0.3, 3.0, 1.0)
-        assert h_terminal(p, 0.0) < 0.0
-        rep = optimize_terminal(p)
+        assert h(p, 0.0) < 0.0
+        rep = optimize(p)
         assert rep.boundary_case
         assert rep.threshold == 0.0
         assert rep.root_diag is None
 
     def test_optimum_beats_neighbours(self, scale05):
         p = TerminalProblem(scale05, 0.1, -5.0, 0.25)
-        rep = optimize_terminal(p)
-        best = phi_value(p, 0.25, rep.threshold)
+        rep = optimize(p)
+        best = phi(p, 0.25, rep.threshold)
         for b in (0.3, 0.45, 0.6, 0.9, 1.5):
-            assert best >= phi_value(p, 0.25, b) - 1e-12
+            assert best >= phi(p, 0.25, b) - 1e-12
