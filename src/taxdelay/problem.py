@@ -20,8 +20,8 @@ The same integrals over a finite range [x, b] are the tails from x less
 (F(x)/F(b))^e times the tails from b (``exit_integral``).  h has a single
 sign change from + to -; the optimal threshold is its root when h(0) > 0
 and 0 otherwise.  Each problem is a dataclass that supplies its family's
-data; F/F' (``over_slope``), K (``kernel``), log(F(x)/F(y)) and the
-tails are methods of the family, a ``scale.ScaleFamily``:
+data; F/F' (``over_slope``), K (``kernel``) and log(F(x)/F(y)) are
+methods of the family, a ``scale.ScaleFamily``:
 
     piece              TerminalProblem       InjectionProblem
     family F           W (ScaleSet.W)        Z (ScaleSet.Z)

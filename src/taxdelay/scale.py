@@ -24,12 +24,11 @@ W and Z are each one ``ScaleFamily``, ``ScaleSet.W`` and ``ScaleSet.Z``:
 the two exponentials' coefficients, those of the slope, the kernel
 constant and the value below zero (W = 0 and Z = 1 for x < 0).  A family
 is called for F(x) and has one ``slope`` (F'), ``integral`` (for Z,
-Zbar + d/q), ``log``, ``log_ratio``, ``over_slope`` (F/F'), ``kernel``
-and ``tail``.  Every tail integral of the two problems is an
-Euler integral with a closed form in the Gauss hypergeometric function;
-``ScaleFamily.tail`` evaluates it.
+Zbar + d/q), ``log``, ``log_ratio``, ``over_slope`` (F/F') and ``kernel``.
+Every tail integral of the two problems is an Euler integral with a
+closed form in the Gauss hypergeometric function; ``Tails`` evaluates it.
 
-``Tails`` takes both tails at one level in one pass (``tail`` uses it); its
+``Tails`` takes both tails at one level in one pass; its
 u = e^{-(theta1-theta2) x} and rho = (f2/f1) u give F/F' and K there (the
 ``_at`` methods), so ``problem.h`` is one pass per level, bit for bit.
 """
@@ -169,34 +168,28 @@ class ScaleFamily:
         """K(x) from rho = (f2/f1) e^{-(theta1-theta2) x}, as ``kernel``."""
         return self.const * math.exp((self.theta1 + self.theta2) * x - self.log_at(x, rho))
 
-    def tail(self, e: float, x: float, kernel: bool = False) -> float:
-        """int_x^inf (F(x)/F(y))^e g(y) dy in closed form, for x >= 0.
-
-        g = 1, or with kernel=True the grouped kernel K.  Write
-        F(y) = f1 e^{theta1 y}(1 - rho0 e^{-delta y}), delta = theta1 - theta2,
-        rho = rho0 e^{-delta x} and k = 1 with the kernel, else 0.  Euler's
-        integral (DLMF 15.6.1) gives, with g = (e theta1 - k theta2)/delta,
-
-            (const e^{theta2 x}/f1)^k (1-rho)^e 2F1(e+k, g; g+1; rho) / (delta g),
-
-        evaluated after Euler's transformation (DLMF 15.8.1) as
-        (1-rho)^{1-k} 2F1(g+1-e-k, 1; g+1; rho), so no factor under- or
-        overflows at large e.  For Z, rho0 = z2/z1 < 0; below rho = -1/2,
-        where hyp2f1 loses up to 1e-5 for g near e, the integral is taken
-        as the incomplete beta function (1-rho)^e |rho|^{-g} B_T(g, e+k-g),
-        T = rho/(rho-1) (DLMF 8.17.1).  Where hyp2f1 returns no finite
-        value (from e near 1e5 on), 2F1 is Gauss's continued fraction
-        (``_gauss_cf``).  Raises ToleranceNotMet if the result is not a
-        finite double.
-        """
-        if x < 0.0:
-            raise InvalidParameter(f"tail needs x >= 0, got {x!r}")
-        return Tails(self, e)(x, (bool(kernel),))[0][0]
-
 
 class Tails:
-    """Both tails of ``ScaleFamily.tail`` (g = 1, then g = K) at exponent e,
-    their constants bound once; at one level they share u, rho and the branch."""
+    """The tails int_x^inf (F(x)/F(y))^e g(y) dy of one family in closed
+    form, g = 1 and g = K, at exponent e with their constants bound once;
+    at one level x they share u, rho and the branch.
+
+    Write F(y) = f1 e^{theta1 y}(1 - rho0 e^{-delta y}), delta = theta1 - theta2,
+    rho = rho0 e^{-delta x} and k = 1 with the kernel, else 0.  Euler's
+    integral (DLMF 15.6.1) gives, with g = (e theta1 - k theta2)/delta,
+
+        (const e^{theta2 x}/f1)^k (1-rho)^e 2F1(e+k, g; g+1; rho) / (delta g),
+
+    evaluated after Euler's transformation (DLMF 15.8.1) as
+    (1-rho)^{1-k} 2F1(g+1-e-k, 1; g+1; rho), so no factor under- or
+    overflows at large e.  For Z, rho0 = z2/z1 < 0; below rho = -1/2,
+    where hyp2f1 loses up to 1e-5 for g near e, the integral is taken
+    as the incomplete beta function (1-rho)^e |rho|^{-g} B_T(g, e+k-g),
+    T = rho/(rho-1) (DLMF 8.17.1).  Where hyp2f1 returns no finite
+    value (from e near 1e5 on), 2F1 is Gauss's continued fraction
+    (``_gauss_cf``).  A tail that is not a finite double raises
+    ToleranceNotMet.  The caller checks x >= 0.
+    """
 
     __slots__ = ("family", "e", "delta", "ratio", "g", "a")
 

@@ -56,7 +56,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 import numpy as np
 
 from .errors import EventCapExceeded, InvalidConfig, InvalidParameter
-from .problem import InjectionProblem, TerminalProblem
+from .problem import DelayedTaxation, InjectionProblem, TerminalProblem
 
 # Hard cap on per-path event count; a legitimate run ends long before this.
 EVENT_CAP = 10_000_000
@@ -121,7 +121,7 @@ def _require_level(name: str, value: float) -> float:
 
 
 class _Capture:
-    """Optional per-iteration state recorder used by the inspectors.
+    """Optional per-iteration state recorder used by ``inspect_paths``.
 
     The loop passes the frame builder uncalled, so a capture that reads
     only the loop's own arrays builds no frame."""
@@ -352,9 +352,10 @@ class PathStep:
     truncated: bool
 
 
-def _inspect(engine: Callable, problem, threshold: float,
-             cfg: SimConfig) -> List[List[PathStep]]:
-    """Run ``engine`` with a capture and split its frames into per-path steps.
+def inspect_paths(engine: Callable, problem: DelayedTaxation, threshold: float,
+                  cfg: SimConfig) -> List[List[PathStep]]:
+    """Run ``engine`` (``simulate_terminal`` or ``simulate_injection``) with
+    a capture and return every path's step log.
 
     Each frame array is named after the ``PathStep`` field it fills, so the
     dataclass's own field list is the table that drives the copy.
@@ -370,18 +371,6 @@ def _inspect(engine: Callable, problem, threshold: float,
     return paths
 
 
-def inspect_terminal_paths(p: TerminalProblem, b: float,
-                           cfg: SimConfig) -> List[List[PathStep]]:
-    """Run the terminal engine and return every path's step log."""
-    return _inspect(simulate_terminal, p, b, cfg)
-
-
-def inspect_injection_paths(p: InjectionProblem, a: float,
-                            cfg: SimConfig) -> List[List[PathStep]]:
-    """Run the injection engine and return every path's step log."""
-    return _inspect(simulate_injection, p, a, cfg)
-
-
 __all__ = [
     "EVENT_CAP",
     "SimConfig",
@@ -389,6 +378,5 @@ __all__ = [
     "simulate_terminal",
     "simulate_injection",
     "PathStep",
-    "inspect_terminal_paths",
-    "inspect_injection_paths",
+    "inspect_paths",
 ]

@@ -116,10 +116,10 @@ def existence_threshold(intercept: float, slope: float,
     return (rhs_intercept - intercept) / denom
 
 
-def table_rows(table_id: int, model: LevyModel = BASE_MODEL) -> List[TableRow]:
-    """Compute all rows of one built-in table on the given model."""
+def table_rows(table_id: int) -> List[TableRow]:
+    """Compute all rows of one built-in table on ``BASE_MODEL``."""
     definition = table_definition(table_id)
-    scale = ScaleSet(model, definition.q)
+    scale = ScaleSet(BASE_MODEL, definition.q)
     rows: List[TableRow] = []
     for ell in TABLE_ELLS:
         coeffs = existence_affine(definition.problem, scale, ell)

@@ -128,7 +128,7 @@ def tax_tail(p: InjectionProblem, x: float) -> float:
     """Tail limit of g_a as a -> infinity (tax collected until forever):
 
     (ell/(1-ell)) * int_x^inf (Z(x)/Z(w))^{1/(1-ell)} dw, in closed form
-    (``ScaleFamily.tail``).
+    (``scale.Tails``).
     """
     return p.ell * exit_tail(p, x)
 
@@ -137,6 +137,6 @@ def injection_tail(p: InjectionProblem, x: float) -> float:
     """Tail limit of r_a as a -> infinity (injections paid forever):
 
     (1/(1-ell)) * int_x^inf kernel(w) (Z(x)/Z(w))^{1/(1-ell)} dw with the
-    grouped injection kernel, in closed form (``ScaleFamily.tail``).
+    grouped injection kernel, in closed form (``scale.Tails``).
     """
     return exit_tail(p, x, kernel=True)

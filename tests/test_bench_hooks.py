@@ -100,6 +100,20 @@ def test_reexport_modules_define_nothing(name):
         assert getattr(module, attr).__module__ == "taxdelay.problem", attr
 
 
+def test_library_modules_export_only_their_own_definitions():
+    """Outside the two re-export modules, and at the package root, every
+    function or class a module lists in ``__all__`` is defined there."""
+    names = ["taxdelay"] + sorted(f"taxdelay.{path.stem}" for path in SRC.glob("*.py")
+                                  if path.stem not in ("__init__",) + REEXPORTS)
+    assert "taxdelay.problem" in names
+    for module_name in names:
+        module = importlib.import_module(module_name)
+        for attr in getattr(module, "__all__", ()):
+            value = getattr(module, attr)
+            if inspect.isfunction(value) or inspect.isclass(value):
+                assert value.__module__ == module_name, f"{module_name}.{attr}"
+
+
 def test_tracer_sees_root_search_and_residual(capsys):
     originals = (cli.main, cli.h_terminal, cli.h_bar, numerics.quad, numerics.brentq)
     tracer = _load_tracing().Tracer()

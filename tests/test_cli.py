@@ -965,6 +965,17 @@ class TestSharedCells:
 
 
 class TestImport:
+    def test_package_root_imports_and_exports_nothing(self):
+        """Each name has one route, the module that defines it: importing
+        the package loads no submodule and binds no public name."""
+        src = str(Path(taxdelay.__file__).resolve().parents[1])
+        code = (f"import sys; sys.path.insert(0, {src!r}); import taxdelay; "
+                "print(sorted(m for m in sys.modules if m.startswith('taxdelay.'))); "
+                "print(sorted(n for n in vars(taxdelay) if not n.startswith('__')))")
+        done = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                              text=True, check=True, timeout=120)
+        assert done.stdout.splitlines() == ["[]", "[]"]
+
     def test_cli_import_leaves_quadrature_unloaded(self):
         """Only quadrature needs scipy.integrate, and no subcommand but
         ``validate`` integrates; importing the CLI must not load it."""

@@ -20,8 +20,7 @@ from taxdelay.problem import InjectionProblem, TerminalProblem, exit_ratio, phi
 from taxdelay.scale import ScaleSet
 from taxdelay.simulate import (
     SimConfig,
-    inspect_injection_paths,
-    inspect_terminal_paths,
+    inspect_paths,
     simulate_injection,
     simulate_terminal,
 )
@@ -254,13 +253,13 @@ class TestScalarOracleAgreement:
 @pytest.fixture(scope="module")
 def terminal_paths(scale05):
     p = TerminalProblem(scale05, 0.1, -5.0, 1.0)
-    return inspect_terminal_paths(p, 2.0, SimConfig(200, 30.0, 99))
+    return inspect_paths(simulate_terminal, p, 2.0, SimConfig(200, 30.0, 99))
 
 
 @pytest.fixture(scope="module")
 def injection_paths(scale05):
     p = InjectionProblem(scale05, 0.2, 1.5, 1.0)
-    return inspect_injection_paths(p, 2.0, SimConfig(200, 30.0, 99))
+    return inspect_paths(simulate_injection, p, 2.0, SimConfig(200, 30.0, 99))
 
 
 class PathStepChecks:
@@ -369,9 +368,10 @@ def test_one_process_serves_both_modes(scale05):
     ruined = 0
     for seed in range(50):
         cfg = SimConfig(1, 100.0, seed)
-        terminal = inspect_terminal_paths(TerminalProblem(scale05, 0.2, -5.0, 1.0), 2.0, cfg)[0]
-        injection = inspect_injection_paths(
-            InjectionProblem(scale05, 0.2, 1.5, 1.0), 2.0, cfg)[0]
+        terminal = inspect_paths(
+            simulate_terminal, TerminalProblem(scale05, 0.2, -5.0, 1.0), 2.0, cfg)[0]
+        injection = inspect_paths(
+            simulate_injection, InjectionProblem(scale05, 0.2, 1.5, 1.0), 2.0, cfg)[0]
         if terminal[-1].deficit > 0.0:
             ruined += 1
             assert injection[:len(terminal)] == terminal
@@ -386,11 +386,11 @@ def test_one_process_serves_both_modes(scale05):
 
 
 def _base_engine(scale, mode: str, x0: float = 1.0):
-    """The engine, its path inspector and the base problem of ``mode``:
-    terminal at ell 0.1, S -5, or injection at ell 0.2, varphi 1.5."""
+    """The engine and the base problem of ``mode``: terminal at ell 0.1,
+    S -5, or injection at ell 0.2, varphi 1.5."""
     if mode == "terminal":
-        return simulate_terminal, inspect_terminal_paths, TerminalProblem(scale, 0.1, -5.0, x0)
-    return simulate_injection, inspect_injection_paths, InjectionProblem(scale, 0.2, 1.5, x0)
+        return simulate_terminal, TerminalProblem(scale, 0.1, -5.0, x0)
+    return simulate_injection, InjectionProblem(scale, 0.2, 1.5, x0)
 
 
 class TestLivePathLoop:
@@ -398,7 +398,7 @@ class TestLivePathLoop:
         """Iteration k draws 2m uniforms for the m paths still live, in path
         order: the waiting-time uniforms first, then the claim-size ones."""
         p = TerminalProblem(scale05, 0.1, -5.0, 1.0)
-        paths = inspect_terminal_paths(p, 2.0, SimConfig(60, 30.0, 123))
+        paths = inspect_paths(simulate_terminal, p, 2.0, SimConfig(60, 30.0, 123))
         rng = np.random.Generator(np.random.Philox(key=123))
         for k in range(max(len(steps) for steps in paths)):
             live = [steps[k] for steps in paths if len(steps) > k]
@@ -415,7 +415,7 @@ class TestLivePathLoop:
         them with the engine's output array."""
         p = TerminalProblem(scale05, 0.1, -5.0, 1.0)
         cfg = SimConfig(400, 30.0, 7)
-        paths = inspect_terminal_paths(p, 2.0, cfg)
+        paths = inspect_paths(simulate_terminal, p, 2.0, cfg)
         payoffs = [sum(st.tax_paid for st in steps)
                    + (-5.0 * math.exp(-0.05 * steps[-1].t_end)
                       if steps[-1].deficit > 0.0 else 0.0) for steps in paths]
@@ -440,7 +440,7 @@ class TestLivePathLoop:
         discounted injection costs, rebuilt from its step log."""
         p = InjectionProblem(scale05, 0.2, 1.5, 1.0)
         cfg = SimConfig(400, 30.0, 7)
-        paths = inspect_injection_paths(p, 2.0, cfg)
+        paths = inspect_paths(simulate_injection, p, 2.0, cfg)
         payoffs = [sum(st.tax_paid - 1.5 * st.deficit * math.exp(-0.05 * st.t_end)
                        for st in steps) for steps in paths]
         assert sum(st.deficit > 0.0 for steps in paths for st in steps) > 0
@@ -463,10 +463,10 @@ class TestLivePathLoop:
         """At horizon 30 the stop clock cannot act (t_w = horizon); at 100
         it ends paths before the horizon, and the loop reaches its flat
         phase: an iteration whose every live path starts at or past t_w."""
-        engine, inspect, p = _base_engine(scale05, mode)
+        engine, p = _base_engine(scale05, mode)
         cfg = SimConfig(200, horizon, 99)
         t_w = min(math.log(1.0 / simulate.W_MIN) / 0.05, horizon)
-        paths, result = inspect(p, 2.0, cfg), engine(p, 2.0, cfg)
+        paths, result = inspect_paths(engine, p, 2.0, cfg), engine(p, 2.0, cfg)
         assert result.events == sum(len(steps) for steps in paths)
         assert result.iterations == max(len(steps) for steps in paths)
         assert result.killed == sum(
@@ -481,7 +481,7 @@ class TestLivePathLoop:
     @pytest.mark.parametrize("horizon", [30.0, 100.0, 400.0])
     @pytest.mark.parametrize("mode", ["terminal", "injection"])
     def test_capture_changes_no_result(self, scale05, mode, horizon):
-        engine, _, p = _base_engine(scale05, mode)
+        engine, p = _base_engine(scale05, mode)
         cfg = SimConfig(200, horizon, 41)
         capture = simulate._Capture()
         plain, captured = (
@@ -519,9 +519,9 @@ class TestStopClock:
         ruin or injections only at claims before it."""
         cfg = SimConfig(200, 100.0, 99)
         t_w, stops = _stops(cfg, 0.05)
-        _, inspect, p = _base_engine(scale05, mode)
+        engine, p = _base_engine(scale05, mode)
         ell = p.ell
-        paths = inspect(p, 2.0, cfg)
+        paths = inspect_paths(engine, p, 2.0, cfg)
         past = 0
         for steps, stop in zip(paths, stops):
             for st in steps:
@@ -541,7 +541,7 @@ class TestStopClock:
         """At q = 0.5, t_w = 4.6: most of each payoff's weight comes from
         the flat discount and the stop clock, and both engines still agree
         with the closed forms within 3 sigma."""
-        engine, _, p = _base_engine(ScaleSet(base_model, 0.5), mode)
+        engine, p = _base_engine(ScaleSet(base_model, 0.5), mode)
         cfg = SimConfig(200_000, 100.0, 5150)
         result = engine(p, 2.0, cfg)
         target = phi(p, 1.0, 2.0)
@@ -635,7 +635,7 @@ class TestFlatPhase:
         was in, carries the general form's tax to the bit and its shortfalls.
         The paths start on the barrier, and at mu = 20 small claims keep
         them near it, so the last paths to pass t_w are still being taxed."""
-        engine, _, p = _base_engine(ScaleSet(new_model(1.2, 1.0, mu), q), mode, x0=3.0)
+        engine, p = _base_engine(ScaleSet(new_model(1.2, 1.0, mu), q), mode, x0=3.0)
         cfg = SimConfig(400, 100.0, 7)
         t_w = min(math.log(1.0 / simulate.W_MIN) / q, cfg.horizon)
         capture = simulate._Capture()

@@ -1,4 +1,4 @@
-"""Tests for the closed-form tail integrals ``ScaleFamily.tail`` and the
+"""Tests for the closed-form tail integrals ``scale.Tails`` and the
 finite-range exit functionals built from them.
 
 The library evaluates every infinite-range tail through one Gauss
@@ -26,10 +26,10 @@ from scipy.special import betaincc, betaln, hyp2f1
 from paper_functionals import g_a, injection_tail, r_a, ruin_time_laplace_taxed, tax_tail
 from taxdelay.cli import main
 
-from taxdelay.errors import InvalidParameter, ToleranceNotMet
+from taxdelay.errors import DomainError, ToleranceNotMet
 from taxdelay.model import new_model
 from taxdelay.problem import InjectionProblem, TerminalProblem, exit_tail, h, optimize, psi
-from taxdelay.scale import ScaleSet, _gauss_cf
+from taxdelay.scale import ScaleSet, Tails, _gauss_cf
 
 DIGITS = 32
 REL_TOL = 1e-10
@@ -129,7 +129,7 @@ class TestAgainstMpmath:
             want = mp_hyp2f1_tail(s, family, e, x, kernel)
             if want < 1e-280:  # below the double range; nothing to compare
                 continue
-            got = getattr(s, family.upper()).tail(e, x, kernel=kernel)
+            got = Tails(getattr(s, family.upper()), e)(x, (kernel,))[0][0]
             assert type(got) is float
             worst = max(worst, float(abs(got / want - 1)))
         assert worst <= REL_TOL
@@ -144,22 +144,27 @@ class TestAgainstMpmath:
             e = 1.0 / (1.0 - ell)
             want = mp_quad_tail(s, family, e, x, kernel)
             assert float(abs(mp_hyp2f1_tail(s, family, e, x, kernel) / want - 1)) <= 1e-15
-            assert getattr(s, family.upper()).tail(e, x, kernel=kernel) == pytest.approx(
+            assert Tails(getattr(s, family.upper()), e)(x, (kernel,))[0][0] == pytest.approx(
                 float(want), rel=REL_TOL)
 
 
 class TestDomain:
     def test_negative_level_rejected(self, scale05):
-        with pytest.raises(InvalidParameter):
-            scale05.W.tail(1.5, -0.1)
+        for p in (TerminalProblem(scale05, 0.1, -5.0, 1.0),
+                  InjectionProblem(scale05, 0.2, 1.5, 1.0)):
+            for fn in (exit_tail, psi, h):
+                with pytest.raises(DomainError):
+                    fn(p, -0.1)
 
     def test_far_level_limit(self, scale05):
         """Far out the ratio F(x)/F(y) is e^{-theta1 (y-x)}, so the plain
         tail tends to 1/(e theta1) and the kernel tail underflows to 0."""
         e = 2.0
-        assert scale05.W.tail(e, 5e3) == pytest.approx(1.0 / (e * scale05.theta1), rel=1e-14)
-        assert scale05.Z.tail(e, 5e3) == pytest.approx(1.0 / (e * scale05.theta1), rel=1e-14)
-        assert scale05.Z.tail(e, 5e3, kernel=True) == 0.0
+        assert Tails(scale05.W, e)(5e3, (False,))[0][0] == pytest.approx(
+            1.0 / (e * scale05.theta1), rel=1e-14)
+        assert Tails(scale05.Z, e)(5e3, (False,))[0][0] == pytest.approx(
+            1.0 / (e * scale05.theta1), rel=1e-14)
+        assert Tails(scale05.Z, e)(5e3, (True,))[0][0] == 0.0
 
     def test_extreme_tax_rate_is_finite_or_documented_failure(self):
         """At ell = 0.99999 the closed form can leave double range; the
@@ -169,7 +174,7 @@ class TestDomain:
         for family in (s.W, s.Z):
             for kernel in (False, True):
                 try:
-                    value = family.tail(e, 0.0, kernel=kernel)
+                    value = Tails(family, e)(0.0, (kernel,))[0][0]
                 except ToleranceNotMet:
                     continue
                 assert math.isfinite(value) and value > 0.0
@@ -234,7 +239,7 @@ class TestGaussContinuedFraction:
         assert math.isnan(hyp2f1(g + 1.0 - e, 1.0, g + 1.0, family.f2 / family.f1))
         for family in (s.W, s.Z):
             for kernel in (False, True):
-                assert 0.0 < family.tail(e, 0.0, kernel=kernel) < math.inf
+                assert 0.0 < Tails(family, e)(0.0, (kernel,))[0][0] < math.inf
 
     def test_c3_example_solves(self, capsys):
         """ROADMAP C3: exit 3 before the continued fraction, b* = 0.763 now."""
@@ -365,7 +370,7 @@ def test_long_ranges_reach_their_tails():
 
 def oracle_tail(F, e: float, x: float, kernel: bool) -> float:
     """One tail on its own, with scalar calls of scipy: the evaluation
-    that ``ScaleFamily.tail`` made before both tails shared one pass."""
+    the library made before both tails shared one pass (``scale.Tails``)."""
     t1, t2 = F.theta1, F.theta2
     delta = t1 - t2
     k = 1.0 if kernel else 0.0
@@ -424,7 +429,8 @@ def _fused_matches_oracle(p, x: float) -> None:
                         + p.weight * (e * oracle_tail(F, e, x, True)))
     assert _outcome(psi, p, x) == psi_want, where
     for kernel in (False, True):
-        assert _outcome(F.tail, e, x, kernel) == _outcome(oracle_tail, F, e, x, kernel), where
+        assert _outcome(lambda: Tails(F, e)(x, (kernel,))[0][0]) \
+            == _outcome(oracle_tail, F, e, x, kernel), where
         assert _outcome(exit_tail, p, x, kernel) \
             == _outcome(lambda: e * oracle_tail(F, e, x, kernel)), where
 
