@@ -193,21 +193,16 @@ def parse_args(argv: Optional[Sequence[str]] = None) -> argparse.Namespace:
 
     When argv[0] names a subcommand and the rest is only ``--flag value``
     pairs its parser would take, ``_scan`` reads them from a table of that
-    parser.  argparse serves every other argv and writes all help, usage
-    and error text: the subcommand's parser parses the rest, and the
-    top-level parser takes no arguments, ``-h`` and unknown commands.
+    parser.  Every argv the scan declines, and every argv without a
+    subcommand, goes to argparse's own top-level pass, which writes all
+    help, usage and error text.
     """
     parser, commands = _parsers()
     argv = sys.argv[1:] if argv is None else list(argv)
-    if not argv or argv[0] not in commands:
-        return parser.parse_args(argv)
-    args = _scan(argv[0], argv[1:])
-    if args is None:
-        args, extras = commands[argv[0]].parse_known_args(argv[1:])
-        if extras:
-            parser.error(f"unrecognized arguments: {' '.join(extras)}")
-        args.command = argv[0]
-    return args
+    args = None
+    if argv and argv[0] in commands:
+        args = _scan(argv[0], argv[1:])
+    return parser.parse_args(argv) if args is None else args
 
 
 # ---------------------------------------------------------------------------

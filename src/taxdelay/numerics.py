@@ -4,7 +4,7 @@ Roots are bracketed by ``find_root_decreasing_sign`` and refined by
 ``brentq``, a pure-Python port of Brent's method as scipy's ``brentq.c``
 writes it (Brent 1973, ch. 4), iterate for iterate.  The port takes the
 two h values the bracket search already has and returns h at the root;
-with h(lo) from the caller, no point is evaluated twice.
+with h(0) from the caller, no point is evaluated twice.
 
 Every exit functional of the two problems has a closed form
 (``ScaleFamily.tail``); the library keeps quadrature only for the
@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Tuple
+from typing import Callable, Tuple
 
 from .errors import BracketFailure, InvalidParameter, ToleranceNotMet
 
@@ -165,29 +165,23 @@ def brentq(f: Callable[[float], float], xa: float, xb: float, fa: float, fb: flo
     raise BracketFailure(f"bracketed solve failed to converge on [{xa:g}, {xb:g}]")
 
 
-def find_root_decreasing_sign(h: Callable[[float], float], lo: float, tol: float,
-                              hi_cap: float = 1e6,
-                              h_lo: Optional[float] = None) -> RootReport:
-    """Root of a function with a single sign change from + to - on [lo, inf).
+def find_root_decreasing_sign(h: Callable[[float], float], h0: float, tol: float,
+                              hi_cap: float = 1e6) -> RootReport:
+    """Root of a function with a single sign change from + to - on [0, inf).
 
-    Requires h(lo) > 0; pass ``h_lo`` if it is known, and h is not
-    evaluated at lo again.  The bracket is grown geometrically
-    (hi = max(1, 2*hi)) until h(hi) <= 0; an exact zero at hi is the
-    root (iterations = 0), otherwise the bracket and its two h values go
-    to ``brentq``, the port of Brent's method, whose last iterate's h is
-    the residual.  Every h value is computed once.  Deterministic for
-    fixed inputs.
+    Requires h0 = h(0) > 0, from the caller, so h is not evaluated at 0.
+    The bracket is grown geometrically (hi = 1, 2, 4, ...) until
+    h(hi) <= 0; an exact zero at hi is the root (iterations = 0),
+    otherwise the bracket and its two h values go to ``brentq``, the port
+    of Brent's method, whose last iterate's h is the residual.  Every h
+    value is computed once.  Deterministic for fixed inputs.
     """
-    if not (math.isfinite(lo) and lo >= 0.0):
-        raise InvalidParameter("lo must be finite and >= 0")
     if not (math.isfinite(tol) and tol > 0.0):
         raise InvalidParameter("tol must be finite and > 0")
-    if h_lo is None:
-        h_lo = h(lo)
-    if not math.isfinite(h_lo) or h_lo <= 0.0:
-        raise BracketFailure(f"h({lo:g}) = {h_lo!r} is not strictly positive")
-    left, h_left = lo, h_lo
-    hi = max(1.0, 2.0 * lo)
+    if not math.isfinite(h0) or h0 <= 0.0:
+        raise BracketFailure(f"h(0) = {h0!r} is not strictly positive")
+    left, h_left = 0.0, h0
+    hi = 1.0
     while True:
         if hi > hi_cap:
             raise BracketFailure(

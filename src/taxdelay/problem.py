@@ -276,7 +276,7 @@ def optimize(p: DelayedTaxation) -> OptimumReport:
     if h0 <= 0.0:
         return OptimumReport(threshold=0.0, value=optimal_value(p, 0.0),
                              boundary_case=True, root_diag=None)
-    diag = find_root_decreasing_sign(lambda x: h(p, x), 0.0, ROOT_TOL,
-                                     hi_cap=1e6 / p.scale.theta1, h_lo=h0)
+    diag = find_root_decreasing_sign(lambda x: h(p, x), h0, ROOT_TOL,
+                                     hi_cap=1e6 / p.scale.theta1)
     return OptimumReport(threshold=diag.root, value=optimal_value(p, diag.root),
                          boundary_case=False, root_diag=diag)

@@ -46,13 +46,9 @@ BASE_MODEL = new_model(c=1.2, lam=1.0, mu=1.0)
 TABLE_ELLS = (0.1, 0.2, 0.3)
 
 
-@dataclass(frozen=True)
-class TableDefinition:
-    """Problem class and discount rate of one built-in table; its rows are
-    the tax rates ``TABLE_ELLS``."""
-
-    problem: type  # TerminalProblem or InjectionProblem
-    q: float
+#: Problem class and discount rate of each built-in table, by id; its rows
+#: are the tax rates ``TABLE_ELLS``.
+TABLES = {1: (TerminalProblem, 0.05), 2: (TerminalProblem, 0.002), 3: (InjectionProblem, 0.05)}
 
 
 @dataclass(frozen=True)
@@ -73,22 +69,6 @@ class TableRow:
     rhs_intercept: float
     rhs_slope: float
     threshold: float
-
-
-_DEFINITIONS = {
-    1: TableDefinition(problem=TerminalProblem, q=0.05),
-    2: TableDefinition(problem=TerminalProblem, q=0.002),
-    3: TableDefinition(problem=InjectionProblem, q=0.05),
-}
-
-
-def table_definition(table_id: int) -> TableDefinition:
-    """Look up a built-in table; raises InvalidParameter for unknown ids,
-    bools and non-int ids included."""
-    if type(table_id) is not int or table_id not in _DEFINITIONS:
-        raise InvalidParameter(
-            f"unknown table id {table_id!r}; valid ids are {sorted(_DEFINITIONS)}")
-    return _DEFINITIONS[table_id]
 
 
 # ---------------------------------------------------------------------------
@@ -117,12 +97,16 @@ def existence_threshold(intercept: float, slope: float,
 
 
 def table_rows(table_id: int) -> List[TableRow]:
-    """Compute all rows of one built-in table on ``BASE_MODEL``."""
-    definition = table_definition(table_id)
-    scale = ScaleSet(BASE_MODEL, definition.q)
+    """Compute all rows of one built-in table on ``BASE_MODEL``; raises
+    InvalidParameter for unknown ids, bools and non-int ids included."""
+    if type(table_id) is not int or table_id not in TABLES:
+        raise InvalidParameter(
+            f"unknown table id {table_id!r}; valid ids are {sorted(TABLES)}")
+    problem, q = TABLES[table_id]
+    scale = ScaleSet(BASE_MODEL, q)
     rows: List[TableRow] = []
     for ell in TABLE_ELLS:
-        coeffs = existence_affine(definition.problem, scale, ell)
+        coeffs = existence_affine(problem, scale, ell)
         rows.append(TableRow(ell, *coeffs, threshold=existence_threshold(*coeffs)))
     return rows
 
@@ -204,9 +188,8 @@ def existence_grid(model: LevyModel, ell: float,
 __all__ = [
     "BASE_MODEL",
     "TABLE_ELLS",
-    "TableDefinition",
+    "TABLES",
     "TableRow",
-    "table_definition",
     "existence_affine",
     "existence_threshold",
     "table_rows",

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -77,7 +78,7 @@ class TestIntegrateFinite:
 
 class TestFindRoot:
     def test_linear(self):
-        rep = find_root_decreasing_sign(lambda x: 1.0 - x, 0.0, 1e-10)
+        rep = find_root_decreasing_sign(lambda x: 1.0 - x, 1.0, 1e-10)
         assert rep.root == pytest.approx(1.0, abs=1e-9)
         assert rep.bracket[0] <= rep.root <= rep.bracket[1]
         assert abs(rep.residual) < 1e-9
@@ -85,26 +86,37 @@ class TestFindRoot:
 
     def test_exact_zero_at_bracket_end_is_the_root(self):
         """h(hi) == 0 exactly ends the search at hi without a solver call."""
-        rep = find_root_decreasing_sign(lambda x: 2.0 - x, 0.0, 1e-10)
+        rep = find_root_decreasing_sign(lambda x: 2.0 - x, 2.0, 1e-10)
         assert rep == RootReport(root=2.0, residual=0.0, bracket=(1.0, 2.0),
                                  iterations=0)
 
     def test_exponential(self):
-        rep = find_root_decreasing_sign(lambda x: math.exp(-x) - 0.5, 0.0, 1e-12)
+        rep = find_root_decreasing_sign(lambda x: math.exp(-x) - 0.5, 0.5, 1e-12)
         assert rep.root == pytest.approx(math.log(2.0), abs=1e-10)
 
     def test_deterministic_repeatable(self):
         def h(x: float) -> float:
             return math.cos(x) - 0.3 * x
 
-        a = find_root_decreasing_sign(h, 0.0, 1e-12)
-        b = find_root_decreasing_sign(h, 0.0, 1e-12)
+        a = find_root_decreasing_sign(h, h(0.0), 1e-12)
+        b = find_root_decreasing_sign(h, h(0.0), 1e-12)
         assert isinstance(a, RootReport)
         assert a == b  # bit-identical fields
 
     def test_no_sign_change_raises(self):
         with pytest.raises(BracketFailure):
-            find_root_decreasing_sign(lambda x: 1.0 + x, 0.0, 1e-10, hi_cap=1e3)
+            find_root_decreasing_sign(lambda x: 1.0 + x, 1.0, 1e-10, hi_cap=1e3)
+
+    @pytest.mark.parametrize("h, h0, message", [
+        (lambda x: 1.0, math.nan, "h(0) = nan is not strictly positive"),
+        (lambda x: 1.0, 0.0, "h(0) = 0.0 is not strictly positive"),
+        (lambda x: -math.inf, 1.0, "h(1) is not finite"),
+        # Brent's first iterate lands where h is NaN
+        (lambda x: 1.5 - x if x in (0.0, 1.0, 2.0) else math.nan, 1.5, "f(1.5) is NaN"),
+    ], ids=["nan-at-zero", "zero-at-zero", "infinite-bracket-end", "nan-inside-brent"])
+    def test_failure_exits_raise(self, h, h0, message):
+        with pytest.raises(BracketFailure, match=re.escape(message)):
+            find_root_decreasing_sign(h, h0, 1e-10)
 
     def test_threshold_root_matches_fine_grid_argmax(self, scale05):
         """The optimality root coincides with the argmax of the objective

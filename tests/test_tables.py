@@ -13,13 +13,13 @@ from taxdelay.tables import (
     BASE_MODEL,
     SWEEPABLE,
     TABLE_ELLS,
+    TABLES,
     TableRow,
     existence_affine,
     existence_grid,
     existence_threshold,
     grid_values,
     sweep_rows,
-    table_definition,
     table_rows,
 )
 
@@ -31,16 +31,14 @@ from taxdelay.tables import (
 
 class TestTableDefinition:
     def test_builtin_ids(self):
-        d1, d2, d3 = (table_definition(i) for i in (1, 2, 3))
-        assert (d1.problem, d1.q) == (TerminalProblem, 0.05)
-        assert (d2.problem, d2.q) == (TerminalProblem, 0.002)
-        assert (d3.problem, d3.q) == (InjectionProblem, 0.05)
+        assert TABLES == {1: (TerminalProblem, 0.05), 2: (TerminalProblem, 0.002),
+                          3: (InjectionProblem, 0.05)}
         assert TABLE_ELLS == (0.1, 0.2, 0.3)
 
     @pytest.mark.parametrize("bad", [0, 4, -1, "one", None, True, 1.0])
     def test_unknown_id_raises(self, bad):
-        with pytest.raises(InvalidParameter):
-            table_definition(bad)
+        with pytest.raises(InvalidParameter, match="unknown table id"):
+            table_rows(bad)
 
 
 # ---------------------------------------------------------------------------
