@@ -232,11 +232,11 @@ def _build_problem(args: argparse.Namespace, allow_low_cost: bool = False):
 
 
 # ---------------------------------------------------------------------------
-# Subcommand bodies (each returns header + rows)
+# Subcommand bodies (each returns its output text and exit code)
 # ---------------------------------------------------------------------------
 
 
-def _cmd_optimize(args: argparse.Namespace) -> Tuple[List[str], List[Row]]:
+def _cmd_optimize(args: argparse.Namespace) -> Tuple[str, int]:
     problem = _build_problem(args)
     report = optimize(problem)
     row: Row = {
@@ -246,14 +246,15 @@ def _cmd_optimize(args: argparse.Namespace) -> Tuple[List[str], List[Row]]:
         "value": report.value,
         "h_residual": h_terminal(problem, report.threshold),
     }
-    return list(row), [row]
+    return _render(list(row), [row], args), EXIT_OK
 
 
-def _cmd_reproduce(args: argparse.Namespace) -> Tuple[List[str], List[Row]]:
-    return [f.name for f in fields(TableRow)], [asdict(r) for r in table_rows(args.table)]
+def _cmd_reproduce(args: argparse.Namespace) -> Tuple[str, int]:
+    rows = [asdict(r) for r in table_rows(args.table)]
+    return _render([f.name for f in fields(TableRow)], rows, args), EXIT_OK
 
 
-def _cmd_sweep(args: argparse.Namespace) -> Tuple[List[str], List[Row]]:
+def _cmd_sweep(args: argparse.Namespace) -> Tuple[str, int]:
     _reject_other_mode_flags(args)
     grid_flags = (args.q_lo, args.q_hi, args.q_steps)
     if any(v is not None for v in grid_flags):
@@ -263,10 +264,19 @@ def _cmd_sweep(args: argparse.Namespace) -> Tuple[List[str], List[Row]]:
         if args.param != "S" or args.mode != "terminal":
             raise InvalidParameter("the existence map supports --param S in "
                                    "terminal mode only")
+        s_grid, q_grid, h0 = existence_grid(new_model(args.c, args.lam, args.mu), args.ell,
+                                            args.lo, args.hi, args.steps,
+                                            args.q_lo, args.q_hi, args.q_steps)
+        # each S, q and h(0) value and each flag formatted once; rows are
+        # q-major with S varying fastest
+        cell, precision = _CELLS[args.format], args.precision
+        values = [v for row in h0 for v in row]
+        flags = [cell(False, precision), cell(True, precision)]
+        columns = [[cell(s, precision) for s in s_grid] * len(q_grid),
+                   [text for q in q_grid for text in [cell(q, precision)] * len(s_grid)],
+                   [cell(v, precision) for v in values], [flags[v > 0.0] for v in values]]
         header = ["S", "q", "h_at_zero", "positive_threshold"]
-        return header, existence_grid(new_model(args.c, args.lam, args.mu), args.ell,
-                                      args.lo, args.hi, args.steps,
-                                      args.q_lo, args.q_hi, args.q_steps)
+        return _layout(header, columns, args.format), EXIT_OK
     if args.mode == "injection" and args.varphi is None and args.param != "varphi":
         raise InvalidParameter("injection mode needs --varphi")
     owner = {"S": "terminal", "varphi": "injection"}.get(args.param, args.mode)
@@ -277,10 +287,11 @@ def _cmd_sweep(args: argparse.Namespace) -> Tuple[List[str], List[Row]]:
     dest = _flag_table("sweep")[0][f"--{args.param}"][0]
     first = argparse.Namespace(**{**vars(args), dest: grid[0]})
     header = ["param", "param_value", "threshold", "value", "boundary_case"]
-    return header, sweep_rows(_build_problem(first, allow_low_cost=True), args.param, grid)
+    rows = sweep_rows(_build_problem(first, allow_low_cost=True), args.param, grid)
+    return _render(header, rows, args), EXIT_OK
 
 
-def _cmd_simulate(args: argparse.Namespace) -> Tuple[List[str], List[Row]]:
+def _cmd_simulate(args: argparse.Namespace) -> Tuple[str, int]:
     problem = _build_problem(args)
     cfg = SimConfig(n_paths=args.paths, horizon=args.horizon, seed=args.seed)
     engine, threshold = (simulate_terminal, args.b) if args.mode == "terminal" \
@@ -306,14 +317,14 @@ def _cmd_simulate(args: argparse.Namespace) -> Tuple[List[str], List[Row]]:
         "analytic": analytic,
         "z_score": z_score,
     }
-    return list(row), [row]
+    return _render(list(row), [row], args), EXIT_OK
 
 
-def _cmd_validate(_: argparse.Namespace) -> Tuple[List[str], List[Row]]:
-    header = ["name", "passed", "detail"]
-    return header, [{
-        "name": r.name, "passed": r.passed, "detail": r.detail,
-    } for r in run_checks()]
+def _cmd_validate(args: argparse.Namespace) -> Tuple[str, int]:
+    checks = run_checks()
+    rows = [{"name": r.name, "passed": r.passed, "detail": r.detail} for r in checks]
+    code = EXIT_OK if all(r.passed for r in checks) else EXIT_NUMERICAL_FAILURE
+    return _render(["name", "passed", "detail"], rows, args), code
 
 
 # ---------------------------------------------------------------------------
@@ -349,16 +360,7 @@ def _json_cell(value: Any, precision: int) -> str:
     return int.__repr__(value)
 
 
-def _cell_texts(header: List[str], rows: List[Row],
-                cell: Callable[[Any, int], str], precision: int) -> List[str]:
-    """The text of every cell, row by row, each distinct cell object
-    formatted once.  Cells are told apart by identity, since a value key
-    would merge -0.0 with 0.0 and True with 1 and 1.0; the list of cells
-    keeps every object alive, so no id is reused."""
-    cells = [row[k] for row in rows for k in header]
-    ids = list(map(id, cells))
-    text = {i: cell(v, precision) for i, v in dict(zip(ids, cells)).items()}
-    return list(map(text.__getitem__, ids))
+_CELLS = {"csv": _csv_cell, "json": _json_cell}
 
 
 @functools.lru_cache(maxsize=64)
@@ -369,21 +371,32 @@ def _json_template(header: Tuple[str, ...], pad: str) -> str:
     return f"{pad}{{\n{fields}\n{pad}}}"
 
 
-def _render(header: List[str], rows: List[Row], args: argparse.Namespace) -> str:
-    precision = args.precision
-    if args.format == "json":
-        # json.dumps(..., indent=2) layout: one %-template per row, one fill pass
-        template = _json_template(tuple(header), "" if len(rows) == 1 else "  ")
-        text = ",\n".join([template] * len(rows)) % tuple(
-            _cell_texts(header, rows, _json_cell, precision))
-        return (text if len(rows) == 1 else f"[\n{text}\n]" if rows else "[]") + "\n"
-    texts = _cell_texts(header, rows, _csv_cell, precision)
-    width = len(header)
+def _layout(header: List[str], columns: List[List[str]], fmt: str) -> str:
+    """The table whose k-th column holds the cell texts ``columns[k]``, in
+    the ``json.dumps(..., indent=2)`` layout (one row: the object alone) or
+    as CSV."""
+    n_rows, width = len(columns[0]), len(header)
+    if fmt == "json":
+        # one %-template per row, filled with the row-major cells in one pass
+        cells = [""] * (n_rows * width)
+        for k, column in enumerate(columns):
+            cells[k::width] = column
+        template = _json_template(tuple(header), "" if n_rows == 1 else "  ")
+        text = ",\n".join([template] * n_rows) % tuple(cells)
+        return (text if n_rows == 1 else f"[\n{text}\n]" if n_rows else "[]") + "\n"
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
     writer.writerow(header)
-    writer.writerows(texts[i:i + width] for i in range(0, len(texts), width))
+    writer.writerows(zip(*columns))
     return buffer.getvalue()
+
+
+def _render(header: List[str], rows: List[Row], args: argparse.Namespace) -> str:
+    """The text of a table of row dicts in ``args.format``: each cell
+    formatted where it stands, then laid out by ``_layout``."""
+    cell = _CELLS[args.format]
+    return _layout(header, [[cell(row[k], args.precision) for row in rows] for k in header],
+                   args.format)
 
 
 def _emit(text: str, out_path: Optional[str]) -> None:
@@ -415,17 +428,15 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         if args.precision < 1:  # before the subcommand spends any work
             raise InvalidParameter(f"--precision must be >= 1, got {args.precision}")
-        header, rows = _COMMANDS[args.command](args)
-        _emit(_render(header, rows, args), args.out)
+        text, code = _COMMANDS[args.command](args)
+        _emit(text, args.out)
     except (InvalidParameter, InvalidConfig, DomainError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID_INPUT
     except (ArithmeticError, EventCapExceeded) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL_FAILURE
-    if args.command == "validate" and not all(row["passed"] for row in rows):
-        return EXIT_NUMERICAL_FAILURE
-    return EXIT_OK
+    return code
 
 
 if __name__ == "__main__":

@@ -16,9 +16,10 @@ zero.  Both sides are affine in param:
 and their crossing point in param is the existence boundary.
 ``existence_affine`` takes the four from the shared construction;
 ``table_rows`` packages the three built-in reference scenarios.  Two
-generators give plot-ready rows: ``sweep_rows`` optimizes a problem
-along one of its parameters, stepped with ``dataclasses.replace``, and
-``existence_grid`` maps the sign of h(0) over (S, q).
+generators give plot-ready data: ``sweep_rows`` optimizes a problem along
+one of its parameters, stepped with ``dataclasses.replace``, one row each,
+and ``existence_grid`` maps h(0) over (S, q) as the two axes and the
+q-major rows of h(0), the input of a contour plot.
 """
 
 from __future__ import annotations
@@ -165,24 +166,24 @@ def sweep_rows(problem: DelayedTaxation, param: str,
 
 def existence_grid(model: LevyModel, ell: float,
                    s_lo: float, s_hi: float, s_steps: int,
-                   q_lo: float, q_hi: float, q_steps: int) -> List[Dict[str, Any]]:
-    """2-D (S, q) map of the sign of the terminal candidate at zero.
+                   q_lo: float, q_hi: float, q_steps: int,
+                   ) -> Tuple[List[float], List[float], List[List[float]]]:
+    """2-D (S, q) map of the terminal candidate at zero, as its axes and values.
 
-    Exploits linearity: per q the candidate at zero is affine in S, so each
-    row costs two tail evaluations regardless of the S resolution.  One
-    array expression then evaluates (I + Sl S) - (Ri + Rs S) over all
-    (q, S) in that scalar order, so each value equals the scalar formula's
-    bit for bit.  Each cell is a row with keys ``S``, ``q``, ``h_at_zero``
-    and ``positive_threshold`` (h_at_zero > 0); cells come q-major.
+    Returns ``(s_grid, q_grid, h_at_zero)``: the two ``grid_values`` axes
+    and, per q, the row of h(0) over s_grid (q-major).  A positive optimal
+    threshold exists where h(0) > 0.  Per q the candidate at zero is affine
+    in S, so each row costs two tail evaluations regardless of the S
+    resolution.  One array expression then evaluates (I + Sl S) - (Ri + Rs S)
+    over all (q, S) in that scalar order, so each value equals the scalar
+    formula's bit for bit.
     """
     s_grid = grid_values(s_lo, s_hi, s_steps)
     q_grid = grid_values(q_lo, q_hi, q_steps)
     coeffs = [existence_affine(TerminalProblem, ScaleSet(model, q), ell) for q in q_grid]
     i, sl, ri, rs = np.array(coeffs, dtype=float).T[:, :, None]
     s = np.array(s_grid)
-    h0 = ((i + sl * s) - (ri + rs * s)).tolist()
-    return [{"S": sv, "q": q, "h_at_zero": h, "positive_threshold": h > 0.0}
-            for q, row in zip(q_grid, h0) for sv, h in zip(s_grid, row)]
+    return s_grid, q_grid, ((i + sl * s) - (ri + rs * s)).tolist()
 
 
 __all__ = [

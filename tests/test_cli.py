@@ -11,6 +11,7 @@ import io
 import json
 import math
 import random
+import re
 import subprocess
 import sys
 from dataclasses import replace
@@ -20,7 +21,7 @@ from typing import Any, Dict, List, Optional, Tuple
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import taxdelay
@@ -32,6 +33,8 @@ from taxdelay.model import new_model
 from taxdelay.problem import (DelayedTaxation, InjectionProblem, TerminalProblem, h,
                               optimize, phi, psi)
 from taxdelay.scale import ScaleSet
+from taxdelay.tables import existence_affine, grid_values
+from taxdelay.validate import CheckResult
 
 TERMINAL_ARGS = ["--mode", "terminal", "--c", "1.2", "--lambda", "1",
                  "--mu", "1", "--q", "0.05", "--ell", "0.1"]
@@ -481,6 +484,23 @@ class TestSweep:
         flags = {r["positive_threshold"] for r in rows}
         assert flags == {"true", "false"}
 
+    # ROADMAP C3: at ell = 0.99999 and q near 1e-4 the tail's continued
+    # fraction does not converge
+    FAILING_MAP = ["sweep", "--mode", "terminal", "--c", "0.622", "--lambda", "2.7",
+                   "--mu", "11.3", "--q", "0.05", "--ell", "0.99999", "--param", "S",
+                   "--from", "-1", "--to", "1", "--steps", "2",
+                   "--q-from", "9.2e-5", "--q-to", "1e-4"]
+
+    @pytest.mark.parametrize("q_steps, code, message", [
+        ("2", EXIT_NUMERICAL_FAILURE,
+         r"^numerical failure: continued fraction .* did not converge"),
+        ("1", EXIT_INVALID_INPUT, r"^error: steps must be an integer >= 2"),
+    ])
+    def test_failing_map_prints_nothing(self, capsys, q_steps, code, message):
+        rc, out, err = run_cli(capsys, *self.FAILING_MAP, "--q-steps", q_steps)
+        assert (rc, out) == (code, "")
+        assert re.match(message, err)
+
     def test_existence_map_needs_all_grid_flags(self, capsys):
         rc, out, err = run_cli(capsys, "sweep", *TERMINAL_ARGS,
                                "--param", "S", "--from", "-8", "--to", "0",
@@ -686,6 +706,13 @@ class TestValidate:
         assert len(rows) >= 8
         assert all(r["passed"] == "true" for r in rows)
         assert all(r["detail"] for r in rows)
+
+    def test_failed_check_prints_table_and_exits_3(self, capsys, monkeypatch):
+        checks = [CheckResult("ok", True, "fine"), CheckResult("bad", False, "off by 1")]
+        monkeypatch.setattr(cli, "run_checks", lambda: checks)
+        rc, out, err = run_cli(capsys, "validate")
+        assert (rc, err) == (EXIT_NUMERICAL_FAILURE, "")
+        assert out == "name,passed,detail\nok,true,fine\nbad,false,off by 1\n"
 
 
 # ---------------------------------------------------------------------------
@@ -1010,8 +1037,8 @@ def reference_csv(header: List[str], rows: List[Dict[str, Any]], precision: int)
 
 
 class TestSharedCells:
-    """The renderer formats each distinct cell object once; objects that
-    compare equal but print differently must keep their own text."""
+    """Cell objects repeated within a table: objects that compare equal but
+    print differently must keep their own text."""
 
     @settings(max_examples=300)
     @given(_shared_tables(), st.integers(1, 20))
@@ -1033,6 +1060,40 @@ class TestSharedCells:
         for fmt, reference in (("json", reference_render), ("csv", reference_csv)):
             args = argparse.Namespace(format=fmt, precision=6)
             assert _render(["v"], rows, args) == reference(["v"], rows, 6)
+
+
+class TestExistenceMapBytes:
+    @settings(max_examples=80)
+    @given(st.one_of(st.sampled_from([-sys.float_info.max, -0.0, 0.0]), st.floats(-20.0, 20.0)),
+           st.one_of(st.sampled_from([-0.0, 0.0, sys.float_info.max]), st.floats(-20.0, 20.0)),
+           st.integers(2, 6), st.floats(0.002, 0.3), st.floats(0.002, 0.3),
+           st.integers(2, 4), st.integers(1, 20), st.sampled_from(["json", "csv"]))
+    def test_map_matches_cell_by_cell_rows(self, s_lo, s_hi, steps, q_lo, q_hi, q_steps,
+                                           precision, fmt):
+        """The map prints the bytes of the row-dict rule: one dict per
+        (q, S) cell, q-major with S fastest, from the scalar affine formula,
+        rendered by the reference JSON or CSV writer.  At 16 digits and
+        fewer the largest doubles round to +-inf."""
+        assume(s_lo < s_hi and q_lo < q_hi)
+        rows = []
+        for q in grid_values(q_lo, q_hi, q_steps):
+            i, sl, ri, rs = existence_affine(TerminalProblem,
+                                             ScaleSet(new_model(1.2, 1.0, 1.0), q), 0.1)
+            for s in grid_values(s_lo, s_hi, steps):
+                value = (i + sl * s) - (ri + rs * s)
+                rows.append({"S": s, "q": q, "h_at_zero": value,
+                             "positive_threshold": value > 0.0})
+        argv = ["sweep", *TERMINAL_ARGS, "--param", "S", f"--from={s_lo!r}",
+                f"--to={s_hi!r}", "--steps", str(steps), f"--q-from={q_lo!r}",
+                f"--q-to={q_hi!r}", "--q-steps", str(q_steps), "--format", fmt,
+                "--precision", str(precision)]
+        out = io.StringIO()
+        # inf - inf at the largest doubles
+        with contextlib.redirect_stdout(out), np.errstate(invalid="ignore"):
+            assert main(argv) == EXIT_OK
+        reference = reference_render if fmt == "json" else reference_csv
+        header = ["S", "q", "h_at_zero", "positive_threshold"]
+        assert out.getvalue() == reference(header, rows, precision)
 
 
 class TestImport:

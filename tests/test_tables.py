@@ -249,42 +249,41 @@ def test_sweep_rows_match_fresh_optimize(problem_class, param):
 
 class TestExistenceGrid:
     def test_grid_shape(self):
-        cells = existence_grid(BASE_MODEL, 0.1, -8.0, 0.0, 5, 0.01, 0.09, 3)
-        assert len(cells) == 15
-        assert len({c["q"] for c in cells}) == 3
-        assert len({c["S"] for c in cells}) == 5
+        s_grid, q_grid, h0 = existence_grid(BASE_MODEL, 0.1, -8.0, 0.0, 5, 0.01, 0.09, 3)
+        assert sum(map(len, h0)) == 15
+        assert len(h0) == len(set(q_grid)) == 3
+        assert [len(row) for row in h0] == [5] * 3
+        assert len(set(s_grid)) == 5
 
     def test_cell_sign_matches_candidate_function(self, scale05):
-        """Each cell's value is exactly the optimality function at zero for
-        the corresponding terminal problem."""
-        cells = existence_grid(BASE_MODEL, 0.1, -6.0, 1.0, 3, 0.05, 0.10, 2)
-        for cell in (c for c in cells if c["q"] == 0.05):
-            p = TerminalProblem(scale05, 0.1, cell["S"], 1.0)
-            assert cell["h_at_zero"] == pytest.approx(h(p, 0.0), rel=1e-9)
-            assert cell["positive_threshold"] == (cell["h_at_zero"] > 0.0)
+        """Each value is the optimality function at zero for the
+        corresponding terminal problem, with its sign."""
+        s_grid, q_grid, h0 = existence_grid(BASE_MODEL, 0.1, -6.0, 1.0, 3, 0.05, 0.10, 2)
+        assert q_grid[0] == 0.05
+        for s, value in zip(s_grid, h0[0]):
+            want = h(TerminalProblem(scale05, 0.1, s, 1.0), 0.0)
+            assert value == pytest.approx(want, rel=1e-9)
+            assert (value > 0.0) == (want > 0.0)
 
     def test_very_negative_ruin_value_forces_existence(self):
-        cells = existence_grid(BASE_MODEL, 0.1, -10.0, 0.0, 2, 0.02, 0.08, 3)
-        at_minus_ten = [c for c in cells if c["S"] == -10.0]
-        at_zero = [c for c in cells if c["S"] == 0.0]
-        assert all(c["positive_threshold"] for c in at_minus_ten)
-        assert not any(c["positive_threshold"] for c in at_zero)
+        s_grid, _, h0 = existence_grid(BASE_MODEL, 0.1, -10.0, 0.0, 2, 0.02, 0.08, 3)
+        assert s_grid == [-10.0, 0.0]
+        assert all(row[0] > 0.0 for row in h0)
+        assert not any(row[1] > 0.0 for row in h0)
 
     @pytest.mark.parametrize("s_lo, s_hi", [(-7.3, 4.1), (-1e300, 1e300)])
     def test_cells_are_exact_and_q_major(self, s_lo, s_hi):
-        """The array-built map gives each cell the scalar formula's value
-        exactly, in q-major order, with both grid endpoints exact."""
+        """The array-built map gives each value the scalar formula's value
+        exactly, one row per q, with both grid endpoints exact."""
         q_lo, q_hi = 0.003, 0.21
-        cells = existence_grid(BASE_MODEL, 0.2, s_lo, s_hi, 9, q_lo, q_hi, 4)
-        s_grid, q_grid = grid_values(s_lo, s_hi, 9), grid_values(q_lo, q_hi, 4)
-        assert [(c["q"], c["S"]) for c in cells] == [(q, s) for q in q_grid for s in s_grid]
-        assert (cells[0]["q"], cells[0]["S"]) == (q_lo, s_lo)
-        assert (cells[-1]["q"], cells[-1]["S"]) == (q_hi, s_hi)
-        for cell in cells:
-            scale = ScaleSet(BASE_MODEL, cell["q"])
-            i, sl, ri, rs = existence_affine(TerminalProblem, scale, 0.2)
-            s = cell["S"]
-            assert cell["h_at_zero"] == (i + sl * s) - (ri + rs * s)
-            assert type(cell["positive_threshold"]) is bool
-            assert cell["positive_threshold"] is (cell["h_at_zero"] > 0.0)
-        assert {c["positive_threshold"] for c in cells} == {True, False}
+        s_grid, q_grid, h0 = existence_grid(BASE_MODEL, 0.2, s_lo, s_hi, 9, q_lo, q_hi, 4)
+        assert (s_grid, q_grid) == (grid_values(s_lo, s_hi, 9), grid_values(q_lo, q_hi, 4))
+        assert (q_grid[0], s_grid[0]) == (q_lo, s_lo)
+        assert (q_grid[-1], s_grid[-1]) == (q_hi, s_hi)
+        assert [len(row) for row in h0] == [len(s_grid)] * len(q_grid)
+        for q, row in zip(q_grid, h0):
+            i, sl, ri, rs = existence_affine(TerminalProblem, ScaleSet(BASE_MODEL, q), 0.2)
+            for s, value in zip(s_grid, row):
+                assert type(value) is float
+                assert value == (i + sl * s) - (ri + rs * s)
+        assert {value > 0.0 for row in h0 for value in row} == {True, False}
