@@ -1,20 +1,15 @@
 """Command-line front end.
 
-Subcommands:
-
-* ``optimize``   - compute the optimal delay threshold for one scenario.
-* ``reproduce``  - emit one of the built-in existence tables as CSV.
-* ``sweep``      - optimize along a parameter grid (or emit the 2-D
-                   (S, q) existence map) as plot-ready CSV.
-* ``simulate``   - run the Monte Carlo engine and compare to the formula.
-* ``validate``   - run the internal self-check battery.
+``_SUBCOMMANDS`` names the five subcommands (``optimize``, ``reproduce``,
+``sweep``, ``simulate``, ``validate``) and the groups of ``_FLAGS`` each
+takes.  That flag table builds argparse's parsers and states which mode
+owns each flag; an argv of ``--flag value`` pairs after the subcommand is
+read from it in one pass, and argparse parses every other argv.
 
 Output is CSV (default) or JSON, written to stdout or ``--out``.  Floats
 are printed with ``--precision`` significant digits (default 6).  Exit
 codes: 0 success, 2 invalid input, 3 numerical failure (any
-ArithmeticError, overflow and division by zero included).  An argv of
-``--flag value`` pairs after the subcommand is read in one pass from a
-table of that subcommand's parser; argparse parses every other argv.
+ArithmeticError, overflow and division by zero included).
 """
 
 from __future__ import annotations
@@ -24,10 +19,11 @@ import csv
 import functools
 import io
 import math
+import re
 import sys
 from dataclasses import asdict, fields
 from json.encoder import encode_basestring_ascii
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from .errors import DomainError, EventCapExceeded, InvalidConfig, InvalidParameter
 from .model import new_model
@@ -54,155 +50,122 @@ Row = Dict[str, Any]
 # Argument parsing
 # ---------------------------------------------------------------------------
 
-
-def _add_output_flags(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--format", choices=("csv", "json"), default="csv",
-                     help="output format (default csv)")
-    sub.add_argument("--out", default=None, metavar="PATH",
-                     help="write output to PATH instead of stdout")
-    sub.add_argument("--precision", type=int, default=6, metavar="N",
-                     help="significant digits for printed values (default 6)")
-
-
-def _add_scenario_flags(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--mode", choices=("terminal", "injection"), required=True,
-                     help="terminal: lump value at ruin; injection: costly top-ups")
-    sub.add_argument("--c", type=float, required=True, help="premium rate")
-    sub.add_argument("--lambda", dest="lam", type=float, required=True,
-                     help="claim arrival intensity")
-    sub.add_argument("--mu", type=float, required=True,
-                     help="exponential claim-size parameter")
-    sub.add_argument("--q", type=float, required=True, help="discount rate")
-    sub.add_argument("--ell", type=float, required=True, help="tax rate in [0, 1)")
-    sub.add_argument("--S", dest="s_terminal", type=float, default=None,
-                     help="terminal value at ruin (terminal mode only, default 0)")
-    sub.add_argument("--varphi", type=float, default=None,
-                     help="cost per unit injected (> 1; injection mode only, required)")
-    sub.add_argument("--x", type=float, default=1.0,
-                     help="starting surplus level (default 1)")
-
-
-def build_parser() -> argparse.ArgumentParser:
-    """The argument parser, built on first use and shared within the process."""
-    return _parsers()[0]
+# Every --flag, by the group of subcommands that take it: (flag, dest, type,
+# default, choices, metavar, help, mode).  Default ``...`` marks a required
+# flag; mode is the one mode that takes the flag, or "both".
+_FLAGS = {
+    "scenario": (
+        ("--mode", "mode", str, ..., ("terminal", "injection"), None,
+         "terminal: lump value at ruin; injection: costly top-ups", "both"),
+        ("--c", "c", float, ..., None, None, "premium rate", "both"),
+        ("--lambda", "lam", float, ..., None, None, "claim arrival intensity", "both"),
+        ("--mu", "mu", float, ..., None, None, "exponential claim-size parameter", "both"),
+        ("--q", "q", float, ..., None, None, "discount rate", "both"),
+        ("--ell", "ell", float, ..., None, None, "tax rate in [0, 1)", "both"),
+        ("--S", "s_terminal", float, None, None, None,
+         "terminal value at ruin (terminal mode only, default 0)", "terminal"),
+        ("--varphi", "varphi", float, None, None, None,
+         "cost per unit injected (> 1; injection mode only, required)", "injection"),
+        ("--x", "x", float, 1.0, None, None, "starting surplus level (default 1)", "both"),
+    ),
+    "sweep": (
+        ("--param", "param", str, ..., SWEEPABLE, None, "parameter to vary", "both"),
+        ("--from", "lo", float, ..., None, None, "grid start", "both"),
+        ("--to", "hi", float, ..., None, None, "grid end", "both"),
+        ("--steps", "steps", int, ..., None, None, "number of grid points (>= 2)", "both"),
+        ("--q-from", "q_lo", float, None, None, None, "with --q-to/--q-steps and --param "
+         "S: emit the 2-D (S, q) existence map instead", "both"),
+        ("--q-to", "q_hi", float, None, None, None, None, "both"),
+        ("--q-steps", "q_steps", int, None, None, None, None, "both"),
+    ),
+    "simulate": (
+        ("--b", "b", float, None, None, None,
+         "threshold (terminal mode only; default: the optimum)", "terminal"),
+        ("--a", "a", float, None, None, None,
+         "threshold (injection mode only; default: the optimum)", "injection"),
+        ("--paths", "paths", int, 200_000, None, None,
+         "number of simulated paths (default 200000)", "both"),
+        ("--horizon", "horizon", float, 400.0, None, None, "time horizon (default 400)", "both"),
+        ("--seed", "seed", int, 12345, None, None, "random seed (default 12345)", "both"),
+    ),
+    "output": (
+        ("--format", "format", str, "csv", ("csv", "json"), None,
+         "output format (default csv)", "both"),
+        ("--out", "out", str, None, None, "PATH", "write output to PATH instead of stdout",
+         "both"),
+        ("--precision", "precision", int, 6, None, "N",
+         "significant digits for printed values (default 6)", "both"),
+    ),
+}
 
 
 @functools.lru_cache(maxsize=None)
-def _parsers() -> Tuple[argparse.ArgumentParser, Dict[str, argparse.ArgumentParser]]:
-    """The top-level parser and each subcommand's own parser, by name."""
+def _flags(command: str) -> Dict[str, tuple]:
+    """``command``'s rows of ``_FLAGS`` by flag, in its parser's order."""
+    return {row[0]: row for group in _SUBCOMMANDS[command][2] for row in _FLAGS[group]}
+
+
+@functools.lru_cache(maxsize=None)
+def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built from the flag table once per process."""
     parser = argparse.ArgumentParser(
         prog="taxdelay",
         description="Optimal tax-implementation-delay thresholds for the "
                     "compound Poisson surplus process with exponential claims.")
     commands = parser.add_subparsers(dest="command", required=True)
-
-    p_opt = commands.add_parser(
-        "optimize", help="compute the optimal delay threshold")
-    _add_scenario_flags(p_opt)
-    _add_output_flags(p_opt)
-
-    p_rep = commands.add_parser(
-        "reproduce", help="emit a built-in existence table")
-    p_rep.add_argument("table", type=int, help="table id: 1, 2 or 3")
-    _add_output_flags(p_rep)
-
-    p_swp = commands.add_parser(
-        "sweep", help="optimize along a parameter grid")
-    _add_scenario_flags(p_swp)
-    p_swp.add_argument("--param", choices=SWEEPABLE, required=True,
-                       help="parameter to vary")
-    p_swp.add_argument("--from", dest="lo", type=float, required=True,
-                       help="grid start")
-    p_swp.add_argument("--to", dest="hi", type=float, required=True,
-                       help="grid end")
-    p_swp.add_argument("--steps", type=int, required=True,
-                       help="number of grid points (>= 2)")
-    p_swp.add_argument("--q-from", dest="q_lo", type=float, default=None,
-                       help="with --q-to/--q-steps and --param S: emit the "
-                            "2-D (S, q) existence map instead")
-    p_swp.add_argument("--q-to", dest="q_hi", type=float, default=None)
-    p_swp.add_argument("--q-steps", dest="q_steps", type=int, default=None)
-    _add_output_flags(p_swp)
-
-    p_sim = commands.add_parser(
-        "simulate", help="Monte Carlo run compared against the formula")
-    _add_scenario_flags(p_sim)
-    p_sim.add_argument("--b", type=float, default=None,
-                       help="threshold (terminal mode only; default: the optimum)")
-    p_sim.add_argument("--a", type=float, default=None,
-                       help="threshold (injection mode only; default: the optimum)")
-    p_sim.add_argument("--paths", type=int, default=200_000,
-                       help="number of simulated paths (default 200000)")
-    p_sim.add_argument("--horizon", type=float, default=400.0,
-                       help="time horizon (default 400)")
-    p_sim.add_argument("--seed", type=int, default=12345,
-                       help="random seed (default 12345)")
-    _add_output_flags(p_sim)
-
-    p_val = commands.add_parser(
-        "validate", help="run the internal self-check battery")
-    _add_output_flags(p_val)
-
-    return parser, commands.choices
+    for name, (_, about, _) in _SUBCOMMANDS.items():
+        sub = commands.add_parser(name, help=about)
+        if name == "reproduce":
+            sub.add_argument("table", type=int, help="table id: 1, 2 or 3")
+        for flag, dest, kind, default, choices, metavar, text, _ in _flags(name).values():
+            sub.add_argument(flag, dest=dest, type=kind, required=default is ...,
+                             default=None if default is ... else default,
+                             choices=choices, metavar=metavar, help=text)
+    return parser
 
 
-@functools.lru_cache(maxsize=None)
-def _flag_table(command: str) -> Tuple[dict, dict, set, Optional[Callable[[str], Any]]]:
-    """Read once from ``command``'s own parser: each store flag's (dest, type,
-    choices), argparse's defaults, the required dests, the number matcher."""
-    sub = _parsers()[1][command]
-    flags, defaults, required = {}, dict(sub._defaults), set()
-    for action in sub._actions:
-        convert = sub._registry_get("type", action.type, action.type)
-        if type(action) is argparse._StoreAction and action.nargs is None:
-            flags.update(dict.fromkeys(action.option_strings,
-                                       (action.dest, convert, action.choices)))
-        if action.required:
-            required.add(action.dest)
-        elif action.dest is not argparse.SUPPRESS and action.default is not argparse.SUPPRESS:
-            defaults[action.dest] = convert(action.default) \
-                if isinstance(action.default, str) else action.default
-    negative = None if sub._has_negative_number_optionals else sub._negative_number_matcher.match
-    return flags, defaults, required, negative
+# the negative numbers argparse takes for values, not options, in every
+# release from 3.10 on (later releases also take forms such as -1.5e-3)
+_NEGATIVE = re.compile(r"^-\d+$|^-\d*\.\d+$").match
 
 
 def _scan(command: str, argv: List[str]) -> Optional[argparse.Namespace]:
-    """argparse's Namespace for ``--flag value`` pairs of ``command``'s store
-    flags, or None where argparse could read argv otherwise or would exit.
-    It mirrors argparse internals: test_cli.py's drawn-argv test checks each Python."""
-    flags, defaults, required, negative = _flag_table(command)
-    args = argparse.Namespace(command=command)
+    """argparse's Namespace for ``--flag value`` pairs of ``command``'s
+    flags, read from the flag table, or None where argparse could read argv
+    otherwise or would exit.  test_cli.py's drawn-argv test checks each Python."""
+    if len(argv) % 2:
+        return None
+    rows, args = _flags(command), argparse.Namespace(command=command)
     values = vars(args)
-    values.update(defaults)
     for flag, text in zip(argv[::2], argv[1::2]):
-        entry = flags.get(flag)
-        if entry is None or text[:1] == "-" and not (negative and negative(text)):
-            return None  # not a store flag, or a value argparse takes for an option
-        dest, convert, choices = entry
+        row = rows.get(flag)
+        if row is None or text[:1] == "-" and not _NEGATIVE(text):
+            return None  # not a flag of command, or a value argparse takes for an option
+        _, dest, kind, _, choices, _, _, _ = row
         try:  # the last occurrence wins, as in argparse
-            values[dest] = value = convert(text)
-        except (argparse.ArgumentTypeError, TypeError, ValueError):
+            values[dest] = value = kind(text)
+        except ValueError:
             return None
         if choices is not None and value not in choices:
             return None
-    return None if len(argv) % 2 or not required <= values.keys() else args
+    for _, dest, _, default, _, _, _, _ in rows.values():
+        if dest not in values:
+            if default is ...:
+                return None  # argparse exits on a missing required flag
+            values[dest] = default
+    return args
 
 
 def parse_args(argv: Optional[Sequence[str]] = None) -> argparse.Namespace:
-    """The Namespace ``build_parser().parse_args(argv)`` gives, in one pass.
-
-    When argv[0] names a subcommand and the rest is only ``--flag value``
-    pairs its parser would take, ``_scan`` reads them from a table of that
-    parser.  Every argv the scan declines, and every argv without a
-    subcommand, goes to argparse's own top-level pass, which writes all
-    help, usage and error text.
-    """
-    parser, commands = _parsers()
+    """The Namespace ``build_parser().parse_args(argv)`` gives.  ``_scan``
+    reads a subcommand's flag pairs without building a parser; ``reproduce``
+    (its table id is positional) and every argv the scan declines go to
+    argparse's own pass, which writes all help, usage and error text."""
     argv = sys.argv[1:] if argv is None else list(argv)
     args = None
-    if argv and argv[0] in commands:
+    if argv and argv[0] in _SUBCOMMANDS and argv[0] != "reproduce":
         args = _scan(argv[0], argv[1:])
-    return parser.parse_args(argv) if args is None else args
+    return build_parser().parse_args(argv) if args is None else args
 
 
 # ---------------------------------------------------------------------------
@@ -210,14 +173,9 @@ def parse_args(argv: Optional[Sequence[str]] = None) -> argparse.Namespace:
 # ---------------------------------------------------------------------------
 
 
-# the flags that only the other mode takes, by their argparse dest
-_OTHER_MODE_FLAGS = {"terminal": (("varphi", "--varphi"), ("a", "--a")),
-                     "injection": (("s_terminal", "--S"), ("b", "--b"))}
-
-
 def _reject_other_mode_flags(args: argparse.Namespace) -> None:
-    for dest, flag in _OTHER_MODE_FLAGS[args.mode]:
-        if getattr(args, dest, None) is not None:
+    for flag, dest, _, _, _, _, _, mode in _flags(args.command).values():
+        if mode not in ("both", args.mode) and getattr(args, dest) is not None:
             raise InvalidParameter(f"{args.mode} mode takes no {flag}")
 
 
@@ -279,12 +237,11 @@ def _cmd_sweep(args: argparse.Namespace) -> Tuple[str, int]:
         return _layout(header, columns, args.format), EXIT_OK
     if args.mode == "injection" and args.varphi is None and args.param != "varphi":
         raise InvalidParameter("injection mode needs --varphi")
-    owner = {"S": "terminal", "varphi": "injection"}.get(args.param, args.mode)
-    if owner != args.mode:  # S and varphi each belong to one mode
+    _, dest, *_, owner = _flags("sweep")[f"--{args.param}"]
+    if owner not in ("both", args.mode):  # S and varphi each belong to one mode
         raise InvalidParameter(f"parameter {args.param} exists only in {owner} mode")
     grid = grid_values(args.lo, args.hi, args.steps)
     # the swept flag's own value is not read: the first grid point takes its place
-    dest = _flag_table("sweep")[0][f"--{args.param}"][0]
     first = argparse.Namespace(**{**vars(args), dest: grid[0]})
     header = ["param", "param_value", "threshold", "value", "boundary_case"]
     rows = sweep_rows(_build_problem(first, allow_low_cost=True), args.param, grid)
@@ -414,12 +371,15 @@ def _emit(text: str, out_path: Optional[str]) -> None:
 # Entry point
 # ---------------------------------------------------------------------------
 
-_COMMANDS = {
-    "optimize": _cmd_optimize,
-    "reproduce": _cmd_reproduce,
-    "sweep": _cmd_sweep,
-    "simulate": _cmd_simulate,
-    "validate": _cmd_validate,
+# each subcommand's body, help and groups of flags, in its parser's order;
+# reproduce also takes the positional table id, ahead of its flags
+_SUBCOMMANDS = {
+    "optimize": (_cmd_optimize, "compute the optimal delay threshold", ("scenario", "output")),
+    "reproduce": (_cmd_reproduce, "emit a built-in existence table", ("output",)),
+    "sweep": (_cmd_sweep, "optimize along a parameter grid", ("scenario", "sweep", "output")),
+    "simulate": (_cmd_simulate, "Monte Carlo run compared against the formula",
+                 ("scenario", "simulate", "output")),
+    "validate": (_cmd_validate, "run the internal self-check battery", ("output",)),
 }
 
 
@@ -428,7 +388,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         if args.precision < 1:  # before the subcommand spends any work
             raise InvalidParameter(f"--precision must be >= 1, got {args.precision}")
-        text, code = _COMMANDS[args.command](args)
+        text, code = _SUBCOMMANDS[args.command][0](args)
         _emit(text, args.out)
     except (InvalidParameter, InvalidConfig, DomainError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -131,6 +131,9 @@ def grid_values(lo: float, hi: float, steps: int) -> List[float]:
     if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
         raise InvalidParameter(f"need finite lo < hi, got {lo!r}, {hi!r}")
     width = (hi - lo) / (steps - 1)
+    if math.isinf(width):  # hi - lo overflows: step over the halves, exact at such ends
+        half = (hi / 2 - lo / 2) / (steps - 1)
+        return [2 * (lo / 2 + i * half) for i in range(steps - 1)] + [hi]
     return [lo + i * width for i in range(steps - 1)] + [hi]
 
 

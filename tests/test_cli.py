@@ -555,6 +555,24 @@ class TestSweep:
         assert (rc, out) == (EXIT_INVALID_INPUT, "")
         assert f"parameter {param} exists only in {owner} mode" in err
 
+    # ends near the largest double, whose difference overflows
+    WIDE_S = ["sweep", *TERMINAL_ARGS, "--param", "S", "--from=-1e308", "--to=1e308",
+              "--steps", "2"]
+
+    def test_existence_map_on_an_overflowing_span(self, capsys):
+        rc, out, err = run_cli(capsys, *self.WIDE_S, "--q-from", "0.01", "--q-to", "0.02",
+                               "--q-steps", "2")
+        assert (rc, err) == (EXIT_OK, "")
+        header, rows = parse_csv(out)
+        assert [r["S"] for r in rows] == ["-1e+308", "1e+308"] * 2
+
+    def test_sweep_on_an_overflowing_span(self, capsys):
+        rc, out, err = run_cli(capsys, *self.WIDE_S)
+        assert "s_terminal must be finite" not in err
+        assert (rc, err) == (EXIT_OK, "")
+        header, rows = parse_csv(out)
+        assert [r["param_value"] for r in rows] == ["-1e+308", "1e+308"]
+
     def test_varphi_sweep_needs_no_base_varphi(self, capsys):
         argv = ("sweep", *INJECTION_ARGS[:-2], "--param", "varphi",
                 "--from", "1.1", "--to", "2", "--steps", "2")
@@ -838,13 +856,13 @@ ONE_PASS_ARGV = [
 _AWKWARD_VALUES = ["", "x", "1.5", "-", "--", "-x", "-1e-3", "-inf", "--c", "-h"]
 
 
-def _value_texts(action: argparse.Action, clean: bool) -> st.SearchStrategy:
-    if action.choices is not None:
-        valid = st.sampled_from([str(c) for c in action.choices])
-    elif action.type is float:  # no nan: a Namespace holding nan equals no other
+def _value_texts(kind: Any, choices: Any, clean: bool) -> st.SearchStrategy:
+    if choices is not None:
+        valid = st.sampled_from([str(c) for c in choices])
+    elif kind is float:  # no nan: a Namespace holding nan equals no other
         valid = st.one_of(st.floats(allow_nan=False).map(repr),
                           st.sampled_from(["-5", ".5", "-.5", "1e300", "-0"]))
-    elif action.type is int:
+    elif kind is int:
         valid = st.integers(-20, 20).map(str)
     else:
         valid = st.text(max_size=4)
@@ -853,28 +871,35 @@ def _value_texts(action: argparse.Action, clean: bool) -> st.SearchStrategy:
 
 @st.composite
 def _subcommand_argv(draw) -> List[str]:
-    """A subcommand and its own flags, each given 0-2 times (required ones
-    mostly once, help rarely), in any order.  A clean argv has every
+    """A subcommand and its own arguments, each given 0-2 times (required
+    ones mostly once, help rarely), in any order.  A clean argv has every
     required flag, no help, no awkward value and no ``=`` form, so most
-    of them take the one-pass route."""
-    name = draw(st.sampled_from(sorted(cli._parsers()[1])))
+    of them take the one-pass route.  The arguments are help, reproduce's
+    positional table id and the subcommand's rows of the flag table."""
+    name = draw(st.sampled_from(sorted(cli._SUBCOMMANDS)))
     clean = draw(st.booleans())
+    # (option strings, type, choices, required); help alone has no type
+    arguments = [(["-h", "--help"], None, None, False)]
+    if name == "reproduce":
+        arguments.append(([], int, None, True))
+    arguments += [([flag], kind, choices, default is ...)
+                  for flag, _, kind, default, choices, *_ in cli._flags(name).values()]
     groups = []
-    for action in cli._parsers()[1][name]._actions:
-        if isinstance(action, argparse._HelpAction):
+    for option_strings, kind, choices, required in arguments:
+        if kind is None:
             counts = [0] if clean else [0] * 12 + [1]
         else:
-            counts = ([1, 1, 2] if clean else [1, 1, 1, 1, 0, 2]) if action.required \
+            counts = ([1, 1, 2] if clean else [1, 1, 1, 1, 0, 2]) if required \
                 else [0, 0, 1, 2]
         for _ in range(draw(st.sampled_from(counts))):
-            if not action.option_strings:  # reproduce's table
-                groups.append([draw(_value_texts(action, clean))])
+            if not option_strings:  # reproduce's table
+                groups.append([draw(_value_texts(kind, choices, clean))])
                 continue
-            flag = draw(st.sampled_from(action.option_strings))
-            if action.nargs == 0:
+            flag = draw(st.sampled_from(option_strings))
+            if kind is None:
                 groups.append([flag])
                 continue
-            value = draw(_value_texts(action, clean))
+            value = draw(_value_texts(kind, choices, clean))
             inline = not clean and draw(st.booleans())
             groups.append([f"{flag}={value}"] if inline else [flag, value])
     return [name, *(token for group in draw(st.permutations(groups)) for token in group)]
@@ -924,9 +949,22 @@ class TestParseParity:
         def refuse(*_args, **_kwargs):
             raise AssertionError("argparse was asked to parse")
 
-        for sub in cli._parsers()[1].values():
-            monkeypatch.setattr(sub, "parse_known_args", refuse)
+        monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", refuse)
         assert cli.parse_args(argv) == want
+
+    @pytest.mark.parametrize("argv", ONE_PASS_ARGV, ids=" ".join)
+    def test_flag_pairs_build_no_parser(self, monkeypatch, argv):
+        """The scan reads the flag table, not a parser: with the cached
+        parser gone and argparse unable to build one, flag pairs still
+        parse to the Namespace argparse gives."""
+        def refuse(*_args, **_kwargs):
+            raise AssertionError("an argparse parser was built")
+
+        cli.build_parser.cache_clear()
+        with monkeypatch.context() as patch:
+            patch.setattr(argparse.ArgumentParser, "__init__", refuse)
+            got = cli.parse_args(argv)
+        assert got == cli.build_parser().parse_args(argv)
 
 
 # ---------------------------------------------------------------------------

@@ -2,7 +2,12 @@
 
 from __future__ import annotations
 
+import math
+import sys
+
 import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
 
 from paper_functionals import upsilon
 from taxdelay.errors import InvalidParameter
@@ -169,6 +174,26 @@ class TestGridValues:
     def test_invalid_grids(self, args):
         with pytest.raises(InvalidParameter):
             grid_values(*args)
+
+    @given(st.floats(allow_nan=False, allow_infinity=False),
+           st.floats(allow_nan=False, allow_infinity=False), st.integers(2, 60))
+    def test_finite_span_keeps_the_stepping_rule(self, lo, hi, steps):
+        """Where hi - lo is finite, point i is lo + i * width to the bit."""
+        assume(lo < hi and math.isfinite(hi - lo))
+        width = (hi - lo) / (steps - 1)
+        want = [lo + i * width for i in range(steps - 1)] + [hi]
+        assert list(map(float.hex, grid_values(lo, hi, steps))) == list(map(float.hex, want))
+
+    @given(st.floats(-sys.float_info.max, -1e292), st.floats(1e292, sys.float_info.max),
+           st.integers(2, 60))
+    def test_overflowing_span_stays_finite_and_ordered(self, lo, hi, steps):
+        """Ends near the largest double, whose difference overflows, still
+        give finite points in [lo, hi], both ends exact."""
+        assume(math.isinf(hi - lo))
+        grid = grid_values(lo, hi, steps)
+        assert (grid[0], grid[-1], len(grid)) == (lo, hi, steps)
+        assert all(math.isfinite(v) for v in grid)
+        assert grid == sorted(grid)
 
 
 class TestSweepRows:
