@@ -106,6 +106,21 @@ def _flags(command: str) -> Dict[str, tuple]:
 
 
 @functools.lru_cache(maxsize=None)
+def _scan_table(command: str) -> Tuple[Dict[str, tuple], frozenset, Dict[str, Any]]:
+    """``command``'s rows by flag, its required dests and the other dests' defaults."""
+    rows = _flags(command)
+    required = frozenset(row[1] for row in rows.values() if row[3] is ...)
+    return rows, required, {row[1]: row[3] for row in rows.values() if row[3] is not ...}
+
+
+@functools.lru_cache(maxsize=None)
+def _other_mode_flags(command: str, mode: str) -> Tuple[Tuple[str, str], ...]:
+    """(flag, dest) of each of ``command``'s flags that only the other mode takes."""
+    return tuple((flag, row[1]) for flag, row in _flags(command).items()
+                 if row[7] not in ("both", mode))
+
+
+@functools.lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
     """The argument parser, built from the flag table once per process."""
     parser = argparse.ArgumentParser(
@@ -135,8 +150,10 @@ def _scan(command: str, argv: List[str]) -> Optional[argparse.Namespace]:
     otherwise or would exit.  test_cli.py's drawn-argv test checks each Python."""
     if len(argv) % 2:
         return None
-    rows, args = _flags(command), argparse.Namespace(command=command)
+    rows, required, defaults = _scan_table(command)
+    args = argparse.Namespace(command=command)
     values = vars(args)
+    values.update(defaults)
     for flag, text in zip(argv[::2], argv[1::2]):
         row = rows.get(flag)
         if row is None or text[:1] == "-" and not _NEGATIVE(text):
@@ -148,12 +165,8 @@ def _scan(command: str, argv: List[str]) -> Optional[argparse.Namespace]:
             return None
         if choices is not None and value not in choices:
             return None
-    for _, dest, _, default, _, _, _, _ in rows.values():
-        if dest not in values:
-            if default is ...:
-                return None  # argparse exits on a missing required flag
-            values[dest] = default
-    return args
+    # argparse exits on a missing required flag
+    return args if values.keys() >= required else None
 
 
 def parse_args(argv: Optional[Sequence[str]] = None) -> argparse.Namespace:
@@ -174,8 +187,8 @@ def parse_args(argv: Optional[Sequence[str]] = None) -> argparse.Namespace:
 
 
 def _reject_other_mode_flags(args: argparse.Namespace) -> None:
-    for flag, dest, _, _, _, _, _, mode in _flags(args.command).values():
-        if mode not in ("both", args.mode) and getattr(args, dest) is not None:
+    for flag, dest in _other_mode_flags(args.command, args.mode):
+        if getattr(args, dest) is not None:
             raise InvalidParameter(f"{args.mode} mode takes no {flag}")
 
 
@@ -225,16 +238,18 @@ def _cmd_sweep(args: argparse.Namespace) -> Tuple[str, int]:
         s_grid, q_grid, h0 = existence_grid(new_model(args.c, args.lam, args.mu), args.ell,
                                             args.lo, args.hi, args.steps,
                                             args.q_lo, args.q_hi, args.q_steps)
-        # each S, q and h(0) value and each flag formatted once; rows are
-        # q-major with S varying fastest
+        # each S, q and h(0) value and each flag formatted once, one column
+        # at a time; rows are q-major with S varying fastest
         cell, precision = _CELLS[args.format], args.precision
         values = [v for row in h0 for v in row]
         flags = [cell(False, precision), cell(True, precision)]
-        columns = [[cell(s, precision) for s in s_grid] * len(q_grid),
-                   [text for q in q_grid for text in [cell(q, precision)] * len(s_grid)],
-                   [cell(v, precision) for v in values], [flags[v > 0.0] for v in values]]
+        cells = [""] * (4 * len(values))
+        cells[0::4] = [cell(s, precision) for s in s_grid] * len(q_grid)
+        cells[1::4] = [text for q in q_grid for text in [cell(q, precision)] * len(s_grid)]
+        cells[2::4] = [cell(v, precision) for v in values]
+        cells[3::4] = [flags[v > 0.0] for v in values]
         header = ["S", "q", "h_at_zero", "positive_threshold"]
-        return _layout(header, columns, args.format), EXIT_OK
+        return _layout(header, cells, args.format), EXIT_OK
     if args.mode == "injection" and args.varphi is None and args.param != "varphi":
         raise InvalidParameter("injection mode needs --varphi")
     _, dest, *_, owner = _flags("sweep")[f"--{args.param}"]
@@ -328,31 +343,29 @@ def _json_template(header: Tuple[str, ...], pad: str) -> str:
     return f"{pad}{{\n{fields}\n{pad}}}"
 
 
-def _layout(header: List[str], columns: List[List[str]], fmt: str) -> str:
-    """The table whose k-th column holds the cell texts ``columns[k]``, in
-    the ``json.dumps(..., indent=2)`` layout (one row: the object alone) or
-    as CSV."""
-    n_rows, width = len(columns[0]), len(header)
+def _layout(header: List[str], cells: List[str], fmt: str) -> str:
+    """The table of ``header``'s columns whose cell texts, row after row,
+    are ``cells``, in the ``json.dumps(..., indent=2)`` layout (one row: the
+    object alone) or as CSV."""
+    width = len(header)
+    n_rows = len(cells) // width
     if fmt == "json":
-        # one %-template per row, filled with the row-major cells in one pass
-        cells = [""] * (n_rows * width)
-        for k, column in enumerate(columns):
-            cells[k::width] = column
+        # one %-template per row, filled with all the cells in one pass
         template = _json_template(tuple(header), "" if n_rows == 1 else "  ")
         text = ",\n".join([template] * n_rows) % tuple(cells)
         return (text if n_rows == 1 else f"[\n{text}\n]" if n_rows else "[]") + "\n"
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
     writer.writerow(header)
-    writer.writerows(zip(*columns))
+    writer.writerows(zip(*[iter(cells)] * width))
     return buffer.getvalue()
 
 
 def _render(header: List[str], rows: List[Row], args: argparse.Namespace) -> str:
     """The text of a table of row dicts in ``args.format``: each cell
-    formatted where it stands, then laid out by ``_layout``."""
-    cell = _CELLS[args.format]
-    return _layout(header, [[cell(row[k], args.precision) for row in rows] for k in header],
+    formatted where it stands, row after row, then laid out by ``_layout``."""
+    cell, precision = _CELLS[args.format], args.precision
+    return _layout(header, [cell(row[k], precision) for row in rows for k in header],
                    args.format)
 
 

@@ -18,8 +18,9 @@ class InvalidConfig(ValueError):
 class ToleranceNotMet(ArithmeticError):
     """A numerical routine could not reach a usable result: an adaptive
     quadrature missed its tolerance, a closed-form tail left floating-point
-    range, or Gauss's continued fraction (``scale._gauss_cf``) did not
-    converge."""
+    range, Gauss's continued fraction (``scale._gauss_cf``) did not
+    converge, or ``problem.optimize``'s value is +-inf (the message names
+    the problem's S or varphi)."""
 
 
 class BracketFailure(ArithmeticError):

@@ -26,14 +26,15 @@ methods of the family, a ``scale.ScaleFamily``:
     piece              TerminalProblem       InjectionProblem
     family F           W (ScaleSet.W)        Z (ScaleSet.Z)
     kernel K           W'Z/W - qW            Z - qW (Zbar + d/q)/Z
+    param              S                     varphi
     weight w           S                     -varphi
     sign = w/param     +1                    -1
     potential G        Z                     -(Zbar + d/q)
     G's g1, g2         z1, z2                -z1/theta1, -z2/theta2
     levels x           x > 0                 x >= 0
 
-h is one pass per level (``_psi_at``, shared with psi): the problem's
-``tails`` (``scale.Tails``) gives T, T_K and the u, rho for F/F' and K.  psi's
+h and psi each make one call of the problem's ``tails`` (``scale.Tails``)
+per level, which gives T, T_K and the u, rho for F/F' and K.  psi's
 grouping ell e T + w (e T_K) is pinned: regrouping moves roots where h is flat.
 """
 
@@ -41,9 +42,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Optional
 
-from .errors import DomainError, InvalidParameter
+from .errors import DomainError, InvalidParameter, ToleranceNotMet
 from .numerics import RootReport, find_root_decreasing_sign
 from .scale import ScaleFamily, ScaleSet, Tails
 
@@ -59,9 +60,9 @@ ROOT_TOL = 1e-8
 class DelayedTaxation:
     """Tax rate on top of a ScaleSet; a subclass supplies its family's data
     (see the module docstring) and no methods: the class attributes
-    ``levels``, ``admits`` and ``sign``, and through ``_bind`` the family,
-    the weight, the potential's coefficients ``g1``, ``g2``, the exponent
-    1/(1 - ell) and the family's ``tails`` at it.  Each is bound once: h
+    ``levels``, ``admits``, ``param`` and ``sign``, and through ``_bind``
+    the family, the weight, the potential's coefficients ``g1``, ``g2``, the
+    exponent 1/(1 - ell) and the family's ``tails`` at it.  Each is bound once: h
     reads them on every call, and a plain attribute costs less there than a
     method or a property.
     """
@@ -97,7 +98,7 @@ class TerminalProblem(DelayedTaxation):
     # the family's data (see the module docstring)
     levels = "0 < x"
     admits = staticmethod(lambda x: 0.0 < x < math.inf)
-    sign = 1  # weight = sign * s_terminal
+    param, sign = "S", 1  # weight = sign * s_terminal
 
 
 @dataclass(frozen=True)
@@ -129,7 +130,7 @@ class InjectionProblem(DelayedTaxation):
     # the family's data (see the module docstring)
     levels = "0 <= x"
     admits = staticmethod(lambda x: 0.0 <= x < math.inf)
-    sign = -1  # weight = sign * varphi
+    param, sign = "varphi", -1  # weight = sign * varphi
 
 
 @dataclass(frozen=True)
@@ -178,18 +179,7 @@ def exit_integral(p: DelayedTaxation, x: float, b: float, kernel: bool = False) 
 
 def exit_tail(p: DelayedTaxation, x: float, kernel: bool = False) -> float:
     """e int_x^inf (F(x)/F(y))^e g(y) dy, g = 1 or K, in closed form."""
-    if not (math.isfinite(x) and x >= 0.0):
-        raise DomainError(f"need finite x >= 0, got {x!r}")
-    return p.exponent * p.tails(x, (bool(kernel),))[0][0]
-
-
-def _psi_at(p: DelayedTaxation, x: float) -> Tuple[float, float, float]:
-    """psi(x), with the u and rho of its tails for F/F' and K at x."""
-    if not (math.isfinite(x) and x >= 0.0):
-        raise DomainError(f"need finite x >= 0, got {x!r}")
-    (t, t_k), u, rho = p.tails(x)
-    e = p.exponent
-    return p.ell * e * t + p.weight * (e * t_k), u, rho
+    return p.exponent * p.tails.tail(x, bool(kernel))
 
 
 def psi(p: DelayedTaxation, x: float) -> float:
@@ -198,7 +188,9 @@ def psi(p: DelayedTaxation, x: float) -> float:
     Terminal: (ell I2 + S I1)/(1-ell) with the plain and ruin-kernel tails
     I2, I1 of W.  Injection: g - varphi r, the paper's tail limits of g_a, r_a.
     """
-    return _psi_at(p, x)[0]
+    t, t_k, _, _ = p.tails(x)
+    e = p.exponent
+    return p.ell * e * t + p.weight * (e * t_k)
 
 
 def potential(p: DelayedTaxation, x: float) -> float:
@@ -233,9 +225,9 @@ def h(p: DelayedTaxation, x: float) -> float:
     V = F/F' rises from c/(q+lam) (W) or c/q (Z) at 0 to 1/theta1.  The
     limit at infinity is (ell - 1)/theta1 < 0.
     """
-    value, u, rho = _psi_at(p, x)
-    f = p.family
-    return value - f.over_slope_at(u) * (1.0 + p.weight * f.kernel_at(x, rho))
+    t, t_k, u, rho = p.tails(x)
+    e, f, w = p.exponent, p.family, p.weight
+    return p.ell * e * t + w * (e * t_k) - f.over_slope_at(u) * (1.0 + w * f.kernel_at(x, rho))
 
 
 def phi(p: DelayedTaxation, x: float, b: float) -> float:
@@ -271,12 +263,15 @@ def optimal_value(p: DelayedTaxation, b: float) -> float:
 
 def optimize(p: DelayedTaxation) -> OptimumReport:
     """Optimal delay threshold (the root of h if h(0) > 0, else 0) and the
-    value ``optimal_value(p, threshold)``."""
+    value ``optimal_value(p, threshold)``.  Raises ToleranceNotMet, naming
+    the problem's parameter, where that value leaves double range."""
     h0 = h(p, 0.0)
-    if h0 <= 0.0:
-        return OptimumReport(threshold=0.0, value=optimal_value(p, 0.0),
-                             boundary_case=True, root_diag=None)
-    diag = find_root_decreasing_sign(lambda x: h(p, x), h0, ROOT_TOL,
-                                     hi_cap=1e6 / p.scale.theta1)
-    return OptimumReport(threshold=diag.root, value=optimal_value(p, diag.root),
-                         boundary_case=False, root_diag=diag)
+    diag = None if h0 <= 0.0 else find_root_decreasing_sign(
+        lambda x: h(p, x), h0, ROOT_TOL, hi_cap=1e6 / p.scale.theta1)
+    threshold = 0.0 if diag is None else diag.root
+    value = optimal_value(p, threshold)
+    if math.isinf(value):
+        raise ToleranceNotMet(f"the optimal value leaves double range at "
+                              f"{p.param}={p.sign * p.weight!r}")
+    return OptimumReport(threshold=threshold, value=value, boundary_case=diag is None,
+                         root_diag=diag)

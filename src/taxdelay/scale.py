@@ -28,9 +28,10 @@ Zbar + d/q), ``log``, ``log_ratio``, ``over_slope`` (F/F') and ``kernel``.
 Every tail integral of the two problems is an Euler integral with a
 closed form in the Gauss hypergeometric function; ``Tails`` evaluates it.
 
-``Tails`` takes both tails at one level in one pass; its
-u = e^{-(theta1-theta2) x} and rho = (f2/f1) u give F/F' and K there (the
-``_at`` methods), so ``problem.h`` is one pass per level, bit for bit.
+A ``Tails`` call gives both tails at one level with the
+u = e^{-(theta1-theta2) x} and rho = (f2/f1) u they share, which give F/F'
+and K there (the ``_at`` methods), so ``problem.h`` makes one call per
+level; ``Tails.tail`` gives one tail.
 """
 
 from __future__ import annotations
@@ -41,7 +42,7 @@ from typing import Tuple
 # scipy's scalar entry points: the ufuncs' values, without their per-call set-up
 from scipy.special.cython_special import betaincc, betaln, hyp2f1
 
-from .errors import InvalidParameter, OutOfRange, ToleranceNotMet
+from .errors import DomainError, InvalidParameter, OutOfRange, ToleranceNotMet
 from .model import LevyModel, spectral_roots
 
 __all__ = ["ScaleFamily", "ScaleSet", "Tails"]
@@ -171,11 +172,12 @@ class ScaleFamily:
 
 class Tails:
     """The tails int_x^inf (F(x)/F(y))^e g(y) dy of one family in closed
-    form, g = 1 and g = K, at exponent e with their constants bound once;
-    at one level x they share u, rho and the branch.
+    form, g = 1 and g = K, at exponent e with their constants bound once.
+    Called at a level x, it gives both tails there with the u and rho they
+    share; ``tail`` gives one of them.
 
     Write F(y) = f1 e^{theta1 y}(1 - rho0 e^{-delta y}), delta = theta1 - theta2,
-    rho = rho0 e^{-delta x} and k = 1 with the kernel, else 0.  Euler's
+    u = e^{-delta x}, rho = rho0 u and k = 1 with the kernel, else 0.  Euler's
     integral (DLMF 15.6.1) gives, with g = (e theta1 - k theta2)/delta,
 
         (const e^{theta2 x}/f1)^k (1-rho)^e 2F1(e+k, g; g+1; rho) / (delta g),
@@ -187,48 +189,61 @@ class Tails:
     as the incomplete beta function (1-rho)^e |rho|^{-g} B_T(g, e+k-g),
     T = rho/(rho-1) (DLMF 8.17.1).  Where hyp2f1 returns no finite
     value (from e near 1e5 on), 2F1 is Gauss's continued fraction
-    (``_gauss_cf``).  A tail that is not a finite double raises
-    ToleranceNotMet.  The caller checks x >= 0.
+    (``_gauss_cf``).  A level that is not finite and >= 0 raises
+    DomainError; a tail that is not a finite double raises
+    ToleranceNotMet.
     """
 
-    __slots__ = ("family", "e", "delta", "ratio", "g", "a")
+    __slots__ = ("family", "e", "delta", "ratio", "terms")
 
     def __init__(self, family: ScaleFamily, e: float):
         t1, t2 = family.theta1, family.theta2
         self.family, self.e = family, e
         self.delta = delta = t1 - t2
         self.ratio = family.f2 / family.f1
-        # index k = 0 plain, 1 kernel: g = (e theta1 - k theta2)/delta, a = g + 1 - e - k
-        g = self.g = (e * t1 / delta, (e * t1 - t2) / delta)
-        self.a = (g[0] + 1.0 - e, g[1] + 1.0 - e - 1.0)
+        # (g, a, g + 1, delta g) for k = 0 plain, 1 kernel, with
+        # g = (e theta1 - k theta2)/delta and a = g + 1 - e - k
+        g0, g1 = e * t1 / delta, (e * t1 - t2) / delta
+        self.terms = ((g0, g0 + 1.0 - e, g0 + 1.0, delta * g0),
+                      (g1, g1 + 1.0 - e - 1.0, g1 + 1.0, delta * g1))
 
-    def __call__(self, x: float, kernels: Tuple[bool, ...] = (False, True)) -> tuple:
-        """([the tail for each of ``kernels``, in order], u, rho) at level x >= 0."""
-        f, e, delta, g, a = self.family, self.e, self.delta, self.g, self.a
-        u = math.exp(-delta * x)
+    def __call__(self, x: float) -> Tuple[float, float, float, float]:
+        """(T, T_K, u, rho) at level x: the plain tail, then the kernel tail."""
+        if not 0.0 <= x < math.inf:
+            raise DomainError(f"need finite x >= 0, got {x!r}")
+        u = math.exp(-self.delta * x)
         rho = self.ratio * u
-        values = []
-        for k in kernels:
-            try:
-                if rho < -0.5:
-                    b = e + k - g[k]  # > 0 for Z, the only family with rho < 0
-                    log_scale = e * math.log1p(-rho) - g[k] * math.log(-rho) + betaln(g[k], b)
-                    value = math.exp(log_scale + math.log(betaincc(b, g[k], 1.0 / (1.0 - rho)))) \
-                        / delta
-                else:
-                    value = hyp2f1(a[k], 1.0, g[k] + 1.0, rho)
-                    if not math.isfinite(value):
-                        value = _gauss_cf(a[k], g[k], rho)
-                    value = (1.0 if k else 1.0 - rho) * value / (delta * g[k])  # (1-rho)^(1-k)
-                if k:
-                    value *= f.const * math.exp(f.theta2 * x) / f.f1
-            except (OverflowError, ValueError):
-                value = math.nan
-            if not math.isfinite(value):
-                raise ToleranceNotMet(
-                    f"closed-form tail out of floating-point range (e={e:g}, rho={rho:g})")
-            values.append(value)
-        return values, u, rho
+        return self._tail(0, x, rho), self._tail(1, x, rho), u, rho
+
+    def tail(self, x: float, kernel: bool = False) -> float:
+        """The one tail at level x, T_K with the kernel, else T."""
+        if not 0.0 <= x < math.inf:
+            raise DomainError(f"need finite x >= 0, got {x!r}")
+        return self._tail(kernel, x, self.ratio * math.exp(-self.delta * x))
+
+    def _tail(self, k: int, x: float, rho: float) -> float:
+        g, a, g_plus_1, delta_g = self.terms[k]
+        try:
+            if rho < -0.5:
+                e = self.e
+                b = e + k - g  # > 0 for Z, the only family with rho < 0
+                log_scale = e * math.log1p(-rho) - g * math.log(-rho) + betaln(g, b)
+                value = math.exp(log_scale + math.log(betaincc(b, g, 1.0 / (1.0 - rho)))) \
+                    / self.delta
+            else:
+                value = hyp2f1(a, 1.0, g_plus_1, rho)
+                if not math.isfinite(value):
+                    value = _gauss_cf(a, g, rho)
+                value = (1.0 if k else 1.0 - rho) * value / delta_g  # (1-rho)^(1-k)
+            if k:
+                f = self.family
+                value *= f.const * math.exp(f.theta2 * x) / f.f1
+        except (OverflowError, ValueError):
+            value = math.nan
+        if not math.isfinite(value):
+            raise ToleranceNotMet(
+                f"closed-form tail out of floating-point range (e={self.e:g}, rho={rho:g})")
+        return value
 
 
 class ScaleSet:

@@ -170,6 +170,19 @@ class TestOptimize:
         assert out == "" and err.startswith("numerical failure: ")
         assert err.count("\n") == 1
 
+    @pytest.mark.parametrize("argv", [
+        ["optimize", *TERMINAL_ARGS, "--S", "1.7976931348623157e308"],
+        ["sweep", *TERMINAL_ARGS, "--param", "S", "--from", "0",
+         "--to", "1.7976931348623157e308", "--steps", "2"],
+    ])
+    def test_infinite_value_names_its_parameter(self, capsys, argv):
+        """A value past the largest double is a numerical failure naming S,
+        not a row that prints inf."""
+        rc, out, err = run_cli(capsys, *argv)
+        assert (rc, out) == (EXIT_NUMERICAL_FAILURE, "")
+        assert err == ("numerical failure: the optimal value leaves double range "
+                       "at S=1.7976931348623157e+308\n")
+
     @pytest.mark.parametrize("flag, value, named", [
         # the spectral roots overflow
         ("--c", "1e300", "c=1e+300, lam=1.0, mu=1.0, q=0.05"),

@@ -21,7 +21,7 @@ from taxdelay.numerics import (
     integrate_tail,
 )
 from taxdelay.problem import ROOT_TOL, InjectionProblem, TerminalProblem, h, optimize, phi
-from taxdelay.scale import ScaleSet
+from taxdelay.scale import ScaleSet, Tails
 from test_cli import solved_draws
 
 
@@ -195,18 +195,25 @@ class TestOptimizeEvaluations:
     def test_h_evaluated_once_per_point(self, monkeypatch, scale05, mode, param):
         """optimize evaluates h at no point twice: h(0), then each upper
         bracket end tried (1, 2, 4, ...), then one point per Brent iteration
-        after the first; a boundary case evaluates only h(0)."""
+        after the first; a boundary case evaluates only h(0).  Each h point
+        is one call of the problem's tails, and no tail is taken elsewhere."""
         p = TerminalProblem(scale05, 0.1, param, 1.0) if mode == "terminal" \
             else InjectionProblem(scale05, 0.2, param, 1.0)
-        points = []
+        points, tail_calls = [], []
 
         def counted(p, x):
             points.append(x)
             return h(p, x)
 
+        for entry in ("__call__", "tail"):
+            def counted_tails(tails, *args, _fn=getattr(Tails, entry)):
+                tail_calls.append(args)
+                return _fn(tails, *args)
+            monkeypatch.setattr(Tails, entry, counted_tails)
         monkeypatch.setattr(problem, "h", counted)
         report = problem.optimize(p)
         assert len(set(points)) == len(points)
+        assert len(tail_calls) == len(points)
         if report.boundary_case:
             assert points == [0.0]
             return
