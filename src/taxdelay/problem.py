@@ -33,9 +33,10 @@ methods of the family, a ``scale.ScaleFamily``:
     G's g1, g2         z1, z2                -z1/theta1, -z2/theta2
     levels x           x > 0                 x >= 0
 
-h and psi each make one call of the problem's ``tails`` (``scale.Tails``)
-per level, which gives T, T_K and the u, rho for F/F' and K.  psi's
-grouping ell e T + w (e T_K) is pinned: regrouping moves roots where h is flat.
+Every level is evaluated by one call of the problem's ``tails``
+(``scale.Tails``), which returns T, T_K, F/F' and K there; h, psi and
+``exit_tail`` read it.  psi's grouping ell e T + w (e T_K) is pinned:
+regrouping moves roots where h is flat.
 """
 
 from __future__ import annotations
@@ -60,9 +61,10 @@ ROOT_TOL = 1e-8
 class DelayedTaxation:
     """Tax rate on top of a ScaleSet; a subclass supplies its family's data
     (see the module docstring) and no methods: the class attributes
-    ``levels``, ``admits``, ``param`` and ``sign``, and through ``_bind``
-    the family, the weight, the potential's coefficients ``g1``, ``g2``, the
-    exponent 1/(1 - ell) and the family's ``tails`` at it.  Each is bound once: h
+    ``levels``, ``admits``, ``param`` and ``sign``, and through ``_bind``,
+    which first checks the start level x0 both subclasses hold, the family,
+    the weight, the potential's coefficients ``g1``, ``g2``, the exponent
+    1/(1 - ell) and the family's ``tails`` at it.  Each is bound once: h
     reads them on every call, and a plain attribute costs less there than a
     method or a property.
     """
@@ -75,6 +77,8 @@ class DelayedTaxation:
             raise InvalidParameter(f"ell must lie in [0, 1), got {self.ell!r}")
 
     def _bind(self, family: ScaleFamily, weight: float, g1: float, g2: float) -> None:
+        if not (math.isfinite(self.x0) and self.x0 >= 0.0):
+            raise InvalidParameter(f"x0 must be finite and >= 0, got {self.x0!r}")
         e = 1.0 / (1.0 - self.ell)
         vars(self).update(family=family, weight=weight, g1=g1, g2=g2, exponent=e,
                           tails=Tails(family, e))  # frozen: plain assignment raises
@@ -91,8 +95,6 @@ class TerminalProblem(DelayedTaxation):
         super().__post_init__()
         if not math.isfinite(self.s_terminal):
             raise InvalidParameter("s_terminal must be finite")
-        if not (math.isfinite(self.x0) and self.x0 >= 0.0):
-            raise InvalidParameter(f"x0 must be finite and >= 0, got {self.x0!r}")
         self._bind(self.scale.W, self.s_terminal, self.scale.Z.f1, self.scale.Z.f2)  # G = Z
 
     # the family's data (see the module docstring)
@@ -122,8 +124,6 @@ class InjectionProblem(DelayedTaxation):
             raise InvalidParameter(
                 "varphi <= 1 needs allow_low_cost=True (cost below one unit per unit injected)"
             )
-        if not (math.isfinite(self.x0) and self.x0 >= 0.0):
-            raise InvalidParameter(f"x0 must be finite and >= 0, got {self.x0!r}")
         Z = self.scale.Z
         self._bind(Z, -self.varphi, -Z.f1 / Z.theta1, -Z.f2 / Z.theta2)  # potential -(Zbar + d/q)
 
@@ -178,8 +178,9 @@ def exit_integral(p: DelayedTaxation, x: float, b: float, kernel: bool = False) 
 
 
 def exit_tail(p: DelayedTaxation, x: float, kernel: bool = False) -> float:
-    """e int_x^inf (F(x)/F(y))^e g(y) dy, g = 1 or K, in closed form."""
-    return p.exponent * p.tails.tail(x, bool(kernel))
+    """e int_x^inf (F(x)/F(y))^e g(y) dy, g = 1 or K, in closed form; raises
+    where either tail at x fails."""
+    return p.exponent * p.tails(x)[bool(kernel)]
 
 
 def psi(p: DelayedTaxation, x: float) -> float:
@@ -225,9 +226,9 @@ def h(p: DelayedTaxation, x: float) -> float:
     V = F/F' rises from c/(q+lam) (W) or c/q (Z) at 0 to 1/theta1.  The
     limit at infinity is (ell - 1)/theta1 < 0.
     """
-    t, t_k, u, rho = p.tails(x)
-    e, f, w = p.exponent, p.family, p.weight
-    return p.ell * e * t + w * (e * t_k) - f.over_slope_at(u) * (1.0 + w * f.kernel_at(x, rho))
+    t, t_k, v, k = p.tails(x)
+    e, w = p.exponent, p.weight
+    return p.ell * e * t + w * (e * t_k) - v * (1.0 + w * k)
 
 
 def phi(p: DelayedTaxation, x: float, b: float) -> float:

@@ -28,10 +28,9 @@ Zbar + d/q), ``log``, ``log_ratio``, ``over_slope`` (F/F') and ``kernel``.
 Every tail integral of the two problems is an Euler integral with a
 closed form in the Gauss hypergeometric function; ``Tails`` evaluates it.
 
-A ``Tails`` call gives both tails at one level with the
-u = e^{-(theta1-theta2) x} and rho = (f2/f1) u they share, which give F/F'
-and K there (the ``_at`` methods), so ``problem.h`` makes one call per
-level; ``Tails.tail`` gives one tail.
+A ``Tails`` call at a level x returns (T, T_K, F/F', K) there: both tails
+and the two factors of h, all from the one e^{-(theta1-theta2) x} they
+share.  It is how every other module evaluates a level.
 """
 
 from __future__ import annotations
@@ -133,9 +132,9 @@ class ScaleFamily:
         """log F(x) for x >= 0, stable for arbitrarily large x."""
         if x < 0.0:
             raise InvalidParameter(f"log F needs x >= 0, got {x!r}")
-        return self.log_at(x, self.f2 / self.f1 * math.exp((self.theta2 - self.theta1) * x))
+        return self._log_at(x, self.f2 / self.f1 * math.exp((self.theta2 - self.theta1) * x))
 
-    def log_at(self, x: float, rho: float) -> float:
+    def _log_at(self, x: float, rho: float) -> float:
         """log F(x) = theta1 x + log f1 + log1p(-rho) from rho = (f2/f1) e^{-(theta1-theta2) x}."""
         return self.theta1 * x + math.log(self.f1) + math.log1p(-rho)
 
@@ -154,9 +153,9 @@ class ScaleFamily:
 
     def over_slope(self, x: float) -> float:
         """F(x)/F'(x), evaluated as a ratio of the bounded bracket factors."""
-        return self.over_slope_at(math.exp((self.theta2 - self.theta1) * x))
+        return self._over_slope_at(math.exp((self.theta2 - self.theta1) * x))
 
-    def over_slope_at(self, u: float) -> float:
+    def _over_slope_at(self, u: float) -> float:
         """F(x)/F'(x) from u = e^{-(theta1-theta2) x}."""
         return (self.f1 - self.f2 * u) / (self.dk * (self.d1 - self.d2 * u))
 
@@ -165,16 +164,16 @@ class ScaleFamily:
         evaluated in one shot so neither factor overflows."""
         return self.const * math.exp((self.theta1 + self.theta2) * x - self.log(x))
 
-    def kernel_at(self, x: float, rho: float) -> float:
+    def _kernel_at(self, x: float, rho: float) -> float:
         """K(x) from rho = (f2/f1) e^{-(theta1-theta2) x}, as ``kernel``."""
-        return self.const * math.exp((self.theta1 + self.theta2) * x - self.log_at(x, rho))
+        return self.const * math.exp((self.theta1 + self.theta2) * x - self._log_at(x, rho))
 
 
 class Tails:
     """The tails int_x^inf (F(x)/F(y))^e g(y) dy of one family in closed
     form, g = 1 and g = K, at exponent e with their constants bound once.
-    Called at a level x, it gives both tails there with the u and rho they
-    share; ``tail`` gives one of them.
+    Called at a level x, it gives both tails there, and F/F' and K from
+    the u and rho the tails share.
 
     Write F(y) = f1 e^{theta1 y}(1 - rho0 e^{-delta y}), delta = theta1 - theta2,
     u = e^{-delta x}, rho = rho0 u and k = 1 with the kernel, else 0.  Euler's
@@ -208,18 +207,15 @@ class Tails:
                       (g1, g1 + 1.0 - e - 1.0, g1 + 1.0, delta * g1))
 
     def __call__(self, x: float) -> Tuple[float, float, float, float]:
-        """(T, T_K, u, rho) at level x: the plain tail, then the kernel tail."""
+        """(T, T_K, F/F', K) at level x; the plain tail is taken, and raises,
+        first."""
         if not 0.0 <= x < math.inf:
             raise DomainError(f"need finite x >= 0, got {x!r}")
         u = math.exp(-self.delta * x)
         rho = self.ratio * u
-        return self._tail(0, x, rho), self._tail(1, x, rho), u, rho
-
-    def tail(self, x: float, kernel: bool = False) -> float:
-        """The one tail at level x, T_K with the kernel, else T."""
-        if not 0.0 <= x < math.inf:
-            raise DomainError(f"need finite x >= 0, got {x!r}")
-        return self._tail(kernel, x, self.ratio * math.exp(-self.delta * x))
+        f = self.family
+        return (self._tail(0, x, rho), self._tail(1, x, rho),
+                f._over_slope_at(u), f._kernel_at(x, rho))
 
     def _tail(self, k: int, x: float, rho: float) -> float:
         g, a, g_plus_1, delta_g = self.terms[k]

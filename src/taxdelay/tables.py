@@ -14,7 +14,8 @@ zero.  Both sides are affine in param:
     rhs_intercept = V(0)            rhs_slope = sign (V(0) K(0) - G(0))
 
 and their crossing point in param is the existence boundary.
-``existence_affine`` takes the four from the shared construction;
+``existence_affine`` takes the four from one call of the problem's
+``tails`` at zero, which returns T, T_K, V and K there, and G(0);
 ``table_rows`` packages the three built-in reference scenarios.  Two
 generators give plot-ready data: ``sweep_rows`` optimizes a problem along
 one of its parameters, stepped with ``dataclasses.replace``, one row each,
@@ -32,8 +33,7 @@ import numpy as np
 
 from .errors import InvalidParameter
 from .model import LevyModel, new_model
-from .problem import (DelayedTaxation, InjectionProblem, TerminalProblem, exit_tail,
-                      optimize, potential)
+from .problem import DelayedTaxation, InjectionProblem, TerminalProblem, optimize, potential
 from .scale import ScaleSet
 
 # ---------------------------------------------------------------------------
@@ -82,10 +82,9 @@ def existence_affine(problem: type, scale: ScaleSet,
     """(intercept, slope, rhs_intercept, rhs_slope) of the existence
     condition of a problem class at (scale, ell); see the module docstring."""
     p = problem(scale, ell, 2.0, 0.0)  # param 2 suits both classes; no piece reads it
-    f, sign = p.family, problem.sign
-    v0, g0 = f.over_slope(0.0), potential(p, 0.0)
-    return (ell * exit_tail(p, 0.0), sign * (exit_tail(p, 0.0, kernel=True) - g0),
-            v0, sign * (v0 * f.kernel(0.0) - g0))
+    t, t_k, v0, k0 = p.tails(0.0)
+    e, g0, sign = p.exponent, potential(p, 0.0), problem.sign
+    return ell * (e * t), sign * (e * t_k - g0), v0, sign * (v0 * k0 - g0)
 
 
 def existence_threshold(intercept: float, slope: float,

@@ -23,6 +23,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from record_corpus import run
 
 import taxdelay
 from taxdelay import cli
@@ -319,24 +320,24 @@ def wide_box(n: int, seed: int) -> List[Dict[str, float]]:
              "varphi": log_uniform(1.01, 10.0)} for _ in range(n)]
 
 
-@functools.lru_cache(maxsize=None)
-def wide_box_census() -> Tuple[Tuple[List[str], Any, str, str], ...]:
-    """(argv, exit code or escaped exception, stdout, stderr) of an
-    in-process ``optimize`` on each of 1,000 wide-box draws, in both modes."""
-    outcomes = []
+def wide_box_argvs() -> List[List[str]]:
+    """An ``optimize`` argv for each of 1,000 wide-box draws, in both modes;
+    ``record_corpus.py`` records them too."""
+    argvs = []
     for mode, extra in (("terminal", "S"), ("injection", "varphi")):
         for d in wide_box(1000, 20261019):
             argv = ["optimize", "--mode", mode, "--format", "json", "--precision", "17"]
             for name in ("c", "lambda", "mu", "q", "ell", extra):
                 argv += [f"--{name}", repr(d[name])]
-            out, err = io.StringIO(), io.StringIO()
-            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-                try:
-                    rc = main(argv)
-                except Exception as exc:  # noqa: BLE001 - any escape is a failure
-                    rc = exc
-            outcomes.append((argv, rc, out.getvalue(), err.getvalue()))
-    return tuple(outcomes)
+            argvs.append(argv)
+    return argvs
+
+
+@functools.lru_cache(maxsize=None)
+def wide_box_census() -> Tuple[Tuple[List[str], Any, str, str], ...]:
+    """(argv, exit code or "raised <type>", stdout, stderr) of an
+    in-process ``optimize`` on each of the ``wide_box_argvs``."""
+    return tuple((argv, *run(argv)) for argv in wide_box_argvs())
 
 
 class TestWideBox:

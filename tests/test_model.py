@@ -6,7 +6,7 @@ import math
 
 import mpmath
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 from scipy.optimize import brentq
 
@@ -157,8 +157,11 @@ class TestRootProperties:
             assert laplace_exponent(m, theta) == pytest.approx(q, rel=1e-9, abs=1e-9)
 
     @given(c=rates, lam=rates, mu=rates)
+    @example(c=5.0, lam=0.3125, mu=0.0546875)  # a step of 1e-7 erred by 1.04e-5 here
     def test_drift_matches_finite_difference(self, c, lam, mu):
+        """The forward difference errs by lam h/(mu (mu + h)), so the step
+        scales with mu: about 1e-7 lam/mu, inside the tolerance over the box."""
         m = new_model(c, lam, mu)
-        h = 1e-7
+        h = 1e-7 * mu
         fd = laplace_exponent(m, h) / h
         assert fd == pytest.approx(m.net_drift, abs=1e-5 * max(1.0, abs(m.net_drift)))

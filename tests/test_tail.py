@@ -129,7 +129,7 @@ class TestAgainstMpmath:
             want = mp_hyp2f1_tail(s, family, e, x, kernel)
             if want < 1e-280:  # below the double range; nothing to compare
                 continue
-            got = Tails(getattr(s, family.upper()), e).tail(x, kernel)
+            got = Tails(getattr(s, family.upper()), e)(x)[kernel]
             assert type(got) is float
             worst = max(worst, float(abs(got / want - 1)))
         assert worst <= REL_TOL
@@ -144,7 +144,7 @@ class TestAgainstMpmath:
             e = 1.0 / (1.0 - ell)
             want = mp_quad_tail(s, family, e, x, kernel)
             assert float(abs(mp_hyp2f1_tail(s, family, e, x, kernel) / want - 1)) <= 1e-15
-            assert Tails(getattr(s, family.upper()), e).tail(x, kernel) == pytest.approx(
+            assert Tails(getattr(s, family.upper()), e)(x)[kernel] == pytest.approx(
                 float(want), rel=REL_TOL)
 
 
@@ -160,11 +160,11 @@ class TestDomain:
         """Far out the ratio F(x)/F(y) is e^{-theta1 (y-x)}, so the plain
         tail tends to 1/(e theta1) and the kernel tail underflows to 0."""
         e = 2.0
-        assert Tails(scale05.W, e).tail(5e3, False) == pytest.approx(
+        assert Tails(scale05.W, e)(5e3)[False] == pytest.approx(
             1.0 / (e * scale05.theta1), rel=1e-14)
-        assert Tails(scale05.Z, e).tail(5e3, False) == pytest.approx(
+        assert Tails(scale05.Z, e)(5e3)[False] == pytest.approx(
             1.0 / (e * scale05.theta1), rel=1e-14)
-        assert Tails(scale05.Z, e).tail(5e3, True) == 0.0
+        assert Tails(scale05.Z, e)(5e3)[True] == 0.0
 
     def test_extreme_tax_rate_is_finite_or_documented_failure(self):
         """At ell = 0.99999 the closed form can leave double range; the
@@ -174,7 +174,7 @@ class TestDomain:
         for family in (s.W, s.Z):
             for kernel in (False, True):
                 try:
-                    value = Tails(family, e).tail(0.0, kernel)
+                    value = Tails(family, e)(0.0)[kernel]
                 except ToleranceNotMet:
                     continue
                 assert math.isfinite(value) and value > 0.0
@@ -239,7 +239,7 @@ class TestGaussContinuedFraction:
         assert math.isnan(hyp2f1(g + 1.0 - e, 1.0, g + 1.0, family.f2 / family.f1))
         for family in (s.W, s.Z):
             for kernel in (False, True):
-                assert 0.0 < Tails(family, e).tail(0.0, kernel) < math.inf
+                assert 0.0 < Tails(family, e)(0.0)[kernel] < math.inf
 
     def test_c3_example_solves(self, capsys):
         """ROADMAP C3: exit 3 before the continued fraction, b* = 0.763 now."""
@@ -421,18 +421,21 @@ def _outcome(fn, *args):
 
 def _fused_matches_oracle(p, x: float) -> None:
     """h, psi and each tail at x are the oracle's to the bit, or fail with
-    the oracle's error type and message."""
+    the oracle's error type and message; a tail, taken with the other in
+    one call, fails as the first failing oracle tail does."""
     F, e = p.family, p.exponent
     where = f"{type(p).__name__} ell={p.ell!r} x={x!r}"
     assert _outcome(h, p, x) == _outcome(oracle_h, p, x), where
     psi_want = _outcome(lambda: p.ell * e * oracle_tail(F, e, x, False)
                         + p.weight * (e * oracle_tail(F, e, x, True)))
     assert _outcome(psi, p, x) == psi_want, where
+    errors = [w for w in (_outcome(oracle_tail, F, e, x, k) for k in (False, True))
+              if isinstance(w, tuple)]
     for kernel in (False, True):
-        assert _outcome(lambda: Tails(F, e).tail(x, kernel)) \
-            == _outcome(oracle_tail, F, e, x, kernel), where
+        assert _outcome(lambda: Tails(F, e)(x)[kernel]) \
+            == (errors[0] if errors else _outcome(oracle_tail, F, e, x, kernel)), where
         assert _outcome(exit_tail, p, x, kernel) \
-            == _outcome(lambda: e * oracle_tail(F, e, x, kernel)), where
+            == (errors[0] if errors else _outcome(lambda: e * oracle_tail(F, e, x, kernel))), where
 
 
 def _both_outcome(tails, x: float):
@@ -472,22 +475,25 @@ class TestFusedEvaluation:
                 _fused_matches_oracle(p, x)
 
     def test_both_tails_match_one_tail_near_ell_one(self):
-        """Both tails of one call are the two one-tail results to the bit, on
-        both families at ell up to 0.99999 (ROADMAP C3), through the hyp2f1,
-        incomplete-beta and continued-fraction branches; where a tail fails,
-        the call fails as the first failing tail does."""
-        branches = {"hyp2f1": 0, "beta": 0, "cf": 0, "raised": 0}
+        """Both tails of one call are the oracle's one-tail results to the
+        bit, on both families at ell up to 0.99999 (ROADMAP C3), through the
+        hyp2f1, incomplete-beta and continued-fraction branches; where a
+        tail fails, the call fails as the first failing oracle tail does, so
+        it also fails where only the plain tail does."""
+        branches = {"hyp2f1": 0, "beta": 0, "cf": 0, "raised": 0, "plain_only": 0}
         for s, _ in _fuzz_box(20261018, 60):
             for ell in (0.9, 0.999, 0.9999, 0.99999):
                 e = 1.0 / (1.0 - ell)
                 for F in (s.W, s.Z):
                     tails = Tails(F, e)
                     for x in (0.0, 0.5, 3.0):
-                        want = [_outcome(tails.tail, x, kernel) for kernel in (False, True)]
+                        want = [_outcome(oracle_tail, F, e, x, kernel)
+                                for kernel in (False, True)]
                         errors = [w for w in want if isinstance(w, tuple)]
                         assert _both_outcome(tails, x) == (errors[0] if errors else tuple(want)), \
                             (s.model, s.q, ell, x)
                         branches["raised"] += bool(errors)
+                        branches["plain_only"] += errors == want[:1]
                         delta = F.theta1 - F.theta2
                         rho = F.f2 / F.f1 * math.exp(-delta * x)
                         if rho < -0.5:
@@ -496,7 +502,26 @@ class TestFusedEvaluation:
                         g = e * F.theta1 / delta
                         branches["hyp2f1" if math.isfinite(
                             hyp2f1(g + 1.0 - e, 1.0, g + 1.0, rho)) else "cf"] += 1
+        assert branches.pop("plain_only") >= 1, branches
         assert min(branches.values()) >= 5, branches
+
+    def test_call_factors_match_family_methods(self):
+        """The call's F/F' and K are the family's ``over_slope`` and ``kernel``
+        at x to the bit, on both families at the box's ell and at 0.99999;
+        levels where a tail fails raise before either is returned."""
+        checked = 0
+        for s, box_ell in _fuzz_box(20261018, 60):
+            for ell in (box_ell, 0.99999):
+                for F in (s.W, s.Z):
+                    for x in FUSED_LEVELS:
+                        try:
+                            _, _, v, k = Tails(F, 1.0 / (1.0 - ell))(x)
+                        except ToleranceNotMet:
+                            continue
+                        assert (v.hex(), k.hex()) == (F.over_slope(x).hex(), F.kernel(x).hex()), \
+                            (s.model, s.q, ell, x)
+                        checked += 1
+        assert checked >= 900
 
     @pytest.mark.parametrize("c, lam, mu, q, ell, problem, param, message", [
         # the incomplete-beta branch leaves double range (ROADMAP C3)
