@@ -34,8 +34,8 @@ from .tables import (SWEEPABLE, TableRow, existence_grid, grid_values, sweep_row
                      table_rows)
 from .validate import run_checks
 
-# the shared h under the two names perfbench/tracing.py wraps for the
-# residual ``optimize`` prints
+# the shared h under the two names perfbench/tracing.py wraps; ``optimize``
+# prints the residual its search already took, so no command calls them
 h_terminal = h_bar = h
 
 EXIT_OK = 0
@@ -215,7 +215,7 @@ def _cmd_optimize(args: argparse.Namespace) -> Tuple[str, int]:
         "threshold": report.threshold,
         "boundary_case": report.boundary_case,
         "value": report.value,
-        "h_residual": h_terminal(problem, report.threshold),
+        "h_residual": report.residual,
     }
     return _render(list(row), [row], args), EXIT_OK
 
@@ -240,16 +240,18 @@ def _cmd_sweep(args: argparse.Namespace) -> Tuple[str, int]:
                                             args.q_lo, args.q_hi, args.q_steps)
         # each S, q and h(0) value and each flag formatted once, one column
         # at a time; rows are q-major with S varying fastest
-        cell, precision = _CELLS[args.format], args.precision
+        fmt, precision = args.format, args.precision
         values = [v for row in h0 for v in row]
+        cell = _CELLS[fmt]
         flags = [cell(False, precision), cell(True, precision)]
         cells = [""] * (4 * len(values))
-        cells[0::4] = [cell(s, precision) for s in s_grid] * len(q_grid)
-        cells[1::4] = [text for q in q_grid for text in [cell(q, precision)] * len(s_grid)]
-        cells[2::4] = [cell(v, precision) for v in values]
+        cells[0::4] = _column(s_grid, fmt, precision) * len(q_grid)
+        cells[1::4] = [text for q_text in _column(q_grid, fmt, precision)
+                       for text in [q_text] * len(s_grid)]
+        cells[2::4] = _column(values, fmt, precision)
         cells[3::4] = [flags[v > 0.0] for v in values]
         header = ["S", "q", "h_at_zero", "positive_threshold"]
-        return _layout(header, cells, args.format), EXIT_OK
+        return _layout(header, cells, fmt), EXIT_OK
     if args.mode == "injection" and args.varphi is None and args.param != "varphi":
         raise InvalidParameter("injection mode needs --varphi")
     _, dest, *_, owner = _flags("sweep")[f"--{args.param}"]
@@ -335,12 +337,36 @@ def _json_cell(value: Any, precision: int) -> str:
 _CELLS = {"csv": _csv_cell, "json": _json_cell}
 
 
+def _column(values: List[Any], fmt: str, precision: int) -> List[str]:
+    """The texts ``_CELLS[fmt]`` writes for each of ``values``.  A column of
+    floats is formatted in C-level passes: CSV's format spec, or JSON's
+    rounding through that spec, then ``float.__repr__``.  Any other column,
+    and a JSON column that holds or rounds to nan or inf (written as
+    strings), takes the per-cell rule."""
+    if set(map(type, values)) <= {float}:
+        spec = f"{{:.{precision}g}}".format
+        if fmt == "csv":
+            return list(map(spec, values))
+        # 17 significant digits round-trip every double
+        rounded = values if precision >= 17 else list(map(float, map(spec, values)))
+        # a nan or inf makes the sum one; a sum that overflows only costs the slow path
+        if math.isfinite(sum(rounded)):
+            return list(map(float.__repr__, rounded))
+    cell = _CELLS[fmt]
+    return [cell(v, precision) for v in values]
+
+
 @functools.lru_cache(maxsize=64)
-def _json_template(header: Tuple[str, ...], pad: str) -> str:
-    """A ``json.dumps(..., indent=2)`` row of ``header``'s keys, indented by pad."""
-    fields = ",\n".join(f"{pad}  {encode_basestring_ascii(k).replace('%', '%%')}: %s"
-                        for k in header)
-    return f"{pad}{{\n{fields}\n{pad}}}"
+def _json_frame(header: Tuple[str, ...], one_row: bool) -> Tuple[str, Tuple[str, ...], str]:
+    """The fixed text of ``json.dumps(..., indent=2)`` of one object of
+    ``header``'s keys (``one_row``) or of a list of them: what comes before
+    the first value, what follows each value of a row (the last closes the
+    row and opens the next), and what follows the table's last value."""
+    pad, opening, closing = ("", "", "") if one_row else ("  ", "[\n", "\n]")
+    keys = [encode_basestring_ascii(k) for k in header]
+    follows = tuple(f",\n{pad}  {k}: " for k in keys[1:]) + (
+        f"\n{pad}}},\n{pad}{{\n{pad}  {keys[0]}: ",)
+    return f"{opening}{pad}{{\n{pad}  {keys[0]}: ", follows, f"\n{pad}}}{closing}\n"
 
 
 def _layout(header: List[str], cells: List[str], fmt: str) -> str:
@@ -350,10 +376,15 @@ def _layout(header: List[str], cells: List[str], fmt: str) -> str:
     width = len(header)
     n_rows = len(cells) // width
     if fmt == "json":
-        # one %-template per row, filled with all the cells in one pass
-        template = _json_template(tuple(header), "" if n_rows == 1 else "  ")
-        text = ",\n".join([template] * n_rows) % tuple(cells)
-        return (text if n_rows == 1 else f"[\n{text}\n]" if n_rows else "[]") + "\n"
+        if not n_rows:
+            return "[]\n"
+        # the cells interleaved with the rows' fixed text, in one join
+        first, follows, last = _json_frame(tuple(header), n_rows == 1)
+        parts = [first] * (2 * len(cells) + 1)
+        parts[1::2] = cells
+        parts[2::2] = follows * n_rows
+        parts[-1] = last
+        return "".join(parts)
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
     writer.writerow(header)

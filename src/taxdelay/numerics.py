@@ -192,7 +192,7 @@ def find_root_decreasing_sign(h: Callable[[float], float], h0: float, tol: float
         if not math.isfinite(h_hi):
             raise BracketFailure(f"h({hi:g}) is not finite")
         if h_hi == 0.0:
-            return RootReport(root=hi, residual=0.0, bracket=(left, hi), iterations=0)
+            return RootReport(root=hi, residual=h_hi, bracket=(left, hi), iterations=0)
         if h_hi < 0.0:
             break
         left, h_left = hi, h_hi

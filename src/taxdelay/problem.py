@@ -135,7 +135,8 @@ class InjectionProblem(DelayedTaxation):
 
 @dataclass(frozen=True)
 class OptimumReport:
-    """Optimal threshold, objective value at x0, and root diagnostics.
+    """Optimal threshold, objective value at x0, h at the threshold, and
+    root diagnostics.
 
     ``value`` is ``optimal_value(p, threshold)``: phi's formula with
     psi(threshold) replaced through h(threshold) = 0, and the threshold not
@@ -146,6 +147,9 @@ class OptimumReport:
     threshold: float
     value: float
     boundary_case: bool
+    # h(threshold) as the search took it: root_diag.residual at a root, h(0)
+    # at a boundary case
+    residual: float
     root_diag: Optional[RootReport] = None
 
 
@@ -263,9 +267,10 @@ def optimal_value(p: DelayedTaxation, b: float) -> float:
 
 
 def optimize(p: DelayedTaxation) -> OptimumReport:
-    """Optimal delay threshold (the root of h if h(0) > 0, else 0) and the
-    value ``optimal_value(p, threshold)``.  Raises ToleranceNotMet, naming
-    the problem's parameter, where that value leaves double range."""
+    """Optimal delay threshold (the root of h if h(0) > 0, else 0), the
+    value ``optimal_value(p, threshold)`` and h(threshold), the last h the
+    search took.  Raises ToleranceNotMet, naming the problem's parameter,
+    where that value leaves double range."""
     h0 = h(p, 0.0)
     diag = None if h0 <= 0.0 else find_root_decreasing_sign(
         lambda x: h(p, x), h0, ROOT_TOL, hi_cap=1e6 / p.scale.theta1)
@@ -275,4 +280,4 @@ def optimize(p: DelayedTaxation) -> OptimumReport:
         raise ToleranceNotMet(f"the optimal value leaves double range at "
                               f"{p.param}={p.sign * p.weight!r}")
     return OptimumReport(threshold=threshold, value=value, boundary_case=diag is None,
-                         root_diag=diag)
+                         residual=h0 if diag is None else diag.residual, root_diag=diag)

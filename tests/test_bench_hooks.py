@@ -2,9 +2,10 @@
 
 ``perfbench/tracing.py`` wraps library functions from outside: it rebinds
 ``numerics.find_root_decreasing_sign``, ``numerics.quad``,
-``numerics.brentq``, ``cli.main`` and cli's own ``h_terminal``/``h_bar``,
-through which ``optimize`` takes the residual it prints, and it passes a
-counting ``capture=`` to ``simulate_terminal`` and ``simulate_injection``.
+``numerics.brentq``, ``cli.main`` and cli's own ``h_terminal``/``h_bar``
+(which no command calls: ``optimize`` prints the residual its search took),
+and it passes a counting ``capture=`` to ``simulate_terminal`` and
+``simulate_injection``.
 A rename in the library would break the traced benchmark run without
 failing any other test; these run ``optimize`` and ``simulate`` in both
 modes under the tracer.  ``perfbench/run.py`` and ``tracing.py`` also
@@ -114,7 +115,7 @@ def test_library_modules_export_only_their_own_definitions():
                 assert value.__module__ == module_name, f"{module_name}.{attr}"
 
 
-def test_tracer_sees_root_search_and_residual(capsys):
+def test_tracer_sees_root_search_and_no_extra_residual_h(capsys):
     originals = (cli.main, cli.h_terminal, cli.h_bar, numerics.quad, numerics.brentq)
     tracer = _load_tracing().Tracer()
     tracer.install()
@@ -130,7 +131,8 @@ def test_tracer_sees_root_search_and_residual(capsys):
     metrics = tracer.layer_metrics(
         2, lambda n: 0.9,
         lambda values, level: float(np.quantile(values, level)) if len(values) else 0.0)
-    assert metrics["cli.residual_h_ms"][0] > 0.0
+    # the printed residual is the search's last h, not one more evaluation
+    assert metrics["cli.residual_h_ms"][0] == 0.0
     assert metrics["cli.uncaught_errors"][0] == 0.0
 
 

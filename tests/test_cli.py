@@ -21,7 +21,7 @@ from typing import Any, Dict, List, Optional, Tuple
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from record_corpus import run
 
@@ -1116,6 +1116,14 @@ class TestSharedCells:
 
 class TestExistenceMapBytes:
     @settings(max_examples=80)
+    # the benchmark's 50 x 50 map, where each column takes the one-pass
+    # route, and at 16 digits the ends at the largest doubles the per-cell one
+    @example(-10.0, 10.0, 50, 0.002, 0.3, 50, 6, "json")
+    @example(-10.0, 10.0, 50, 0.002, 0.3, 50, 6, "csv")
+    @example(-10.0, 10.0, 50, 0.002, 0.3, 50, 17, "json")
+    @example(-10.0, 10.0, 50, 0.002, 0.3, 50, 17, "csv")
+    @example(-sys.float_info.max, sys.float_info.max, 50, 0.002, 0.3, 50, 16, "json")
+    @example(-sys.float_info.max, sys.float_info.max, 50, 0.002, 0.3, 50, 16, "csv")
     @given(st.one_of(st.sampled_from([-sys.float_info.max, -0.0, 0.0]), st.floats(-20.0, 20.0)),
            st.one_of(st.sampled_from([-0.0, 0.0, sys.float_info.max]), st.floats(-20.0, 20.0)),
            st.integers(2, 6), st.floats(0.002, 0.3), st.floats(0.002, 0.3),
@@ -1146,6 +1154,25 @@ class TestExistenceMapBytes:
         reference = reference_render if fmt == "json" else reference_csv
         header = ["S", "q", "h_at_zero", "positive_threshold"]
         assert out.getvalue() == reference(header, rows, precision)
+
+
+_FLOATS = st.one_of(
+    st.floats(),
+    st.sampled_from([-0.0, 5e-324, 1.7976931348623157e308, -1.7976931348623157e308,
+                     math.nan, math.inf, -math.inf]),
+)
+
+
+class TestColumns:
+    @settings(max_examples=300)
+    @given(st.one_of(st.lists(_FLOATS, max_size=8), st.lists(_CELLS, max_size=8)),
+           st.integers(1, 20), st.sampled_from(["json", "csv"]))
+    def test_column_matches_per_cell_rule(self, values, precision, fmt):
+        """A column's texts are each cell's: the one-pass route for a column
+        of floats, the per-cell route for nan, inf, a value rounded past the
+        largest double, np.float64 and non-floats."""
+        cell = _json_cell if fmt == "json" else _csv_cell
+        assert cli._column(values, fmt, precision) == [cell(v, precision) for v in values]
 
 
 class TestImport:
