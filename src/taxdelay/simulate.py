@@ -40,16 +40,22 @@ time on the barrier, with no exp or expm1; in floating point this gives
 the general form's bits exactly, so the phase changes no result.
 
 Randomness comes from one counter-based Philox stream keyed by the seed.
-Each iteration draws ``2m`` uniforms in one call for the ``m`` live paths,
-in ascending path order: the ``m`` waiting-time uniforms first, then the
-``m`` claim-size uniforms.  The live set at each iteration follows from
-the draws before it, so the result is bit-identical for a given problem,
-threshold and configuration.
+Each iteration takes the next ``2m`` values of the stream for the ``m``
+live paths, in ascending path order: the ``m`` waiting-time uniforms
+first, then the ``m`` claim-size uniforms.  Where the process may run on
+two CPUs, a worker thread computes log1p(-u) of the stream ahead of the
+loop into two reused buffers (Philox and log1p release the GIL); on one
+CPU each take is computed inline.  Either way the values come in stream
+order, so the live set at each iteration follows from the draws before
+it, and the result is bit-identical for a given problem, threshold and
+configuration, whatever the thread timing, buffer size or CPU count.
 """
 
 from __future__ import annotations
 
 import math
+import os
+import threading
 from dataclasses import dataclass, fields
 from typing import Callable, Dict, List, Optional, Tuple
 
@@ -62,6 +68,9 @@ from .problem import DelayedTaxation, InjectionProblem, TerminalProblem
 EVENT_CAP = 10_000_000
 # Discount weight e^{-qt} from which a path runs on its Exp(q) stop clock.
 W_MIN = 0.1
+# Values per draw buffer: the 2n values of a full-width iteration, at least
+# 256 KB and at most 4 MB.
+_CHUNK, _CHUNK_MAX = 2 ** 15, 2 ** 19
 
 # ---------------------------------------------------------------------------
 # Configuration and result records
@@ -138,6 +147,110 @@ class _Capture:
 # ---------------------------------------------------------------------------
 
 
+def _fill(gen: np.random.Generator, out: np.ndarray) -> None:
+    """Write log1p(-u) for the next ``out.size`` uniforms u of ``gen``."""
+    gen.random(out=out)
+    np.negative(out, out=out)
+    np.log1p(out, out=out)
+
+
+def _spare_cpu() -> bool:
+    """Whether this process may run on two CPUs or more."""
+    try:
+        return len(os.sched_getaffinity(0)) >= 2
+    except AttributeError:  # no affinity call on this platform
+        return (os.cpu_count() or 1) >= 2
+
+
+class _Draws:
+    """log1p(-u) for the uniforms u of one Philox stream, in stream order.
+
+    ``take(k)`` returns the next ``k`` values; the array is the caller's,
+    to read or overwrite, until the next take.  With a spare CPU a worker
+    thread fills two reused buffers ahead, and a take that spans buffers
+    is joined in order; without one, each take is filled inline.  Used as
+    a context manager: the worker is stopped and joined on exit, and an
+    error in it is raised by the take that needs its buffer.
+    """
+
+    def __init__(self, seed: int, n_paths: int):
+        self._gen = np.random.Generator(np.random.Philox(key=seed))
+        self._worker = None
+        if not _spare_cpu():
+            return
+        size = min(max(_CHUNK, 2 * n_paths), _CHUNK_MAX)
+        self._bufs = (np.empty(size), np.empty(size))
+        # Locks as one-slot semaphores: the worker takes free[i], fills
+        # buffer i and releases ready[i]; the loop takes ready[i], reads the
+        # buffer and releases free[i].  The loop starts out holding buffer 1,
+        # empty, so the worker fills buffer 0 first.
+        self._free = (threading.Lock(), threading.Lock())
+        self._ready = (threading.Lock(), threading.Lock())
+        for lock in (self._free[1], *self._ready):
+            lock.acquire()
+        self._held, self._buf, self._pos = 1, np.empty(0), 0
+        self._stop, self._error = False, None
+        self._worker = threading.Thread(target=self._fill_ahead, daemon=True)
+        self._worker.start()
+
+    def __enter__(self) -> "_Draws":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        if self._worker is not None:
+            self._stop = True
+            for free in self._free:  # wake the worker if it waits for a buffer
+                if free.locked():
+                    free.release()
+            self._worker.join()
+
+    def _fill_ahead(self) -> None:
+        i = 0
+        while True:
+            self._free[i].acquire()
+            if self._stop:
+                return
+            try:
+                _fill(self._gen, self._bufs[i])
+            except BaseException as exc:
+                # Any error at all: buffer i is released below unfilled, and
+                # the take that waits for it raises this instead of reading it.
+                self._error = exc
+                return
+            finally:
+                self._ready[i].release()
+            i ^= 1
+
+    def _next_buffer(self) -> np.ndarray:
+        self._free[self._held].release()
+        i = self._held ^ 1
+        self._ready[i].acquire()
+        if self._error is not None:
+            raise self._error
+        self._held = i
+        return self._bufs[i]
+
+    def take(self, k: int) -> np.ndarray:
+        if self._worker is None:
+            out = np.empty(k)
+            _fill(self._gen, out)
+            return out
+        buf, pos = self._buf, self._pos
+        if pos + k <= buf.size:
+            self._pos = pos + k
+            return buf[pos:pos + k]
+        out, got = np.empty(k), 0
+        while True:
+            n = min(k - got, buf.size - pos)
+            out[got:got + n] = buf[pos:pos + n]
+            got, pos = got + n, pos + n
+            if got == k:
+                break
+            buf, pos = self._next_buffer(), 0
+        self._buf, self._pos = buf, pos
+        return out
+
+
 def _run(cfg: SimConfig, p, threshold: float, shortfall: Callable,
          capture: Optional[_Capture]) -> Tuple[np.ndarray, Dict[str, int]]:
     """Step the live paths of problem ``p`` until all have ended.
@@ -150,12 +263,12 @@ def _run(cfg: SimConfig, p, threshold: float, shortfall: Callable,
     the shortfalls' positions and discounts, the mask of the paths ending
     at their stop and the (level, barrier) state after the claims; it
     returns the discounted penalties, the mask with the paths the
-    shortfalls end, and the next state.  Returns each path's total payoff
-    in path order and the work counters.
+    shortfalls end (the mask it was given when they end none), and the
+    next state.  Returns each path's total payoff in path order and the
+    work counters.
     """
     n, horizon, q = cfg.n_paths, float(cfg.horizon), p.scale.q
     state = (np.full(n, float(p.x0)), np.full(n, float(max(p.x0, threshold))))
-    rng = np.random.Generator(np.random.Philox(key=cfg.seed))
     idx = np.arange(n)  # original index of each live path
     acc = np.zeros(n)
     out = np.empty(n)
@@ -164,41 +277,44 @@ def _run(cfg: SimConfig, p, threshold: float, shortfall: Callable,
     t, stop = np.zeros(n), np.minimum(t_w - np.log1p(-clock) / q, horizon)
     interval = _taxed_interval(p, t_w)
     scale = np.array([[-1.0 / p.scale.model.lam], [-1.0 / p.scale.model.mu]])
-    iterations = events = killed = 0
+    iterations = events = 0
+    # Every path ends truncated at its stop or by a shortfall, so the paths
+    # the clock kills are those stopped early less those a shortfall ends.
+    killed = int(np.count_nonzero(stop < horizon))
     flat = False
-    while idx.size:
-        iterations += 1
-        if iterations > EVENT_CAP:
-            raise EventCapExceeded(f"exceeded {EVENT_CAP} events per path")
-        events += idx.size
-        # One draw per live path: the waiting-time row, then the claim-size row.
-        u = rng.random((2, idx.size))
-        np.negative(u, out=u)
-        np.log1p(u, out=u)
-        u *= scale  # -log1p(-u) / rate: exponential waiting times and claims
-        t_claim = t + u[0]
-        end = np.minimum(t_claim, stop)
-        truncated = done = t_claim >= stop
-        # Once every interval starts at or past t_w it stays so: t only grows
-        # and compaction only removes paths.
-        flat = flat or t.min() >= t_w
-        tax, state, short, discount, frame = interval(state, t, end, truncated, u[1], flat)
-        acc += tax
-        if short.size:
-            penalty, done, state = shortfall(short, discount, done, state)
-            acc[short] += penalty
-        if capture is not None:
-            capture.add(alive=np.ones(idx.size, dtype=bool), idx=idx, t_start=t,
-                        t_end=end, truncated=truncated, frame=frame)
-        t = t_claim
-        if not np.count_nonzero(done):
-            continue
-        gone = done.nonzero()[0]
-        out[idx[gone]] = acc[gone]
-        killed += int(np.count_nonzero(truncated & (stop < horizon)))  # truncated paths all end
-        keep = (~done).nonzero()[0]
-        idx, acc, t, stop = idx[keep], acc[keep], t[keep], stop[keep]
-        state = tuple(a[keep] for a in state)
+    with _Draws(cfg.seed, n) as draws:
+        while idx.size:
+            iterations += 1
+            if iterations > EVENT_CAP:
+                raise EventCapExceeded(f"exceeded {EVENT_CAP} events per path")
+            events += idx.size
+            # One draw per live path: the waiting-time row, then the claim-size row.
+            u = draws.take(2 * idx.size).reshape(2, idx.size)
+            u *= scale  # -log1p(-u) / rate: exponential waiting times and claims
+            t_claim = t + u[0]
+            end = np.minimum(t_claim, stop)
+            truncated = done = t_claim >= stop
+            # Once every interval starts at or past t_w it stays so: t only grows
+            # and compaction only removes paths.
+            flat = flat or t.min() >= t_w
+            tax, state, short, discount, frame = interval(state, t, end, truncated, u[1], flat)
+            acc += tax
+            if short.size:
+                penalty, done, state = shortfall(short, discount, done, state)
+                acc[short] += penalty
+                if done is not truncated:  # the rule ended some shortfalls
+                    killed -= int(np.count_nonzero(done[short] & (stop[short] < horizon)))
+            if capture is not None:
+                capture.add(alive=np.ones(idx.size, dtype=bool), idx=idx, t_start=t,
+                            t_end=end, truncated=truncated, frame=frame)
+            t = t_claim
+            gone = done.nonzero()[0]
+            if not gone.size:
+                continue
+            out[idx[gone]] = acc[gone]
+            keep = (~done).nonzero()[0]
+            idx, acc, t, stop = idx[keep], acc[keep], t[keep], stop[keep]
+            state = tuple(a[keep] for a in state)
     return out, dict(iterations=iterations, events=events, killed=killed)
 
 

@@ -5,6 +5,9 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import sys
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -99,9 +102,9 @@ class TestDeterminism:
             "-0x1.95b5666cedc03p-6", "0x1.3f5cb3fffdef0p-6", None, 24, 15097, 2000),
     }
 
-    @pytest.mark.parametrize("case", list(PINNED), ids=str)
-    def test_plain_draws_pinned(self, base_model, case):
-        """A refactor of the event loop must keep every result to the bit."""
+    @staticmethod
+    def pinned_run(base_model, case):
+        """The pinned figures of ``case`` as the engines compute them."""
         mode, q, x0, threshold, horizon = case
         scale = ScaleSet(base_model, q)
         if mode == "terminal":
@@ -111,8 +114,145 @@ class TestDeterminism:
             r = simulate_injection(InjectionProblem(scale, 0.2, 1.5, x0), threshold,
                                    SimConfig(2000, horizon, 20261019))
         ruin = None if r.ruin_laplace is None else r.ruin_laplace.hex()
-        assert (r.mean.hex(), r.stderr.hex(), ruin, r.iterations, r.events, r.killed) \
-            == self.PINNED[case]
+        return (r.mean.hex(), r.stderr.hex(), ruin, r.iterations, r.events, r.killed)
+
+    @pytest.mark.parametrize("case", list(PINNED), ids=str)
+    def test_plain_draws_pinned(self, base_model, case):
+        """A refactor of the event loop must keep every result to the bit."""
+        assert self.pinned_run(base_model, case) == self.PINNED[case]
+
+    @pytest.mark.parametrize("chunk, slow", [(1, False), (7, False), (4099, False),
+                                             (4099, True), (None, False)],
+                             ids=["chunk-1", "chunk-7", "chunk-4099", "slow-fill", "inline"])
+    @pytest.mark.parametrize("case", list(PINNED), ids=str)
+    def test_draws_independent_of_buffers_and_timing(self, base_model, case, chunk, slow,
+                                                     monkeypatch):
+        """The worker's buffer size and pace, and whether it runs at all
+        (``chunk`` None: one CPU), change no bit: buffers of 1 and 7 values
+        make every take span many buffers, and a fill that sleeps makes the
+        loop wait for it."""
+        fills = _watch_fills(monkeypatch, slow=slow)
+        monkeypatch.setattr(simulate, "_spare_cpu", lambda: chunk is not None)
+        if chunk is not None:
+            monkeypatch.setattr(simulate, "_CHUNK_MAX", chunk)
+        assert self.pinned_run(base_model, case) == self.PINNED[case]
+        # the worker makes every fill, or with one CPU the caller does
+        assert fills
+        assert all((t is threading.current_thread()) == (chunk is None) for t in fills)
+
+
+def _watch_fills(monkeypatch, slow: bool = False, fail_off=None):
+    """Wrap the draw fill and return the list of the threads that ran each
+    fill.  ``slow`` makes a fill sleep up to 2 ms; with ``fail_off`` set to
+    a thread, a fill on any other thread raises."""
+    fill, threads = simulate._fill, []
+
+    def watched(gen, out):
+        threads.append(threading.current_thread())
+        if slow:
+            time.sleep(0.001 * (len(threads) % 3))
+        if fail_off is not None and threads[-1] is not fail_off:
+            raise RuntimeError("fill failed")
+        fill(gen, out)
+
+    monkeypatch.setattr(simulate, "_fill", watched)
+    return threads
+
+
+def _off_caller(threads) -> bool:
+    """Whether some fill ran on a thread other than the caller's."""
+    return any(t is not threading.current_thread() for t in threads)
+
+
+class TestDrawWorker:
+    """The worker thread lives only as long as its run: it is joined when
+    the run returns and when it raises, and its own error reaches the
+    caller."""
+
+    @pytest.fixture(autouse=True)
+    def worker(self, monkeypatch):
+        monkeypatch.setattr(simulate, "_spare_cpu", lambda: True)
+        monkeypatch.setattr(simulate, "_CHUNK_MAX", 4099)
+
+    def run(self, scale, capture=None):
+        p = TerminalProblem(scale, 0.1, -5.0, 1.0)
+        return simulate_terminal(p, 2.0, SimConfig(500, 400.0, 5), capture=capture)
+
+    def test_normal_run(self, scale05, monkeypatch):
+        fills, before = _watch_fills(monkeypatch), threading.active_count()
+        self.run(scale05)
+        assert _off_caller(fills)  # a worker filled some buffer
+        assert threading.active_count() == before
+
+    def test_event_cap(self, scale05, monkeypatch):
+        monkeypatch.setattr(simulate, "EVENT_CAP", 3)
+        fills, before = _watch_fills(monkeypatch), threading.active_count()
+        with pytest.raises(EventCapExceeded):
+            self.run(scale05)
+        assert _off_caller(fills)
+        assert threading.active_count() == before
+
+    def test_capture_error(self, scale05, monkeypatch):
+        class Failing(simulate._Capture):
+            def add(self, frame, **arrays):
+                if len(self.frames) == 2:
+                    raise RuntimeError("capture failed")
+                super().add(frame, **arrays)
+
+        fills, before = _watch_fills(monkeypatch), threading.active_count()
+        with pytest.raises(RuntimeError, match="capture failed"):
+            self.run(scale05, Failing())
+        assert _off_caller(fills)
+        assert threading.active_count() == before
+
+    def test_concurrent_runs_under_fast_switching(self, scale05, monkeypatch):
+        """Four runs at once, each with its worker (eight threads), with
+        the interpreter switching threads every 10 us and every take
+        spanning many 7-value buffers: each run gives the bits it gives
+        alone."""
+        monkeypatch.setattr(simulate, "_CHUNK_MAX", 7)
+        engines = [_base_engine(scale05, mode) for mode in ("terminal", "injection")] * 2
+        cfg = SimConfig(300, 100.0, 11)
+        alone = [engine(p, 2.0, cfg) for engine, p in engines]
+        together = [None] * len(engines)
+
+        def call(j):
+            engine, p = engines[j]
+            together[j] = engine(p, 2.0, cfg)
+
+        helpers = [threading.Thread(target=call, args=(j,), daemon=True)
+                   for j in range(len(engines))]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for helper in helpers:
+                helper.start()
+            for helper in helpers:
+                helper.join(timeout=120.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(helper.is_alive() for helper in helpers)
+        assert together == alone
+
+    def test_worker_error_reaches_caller(self, scale05, monkeypatch):
+        """Run on a helper thread, so a take that waited forever for the
+        failed buffer would fail the test instead of hanging it."""
+        before, raised = threading.active_count(), []
+
+        def call():
+            try:
+                self.run(scale05)
+            except RuntimeError as exc:
+                raised.append(exc)
+
+        helper = threading.Thread(target=call, daemon=True)
+        fills = _watch_fills(monkeypatch, fail_off=helper)
+        helper.start()
+        helper.join(timeout=60.0)
+        assert not helper.is_alive()
+        assert [str(exc) for exc in raised] == ["fill failed"]
+        assert len(fills) == 1 and fills[0] is not helper
+        assert threading.active_count() == before
 
 
 # ---------------------------------------------------------------------------
