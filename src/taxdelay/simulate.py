@@ -56,13 +56,13 @@ from __future__ import annotations
 import math
 import os
 import threading
-from dataclasses import dataclass, fields
-from typing import Callable, Dict, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Callable, Dict, Optional, Tuple
 
 import numpy as np
 
 from .errors import EventCapExceeded, InvalidConfig, InvalidParameter
-from .problem import DelayedTaxation, InjectionProblem, TerminalProblem
+from .problem import InjectionProblem, TerminalProblem
 
 # Hard cap on per-path event count; a legitimate run ends long before this.
 EVENT_CAP = 10_000_000
@@ -127,19 +127,6 @@ def _require_level(name: str, value: float) -> float:
             or not (math.isfinite(value) and value >= 0.0):
         raise InvalidParameter(f"{name} must be finite and >= 0, got {value!r}")
     return float(value)
-
-
-class _Capture:
-    """Optional per-iteration state recorder used by ``inspect_paths``.
-
-    The loop passes the frame builder uncalled, so a capture that reads
-    only the loop's own arrays builds no frame."""
-
-    def __init__(self):
-        self.frames: List[Dict[str, np.ndarray]] = []
-
-    def add(self, frame: Callable[[], Dict[str, np.ndarray]], **arrays: np.ndarray) -> None:
-        self.frames.append({k: np.array(v, copy=True) for k, v in {**arrays, **frame()}.items()})
 
 
 # ---------------------------------------------------------------------------
@@ -252,7 +239,7 @@ class _Draws:
 
 
 def _run(cfg: SimConfig, p, threshold: float, shortfall: Callable,
-         capture: Optional[_Capture]) -> Tuple[np.ndarray, Dict[str, int]]:
+         capture: Optional[object]) -> Tuple[np.ndarray, Dict[str, int]]:
     """Step the live paths of problem ``p`` until all have ended.
 
     Every path starts at level x0 with the barrier max(x0, threshold) and
@@ -266,6 +253,15 @@ def _run(cfg: SimConfig, p, threshold: float, shortfall: Callable,
     shortfalls end (the mask it was given when they end none), and the
     next state.  Returns each path's total payoff in path order and the
     work counters.
+
+    A ``capture``, if given, gets ``capture.add(**arrays)`` on each
+    iteration, before the shortfall rule, over the live paths: ``alive``
+    (all true), ``idx`` (original indices), ``t_start``, ``t_end``,
+    ``truncated``, the state before the interval (``level_start``,
+    ``barrier_start``) and after the claim (``level_post``,
+    ``barrier_end``), ``claim_size`` and ``tax_paid``.  The arrays are
+    valid only during the call: ``claim_size`` is a view of a draw buffer
+    that the worker refills, so a capture that keeps arrays copies them.
     """
     n, horizon, q = cfg.n_paths, float(cfg.horizon), p.scale.q
     state = (np.full(n, float(p.x0)), np.full(n, float(max(p.x0, threshold))))
@@ -297,16 +293,19 @@ def _run(cfg: SimConfig, p, threshold: float, shortfall: Callable,
             # Once every interval starts at or past t_w it stays so: t only grows
             # and compaction only removes paths.
             flat = flat or t.min() >= t_w
-            tax, state, short, discount, frame = interval(state, t, end, truncated, u[1], flat)
+            start = state
+            tax, state, short, discount = interval(start, t, end, truncated, u[1], flat)
             acc += tax
+            if capture is not None:
+                capture.add(alive=np.ones(idx.size, dtype=bool), idx=idx, t_start=t,
+                            t_end=end, truncated=truncated, level_start=start[0],
+                            barrier_start=start[1], level_post=state[0],
+                            barrier_end=state[1], claim_size=u[1], tax_paid=tax)
             if short.size:
                 penalty, done, state = shortfall(short, discount, done, state)
                 acc[short] += penalty
                 if done is not truncated:  # the rule ended some shortfalls
                     killed -= int(np.count_nonzero(done[short] & (stop[short] < horizon)))
-            if capture is not None:
-                capture.add(alive=np.ones(idx.size, dtype=bool), idx=idx, t_start=t,
-                            t_end=end, truncated=truncated, frame=frame)
             t = t_claim
             gone = done.nonzero()[0]
             if not gone.size:
@@ -344,9 +343,8 @@ def _taxed_interval(p, t_w: float) -> Callable:
     Given the live paths' (level, barrier) state, the start and end of their
     interval, the mask of truncated paths, their claims and whether every
     start is at or past t_w, it returns the discounted tax, the state after
-    the claim, the positions of the shortfalls, their discount
-    e^{-q min(end, t_w)} (None when there is none), and the frame builder
-    for a capture.
+    the claim, the positions of the shortfalls and their discount
+    e^{-q min(end, t_w)} (None when there is none).
     """
     c, ell, q = p.scale.model.c, p.ell, p.scale.q
     tax_rate, flat_rate = ell * c / q, ell * c * math.exp(-q * t_w)
@@ -354,13 +352,10 @@ def _taxed_interval(p, t_w: float) -> Callable:
     def interval(state, t, end, truncated, claim, flat):
         level, barrier = state
         duration = end - t
-        # Time to reach the barrier at full drift; level <= barrier always.
+        # Time to reach the barrier at full drift (level <= barrier always); the
+        # path is taxed from t + min(reach, duration), its hit time, to the end.
         reach = (barrier - level) / c
         above = np.maximum(duration - reach, 0.0)  # time spent on the barrier
-
-        def hit_time():
-            return t + np.minimum(reach, duration)
-
         # Drift c up to the barrier, then (1-ell)*c along it.
         level_end = level + c * duration - (ell * c) * above
         barrier_end = np.maximum(barrier, level_end)
@@ -372,29 +367,21 @@ def _taxed_interval(p, t_w: float) -> Callable:
             tax = flat_rate * above
         else:
             late = np.minimum(above, np.maximum(end - t_w, 0.0))  # taxed time past t_w
-            tax = np.exp(-q * np.minimum(hit_time(), t_w)) * np.expm1(-q * (above - late)) \
-                * -tax_rate + flat_rate * late
+            tax = np.exp(-q * np.minimum(t + np.minimum(reach, duration), t_w)) \
+                * np.expm1(-q * (above - late)) * -tax_rate + flat_rate * late
         level_post = level_end - claim
         # A claim at or past the stop is not paid: truncated paths end here.
         short = (level_post < 0.0).nonzero()[0]
         if short.size:
             short = short[~truncated[short]]
         discount = np.exp(-q * np.minimum(end[short], t_w)) if short.size else None
-
-        def frame():
-            deficit = np.zeros(level.size)
-            deficit[short] = -level_post[short]
-            return dict(level_start=level, level_end=level_end, barrier_start=barrier,
-                        barrier_end=barrier_end, hit_time=hit_time(), tax_paid=tax,
-                        claim_size=claim, deficit=deficit)
-
-        return tax, (level_post, barrier_end), short, discount, frame
+        return tax, (level_post, barrier_end), short, discount
 
     return interval
 
 
 def simulate_terminal(p: TerminalProblem, b: float, cfg: SimConfig,
-                      capture: Optional[_Capture] = None) -> SimResult:
+                      capture: Optional[object] = None) -> SimResult:
     """Estimate the discounted tax-plus-terminal-value objective at x0.
 
     Tax is paid at rate ell*c while the path sits on its barrier, which
@@ -419,7 +406,7 @@ def simulate_terminal(p: TerminalProblem, b: float, cfg: SimConfig,
 
 
 def simulate_injection(p: InjectionProblem, a: float, cfg: SimConfig,
-                       capture: Optional[_Capture] = None) -> SimResult:
+                       capture: Optional[object] = None) -> SimResult:
     """Estimate the discounted tax-minus-injection-cost objective at x0.
 
     Tax is paid at rate ell*c while the path sits on its barrier, which
@@ -441,58 +428,10 @@ def simulate_injection(p: InjectionProblem, a: float, cfg: SimConfig,
     return _result(out, cfg, bias_bound, counters)
 
 
-# ---------------------------------------------------------------------------
-# Path inspection (step-by-step views of the engines' own paths)
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class PathStep:
-    """One inter-claim interval of one simulated path, in either mode.
-
-    Levels are net of tax.  ``hit_time`` is when the level reaches the
-    barrier (``t_end`` if it does not); ``deficit`` > 0 marks the claim as
-    a shortfall: ruin in terminal mode, an injection in injection mode.
-    """
-
-    t_start: float
-    t_end: float
-    level_start: float
-    level_end: float
-    barrier_start: float
-    barrier_end: float
-    hit_time: float
-    tax_paid: float
-    claim_size: float
-    deficit: float
-    truncated: bool
-
-
-def inspect_paths(engine: Callable, problem: DelayedTaxation, threshold: float,
-                  cfg: SimConfig) -> List[List[PathStep]]:
-    """Run ``engine`` (``simulate_terminal`` or ``simulate_injection``) with
-    a capture and return every path's step log.
-
-    Each frame array is named after the ``PathStep`` field it fills, so the
-    dataclass's own field list is the table that drives the copy.
-    """
-    capture = _Capture()
-    engine(problem, threshold, cfg, capture=capture)
-    names = [f.name for f in fields(PathStep)]
-    paths: List[List[PathStep]] = [[] for _ in range(cfg.n_paths)]
-    for frame in capture.frames:
-        columns = [frame[name].tolist() for name in names]
-        for j, *values in zip(frame["idx"].tolist(), *columns):
-            paths[j].append(PathStep(*values))
-    return paths
-
-
 __all__ = [
     "EVENT_CAP",
     "SimConfig",
     "SimResult",
     "simulate_terminal",
     "simulate_injection",
-    "PathStep",
-    "inspect_paths",
 ]

@@ -17,7 +17,9 @@ The argvs, all fixed by seeds:
 * ``TestWideBox``'s 1,000 wide-box draws in each mode;
 * the examples of the ROADMAP's open items C2, C3, C5, C7 and C8;
 * every subcommand in CSV and in JSON at ``--precision 17``, and short
-  Monte Carlo runs at several thresholds, whose analytic value reads psi.
+  Monte Carlo runs at several thresholds, whose analytic value reads psi;
+* bad inputs and rare branches, one argv each: the exits 2 of ``main``'s
+  invalid-input handler and of argparse, and ``--out``.
 """
 
 from __future__ import annotations
@@ -27,6 +29,7 @@ import gzip
 import importlib.util
 import io
 import json
+import os
 import platform
 import sys
 import warnings
@@ -93,6 +96,25 @@ SUBCOMMANDS: Tuple[Tuple[str, ...], ...] = (
     ("simulate", *INJECTION, "--paths", "2000"),
 )
 
+# bad inputs and rarely taken branches: main's invalid-input handler, _emit's
+# file branch, argvs the one-pass scan declines to argparse (a flag without a
+# value, a bad value or choice, an = form) and a one-path run's nan stderr
+RARE_BRANCHES: Tuple[Tuple[str, ...], ...] = (
+    ("optimize", *TERMINAL, "--precision", "0"),
+    ("optimize", *TERMINAL, "--out", "/nonexistent-dir/out.csv"),
+    ("optimize", *TERMINAL, "--out", "/dev/null"),
+    ("sweep", *TERMINAL, "--param", "ell", "--from", "0", "--to", "0.9", "--steps", "1"),
+    ("sweep", *TERMINAL, "--param", "ell", "--from", "0.9", "--to", "0", "--steps", "3"),
+    ("sweep", *TERMINAL, "--param", "S", "--from", "-10", "--to", "10", "--steps", "3",
+     "--q-from", "0.01", "--q-to", "0.02"),
+    ("optimize", *INJECTION[:-1], "1"),
+    ("optimize", *TERMINAL, "--x"),
+    ("optimize", *TERMINAL[:2], "--c", "abc", *TERMINAL[4:]),
+    ("optimize", *TERMINAL, "--format", "xml"),
+    ("optimize", *TERMINAL[:-2], "--S=-5"),
+    ("simulate", *TERMINAL, "--paths", "1", "--format", "json"),
+)
+
 # short runs whose analytic column is phi(1; threshold), so psi at several levels
 THRESHOLD_RUNS: Tuple[Tuple[str, ...], ...] = tuple(
     ("simulate", *scenario, flag, level, "--paths", "200", "--horizon", "50", *JSON_17)
@@ -122,11 +144,25 @@ def corpus_argvs() -> List[Tuple[str, ...]]:
     argvs = _perfbench_argvs() + _wide_box_argvs() + list(ROADMAP_EXAMPLES) \
         + [argv + JSON_17 for argv in ROADMAP_EXAMPLES] \
         + [argv + fmt for argv in SUBCOMMANDS for fmt in (CSV_17, JSON_17)] \
-        + list(THRESHOLD_RUNS) + [("validate", *JSON_17)]
+        + list(THRESHOLD_RUNS) + [("validate", *JSON_17)] + list(RARE_BRANCHES)
     return list(dict.fromkeys(argvs))
 
 
 Exit = Union[int, str]
+
+
+@contextlib.contextmanager
+def _columns(width: str):
+    """Set ``COLUMNS``, the terminal width argparse wraps its usage text to."""
+    old = os.environ.get("COLUMNS")
+    os.environ["COLUMNS"] = width
+    try:
+        yield
+    finally:
+        if old is None:
+            del os.environ["COLUMNS"]
+        else:
+            os.environ["COLUMNS"] = old
 
 
 def run(argv: Sequence[str]) -> Tuple[Exit, str, str]:
@@ -135,11 +171,12 @@ def run(argv: Sequence[str]) -> Tuple[Exit, str, str]:
 
     An argparse exit gives its code; an escaping exception gives
     "raised <type>".  A Python warning raised during the call is appended
-    to stderr as "<category>: <message>", every time it is raised.
+    to stderr as "<category>: <message>", every time it is raised.  Usage
+    text is wrapped at 80 columns, whatever the terminal.
     """
     from taxdelay.cli import main
     out, err = io.StringIO(), io.StringIO()
-    with warnings.catch_warnings(record=True) as caught, \
+    with warnings.catch_warnings(record=True) as caught, _columns("80"), \
             contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         warnings.simplefilter("always")
         try:

@@ -5,7 +5,10 @@
 ``numerics.brentq``, ``cli.main`` and cli's own ``h_terminal``/``h_bar``
 (which no command calls: ``optimize`` prints the residual its search took),
 and it passes a counting ``capture=`` to ``simulate_terminal`` and
-``simulate_injection``.
+``simulate_injection``.  The engines' loop calls ``capture.add(**arrays)``
+once per iteration with the keywords ``_run``'s docstring names; the
+counting capture reads only ``alive``, one entry per live path, so that
+keyword must stay.
 A rename in the library would break the traced benchmark run without
 failing any other test; these run ``optimize`` and ``simulate`` in both
 modes under the tracer.  ``perfbench/run.py`` and ``tracing.py`` also

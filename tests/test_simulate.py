@@ -12,21 +12,18 @@ import time
 import numpy as np
 import pytest
 
+import path_log
 import taxdelay.simulate as simulate
 from mc_oracle import injected_corridor, taxed_corridor
 from paper_functionals import (expected_discounted_deficit, f_a, g_a, r_a,
                                ruin_time_laplace_taxed)
+from path_log import Capture, inspect_paths
 from quad_oracle import expected_discounted_penalty
 from taxdelay.errors import EventCapExceeded, InvalidConfig, InvalidParameter
 from taxdelay.model import new_model
 from taxdelay.problem import InjectionProblem, TerminalProblem, exit_ratio, phi
 from taxdelay.scale import ScaleSet
-from taxdelay.simulate import (
-    SimConfig,
-    inspect_paths,
-    simulate_injection,
-    simulate_terminal,
-)
+from taxdelay.simulate import SimConfig, simulate_injection, simulate_terminal
 
 
 # ---------------------------------------------------------------------------
@@ -193,11 +190,11 @@ class TestDrawWorker:
         assert threading.active_count() == before
 
     def test_capture_error(self, scale05, monkeypatch):
-        class Failing(simulate._Capture):
-            def add(self, frame, **arrays):
+        class Failing(Capture):
+            def add(self, **arrays):
                 if len(self.frames) == 2:
                     raise RuntimeError("capture failed")
-                super().add(frame, **arrays)
+                super().add(**arrays)
 
         fills, before = _watch_fills(monkeypatch), threading.active_count()
         with pytest.raises(RuntimeError, match="capture failed"):
@@ -623,12 +620,31 @@ class TestLivePathLoop:
     def test_capture_changes_no_result(self, scale05, mode, horizon):
         engine, p = _base_engine(scale05, mode)
         cfg = SimConfig(200, horizon, 41)
-        capture = simulate._Capture()
+        capture = Capture()
         plain, captured = (
             [v.hex() if isinstance(v, float) else v for v in dataclasses.astuple(r)]
             for r in (engine(p, 2.0, cfg), engine(p, 2.0, cfg, capture=capture)))
         assert capture.frames
         assert plain == captured
+
+    @pytest.mark.parametrize("mode", ["terminal", "injection"])
+    def test_capture_copies_what_it_keeps(self, scale05, mode, monkeypatch):
+        """The claim sizes a capture gets are a view of a draw buffer where
+        a take fits in one, as it does once few paths are live, and
+        7-value buffers are refilled while earlier frames are held.  The
+        step logs still equal those of the default buffers and of inline
+        draws, so the capture keeps copies, not the views."""
+        engine, p = _base_engine(scale05, mode)
+        cfg = SimConfig(4, 100.0, 3)
+        monkeypatch.setattr(simulate, "_spare_cpu", lambda: True)
+        default = inspect_paths(engine, p, 2.0, cfg)
+        monkeypatch.setattr(simulate, "_CHUNK_MAX", 7)
+        small = inspect_paths(engine, p, 2.0, cfg)
+        monkeypatch.setattr(simulate, "_spare_cpu", lambda: False)
+        inline = inspect_paths(engine, p, 2.0, cfg)
+        assert sum(len(steps) for steps in inline) > 20
+        assert small == inline
+        assert default == inline
 
 
 # ---------------------------------------------------------------------------
@@ -758,14 +774,13 @@ class TestFlatPhase:
             p, T_W, t, end, level, barrier, claim, truncated)
         assert want_short.size == 1
         for form in {flat, False}:
-            tax, _, short, discount, frame = interval(
-                (level, barrier), t, end, truncated, claim, form)
+            tax, _, short, discount = interval((level, barrier), t, end, truncated, claim, form)
             assert [x.hex() for x in tax.tolist()] == [x.hex() for x in want_tax.tolist()]
             assert short.tolist() == want_short.tolist()
             assert [x.hex() for x in discount.tolist()] \
                 == [x.hex() for x in want_discount.tolist()]
-            if case.startswith("hit_time"):
-                assert frame()["hit_time"][0] == T_W
+        if case.startswith("hit_time"):
+            assert path_log.hit_time(t, end, level, barrier, p.scale.model.c)[0] == T_W
 
     @pytest.mark.parametrize("mu", [1.0, 20.0])
     @pytest.mark.parametrize("q", [0.05, 0.5])
@@ -778,9 +793,7 @@ class TestFlatPhase:
         engine, p = _base_engine(ScaleSet(new_model(1.2, 1.0, mu), q), mode, x0=3.0)
         cfg = SimConfig(400, 100.0, 7)
         t_w = min(math.log(1.0 / simulate.W_MIN) / q, cfg.horizon)
-        capture = simulate._Capture()
-        engine(p, 2.0, cfg, capture=capture)
-        for fr in capture.frames:
+        for fr in path_log.frames(engine, p, 2.0, cfg):
             tax, short, _ = _general_interval(
                 p, t_w, fr["t_start"], fr["t_end"], fr["level_start"],
                 fr["barrier_start"], fr["claim_size"], fr["truncated"])
