@@ -7,9 +7,9 @@ owns each flag; an argv of ``--flag value`` pairs after the subcommand is
 read from it in one pass, and argparse parses every other argv.
 
 Output is CSV (default) or JSON, written to stdout or ``--out``.  Floats
-are printed with ``--precision`` significant digits (default 6).  Exit
-codes: 0 success, 2 invalid input, 3 numerical failure (any
-ArithmeticError, overflow and division by zero included).
+are printed with ``--precision`` significant digits (default 6, at most
+2**31 - 1).  Exit codes: 0 success, 2 invalid input, 3 numerical failure
+(any ArithmeticError, overflow and division by zero included).
 """
 
 from __future__ import annotations
@@ -41,6 +41,8 @@ h_terminal = h_bar = h
 EXIT_OK = 0
 EXIT_INVALID_INPUT = 2
 EXIT_NUMERICAL_FAILURE = 3
+# the largest precision a Python format spec takes
+_PRECISION_MAX = 2 ** 31 - 1
 
 __all__ = ["EXIT_OK", "EXIT_INVALID_INPUT", "EXIT_NUMERICAL_FAILURE", "parse_args", "main"]
 
@@ -94,7 +96,7 @@ _FLAGS = {
         ("--out", "out", str, None, None, "PATH", "write output to PATH instead of stdout",
          "both"),
         ("--precision", "precision", int, 6, None, "N",
-         "significant digits for printed values (default 6)", "both"),
+         f"significant digits for printed values, 1 to {_PRECISION_MAX} (default 6)", "both"),
     ),
 }
 
@@ -432,6 +434,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         if args.precision < 1:  # before the subcommand spends any work
             raise InvalidParameter(f"--precision must be >= 1, got {args.precision}")
+        if args.precision > _PRECISION_MAX:
+            raise InvalidParameter(
+                f"--precision must be <= {_PRECISION_MAX}, got {args.precision}")
         text, code = _SUBCOMMANDS[args.command][0](args)
         _emit(text, args.out)
     except (InvalidParameter, InvalidConfig, DomainError) as exc:

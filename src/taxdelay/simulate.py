@@ -44,17 +44,20 @@ Each iteration takes the next ``2m`` values of the stream for the ``m``
 live paths, in ascending path order: the ``m`` waiting-time uniforms
 first, then the ``m`` claim-size uniforms.  Where the process may run on
 two CPUs, a worker thread computes log1p(-u) of the stream ahead of the
-loop into two reused buffers (Philox and log1p release the GIL); on one
-CPU each take is computed inline.  Either way the values come in stream
-order, so the live set at each iteration follows from the draws before
-it, and the result is bit-identical for a given problem, threshold and
-configuration, whatever the thread timing, buffer size or CPU count.
+loop into two reused buffers (Philox and log1p release the GIL), which
+pass between the threads on two queues, ``free`` and ``ready``, until
+``None`` on ``free`` stops it; on one CPU each take is computed inline.
+Either way the values come in stream order, so the live set at each
+iteration follows from the draws before it, and the result is
+bit-identical for a given problem, threshold and configuration, whatever
+the thread timing, buffer size or CPU count.
 """
 
 from __future__ import annotations
 
 import math
 import os
+import queue
 import threading
 from dataclasses import dataclass
 from typing import Callable, Dict, Optional, Tuple
@@ -154,10 +157,14 @@ class _Draws:
 
     ``take(k)`` returns the next ``k`` values; the array is the caller's,
     to read or overwrite, until the next take.  With a spare CPU a worker
-    thread fills two reused buffers ahead, and a take that spans buffers
-    is joined in order; without one, each take is filled inline.  Used as
-    a context manager: the worker is stopped and joined on exit, and an
-    error in it is raised by the take that needs its buffer.
+    thread fills two reused buffers ahead: it takes a buffer from the
+    ``free`` queue, fills it and puts it on ``ready``; a take puts the
+    buffer it has read out back on ``free`` and takes the next from
+    ``ready``, joining a span of buffers in order.  Without one, each take
+    is filled inline.  Used as a context manager: on exit ``None`` on
+    ``free`` stops the worker and it is joined.  An error in the worker
+    goes on ``ready`` in its buffer's place, and the take that needs that
+    buffer raises it.
     """
 
     def __init__(self, seed: int, n_paths: int):
@@ -166,17 +173,11 @@ class _Draws:
         if not _spare_cpu():
             return
         size = min(max(_CHUNK, 2 * n_paths), _CHUNK_MAX)
-        self._bufs = (np.empty(size), np.empty(size))
-        # Locks as one-slot semaphores: the worker takes free[i], fills
-        # buffer i and releases ready[i]; the loop takes ready[i], reads the
-        # buffer and releases free[i].  The loop starts out holding buffer 1,
-        # empty, so the worker fills buffer 0 first.
-        self._free = (threading.Lock(), threading.Lock())
-        self._ready = (threading.Lock(), threading.Lock())
-        for lock in (self._free[1], *self._ready):
-            lock.acquire()
-        self._held, self._buf, self._pos = 1, np.empty(0), 0
-        self._stop, self._error = False, None
+        self._free, self._ready = queue.SimpleQueue(), queue.SimpleQueue()
+        # The worker fills the buffer on free first: the loop starts out
+        # holding the other one, counted as read out.
+        self._free.put(np.empty(size))
+        self._buf, self._pos = np.empty(size), size
         self._worker = threading.Thread(target=self._fill_ahead, daemon=True)
         self._worker.start()
 
@@ -185,37 +186,17 @@ class _Draws:
 
     def __exit__(self, *exc) -> None:
         if self._worker is not None:
-            self._stop = True
-            for free in self._free:  # wake the worker if it waits for a buffer
-                if free.locked():
-                    free.release()
+            self._free.put(None)
             self._worker.join()
 
     def _fill_ahead(self) -> None:
-        i = 0
-        while True:
-            self._free[i].acquire()
-            if self._stop:
-                return
+        while (buf := self._free.get()) is not None:
             try:
-                _fill(self._gen, self._bufs[i])
-            except BaseException as exc:
-                # Any error at all: buffer i is released below unfilled, and
-                # the take that waits for it raises this instead of reading it.
-                self._error = exc
+                _fill(self._gen, buf)
+            except BaseException as exc:  # any error at all goes to the take
+                self._ready.put(exc)
                 return
-            finally:
-                self._ready[i].release()
-            i ^= 1
-
-    def _next_buffer(self) -> np.ndarray:
-        self._free[self._held].release()
-        i = self._held ^ 1
-        self._ready[i].acquire()
-        if self._error is not None:
-            raise self._error
-        self._held = i
-        return self._bufs[i]
+            self._ready.put(buf)
 
     def take(self, k: int) -> np.ndarray:
         if self._worker is None:
@@ -233,7 +214,10 @@ class _Draws:
             got, pos = got + n, pos + n
             if got == k:
                 break
-            buf, pos = self._next_buffer(), 0
+            self._free.put(buf)
+            buf, pos = self._ready.get(), 0
+            if isinstance(buf, BaseException):
+                raise buf
         self._buf, self._pos = buf, pos
         return out
 
@@ -261,7 +245,8 @@ def _run(cfg: SimConfig, p, threshold: float, shortfall: Callable,
     ``barrier_start``) and after the claim (``level_post``,
     ``barrier_end``), ``claim_size`` and ``tax_paid``.  The arrays are
     valid only during the call: ``claim_size`` is a view of a draw buffer
-    that the worker refills, so a capture that keeps arrays copies them.
+    that goes back on the worker's ``free`` queue to be refilled, so a
+    capture that keeps arrays copies them.
     """
     n, horizon, q = cfg.n_paths, float(cfg.horizon), p.scale.q
     state = (np.full(n, float(p.x0)), np.full(n, float(max(p.x0, threshold))))

@@ -101,6 +101,7 @@ SUBCOMMANDS: Tuple[Tuple[str, ...], ...] = (
 # value, a bad value or choice, an = form) and a one-path run's nan stderr
 RARE_BRANCHES: Tuple[Tuple[str, ...], ...] = (
     ("optimize", *TERMINAL, "--precision", "0"),
+    ("optimize", *TERMINAL, "--precision", "2147483648"),
     ("optimize", *TERMINAL, "--out", "/nonexistent-dir/out.csv"),
     ("optimize", *TERMINAL, "--out", "/dev/null"),
     ("sweep", *TERMINAL, "--param", "ell", "--from", "0", "--to", "0.9", "--steps", "1"),

@@ -212,6 +212,18 @@ class TestOptimize:
         assert math.isfinite(float(rows[0]["threshold"]))
         assert math.isfinite(float(rows[0]["value"]))
 
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_precision_past_format_range_is_input_error(self, capsys, fmt):
+        """2**31 - 1 is the largest precision a format spec takes: one more
+        exits 2 before any work, whether or not the format would use it."""
+        argv = ["optimize", *TERMINAL_ARGS, "--format", fmt, "--precision"]
+        rc, out, err = run_cli(capsys, *argv, "2147483647")
+        assert rc == EXIT_OK and err == ""
+        rc, out, err = run_cli(capsys, *argv, "2147483648")
+        assert rc == EXIT_INVALID_INPUT
+        assert out == ""
+        assert err == "error: --precision must be <= 2147483647, got 2147483648\n"
+
 
 # ---------------------------------------------------------------------------
 # optimize over the whole parameter box

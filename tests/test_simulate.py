@@ -138,17 +138,19 @@ class TestDeterminism:
         assert all((t is threading.current_thread()) == (chunk is None) for t in fills)
 
 
-def _watch_fills(monkeypatch, slow: bool = False, fail_off=None):
+def _watch_fills(monkeypatch, slow: bool = False, fail_off=None, fail_at=None):
     """Wrap the draw fill and return the list of the threads that ran each
     fill.  ``slow`` makes a fill sleep up to 2 ms; with ``fail_off`` set to
-    a thread, a fill on any other thread raises."""
+    a thread, a fill on any other thread raises, and with ``fail_at`` set
+    to n, the n-th fill raises."""
     fill, threads = simulate._fill, []
 
     def watched(gen, out):
         threads.append(threading.current_thread())
         if slow:
             time.sleep(0.001 * (len(threads) % 3))
-        if fail_off is not None and threads[-1] is not fail_off:
+        if (fail_off is not None and threads[-1] is not fail_off) \
+                or fail_at == len(threads):
             raise RuntimeError("fill failed")
         fill(gen, out)
 
@@ -249,6 +251,27 @@ class TestDrawWorker:
         assert not helper.is_alive()
         assert [str(exc) for exc in raised] == ["fill failed"]
         assert len(fills) == 1 and fills[0] is not helper
+        assert threading.active_count() == before
+
+    def test_worker_error_after_buffers_cycle(self, scale05, monkeypatch):
+        """The third fill fails, after both buffers were filled and the
+        first handed back: the error takes that buffer's place, and the
+        take that needs it raises it.  Run on a helper thread, as above."""
+        before, raised = threading.active_count(), []
+
+        def call():
+            try:
+                self.run(scale05)
+            except RuntimeError as exc:
+                raised.append(exc)
+
+        helper = threading.Thread(target=call, daemon=True)
+        fills = _watch_fills(monkeypatch, fail_at=3)
+        helper.start()
+        helper.join(timeout=60.0)
+        assert not helper.is_alive()
+        assert [str(exc) for exc in raised] == ["fill failed"]
+        assert len(fills) == 3 and helper not in fills
         assert threading.active_count() == before
 
 
