@@ -27,7 +27,7 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from .errors import DomainError, EventCapExceeded, InvalidConfig, InvalidParameter
 from .model import new_model
-from .problem import InjectionProblem, TerminalProblem, h, optimize, phi
+from .problem import InjectionProblem, TerminalProblem, h, optimize, phi, threshold_search
 from .scale import ScaleSet
 from .simulate import SimConfig, simulate_injection, simulate_terminal
 from .tables import (SWEEPABLE, TableRow, existence_grid, grid_values, sweep_rows,
@@ -273,7 +273,7 @@ def _cmd_simulate(args: argparse.Namespace) -> Tuple[str, int]:
     engine, threshold = (simulate_terminal, args.b) if args.mode == "terminal" \
         else (simulate_injection, args.a)
     if threshold is None:
-        threshold = optimize(problem).threshold
+        threshold = threshold_search(problem)[0]  # optimize's, without its value
     result = engine(problem, threshold, cfg)
     analytic = phi(problem, args.x, threshold) if problem.admits(args.x) else math.nan
     z_score = (result.mean - analytic) / result.stderr if result.stderr > 0.0 \

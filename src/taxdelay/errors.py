@@ -19,8 +19,8 @@ class ToleranceNotMet(ArithmeticError):
     """A numerical routine could not reach a usable result: an adaptive
     quadrature missed its tolerance, a closed-form tail left floating-point
     range, Gauss's continued fraction (``scale._gauss_cf``) did not
-    converge, or ``problem.optimize``'s value is +-inf (the message names
-    the problem's S or varphi)."""
+    converge, or h(0) is nan or ``problem.optimize``'s value is +-inf (the
+    message names the problem's S or varphi)."""
 
 
 class BracketFailure(ArithmeticError):

@@ -102,9 +102,7 @@ def spectral_roots(m: LevyModel, q: float) -> SpectralRoots:
     and exp(theta2 x) terms of the scale function.  Raises OutOfRange where
     the roots leave double range.
     """
-    q = float(q)
-    if not math.isfinite(q) or q <= 0.0:
-        raise InvalidParameter(f"q must be finite and > 0, got {q!r}")
+    q = _require_rate("q", q)
     c, lam, mu = m.c, m.lam, m.mu
     try:
         kappa = math.sqrt((c * mu - lam - q) ** 2 + 4.0 * c * q * mu)

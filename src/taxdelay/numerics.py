@@ -7,7 +7,7 @@ two h values the bracket search already has and returns h at the root;
 with h(0) from the caller, no point is evaluated twice.
 
 Every exit functional of the two problems has a closed form
-(``ScaleFamily.tail``); the library keeps quadrature only for the
+(``scale.Tails``); the library keeps quadrature only for the
 self-checks, which test the closed forms independently.  The penalty
 functional with an arbitrary weight has no closed form; it is a
 quadrature oracle in the tests (``tests/quad_oracle.py``).  Both routines

@@ -43,7 +43,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Tuple
 
 from .errors import DomainError, InvalidParameter, ToleranceNotMet
 from .numerics import RootReport, find_root_decreasing_sign
@@ -51,7 +51,7 @@ from .scale import ScaleFamily, ScaleSet, Tails
 
 __all__ = ["DelayedTaxation", "TerminalProblem", "InjectionProblem", "OptimumReport",
            "exit_ratio", "exit_integral", "exit_tail", "psi", "potential", "gap", "h",
-           "phi", "phi_partial", "optimal_value", "optimize"]
+           "phi", "phi_partial", "optimal_value", "threshold_search", "optimize"]
 
 # absolute tolerance of every threshold root
 ROOT_TOL = 1e-8
@@ -266,18 +266,29 @@ def optimal_value(p: DelayedTaxation, b: float) -> float:
         + _ratio(p, x0, b) * f.over_slope(b) * (1.0 + p.weight * f.kernel(b))
 
 
-def optimize(p: DelayedTaxation) -> OptimumReport:
-    """Optimal delay threshold (the root of h if h(0) > 0, else 0), the
-    value ``optimal_value(p, threshold)`` and h(threshold), the last h the
-    search took.  Raises ToleranceNotMet, naming the problem's parameter,
-    where that value leaves double range."""
+def threshold_search(p: DelayedTaxation) -> Tuple[float, float, Optional[RootReport]]:
+    """Optimal delay threshold (the root of h if h(0) > 0, else 0), h there
+    as the search took it and the root diagnostics (None at a boundary
+    case): ``optimize`` without the value.  Raises ToleranceNotMet, naming
+    the problem's parameter, where h(0) is nan."""
     h0 = h(p, 0.0)
-    diag = None if h0 <= 0.0 else find_root_decreasing_sign(
-        lambda x: h(p, x), h0, ROOT_TOL, hi_cap=1e6 / p.scale.theta1)
-    threshold = 0.0 if diag is None else diag.root
+    if math.isnan(h0):
+        raise ToleranceNotMet(f"h(0) is nan at {p.param}={p.sign * p.weight!r}")
+    if h0 <= 0.0:
+        return 0.0, h0, None
+    diag = find_root_decreasing_sign(lambda x: h(p, x), h0, ROOT_TOL,
+                                     hi_cap=1e6 / p.scale.theta1)
+    return diag.root, diag.residual, diag
+
+
+def optimize(p: DelayedTaxation) -> OptimumReport:
+    """``threshold_search``'s threshold, residual and diagnostics, and the
+    value ``optimal_value(p, threshold)``.  Raises ToleranceNotMet, naming
+    the problem's parameter, where that value leaves double range."""
+    threshold, residual, diag = threshold_search(p)
     value = optimal_value(p, threshold)
     if math.isinf(value):
         raise ToleranceNotMet(f"the optimal value leaves double range at "
                               f"{p.param}={p.sign * p.weight!r}")
     return OptimumReport(threshold=threshold, value=value, boundary_case=diag is None,
-                         residual=h0 if diag is None else diag.residual, root_diag=diag)
+                         residual=residual, root_diag=diag)

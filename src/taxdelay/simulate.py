@@ -28,16 +28,17 @@ horizon-truncated target.  T comes from its own stream,
 below does not depend on the clock, and where t_w is the horizon the
 clock never acts.
 
-Both engines run on one event loop, and each one's per-event step is the
-shared ``_taxed_interval`` plus its shortfall rule, which runs only on
-iterations where some claim is a shortfall.  The loop works on the live
-paths alone: a path that ends leaves the working arrays at once and its
-payoff goes to its own slot of the output, so an iteration costs
-O(live paths), and the mean and standard error are taken over the output
-in the original path order.  Once every live interval starts at or past
-t_w, which then stays so, the tax is the flat rate ell*c*D(t_w) times the
-time on the barrier, with no exp or expm1; in floating point this gives
-the general form's bits exactly, so the phase changes no result.
+Both engines run on one event loop, which ends every path; each engine's
+per-event step is the shared ``_taxed_interval`` plus its shortfall rule,
+which runs only on iterations where some claim is a shortfall and only
+prices the shortfalls.  The loop works on the live paths alone: a path
+that ends leaves the working arrays at once and its payoff goes to its own
+slot of the output, so an iteration costs O(live paths), and the mean and
+standard error are taken over the output in the original path order.
+Once every live interval starts at or past t_w, which then stays so, the
+tax is the flat rate ell*c*D(t_w) times the time on the barrier, with no
+exp or expm1; in floating point this gives the general form's bits
+exactly, so the phase changes no result.
 
 Randomness comes from one counter-based Philox stream keyed by the seed.
 Each iteration takes the next ``2m`` values of the stream for the ``m``
@@ -222,21 +223,20 @@ class _Draws:
         return out
 
 
-def _run(cfg: SimConfig, p, threshold: float, shortfall: Callable,
-         capture: Optional[object]) -> Tuple[np.ndarray, Dict[str, int]]:
+def _run(cfg: SimConfig, p, threshold: float, shortfall: Callable, ends: bool,
+         capture: Optional[object]) -> Tuple[np.ndarray, Dict[str, int], float]:
     """Step the live paths of problem ``p`` until all have ended.
 
     Every path starts at level x0 with the barrier max(x0, threshold) and
     each iteration takes the live paths through ``_taxed_interval``.  A path
     whose claim falls at or past its stop ends there: the stop is then the
     interval's end and the claim is not paid.  On an iteration where some
-    claim is a shortfall, ``shortfall(short, discount, done, state)`` gets
-    the shortfalls' positions and discounts, the mask of the paths ending
-    at their stop and the (level, barrier) state after the claims; it
-    returns the discounted penalties, the mask with the paths the
-    shortfalls end (the mask it was given when they end none), and the
-    next state.  Returns each path's total payoff in path order and the
-    work counters.
+    claim is a shortfall, ``shortfall(short, discount, level)`` gets the
+    shortfalls' positions and discounts and the levels after the claims,
+    returns the discounted penalties and may change the levels in place;
+    if ``ends``, the shortfalls end their paths and their discounts add up
+    to the ruin weight.  Returns each path's total payoff in path order,
+    the work counters and the ruin weight.
 
     A ``capture``, if given, gets ``capture.add(**arrays)`` on each
     iteration, before the shortfall rule, over the live paths: ``alive``
@@ -244,9 +244,10 @@ def _run(cfg: SimConfig, p, threshold: float, shortfall: Callable,
     ``truncated``, the state before the interval (``level_start``,
     ``barrier_start``) and after the claim (``level_post``,
     ``barrier_end``), ``claim_size`` and ``tax_paid``.  The arrays are
-    valid only during the call: ``claim_size`` is a view of a draw buffer
-    that goes back on the worker's ``free`` queue to be refilled, so a
-    capture that keeps arrays copies them.
+    valid only during the call, so a capture that keeps arrays copies them:
+    ``truncated`` and ``level_post`` are changed in place after it returns,
+    and ``claim_size`` is a view of a draw buffer that goes back on the
+    worker's ``free`` queue to be refilled.
     """
     n, horizon, q = cfg.n_paths, float(cfg.horizon), p.scale.q
     state = (np.full(n, float(p.x0)), np.full(n, float(max(p.x0, threshold))))
@@ -259,10 +260,9 @@ def _run(cfg: SimConfig, p, threshold: float, shortfall: Callable,
     interval = _taxed_interval(p, t_w)
     scale = np.array([[-1.0 / p.scale.model.lam], [-1.0 / p.scale.model.mu]])
     iterations = events = 0
-    # Every path ends truncated at its stop or by a shortfall, so the paths
-    # the clock kills are those stopped early less those a shortfall ends.
+    # the paths the clock kills: those stopped early, less those a shortfall ends
     killed = int(np.count_nonzero(stop < horizon))
-    flat = False
+    flat, ruin_weight = False, 0.0
     with _Draws(cfg.seed, n) as draws:
         while idx.size:
             iterations += 1
@@ -274,24 +274,24 @@ def _run(cfg: SimConfig, p, threshold: float, shortfall: Callable,
             u *= scale  # -log1p(-u) / rate: exponential waiting times and claims
             t_claim = t + u[0]
             end = np.minimum(t_claim, stop)
-            truncated = done = t_claim >= stop
+            done = t_claim >= stop  # so far the paths truncated at their stop
             # Once every interval starts at or past t_w it stays so: t only grows
             # and compaction only removes paths.
             flat = flat or t.min() >= t_w
-            start = state
-            tax, state, short, discount = interval(start, t, end, truncated, u[1], flat)
+            tax, post, short, discount = interval(state, t, end, done, u[1], flat)
             acc += tax
             if capture is not None:
                 capture.add(alive=np.ones(idx.size, dtype=bool), idx=idx, t_start=t,
-                            t_end=end, truncated=truncated, level_start=start[0],
-                            barrier_start=start[1], level_post=state[0],
-                            barrier_end=state[1], claim_size=u[1], tax_paid=tax)
+                            t_end=end, truncated=done, level_start=state[0],
+                            barrier_start=state[1], level_post=post[0],
+                            barrier_end=post[1], claim_size=u[1], tax_paid=tax)
             if short.size:
-                penalty, done, state = shortfall(short, discount, done, state)
-                acc[short] += penalty
-                if done is not truncated:  # the rule ended some shortfalls
-                    killed -= int(np.count_nonzero(done[short] & (stop[short] < horizon)))
-            t = t_claim
+                acc[short] += shortfall(short, discount, post[0])
+                if ends:
+                    done[short] = True
+                    ruin_weight += float(discount.sum())
+                    killed -= int(np.count_nonzero(stop[short] < horizon))
+            t, state = t_claim, post
             gone = done.nonzero()[0]
             if not gone.size:
                 continue
@@ -299,7 +299,7 @@ def _run(cfg: SimConfig, p, threshold: float, shortfall: Callable,
             keep = (~done).nonzero()[0]
             idx, acc, t, stop = idx[keep], acc[keep], t[keep], stop[keep]
             state = tuple(a[keep] for a in state)
-    return out, dict(iterations=iterations, events=events, killed=killed)
+    return out, dict(iterations=iterations, events=events, killed=killed), ruin_weight
 
 
 def _result(out: np.ndarray, cfg: SimConfig, bias_bound: float, counters: Dict[str, int],
@@ -376,16 +376,11 @@ def simulate_terminal(p: TerminalProblem, b: float, cfg: SimConfig,
     """
     b = _require_level("threshold b", b)
     q, s_value = p.scale.q, p.s_terminal
-    ruin_weight = 0.0
 
-    def ruin(short, discount, done, state):
-        nonlocal ruin_weight
-        ruin_weight += float(discount.sum())
-        done = done.copy()
-        done[short] = True
-        return s_value * discount, done, state
+    def ruin(short, discount, level):
+        return s_value * discount
 
-    out, counters = _run(cfg, p, b, ruin, capture)
+    out, counters, ruin_weight = _run(cfg, p, b, ruin, True, capture)
     bias_bound = math.exp(-q * cfg.horizon) * (abs(s_value) + p.ell * p.scale.model.c / q)
     return _result(out, cfg, bias_bound, counters, ruin_weight / cfg.n_paths)
 
@@ -402,12 +397,11 @@ def simulate_injection(p: InjectionProblem, a: float, cfg: SimConfig,
     a = _require_level("threshold a", a)
     model, q, varphi = p.scale.model, p.scale.q, p.varphi
 
-    def inject(short, discount, done, state):
-        # Only shortfalls and paths ending at their stop have a level below zero.
-        level, barrier = state
-        return varphi * level[short] * discount, done, (np.maximum(level, 0.0), barrier)
+    def inject(short, discount, level):
+        below, level[short] = level[short], 0.0  # the levels below zero restart at it
+        return varphi * below * discount
 
-    out, counters = _run(cfg, p, a, inject, capture)
+    out, counters, _ = _run(cfg, p, a, inject, False, capture)
     bias_bound = math.exp(-q * cfg.horizon) \
         * (p.ell * model.c / q + varphi * model.lam / (model.mu * q))
     return _result(out, cfg, bias_bound, counters)

@@ -98,7 +98,9 @@ SUBCOMMANDS: Tuple[Tuple[str, ...], ...] = (
 
 # bad inputs and rarely taken branches: main's invalid-input handler, _emit's
 # file branch, argvs the one-pass scan declines to argparse (a flag without a
-# value, a bad value or choice, an = form) and a one-path run's nan stderr
+# value, a bad value or choice, an = form), a one-path run's nan stderr, runs
+# at their default threshold from a start where optimize's value overflows,
+# and a nan h(0)
 RARE_BRANCHES: Tuple[Tuple[str, ...], ...] = (
     ("optimize", *TERMINAL, "--precision", "0"),
     ("optimize", *TERMINAL, "--precision", "2147483648"),
@@ -114,6 +116,9 @@ RARE_BRANCHES: Tuple[Tuple[str, ...], ...] = (
     ("optimize", *TERMINAL, "--format", "xml"),
     ("optimize", *TERMINAL[:-2], "--S=-5"),
     ("simulate", *TERMINAL, "--paths", "1", "--format", "json"),
+    ("simulate", *TERMINAL, "--paths", "100", "--x", "5000"),
+    ("simulate", *INJECTION, "--paths", "100", "--x", "5000"),
+    ("optimize", *INJECTION[:-1], "1e308"),
 )
 
 # short runs whose analytic column is phi(1; threshold), so psi at several levels

@@ -32,7 +32,7 @@ from taxdelay.cli import (EXIT_INVALID_INPUT, EXIT_NUMERICAL_FAILURE, EXIT_OK,
 from taxdelay.errors import BracketFailure
 from taxdelay.model import new_model
 from taxdelay.problem import (DelayedTaxation, InjectionProblem, TerminalProblem, h,
-                              optimize, phi, psi)
+                              optimize, phi, psi, threshold_search)
 from taxdelay.scale import ScaleSet
 from taxdelay.tables import existence_affine, grid_values
 from taxdelay.validate import CheckResult
@@ -152,8 +152,6 @@ class TestOptimize:
         # the value at x0 = 5000 is not taken with the threshold lifted to x0
         ["optimize", *TERMINAL_ARGS, "--S", "-5", "--x", "5000"],
         ["optimize", *INJECTION_ARGS, "--x", "5000"],
-        ["simulate", *TERMINAL_ARGS, "--S", "-5", "--x", "5000",
-         "--paths", "10", "--horizon", "5"],
         ["sweep", *TERMINAL_ARGS, "--S", "-5", "--param", "x", "--from", "0",
          "--to", "6000", "--steps", "3"],
         # the spectral roots overflow or divide by zero
@@ -183,6 +181,13 @@ class TestOptimize:
         assert (rc, out) == (EXIT_NUMERICAL_FAILURE, "")
         assert err == ("numerical failure: the optimal value leaves double range "
                        "at S=1.7976931348623157e+308\n")
+
+    def test_nan_h_at_zero_names_its_parameter(self, capsys):
+        """At varphi = 1e308 h(0) is nan: a numerical failure naming varphi,
+        not the root search's bare bracket message."""
+        rc, out, err = run_cli(capsys, "optimize", *INJECTION_ARGS[:-1], "1e308")
+        assert (rc, out) == (EXIT_NUMERICAL_FAILURE, "")
+        assert err == "numerical failure: h(0) is nan at varphi=1e+308\n"
 
     @pytest.mark.parametrize("flag, value, named", [
         # the spectral roots overflow
@@ -642,6 +647,26 @@ class TestSimulate:
         payload = json.loads(out)
         assert payload["threshold"] == pytest.approx(0.5314597, abs=1e-6)
         assert payload["ruin_laplace"] is None
+
+    @pytest.mark.parametrize("mode", ["terminal", "injection"])
+    def test_default_threshold_at_a_far_start(self, capsys, mode):
+        """At x0 = 5000 optimize's value leaves double range (ROADMAP C5);
+        simulate never prints it, so its default threshold comes from the
+        root search alone, and h does not read x0: the threshold is
+        optimize's at x0 = 1, bit for bit."""
+        scale = ScaleSet(new_model(1.2, 1.0, 1.0), 0.05)
+        if mode == "terminal":
+            args, p = [*TERMINAL_ARGS, "--S", "-5"], TerminalProblem(scale, 0.1, -5.0, 1.0)
+        else:
+            args, p = INJECTION_ARGS, InjectionProblem(scale, 0.2, 1.5, 1.0)
+        report = optimize(p)
+        assert threshold_search(p) == (report.threshold, report.residual, report.root_diag)
+        rc, out, err = run_cli(capsys, "simulate", *args, "--paths", "100", "--x", "5000",
+                               "--format", "json", "--precision", "17")
+        assert (rc, err) == (EXIT_OK, "")
+        row = json.loads(out)
+        assert row["threshold"] == report.threshold
+        assert math.isfinite(row["mean"]) and math.isfinite(row["analytic"])
 
     def test_short_horizon_warns(self, capsys):
         rc, out, err = run_cli(capsys, "simulate", *TERMINAL_ARGS,

@@ -582,13 +582,15 @@ class TestLivePathLoop:
         # paths end at different iterations, so path order is not end order
         assert [len(steps) for steps in paths] != sorted(len(steps) for steps in paths)
 
-        def ruin(short, discount, done, state):
-            done = done.copy()
-            done[short] = True
-            return -5.0 * discount, done, state
+        def ruin(short, discount, level):
+            return -5.0 * discount
 
-        out, _ = simulate._run(cfg, p, 2.0, ruin, None)
+        out, _, ruin_weight = simulate._run(cfg, p, 2.0, ruin, True, None)
         assert out.tolist() == pytest.approx(payoffs, rel=1e-12, abs=1e-15)
+        # the loop, not the rule, sums the ruined paths' discounts
+        assert ruin_weight == pytest.approx(sum(
+            math.exp(-0.05 * steps[-1].t_end) for steps in paths if steps[-1].deficit > 0.0),
+            rel=1e-12)
         mean = sum(payoffs) / 400
         stderr = math.sqrt(sum((x - mean) ** 2 for x in payoffs) / 399 / 400)
         r = simulate_terminal(p, 2.0, cfg)
@@ -605,11 +607,12 @@ class TestLivePathLoop:
                        for st in steps) for steps in paths]
         assert sum(st.deficit > 0.0 for steps in paths for st in steps) > 0
 
-        def inject(short, discount, done, state):
-            level, barrier = state
-            return 1.5 * level[short] * discount, done, (np.maximum(level, 0.0), barrier)
+        def inject(short, discount, level):
+            penalty = 1.5 * level[short] * discount
+            level[short] = 0.0
+            return penalty
 
-        out, _ = simulate._run(cfg, p, 2.0, inject, None)
+        out, _, _ = simulate._run(cfg, p, 2.0, inject, False, None)
         assert out.tolist() == pytest.approx(payoffs, rel=1e-12, abs=1e-15)
         mean = sum(payoffs) / 400
         stderr = math.sqrt(sum((x - mean) ** 2 for x in payoffs) / 399 / 400)
