@@ -4,7 +4,11 @@ Roots are bracketed by ``find_root_decreasing_sign`` and refined by
 ``brentq``, a pure-Python port of Brent's method as scipy's ``brentq.c``
 writes it (Brent 1973, ch. 4), iterate for iterate.  The port takes the
 two h values the bracket search already has and returns h at the root;
-with h(0) from the caller, no point is evaluated twice.
+with h(0) from the caller, no point is evaluated twice.  A search that
+starts near its root and has the slope too, as a sweep's next point does,
+takes ``newton_decreasing``: Newton steps kept inside the bracket, with
+bisection where a step would leave it (``rtsafe``, Press et al.,
+*Numerical Recipes* 9.4).
 
 Every exit functional of the two problems has a closed form
 (``scale.Tails``); the library keeps quadrature only for the
@@ -23,7 +27,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Tuple
+from typing import Callable, Optional, Tuple
 
 from .errors import BracketFailure, InvalidParameter, ToleranceNotMet
 
@@ -32,6 +36,7 @@ __all__ = [
     "integrate_tail",
     "integrate_finite",
     "find_root_decreasing_sign",
+    "newton_decreasing",
 ]
 
 # tolerances and subdivision limit of every adaptive quadrature
@@ -48,6 +53,9 @@ _MAX_CHUNKS = 64
 # brentq's relative tolerance (scipy's smallest allowed) and iteration cap
 _BRENT_RTOL = 4.0 * math.ulp(1.0)
 _BRENT_MAXITER = 200
+
+# Newton steps a warm search may take before it hands its point back
+_NEWTON_MAXITER = 100
 
 
 @dataclass(frozen=True)
@@ -200,3 +208,42 @@ def find_root_decreasing_sign(h: Callable[[float], float], h0: float, tol: float
     root, residual, iterations = brentq(h, left, hi, h_left, h_hi, tol)
     return RootReport(root=root, residual=residual, bracket=(left, hi),
                       iterations=iterations)
+
+
+def newton_decreasing(f: Callable[[float], Tuple[float, float]], x: float, fx: float,
+                      dfx: float, lo: float, hi: float, tol: float,
+                      hi_cap: float) -> Optional[RootReport]:
+    """Root of a function with a single sign change from + to -, from a
+    start x near it, by Newton steps kept inside the bracket [lo, hi].
+
+    f(x) returns (f(x), f'(x)); fx and dfx are the caller's values at x,
+    lo <= x <= hi, and the root lies in [lo, hi]; hi = inf where no point
+    at or past the root is known yet.  Each evaluated iterate at which
+    f > 0 becomes lo, any other becomes hi.  The next iterate is the Newton
+    step from the last one where f' < 0 and the step stays strictly inside
+    (lo, hi), and the midpoint of (lo, hi) otherwise.  The search stops at
+    the first evaluated iterate, the start included, where f' < 0 and
+    |f/f'| < tol/2, and returns it (``iterations`` counts the evaluations
+    after the start; the bracket's hi is inf if none reached the root).
+    It returns None, and evaluates nothing further, where the next iterate
+    would pass hi_cap (so where it needs the midpoint while hi is inf) or
+    repeat a bracket end, where f or f' is not finite, or after 100
+    evaluations: the caller then searches from cold.
+    """
+    iterations = 0
+    while math.isfinite(fx) and math.isfinite(dfx):
+        if dfx < 0.0 and abs(fx / dfx) < 0.5 * tol:
+            return RootReport(root=x, residual=fx, bracket=(lo, hi), iterations=iterations)
+        if iterations == _NEWTON_MAXITER:
+            return None
+        if fx > 0.0:
+            lo = x
+        else:
+            hi = x
+        step = x - fx / dfx if dfx < 0.0 else math.nan
+        x = step if lo < step < hi else lo + 0.5 * (hi - lo)
+        if not (lo < x < hi and x <= hi_cap):
+            return None
+        fx, dfx = f(x)
+        iterations += 1
+    return None

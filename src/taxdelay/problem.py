@@ -11,11 +11,16 @@ grouped kernel K:
     psi(x)      = e (ell T(x) + w T_K(x))      value of taxing at once from x
     upsilon(x)  = psi(x) - w G(x)
     h(x)        = psi(x) - (F/F')(x) (1 + w K(x))
+    h'(x)       = e h(x)/V(x) + V(x) (theta1 + theta2 - theta1 theta2 V(x) (1 + w K(x)))
     phi(x; b)   = w gap(x, b) + (F(x)/F(b)) psi(b),  b lifted to max(b, x)
     dphi/db     = ell e F(x) F'(b) / F(b)^2 h(b)
 
 with the gap G(x) - (F(x)/F(b)) G(b) of the potential G (``gap``), which
 is phi's w G(x) + (F(x)/F(b)) upsilon(b) without its cancelling terms.
+h' has V = F/F' and follows from T' = e T/V - 1, T_K' = e T_K/V - K,
+V' = 1 - (theta1 + theta2) V + theta1 theta2 V^2 (F'' = (theta1 + theta2) F'
+- theta1 theta2 F holds for W and Z) and K' = K (theta1 + theta2 - 1/V);
+since e (1 - ell) = 1 every other term cancels.
 The same integrals over a finite range [x, b] are the tails from x less
 (F(x)/F(b))^e times the tails from b (``exit_integral``).  h has a single
 sign change from + to -; the optimal threshold is its root when h(0) > 0
@@ -34,8 +39,8 @@ methods of the family, a ``scale.ScaleFamily``:
     levels x           x > 0                 x >= 0
 
 Every level is evaluated by one call of the problem's ``tails``
-(``scale.Tails``), which returns T, T_K, F/F' and K there; h, psi and
-``exit_tail`` read it.  psi's grouping ell e T + w (e T_K) is pinned:
+(``scale.Tails``), which returns T, T_K, F/F' and K there; h, h',
+psi and ``exit_tail`` read it.  psi's grouping ell e T + w (e T_K) is pinned:
 regrouping moves roots where h is flat.
 """
 
@@ -46,15 +51,18 @@ from dataclasses import dataclass
 from typing import Optional, Tuple
 
 from .errors import DomainError, InvalidParameter, ToleranceNotMet
-from .numerics import RootReport, find_root_decreasing_sign
+from .numerics import RootReport, find_root_decreasing_sign, newton_decreasing
 from .scale import ScaleFamily, ScaleSet, Tails
 
 __all__ = ["DelayedTaxation", "TerminalProblem", "InjectionProblem", "OptimumReport",
            "exit_ratio", "exit_integral", "exit_tail", "psi", "potential", "gap", "h",
-           "phi", "phi_partial", "optimal_value", "threshold_search", "optimize"]
+           "h_and_slope", "phi", "phi_partial", "optimal_value", "threshold_search", "optimize"]
 
 # absolute tolerance of every threshold root
 ROOT_TOL = 1e-8
+
+# no root search evaluates h beyond this many 1/theta1
+_CAP_EFOLDS = 1e6
 
 
 @dataclass(frozen=True)
@@ -235,6 +243,16 @@ def h(p: DelayedTaxation, x: float) -> float:
     return p.ell * e * t + w * (e * t_k) - v * (1.0 + w * k)
 
 
+def h_and_slope(p: DelayedTaxation, x: float) -> Tuple[float, float]:
+    """(h(x), h'(x)) from one tails call; the first is ``h(p, x)`` bit for
+    bit, the second is e h/V + V (theta1 + theta2 - theta1 theta2 V (1 + w K))
+    (see the module docstring)."""
+    t, t_k, v, k = p.tails(x)
+    e, w, f = p.exponent, p.weight, p.family
+    hx = p.ell * e * t + w * (e * t_k) - v * (1.0 + w * k)
+    return hx, e * hx / v + v * (f.theta1 + f.theta2 - f.theta1 * f.theta2 * v * (1.0 + w * k))
+
+
 def phi(p: DelayedTaxation, x: float, b: float) -> float:
     """Objective phi(x; b) = w G(x) + (F(x)/F(b)) upsilon(b), taken as
     w gap(x, b) + (F(x)/F(b)) psi(b): every term is bounded.
@@ -266,26 +284,66 @@ def optimal_value(p: DelayedTaxation, b: float) -> float:
         + _ratio(p, x0, b) * f.over_slope(b) * (1.0 + p.weight * f.kernel(b))
 
 
-def threshold_search(p: DelayedTaxation) -> Tuple[float, float, Optional[RootReport]]:
+def threshold_search(p: DelayedTaxation, start: Optional[float] = None
+                     ) -> Tuple[float, float, Optional[RootReport]]:
     """Optimal delay threshold (the root of h if h(0) > 0, else 0), h there
     as the search took it and the root diagnostics (None at a boundary
     case): ``optimize`` without the value.  Raises ToleranceNotMet, naming
-    the problem's parameter, where h(0) is nan."""
-    h0 = h(p, 0.0)
-    if math.isnan(h0):
-        raise ToleranceNotMet(f"h(0) is nan at {p.param}={p.sign * p.weight!r}")
+    the problem's parameter, where h(0) is nan.
+
+    Without a start the search is cold: h(0), then
+    ``find_root_decreasing_sign``.  A start in (0, cap], cap = 1e6/theta1
+    the cold search's, is a guess at the root, say a sweep's extrapolation
+    of its last two roots.  Where h(start) > 0 the root lies above it (h
+    changes sign once) and h(0) is not taken.  Nor is it where the start
+    exceeds ROOT_TOL and already passes ``newton_decreasing``'s stop test
+    (h' < 0 and |h/h'| < ROOT_TOL/2): h is then positive ROOT_TOL below the
+    start, unless |h''| exceeds 1e8 |h'| there, so h(0) > 0 too.  Otherwise
+    h(0) is taken, and h(0) <= 0 gives the cold search's boundary case to
+    the bit.  Then ``newton_decreasing`` runs on h and h' (``h_and_slope``)
+    from the start and returns it, or a later iterate, within about
+    ROOT_TOL/2 of the root.  Where it gives up, or a tail fails on the way,
+    the cold search takes the point, and raises as it would.
+    """
+    cap = _CAP_EFOLDS / p.scale.theta1
+    if start is not None and 0.0 < start <= cap:
+        try:
+            h_start, slope = h_and_slope(p, start)
+            if h_start > 0.0:
+                lo, hi = start, math.inf
+            else:
+                lo, hi = 0.0, start
+                if not (start > ROOT_TOL and slope < 0.0
+                        and abs(h_start / slope) < 0.5 * ROOT_TOL):
+                    h0 = _h_at_zero(p)
+                    if h0 <= 0.0:
+                        return 0.0, h0, None
+            diag = newton_decreasing(lambda x: h_and_slope(p, x), start, h_start, slope,
+                                     lo, hi, ROOT_TOL, cap)
+        except ArithmeticError:
+            diag = None
+        if diag is not None:
+            return diag.root, diag.residual, diag
+    h0 = _h_at_zero(p)
     if h0 <= 0.0:
         return 0.0, h0, None
-    diag = find_root_decreasing_sign(lambda x: h(p, x), h0, ROOT_TOL,
-                                     hi_cap=1e6 / p.scale.theta1)
+    diag = find_root_decreasing_sign(lambda x: h(p, x), h0, ROOT_TOL, hi_cap=cap)
     return diag.root, diag.residual, diag
 
 
-def optimize(p: DelayedTaxation) -> OptimumReport:
-    """``threshold_search``'s threshold, residual and diagnostics, and the
-    value ``optimal_value(p, threshold)``.  Raises ToleranceNotMet, naming
-    the problem's parameter, where that value leaves double range."""
-    threshold, residual, diag = threshold_search(p)
+def _h_at_zero(p: DelayedTaxation) -> float:
+    h0 = h(p, 0.0)
+    if math.isnan(h0):
+        raise ToleranceNotMet(f"h(0) is nan at {p.param}={p.sign * p.weight!r}")
+    return h0
+
+
+def optimize(p: DelayedTaxation, start: Optional[float] = None) -> OptimumReport:
+    """``threshold_search``'s threshold, residual and diagnostics, from the
+    start if one is given, and the value ``optimal_value(p, threshold)``.
+    Raises ToleranceNotMet, naming the problem's parameter, where that
+    value leaves double range."""
+    threshold, residual, diag = threshold_search(p, start)
     value = optimal_value(p, threshold)
     if math.isinf(value):
         raise ToleranceNotMet(f"the optimal value leaves double range at "

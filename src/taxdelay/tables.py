@@ -18,7 +18,8 @@ and their crossing point in param is the existence boundary.
 ``tails`` at zero, which returns T, T_K, V and K there, and G(0);
 ``table_rows`` packages the three built-in reference scenarios.  Two
 generators give plot-ready data: ``sweep_rows`` optimizes a problem along
-one of its parameters, stepped with ``dataclasses.replace``, one row each,
+one of its parameters, stepped with ``dataclasses.replace``, one row each
+and each root search started from the last roots where it can be,
 and ``existence_grid`` maps h(0) over (S, q) as the two axes and the
 q-major rows of h(0), the input of a contour plot.
 """
@@ -142,8 +143,12 @@ def sweep_rows(problem: DelayedTaxation, param: str,
 
     The problem's own value of ``param`` is not read.  S, varphi, ell and
     x are fields of the problem, so those points share its ScaleSet; c,
-    lambda, mu and q build one per point.  Each row has keys ``param``,
-    ``param_value``, ``threshold``, ``value`` and ``boundary_case``.
+    lambda, mu and q build one per point.  After two interior rows in a
+    row, a point's root search starts from the linear extrapolation of
+    their thresholds in the parameter (``problem.threshold_search``), so an
+    interior threshold lies within ROOT_TOL of a fresh ``optimize``'s and a
+    boundary row equals it.  Each row has keys ``param``, ``param_value``,
+    ``threshold``, ``value`` and ``boundary_case``.
     """
     if param not in SWEEPABLE:
         raise InvalidParameter(
@@ -153,6 +158,7 @@ def sweep_rows(problem: DelayedTaxation, param: str,
         raise InvalidParameter(f"{type(problem).__name__} has no parameter {param}")
     model, q = problem.scale.model, problem.scale.q
     rows: List[Dict[str, Any]] = []
+    last: List[Tuple[float, float]] = []  # (value, threshold) of the last interior rows in a row
     for value in values:
         if field is None:  # a rate of the model, or q
             r = {"c": model.c, "lambda": model.lam, "mu": model.mu, "q": q, param: value}
@@ -160,7 +166,12 @@ def sweep_rows(problem: DelayedTaxation, param: str,
                                                     r["q"]))
         else:
             point = replace(problem, **{field: value})
-        report = optimize(point)
+        start = None
+        if len(last) == 2:  # a non-finite start leaves the search cold
+            (v0, t0), (v1, t1) = last
+            start = t1 + (t1 - t0) * ((value - v1) / (v1 - v0)) if v1 != v0 else t1
+        report = optimize(point, start)
+        last = [] if report.boundary_case else last[-1:] + [(value, report.threshold)]
         rows.append({"param": param, "param_value": value, "threshold": report.threshold,
                      "value": report.value, "boundary_case": report.boundary_case})
     return rows

@@ -19,7 +19,9 @@ The argvs, all fixed by seeds:
 * every subcommand in CSV and in JSON at ``--precision 17``, and short
   Monte Carlo runs at several thresholds, whose analytic value reads psi;
 * bad inputs and rare branches, one argv each: the exits 2 of ``main``'s
-  invalid-input handler and of argparse, and ``--out``.
+  invalid-input handler and of argparse, and ``--out``;
+* sweeps that continue from their last roots into and out of boundary
+  rows, a start level that leaves the root in place, and negative loading.
 """
 
 from __future__ import annotations
@@ -128,6 +130,22 @@ THRESHOLD_RUNS: Tuple[Tuple[str, ...], ...] = tuple(
     for level in ("0.5", "1.5", "2.5", "3.5", "5"))
 
 
+# sweeps whose later rows start from their last two roots: the start level,
+# which h does not read; boundary rows, then interior ones; the premium rate
+# of an injection problem across c = lam/mu, from negative loading on; and
+# interior rows whose last start, 0.077, meets a boundary case
+CONTINUED_SWEEPS: Tuple[Tuple[str, ...], ...] = (
+    ("sweep", *TERMINAL, "--param", "x", "--from", "0.5", "--to", "5", "--steps", "40",
+     *JSON_17),
+    ("sweep", *TERMINAL, "--param", "S", "--from", "-10", "--to", "10", "--steps", "7",
+     *JSON_17),
+    ("sweep", *TERMINAL, "--param", "mu", "--from", "0.5", "--to", "4", "--steps", "40",
+     *JSON_17),
+    ("sweep", *INJECTION, "--param", "c", "--from", "0.8", "--to", "3", "--steps", "40",
+     *JSON_17),
+)
+
+
 def _perfbench_argvs() -> List[Tuple[str, ...]]:
     """The argvs of every benchmark operation at seeds 1 and 2."""
     spec = importlib.util.spec_from_file_location("perfbench_run", ROOT / "perfbench" / "run.py")
@@ -150,7 +168,8 @@ def corpus_argvs() -> List[Tuple[str, ...]]:
     argvs = _perfbench_argvs() + _wide_box_argvs() + list(ROADMAP_EXAMPLES) \
         + [argv + JSON_17 for argv in ROADMAP_EXAMPLES] \
         + [argv + fmt for argv in SUBCOMMANDS for fmt in (CSV_17, JSON_17)] \
-        + list(THRESHOLD_RUNS) + [("validate", *JSON_17)] + list(RARE_BRANCHES)
+        + list(THRESHOLD_RUNS) + [("validate", *JSON_17)] + list(RARE_BRANCHES) \
+        + list(CONTINUED_SWEEPS)
     return list(dict.fromkeys(argvs))
 
 

@@ -19,6 +19,7 @@ from taxdelay.numerics import (
     find_root_decreasing_sign,
     integrate_finite,
     integrate_tail,
+    newton_decreasing,
 )
 from taxdelay.problem import ROOT_TOL, InjectionProblem, TerminalProblem, h, optimize, phi
 from taxdelay.scale import ScaleSet, Tails
@@ -185,6 +186,128 @@ class TestBrentPort:
             want, want_iterations = scipy_brentq(lambda x: h(p, x), *diag.bracket, ROOT_TOL)
             assert (diag.root.hex(), diag.iterations) == (want.hex(), want_iterations)
             assert diag.residual == h(p, diag.root)
+            checked += 1
+        assert checked >= 100
+
+
+class TestNewtonDecreasing:
+    # (f, f', a, b, tol, the root's multiplicity m): the Brent port's closed
+    # forms, negated where they rise (its relative-tolerance case has no
+    # counterpart: this search has an absolute tolerance only)
+    @pytest.mark.parametrize("f, df, a, b, tol, m", [
+        (lambda x: -(x ** 3 - 2.0 * x - 5.0), lambda x: -(3.0 * x * x - 2.0),
+         2.0, 3.0, 1e-12, 1),
+        (lambda x: math.cos(x) - x, lambda x: -math.sin(x) - 1.0, 0.0, 1.0, ROOT_TOL, 1),
+        (lambda x: math.exp(-x) - 0.5, lambda x: -math.exp(-x), 0.0, 4.0, ROOT_TOL, 1),
+        (lambda x: -math.tanh(50.0 * (x - 0.3)),
+         lambda x: -50.0 / math.cosh(50.0 * (x - 0.3)) ** 2, 0.0, 1.0, 1e-10, 1),
+        (lambda x: -(x - 1e-3) ** 3, lambda x: -3.0 * (x - 1e-3) ** 2, 0.0, 1.0, 1e-14, 3),
+        (lambda x: 1.0 / x - 3.0, lambda x: -1.0 / (x * x), 0.1, 8.0, ROOT_TOL, 1),
+    ], ids=["cubic", "cosine", "exponential", "steep", "triple_root", "reciprocal"])
+    def test_closed_forms_match_scipy(self, f, df, a, b, tol, m):
+        """From the bracket's lower end: the root within tol of scipy's
+        brentq on [a, b] (m tol at a root of multiplicity m, where the
+        Newton step f/f' is 1/m of the distance to it), every evaluation
+        strictly inside the bracket, and the residual f at the returned
+        root."""
+        points = []
+
+        def fdf(x):
+            points.append(x)
+            return f(x), df(x)
+        report = newton_decreasing(fdf, a, f(a), df(a), a, b, tol, b)
+        want, _ = scipy_brentq(f, a, b, tol)
+        assert abs(report.root - want) <= m * tol
+        assert report.residual == f(report.root)
+        assert report.iterations == len(points)
+        assert all(a < x < b for x in points)
+
+    def test_bisects_where_a_step_would_leave_the_bracket(self):
+        """The steep tanh's slope at 0 is 2e-11: its Newton step lands near
+        5e10, so the first iterate is the bracket's midpoint."""
+        points = []
+
+        def fdf(x):
+            points.append(x)
+            return -math.tanh(50.0 * (x - 0.3)), -50.0 / math.cosh(50.0 * (x - 0.3)) ** 2
+        report = newton_decreasing(fdf, 0.0, *fdf(0.0), 0.0, 1.0, 1e-10, 1.0)
+        assert points[1] == 0.5
+        assert abs(report.root - 0.3) <= 1e-10
+
+    def test_bisects_where_the_slope_is_not_negative(self):
+        """1 + x - x^2 rises up to x = 1/2: from 0.25 the first iterate is
+        the midpoint of (0.25, 3)."""
+        points = []
+
+        def fdf(x):
+            points.append(x)
+            return 1.0 + x - x * x, 1.0 - 2.0 * x
+        report = newton_decreasing(fdf, 0.25, *fdf(0.25), 0.25, 3.0, ROOT_TOL, 3.0)
+        assert points[1] == 1.625
+        assert abs(report.root - (1.0 + math.sqrt(5.0)) / 2.0) <= ROOT_TOL
+
+    def test_gives_up(self):
+        """None, and no evaluation further, past the cap, where it must
+        bisect with no upper end known, at a non-finite value, or after 100
+        evaluations."""
+        points = []
+
+        def fdf(x):
+            points.append(x)
+            return 100.0 - x, -1.0
+        assert newton_decreasing(fdf, 1.0, 99.0, -1.0, 1.0, math.inf, ROOT_TOL, 50.0) is None
+        assert newton_decreasing(fdf, 1.0, 99.0, 1.0, 1.0, math.inf, ROOT_TOL, 1e3) is None
+        assert points == []
+        assert newton_decreasing(lambda x: (math.nan, -1.0), 1.0, 99.0, -1.0, 1.0, math.inf,
+                                 ROOT_TOL, 1e3) is None
+
+        def lying(x):  # the slope is never negative, so only bisection steps
+            points.append(x)
+            return 1.0 - x, 1.0
+        assert newton_decreasing(lying, 0.0, 1.0, 1.0, 0.0, 1e30, ROOT_TOL, 1e30) is None
+        assert len(points) == 100
+
+
+class TestSlope:
+    @pytest.mark.parametrize("mode", ["terminal", "injection"])
+    def test_slope_matches_central_differences(self, mode):
+        """h_and_slope's h is h bit for bit, and its h' is within 1e-6 of
+        central differences of h, step 1e-6 max(1, x), at x = 0 (centred at
+        the step), 0.5 and 3.  Where h's terms are large against h', the
+        difference carries their rounding: 1e-13 of the largest term,
+        the tails' accuracy, over the step."""
+        checked = 0
+        for p in solved_draws(mode):
+            e, w = p.exponent, p.weight
+            for x in (0.0, 0.5, 3.0):
+                step = 1e-6 * max(1.0, x)
+                x = max(x, step)
+                hx, slope = problem.h_and_slope(p, x)
+                assert hx.hex() == h(p, x).hex()
+                if abs(slope) < 1e-6:
+                    continue
+                difference = (h(p, x + step) - h(p, x - step)) / (2.0 * step)
+                t, t_k, v, k = p.tails(x)
+                terms = max(abs(p.ell * e * t), abs(w * e * t_k), abs(v), abs(v * w * k))
+                assert abs(slope - difference) <= 1e-6 * abs(slope) + 1e-13 * terms / step
+                checked += 1
+        assert checked >= 750
+
+    @pytest.mark.parametrize("mode", ["terminal", "injection"])
+    def test_slope_at_a_root(self, mode):
+        """Where h vanishes, h' = V (theta1 + theta2 - theta1 theta2 V (1 + w K))."""
+        checked = 0
+        for p in solved_draws(mode):
+            report = problem.optimize(p)
+            if report.boundary_case:
+                continue
+            b, f, w = report.threshold, p.family, p.weight
+            hb, slope = problem.h_and_slope(p, b)
+            v, k = f.over_slope(b), f.kernel(b)
+            t1, t2 = f.theta1, f.theta2
+            rest = v * (t1 + t2 - t1 * t2 * v * (1.0 + w * k))
+            size = abs(v) * (abs(t1 + t2) + abs(t1 * t2 * v) * (1.0 + abs(w * k)))
+            assert abs(slope - rest) <= p.exponent * abs(hb) / v + 1e-13 * size
             checked += 1
         assert checked >= 100
 

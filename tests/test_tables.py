@@ -2,18 +2,24 @@
 
 from __future__ import annotations
 
+import json
 import math
 import sys
+from dataclasses import replace
 
 import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from paper_functionals import upsilon
-from taxdelay.errors import InvalidParameter
+import taxdelay.problem as problem
+import taxdelay.tables as tables
+from taxdelay.cli import main
+from taxdelay.errors import BracketFailure, InvalidParameter, ToleranceNotMet
 from taxdelay.model import new_model
-from taxdelay.problem import InjectionProblem, TerminalProblem, h, optimize
-from taxdelay.scale import ScaleSet
+from taxdelay.problem import (ROOT_TOL, InjectionProblem, TerminalProblem, h, optimal_value,
+                              optimize)
+from taxdelay.scale import ScaleSet, Tails
 from taxdelay.tables import (
     BASE_MODEL,
     SWEEPABLE,
@@ -255,16 +261,134 @@ def _fresh_problem(problem_class, **values):
     (cls, param) for cls, own in ((TerminalProblem, "S"), (InjectionProblem, "varphi"))
     for param in SWEEPABLE if param in (own, "ell", "q", "c", "lambda", "mu", "x")])
 def test_sweep_rows_match_fresh_optimize(problem_class, param):
-    """Each row of a sweep, whose points step the base problem, is bit for
-    bit the optimum of the problem built from scratch at that point."""
+    """Each row of a sweep, whose points step the base problem, is the
+    optimum of the problem built from scratch at that point: the same
+    boundary flag, a boundary row bit for bit, an interior threshold within
+    ROOT_TOL (a sweep continues from its last roots), and bit for bit the
+    value of the fresh problem at the row's threshold."""
     grid = grid_values(*SWEEP_GRIDS[param], 9)
     rows = sweep_rows(_fresh_problem(problem_class), param, grid)
     assert [(r["param"], r["param_value"]) for r in rows] == [(param, v) for v in grid]
     for row, value in zip(rows, grid):
-        want = optimize(_fresh_problem(problem_class, **{param: value}))
-        assert row["threshold"].hex() == want.threshold.hex()
-        assert row["value"].hex() == want.value.hex()
+        fresh = _fresh_problem(problem_class, **{param: value})
+        want = optimize(fresh)
         assert row["boundary_case"] is want.boundary_case
+        if want.boundary_case:
+            assert row["threshold"].hex() == want.threshold.hex()
+            assert row["value"].hex() == want.value.hex()
+        else:
+            assert abs(row["threshold"] - want.threshold) <= ROOT_TOL
+        assert row["value"].hex() == optimal_value(fresh, row["threshold"]).hex()
+
+
+class TestSweepContinuation:
+    """A sweep's third and later interior rows in a row start from the
+    linear extrapolation of the last two roots (``problem.threshold_search``
+    with a start)."""
+
+    BASE = ("--c", "1.2", "--lambda", "1", "--mu", "1", "--q", "0.05")
+    TERMINAL = ("--mode", "terminal", *BASE, "--ell", "0.1", "--S", "-5")
+    INJECTION = ("--mode", "injection", *BASE, "--ell", "0.2", "--varphi", "1.5")
+
+    @staticmethod
+    def _count_tails(monkeypatch):
+        calls = []
+
+        def counted(tails, x, _fn=Tails.__call__):
+            calls.append(x)
+            return _fn(tails, x)
+        monkeypatch.setattr(Tails, "__call__", counted)
+        return calls
+
+    # the benchmark's three 40-point sweeps; a cold optimize per point took
+    # 8.75 (ell), 3.28 (S) and 8.08 (varphi) tails calls
+    @pytest.mark.parametrize("mode, param, lo, hi, most", [
+        ("terminal", "ell", "0", "0.9", 5.0),
+        ("terminal", "S", "-10", "10", 2.5),
+        ("injection", "varphi", "1.1", "3", 5.0),
+    ])
+    def test_tails_calls_per_point(self, monkeypatch, capsys, mode, param, lo, hi, most):
+        scenario = self.TERMINAL if mode == "terminal" else self.INJECTION
+        calls = self._count_tails(monkeypatch)
+        argv = ["sweep", *scenario, "--param", param, "--from", lo, "--to", hi,
+                "--steps", "40", "--format", "json"]
+        assert main(argv) == 0
+        assert len(json.loads(capsys.readouterr().out)) == 40
+        assert len(calls) / 40 <= most
+
+    def test_start_sweep_repeats_its_first_root(self, monkeypatch, scale05):
+        """h does not depend on x0: after the two cold rows, each row's start
+        is the root itself, taken after one tails call."""
+        base = TerminalProblem(scale05, 0.1, -5.0, 0.5)
+        calls = self._count_tails(monkeypatch)
+        per_row = []
+
+        def counted_optimize(p, start=None, _fn=tables.optimize):
+            before = len(calls)
+            report = _fn(p, start)
+            per_row.append(len(calls) - before)
+            return report
+        monkeypatch.setattr(tables, "optimize", counted_optimize)
+        rows = sweep_rows(base, "x", grid_values(0.5, 5.0, 40))
+        assert {r["threshold"].hex() for r in rows} == {rows[0]["threshold"].hex()}
+        assert not rows[0]["boundary_case"]
+        assert per_row[2:] == [1] * 38
+
+    def test_boundary_row_after_interior_rows(self, monkeypatch, scale05):
+        """Thresholds 1.67 and 1.26 at varphi 2 and 1.8 give varphi 1.3 the
+        start 0.23, where h < 0: one more tails call, at 0, finds h(0) <= 0,
+        and the row is the cold search's boundary case to the bit."""
+        base = InjectionProblem(scale05, 0.2, 1.5, 1.0)
+        calls = self._count_tails(monkeypatch)
+        sweep_rows(base, "varphi", (2.0, 1.8))
+        cold_rows = len(calls)
+        calls.clear()
+        rows = sweep_rows(base, "varphi", (2.0, 1.8, 1.3))
+        assert calls[cold_rows:] == [pytest.approx(0.228, abs=1e-3), 0.0]
+        want = optimize(replace(base, varphi=1.3))
+        assert want.boundary_case and rows[2]["boundary_case"]
+        assert (rows[2]["threshold"].hex(), rows[2]["value"].hex()) \
+            == (want.threshold.hex(), want.value.hex())
+
+    # the terminal root rises with ell, from 1.11 at 0.1 to 2.61 at 0.45
+    # (S = -6); two cold rows at 0.1 give the third row the start 1.11
+    WARM_FAILURE_GRID = (0.1, 0.1, 0.45)
+
+    def _raises_as_cold(self, monkeypatch, scale, error):
+        """The sweep raises the cold search's error; returns the levels the
+        warm search took."""
+        base = TerminalProblem(scale, 0.1, -6.0, 1.0)
+        with pytest.raises(error) as cold:
+            optimize(replace(base, ell=self.WARM_FAILURE_GRID[-1]))
+        warm = []
+
+        def spied(p, x, _fn=problem.h_and_slope):
+            warm.append(x)
+            return _fn(p, x)
+        monkeypatch.setattr(problem, "h_and_slope", spied)
+        with pytest.raises(error) as swept:
+            sweep_rows(base, "ell", self.WARM_FAILURE_GRID)
+        assert str(swept.value) == str(cold.value)
+        return warm
+
+    def test_root_past_the_cap_raises_as_cold(self, monkeypatch, scale05):
+        monkeypatch.setattr(problem, "_CAP_EFOLDS", 2.5 * scale05.theta1)
+        warm = self._raises_as_cold(monkeypatch, scale05, BracketFailure)
+        assert warm and max(warm) <= 2.5
+
+    @pytest.mark.parametrize("failure", ["nan", "raise"])
+    def test_failing_tails_raise_as_cold(self, monkeypatch, scale05, failure):
+        """Past level 2 the tails give nan, or raise; the cold search meets
+        that at its bracket end 4, the warm one on its way from 1.11."""
+        def failing(tails, x, _fn=Tails.__call__):
+            if x <= 2.0:
+                return _fn(tails, x)
+            if failure == "nan":
+                return (math.nan,) * 4
+            raise ToleranceNotMet(f"no tail at {x!r}")
+        monkeypatch.setattr(Tails, "__call__", failing)
+        error = BracketFailure if failure == "nan" else ToleranceNotMet
+        assert max(self._raises_as_cold(monkeypatch, scale05, error)) > 2.0
 
 
 # ---------------------------------------------------------------------------
